@@ -33,12 +33,11 @@
 //! pruning math (context terms with non-positive weight cannot raise any
 //! ad's score) relies on it.
 
-use std::collections::HashMap;
-
 use adcast_text::dictionary::TermId;
 use adcast_text::SparseVector;
 
 use crate::ad::AdId;
+use crate::idhash::IdMap;
 
 /// Postings per block. 64 postings = 256 B per SoA lane (a weight lane
 /// spans four cache lines), small enough that a skipped block is a real
@@ -205,7 +204,9 @@ impl<'a> IntoIterator for PostingsView<'a> {
 /// The blocked impact-ordered inverted index over ads.
 #[derive(Debug, Default, Clone)]
 pub struct AdIndex {
-    postings: HashMap<TermId, TermPostings>,
+    /// Term → posting list, keyed with the dense-id hasher: one multiply
+    /// per changed term on apply and per context term on a TAAT walk.
+    postings: IdMap<TermId, TermPostings>,
     num_ads: usize,
     num_postings: usize,
     /// `len_hist[n]` = number of indexed ads with exactly `n` terms.

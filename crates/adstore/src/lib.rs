@@ -6,6 +6,8 @@
 //! * [`targeting`] — location / time-slot predicates,
 //! * [`budget`] — campaign budgets with spend tracking,
 //! * [`campaign`] — ad + budget + lifecycle state,
+//! * [`idhash`] — the one hasher for dense `u32` ids ([`IdMap`]), keying
+//!   the index's term table and the engine's per-user maps,
 //! * [`index`] — the impact-ordered blocked inverted index over ad terms:
 //!   SoA posting lanes sorted by descending weight with per-block maxima
 //!   (the upper-bound metadata that block-max WAND pruning and the
@@ -23,6 +25,7 @@ pub mod auction;
 pub mod budget;
 pub mod campaign;
 pub mod ctr;
+pub mod idhash;
 pub mod index;
 pub mod pacing;
 pub mod snapshot;
@@ -34,6 +37,7 @@ pub use auction::{run_gsp, AuctionBid, AuctionConfig, SlotAward};
 pub use budget::Budget;
 pub use campaign::{Campaign, CampaignState};
 pub use ctr::{ClickModel, CtrTracker};
+pub use idhash::{IdHasher, IdMap};
 pub use index::{AdIndex, Posting, PostingsView, BLOCK_SIZE};
 pub use pacing::PacingController;
 pub use snapshot::{CampaignSnapshot, PacingSnapshot, StoreSnapshot};

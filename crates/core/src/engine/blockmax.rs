@@ -93,7 +93,8 @@ impl IndexObs {
 /// `begin` is O(1) amortized: instead of zeroing, a per-call epoch stamp
 /// lazily invalidates old values. Slots are indexed by dense [`AdId`], so
 /// accumulation is one array write — no hashing — and `touched` replays
-/// the candidates in deterministic first-touch order.
+/// the candidates in deterministic first-touch order. The incremental
+/// engine also owns one as its per-delta gain scratch.
 #[derive(Debug, Default)]
 pub(crate) struct TaatAccumulator {
     stamps: Vec<u32>,

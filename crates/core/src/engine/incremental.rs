@@ -14,12 +14,14 @@
 //!    buffer and the bound by the same factor;
 //! 2. walk the posting lists of only the **changed terms**: buffered ads
 //!    get their dots nudged exactly; outside ads touched by *positive*
-//!    weight accumulate their potential gain in a scratch map;
+//!    weight accumulate their potential gain in a dense stamped
+//!    accumulator indexed by ad id;
 //! 3. raise `outside_bound` by `Σ Δ⁺(t) · max_weight(t)` (index metadata);
 //! 4. **promotion screening**: an outside ad is worth an exact dot only if
 //!    `bound_before + its_gain` could beat the buffer's worst entry;
-//!    survivors get an exact ad-side dot and are inserted (evictions raise
-//!    the bound to the evicted ad's exact dot);
+//!    survivors get an exact dot against the context, scattered once per
+//!    delta into a dense stamped array ([`ContextScatter`]), and are
+//!    inserted (evictions raise the bound to the evicted ad's exact dot);
 //! 5. **certification**: if the bound now exceeds the k-th buffered rank
 //!    (modulo the refresh policy's slack), re-establish exactness with one
 //!    TAAT refresh for this user only.
@@ -29,7 +31,6 @@
 //! bounded staleness for fewer refreshes.
 
 use adcast_stream::clock::now_ns;
-use std::collections::HashMap;
 
 use adcast_ads::{AdId, AdStore};
 use adcast_feed::FeedDelta;
@@ -42,7 +43,8 @@ use adcast_text::ScratchSpace;
 use crate::config::EngineConfig;
 use crate::context::{ContextUpdate, UserContext};
 use crate::engine::blockmax::{taat_blocked, IndexObs, TaatAccumulator};
-use crate::engine::{dot_ad_side, EngineStats, Recommendation, RecommendationEngine};
+use crate::engine::scatter::ContextScatter;
+use crate::engine::{EngineStats, Recommendation, RecommendationEngine};
 use crate::skyband::{CandidateBuffer, ScoreCache};
 use crate::snapshot::{EngineSnapshot, UserStateSnapshot};
 use crate::topk::{top_k, Scored};
@@ -82,7 +84,7 @@ struct HotScratch {
     promote: Vec<AdId>,
     /// Buffered ad ids snapshot for the negative-term probe.
     buffered: Vec<AdId>,
-    /// Drained (ad, gain) pairs from the unknown-ad gain map.
+    /// (ad, gain) pairs drained from the engine's gain accumulator.
     drained_gains: Vec<(AdId, f32)>,
     /// Rank order-statistic buffer (certification / serve checks).
     ranks: Vec<f32>,
@@ -138,8 +140,11 @@ pub struct IncrementalEngine {
     config: EngineConfig,
     users: Vec<UserState>,
     stats: EngineStats,
-    /// Scratch: potential relevance gains of outside ads in this delta.
-    gains: HashMap<AdId, f32>,
+    /// Potential relevance gains of never-seen ads in this delta, one
+    /// dense stamped slot per ad id (`begin` per delta is O(1)).
+    gains: TaatAccumulator,
+    /// The delta's user context, scattered for the promotion dots.
+    ctx_scatter: ContextScatter,
     /// Dense stamped accumulator for refresh/fallback TAAT (shared walk
     /// with the index-scan engine; see [`taat_blocked`]).
     taat: TaatAccumulator,
@@ -175,7 +180,8 @@ impl IncrementalEngine {
                 .collect(),
             config,
             stats: EngineStats::default(),
-            gains: HashMap::new(),
+            gains: TaatAccumulator::default(),
+            ctx_scatter: ContextScatter::default(),
             taat: TaatAccumulator::default(),
             scratch: HotScratch::default(),
             obs: EngineObs::resolve(),
@@ -191,7 +197,7 @@ impl IncrementalEngine {
     /// Capture the full engine state as plain data (see
     /// [`crate::snapshot`]). Buffer and cache entries are sorted by ad id
     /// so the snapshot — and anything serialized from it — is
-    /// deterministic regardless of `HashMap` iteration order.
+    /// independent of map iteration order, which follows insertion history.
     pub fn export_snapshot(&self) -> EngineSnapshot {
         let users = self
             .users
@@ -491,10 +497,11 @@ impl IncrementalEngine {
     ///
     /// Steady state — deltas that trigger no refresh and discover no
     /// never-seen candidates — performs **zero heap allocations**: every
-    /// temporary lives in [`HotScratch`] or the engine's gain map, all of
-    /// which retain their capacity across calls. The `zero_alloc`
-    /// integration test pins this down with a counting global allocator;
-    /// the `adcast-lint` marker below makes it a static check too.
+    /// temporary lives in [`HotScratch`], the gain accumulator or the
+    /// context scatter, all of which retain their capacity across calls.
+    /// The `zero_alloc` integration test pins this down with a counting
+    /// global allocator; the `adcast-lint` marker below makes it a static
+    /// check too.
     // adcast-lint: zero-alloc
     fn apply_feed_delta(&mut self, store: &AdStore, user: UserId, delta: &FeedDelta) {
         self.stats.deltas += 1;
@@ -534,7 +541,8 @@ impl IncrementalEngine {
         // Negative terms touch nothing outside the buffer — the buffered
         // ads' own small vectors are probed directly, far cheaper than a
         // second postings walk.
-        self.gains.clear();
+        self.gains.begin(store.num_total());
+        self.ctx_scatter.invalidate();
         let bound_before = self.users[user.index()].outside_bound;
         let mut promote = std::mem::take(&mut self.scratch.promote);
         promote.clear();
@@ -557,11 +565,11 @@ impl IncrementalEngine {
                 let postings = index.postings(term);
                 self.stats.postings_scanned += postings.len() as u64;
                 for p in postings {
-                    if st.buffer.contains(p.ad) {
-                        st.buffer.nudge(p.ad, dw * p.weight);
-                    } else if let Some(cached) = st.cache.get(p.ad) {
-                        let updated = cached + dw * p.weight;
-                        st.cache.nudge(p.ad, dw * p.weight);
+                    let gain = dw * p.weight;
+                    if st.buffer.nudge(p.ad, gain) {
+                        continue;
+                    }
+                    if let Some(updated) = st.cache.nudge(p.ad, gain) {
                         let trigger = if self.config.scoring.lambda >= 1.0 {
                             updated
                         } else {
@@ -581,7 +589,7 @@ impl IncrementalEngine {
                             st.ceiling = st.ceiling.max(updated);
                         }
                     } else {
-                        *self.gains.entry(p.ad).or_insert(0.0) += dw * p.weight;
+                        self.gains.add(p.ad, gain);
                     }
                 }
             }
@@ -619,10 +627,10 @@ impl IncrementalEngine {
         let mut new_bound = bound_before;
         for ad in promote.drain(..) {
             let (rel, rank) = {
-                let st = &self.users[user.index()];
                 let Some(a) = store.ad(ad) else { continue };
                 self.stats.ads_scored += 1;
-                let rel = dot_ad_side(st.ctx.raw(), &a.vector);
+                let ctx = self.users[user.index()].ctx.raw();
+                let rel = self.ctx_scatter.dot(ctx, &a.vector);
                 (rel, self.rank_of(store, ad, rel))
             };
             let admit = match worst {
@@ -674,16 +682,21 @@ impl IncrementalEngine {
         // ads keep `bound_before`; screened ads are bounded by
         // `bound_before + gain`; exactly-computed ads move to the cache
         // (or buffer) and leave the unknown set entirely.
-        if !self.gains.is_empty() {
+        if !self.gains.touched().is_empty() {
             let mut gains = std::mem::take(&mut self.scratch.drained_gains);
             gains.clear();
-            gains.extend(self.gains.drain());
+            gains.extend(
+                self.gains
+                    .touched()
+                    .iter()
+                    .map(|&ad| (ad, self.gains.get(ad))),
+            );
             // Highest gain first: promoting the strongest candidates early
             // raises `worst` fast, so weaker ads screen out instead of
-            // paying for an exact dot. The id tie-break also detaches the
-            // loop (and its work counters) from HashMap iteration order,
-            // which varies per engine instance — sharding equivalence
-            // needs identical counts. Unstable sort: no scratch allocation.
+            // paying for an exact dot. The id tie-break makes the order
+            // (and so the work counters) a function of the gains alone,
+            // not of the postings walk's first-touch order. Unstable sort:
+            // no scratch allocation.
             gains.sort_unstable_by(|a, b| b.1.total_cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
             for (ad, gain) in gains.drain(..) {
                 if self.config.screening {
@@ -698,12 +711,9 @@ impl IncrementalEngine {
                 }
                 self.stats.ads_scored += 1;
                 let (rel, rank) = {
-                    let st = &self.users[user.index()];
-                    let ad_vec = match store.ad(ad) {
-                        Some(a) => &a.vector,
-                        None => continue,
-                    };
-                    let rel = dot_ad_side(st.ctx.raw(), ad_vec);
+                    let Some(a) = store.ad(ad) else { continue };
+                    let ctx = self.users[user.index()].ctx.raw();
+                    let rel = self.ctx_scatter.dot(ctx, &a.vector);
                     (rel, self.rank_of(store, ad, rel))
                 };
                 let admit = match worst {
@@ -929,6 +939,8 @@ impl RecommendationEngine for IncrementalEngine {
         std::mem::size_of::<Self>()
             + self.scratch.memory_bytes()
             + self.taat.memory_bytes()
+            + self.gains.memory_bytes()
+            + self.ctx_scatter.memory_bytes()
             + self
                 .users
                 .iter()

@@ -13,6 +13,7 @@ mod blockmax;
 mod full_scan;
 mod incremental;
 mod index_scan;
+mod scatter;
 
 pub use full_scan::FullScanEngine;
 pub use incremental::IncrementalEngine;
@@ -157,7 +158,9 @@ pub trait RecommendationEngine {
 }
 
 /// Dot product of a (large) context against a (small) ad vector — the
-/// incremental engine's promotion kernel. Delegates to the skew-aware
+/// block-max scorer's per-candidate kernel (the incremental engine's
+/// promotions use the bit-identical `ContextScatter` walk instead, since
+/// they pay many dots against one context). Delegates to the skew-aware
 /// [`SparseVector::dot`] dispatch: contexts run to hundreds of terms while
 /// ads hold ~10, so this lands on the galloping merge-join,
 /// O(|ad| · log |ctx|) with monotone probes instead of independent

@@ -1,23 +1,29 @@
-//! The incremental engine's per-user candidate buffer.
+//! The incremental engine's per-user candidate state: the
+//! [`CandidateBuffer`] and the [`ScoreCache`].
 //!
-//! Holds exact forward-scale relevance dots for up to `capacity` ads —
-//! a superset of the top-k (capacity = headroom·k). Updates are O(1);
-//! order statistics (min, k-th) are O(|buffer|) scans, which is fine
-//! because buffers are tens of entries.
+//! The buffer holds exact forward-scale relevance dots for up to
+//! `capacity` ads — a superset of the top-k (capacity = headroom·k).
+//! Updates are O(1); order statistics (min, k-th) are O(|buffer|) scans,
+//! which is fine because buffers are tens of entries. The cache memoizes
+//! drift-high upper bounds for candidates that did not make the buffer.
+//!
+//! Both are [`IdMap`]s: every posting a feed delta walks probes them, so
+//! they hash ad ids with one multiply ([`adcast_ads::IdHasher`]) instead
+//! of SipHash. The probes that modify an entry
+//! ([`CandidateBuffer::nudge`], [`ScoreCache::nudge`]) also report it, so
+//! a hit costs one probe.
 //!
 //! The buffer stores *relevance* (forward dots); ranking scores (which may
 //! blend bids) are computed by the engine from these relevances, so the
 //! buffer itself stays policy-agnostic. Order statistics used for
 //! certification take a rank function from the caller.
 
-use std::collections::HashMap;
-
-use adcast_ads::AdId;
+use adcast_ads::{AdId, IdMap};
 
 /// A bounded map `AdId → forward-scale relevance`.
 #[derive(Debug, Clone)]
 pub struct CandidateBuffer {
-    scores: HashMap<AdId, f32>,
+    scores: IdMap<AdId, f32>,
     capacity: usize,
 }
 
@@ -26,7 +32,7 @@ impl CandidateBuffer {
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "buffer capacity must be positive");
         CandidateBuffer {
-            scores: HashMap::with_capacity(capacity + 1),
+            scores: IdMap::with_capacity_and_hasher(capacity + 1, Default::default()),
             capacity,
         }
     }
@@ -61,10 +67,16 @@ impl CandidateBuffer {
         self.scores.contains_key(&ad)
     }
 
-    /// Add `delta` to a buffered ad's relevance. No-op when absent.
-    pub fn nudge(&mut self, ad: AdId, delta: f32) {
-        if let Some(s) = self.scores.get_mut(&ad) {
-            *s += delta;
+    /// Add `delta` to a buffered ad's relevance and report whether `ad`
+    /// is buffered (no-op when absent) — membership and update in one
+    /// probe.
+    pub fn nudge(&mut self, ad: AdId, delta: f32) -> bool {
+        match self.scores.get_mut(&ad) {
+            Some(s) => {
+                *s += delta;
+                true
+            }
+            None => false,
         }
     }
 
@@ -227,8 +239,8 @@ mod tests {
     fn nudge_only_touches_present() {
         let mut b = CandidateBuffer::new(4);
         b.insert(AdId(1), 0.5, by_relevance);
-        b.nudge(AdId(1), 0.25);
-        b.nudge(AdId(9), 1.0);
+        assert!(b.nudge(AdId(1), 0.25));
+        assert!(!b.nudge(AdId(9), 1.0));
         assert_eq!(b.get(AdId(1)), Some(0.75));
         assert!(!b.contains(AdId(9)));
     }
@@ -308,7 +320,7 @@ mod tests {
 /// it into its unknown-ad bound.
 #[derive(Debug, Clone)]
 pub struct ScoreCache {
-    map: HashMap<AdId, f32>,
+    map: IdMap<AdId, f32>,
     capacity: usize,
 }
 
@@ -319,7 +331,7 @@ impl ScoreCache {
         // Grow on demand: most users never touch more than a fraction of
         // the capacity, and pre-allocating per user dominates engine memory.
         ScoreCache {
-            map: HashMap::new(),
+            map: IdMap::default(),
             capacity,
         }
     }
@@ -339,11 +351,12 @@ impl ScoreCache {
         self.map.get(&ad).copied()
     }
 
-    /// Add `delta` to a cached ad's bound. No-op when absent.
-    pub fn nudge(&mut self, ad: AdId, delta: f32) {
-        if let Some(v) = self.map.get_mut(&ad) {
-            *v += delta;
-        }
+    /// Add `delta` to a cached ad's bound and return the updated bound;
+    /// `None` (and no-op) when absent. One probe for a read-modify-read.
+    pub fn nudge(&mut self, ad: AdId, delta: f32) -> Option<f32> {
+        let v = self.map.get_mut(&ad)?;
+        *v += delta;
+        Some(*v)
     }
 
     /// Insert or overwrite `ad`'s bound. Returns the maximum evicted
@@ -417,8 +430,8 @@ mod cache_tests {
         let mut c = ScoreCache::new(8);
         assert!(c.insert(AdId(1), 0.5).is_none());
         assert_eq!(c.get(AdId(1)), Some(0.5));
-        c.nudge(AdId(1), 0.25);
-        c.nudge(AdId(9), 1.0);
+        assert_eq!(c.nudge(AdId(1), 0.25), Some(0.75));
+        assert_eq!(c.nudge(AdId(9), 1.0), None);
         assert_eq!(c.get(AdId(1)), Some(0.75));
         assert_eq!(c.remove(AdId(1)), Some(0.75));
         assert!(c.is_empty());

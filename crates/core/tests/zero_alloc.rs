@@ -44,7 +44,7 @@ fn store(num_ads: u32) -> AdStore {
 }
 
 /// A sliding-window stream cycling a fixed term set: after one full
-/// cycle the context support, buffer membership, gain-map keys, and all
+/// cycle the context support, buffer membership, touched gain slots, and all
 /// scratch capacities are saturated — every later delta is steady state.
 fn stream(n: u64) -> Vec<FeedDelta> {
     let mut live: Vec<Arc<Message>> = Vec::new();
@@ -75,7 +75,7 @@ fn stream(n: u64) -> Vec<FeedDelta> {
 fn steady_state_deltas_do_not_allocate() {
     // No decay: rebases never fire, so every post-warmup delta walks the
     // identical code path. 30 ads against a buffer of k·headroom = 8
-    // keeps the outside-ad machinery (gains map, screening) exercised.
+    // keeps the outside-ad machinery (gain accumulator, screening) exercised.
     let s = store(30);
     let config = EngineConfig {
         k: 2,

@@ -58,6 +58,16 @@ pub enum RecoveryError {
     /// The snapshot is incompatible with the requested topology, or its
     /// contents fail store validation.
     Snapshot(String),
+    /// The log does not reach back to where replay must start: the first
+    /// WAL segment begins at `found`, but the snapshot (or, with none, a
+    /// cold start) needs every record from `expected` on.
+    MissingPrefix {
+        /// The LSN replay must start at (`next_lsn` of the snapshot used,
+        /// 0 without one).
+        expected: u64,
+        /// The base LSN of the first WAL segment on disk.
+        found: u64,
+    },
 }
 
 impl std::fmt::Display for RecoveryError {
@@ -72,6 +82,11 @@ impl std::fmt::Display for RecoveryError {
                 write!(f, "wal record {lsn} failed to apply: {error}")
             }
             RecoveryError::Snapshot(e) => write!(f, "snapshot: {e}"),
+            RecoveryError::MissingPrefix { expected, found } => write!(
+                f,
+                "wal starts at lsn {found} but replay must start at {expected}: \
+                 records {expected}..{found} are missing"
+            ),
         }
     }
 }
@@ -183,8 +198,17 @@ pub fn recover_on(
         ),
     };
 
-    // 2. WAL tail replay.
+    // 2. WAL tail replay. The log must reach back to the replay start:
+    // a first segment beginning past it means acked records are gone.
     let segments = wal::list_segment_lsns_on(&*backend)?;
+    if let Some(&found) = segments.first() {
+        if found > replay_from {
+            return Err(RecoveryError::MissingPrefix {
+                expected: replay_from,
+                found,
+            });
+        }
+    }
     let mut next_lsn = replay_from;
     for (i, &base_lsn) in segments.iter().enumerate() {
         let is_last = i + 1 == segments.len();
@@ -268,6 +292,87 @@ mod tests {
         ));
         fs::create_dir_all(&dir).unwrap();
         dir
+    }
+
+    fn submission(term: u32) -> WalRecord {
+        WalRecord::Submit(AdSubmission {
+            vector: SparseVector::from_pairs([(TermId(term), 1.0)]),
+            bid: 1.0,
+            targeting: Targeting::everywhere(),
+            budget: Budget::unlimited(),
+            topic_hint: None,
+        })
+    }
+
+    fn recover_default(dir: &Path) -> Result<RecoveredState, RecoveryError> {
+        recover(
+            dir,
+            4,
+            1,
+            adcast_core::EngineConfig::default(),
+            WalOptions::default(),
+        )
+    }
+
+    /// A WAL whose first segment starts at `base`, holding one Submit per
+    /// term.
+    fn wal_from(dir: &Path, base: u64, terms: &[u32]) {
+        let mut wal = WalWriter::create(dir, WalOptions::default(), base).unwrap();
+        for &t in terms {
+            wal.append(&submission(t)).unwrap();
+        }
+        wal.commit().unwrap();
+    }
+
+    #[test]
+    fn log_starting_past_lsn_zero_without_a_snapshot_is_missing_its_prefix() {
+        let dir = temp_dir("missing-prefix");
+        wal_from(&dir, 3610, &[1, 2]);
+        match recover_default(&dir) {
+            Err(RecoveryError::MissingPrefix { expected, found }) => {
+                assert_eq!((expected, found), (0, 3610));
+            }
+            Err(e) => panic!("wrong error: {e}"),
+            Ok(r) => panic!("recovered {:?} from a log with no prefix", r.report),
+        }
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn snapshot_covering_the_log_start_recovers_and_a_gap_does_not() {
+        // The snapshot holds LSNs 0..2 (two Submits) and needs replay
+        // from 2.
+        let mut store = AdStore::new();
+        let mut driver = ShardedDriver::new(4, 1, adcast_core::EngineConfig::default());
+        for t in [1, 2] {
+            apply_record(&mut store, &mut driver, submission(t)).unwrap();
+        }
+        let snapshot = crate::snapshot::EngineSetSnapshot::capture(2, &store, &driver).encode();
+
+        // First segment base 1 ≤ 2: LSN 1 is skipped (already in the
+        // snapshot) and LSN 2 replayed.
+        let dir = temp_dir("prefix-covered");
+        crate::snapshot::write_snapshot_atomic(&dir, 2, &snapshot).unwrap();
+        wal_from(&dir, 1, &[2, 3]);
+        let recovered = recover_default(&dir).unwrap();
+        assert_eq!(recovered.report.snapshot_lsn, Some(2));
+        assert_eq!(recovered.report.replayed_records, 1);
+        assert_eq!(recovered.wal.next_lsn(), 3);
+        assert!(recovered.store.campaign(adcast_ads::AdId(2)).is_some());
+        fs::remove_dir_all(&dir).ok();
+
+        // First segment base 3 > 2: LSN 2 is lost.
+        let dir = temp_dir("prefix-gap");
+        crate::snapshot::write_snapshot_atomic(&dir, 2, &snapshot).unwrap();
+        wal_from(&dir, 3, &[4]);
+        assert!(matches!(
+            recover_default(&dir),
+            Err(RecoveryError::MissingPrefix {
+                expected: 2,
+                found: 3
+            })
+        ));
+        fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -13,14 +13,23 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "== adcast-lint (workspace invariants) =="
 cargo run -q -p adcast-lint -- --workspace-root .
 
-echo "== cargo build --release =="
-cargo build --release
+# --workspace: the smokes below run binaries of other packages
+# (e15_ad_scaling, e16_sim_day, e17_cluster), which a root-package build
+# never produces.
+echo "== cargo build --release (workspace) =="
+cargo build --release --workspace
 
 echo "== cargo test (workspace) =="
 cargo test -q --workspace
 
 echo "== cargo test (debug-stats: zero-alloc hot path) =="
 cargo test -q -p adcast-core --features debug-stats
+
+# The benchmark is its own Cargo workspace on top of the crates' public
+# APIs: building it and running its self-tests here means an API change
+# that would break it fails this gate, not the next benchmark run.
+echo "== benchmark build + self-tests (adbench) =="
+cargo test -q --release --manifest-path adbench/Cargo.toml
 
 echo "== serving-layer loopback smoke (adcast-serve + adcast-loadgen + /metrics) =="
 serve_log=$(mktemp)

@@ -173,7 +173,10 @@ fn shutdown_drains_and_joins() {
     // A writer hammers ingest while shutdown lands from another
     // connection. Admitted requests must get real replies; post-shutdown
     // requests may see ShuttingDown or a closed connection — never a hang
-    // or a protocol error.
+    // or a protocol error. Shutdown is sent once the writer's first batch
+    // is through (a fixed sleep raced the writer's connect on a loaded
+    // machine), so it always lands mid-stream.
+    let (first_tx, first_rx) = mpsc::channel();
     let writer = {
         let addr = addr.clone();
         let workload = Arc::clone(&workload);
@@ -185,7 +188,10 @@ fn shutdown_drains_and_joins() {
                     match client.call(&Request::Ingest {
                         deltas: batch.clone(),
                     }) {
-                        Ok(Response::Ingested { .. }) => accepted += 1,
+                        Ok(Response::Ingested { .. }) => {
+                            accepted += 1;
+                            let _ = first_tx.send(());
+                        }
                         Ok(Response::Error(WireError::ShuttingDown)) => break 'outer,
                         Ok(Response::Error(WireError::Overloaded)) => {}
                         Ok(other) => panic!("unexpected reply: {other:?}"),
@@ -198,7 +204,9 @@ fn shutdown_drains_and_joins() {
         })
     };
 
-    std::thread::sleep(Duration::from_millis(50));
+    first_rx
+        .recv_timeout(Duration::from_secs(30))
+        .expect("writer never got a single batch through");
     let mut shutter = Client::connect(addr.as_str(), &ClientConfig::default()).unwrap();
     shutter.shutdown().expect("shutdown is acked");
 
