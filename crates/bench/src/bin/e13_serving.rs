@@ -15,7 +15,7 @@ use adcast_ads::AdStore;
 use adcast_bench::{fmt, Report, Scale};
 use adcast_core::{EngineConfig, ShardedDriver};
 use adcast_net::synth::{self, SynthConfig};
-use adcast_net::{LoadgenConfig, Server, ServerConfig};
+use adcast_net::{ClusterConfig, LoadgenConfig, Node, Server, ServerConfig};
 
 fn main() {
     let scale = Scale::from_env();
@@ -66,13 +66,9 @@ fn main() {
             2.min(available),
             EngineConfig::default(),
         );
-        let server = Server::start(
-            "127.0.0.1:0",
-            ServerConfig::default(),
-            AdStore::new(),
-            driver,
-        )
-        .expect("bind loopback");
+        let node = Node::new(AdStore::new(), driver, None, ClusterConfig::default());
+        let server =
+            Server::start("127.0.0.1:0", ServerConfig::default(), node).expect("bind loopback");
         let config = LoadgenConfig {
             connections: conns,
             ..LoadgenConfig::new(server.addr().to_string())

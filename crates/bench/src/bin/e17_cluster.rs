@@ -35,7 +35,8 @@ use adcast_cluster::{PartitionMap, Router, RouterConfig};
 use adcast_core::{EngineConfig, ShardedDriver};
 use adcast_net::synth::SynthConfig;
 use adcast_net::{
-    loadgen, Client, ClientConfig, ClusterConfig, ClusterState, LoadgenConfig, Server, ServerConfig,
+    loadgen, Client, ClientConfig, ClusterConfig, ClusterState, LoadgenConfig, Node, Server,
+    ServerConfig,
 };
 
 /// One booted cluster: N cluster-mode primaries behind a router.
@@ -49,9 +50,7 @@ impl TestCluster {
         let mut nodes = Vec::with_capacity(usize::from(partitions));
         let mut specs = Vec::with_capacity(usize::from(partitions));
         for p in 0..partitions {
-            let server = Server::start_cluster(
-                "127.0.0.1:0",
-                ServerConfig::default(),
+            let node = Node::new(
                 AdStore::new(),
                 ShardedDriver::new(num_users, 1, EngineConfig::default()),
                 None,
@@ -59,8 +58,9 @@ impl TestCluster {
                     state: ClusterState::primary(p, 0),
                     ..ClusterConfig::default()
                 },
-            )
-            .expect("bind cluster node");
+            );
+            let server = Server::start("127.0.0.1:0", ServerConfig::default(), node)
+                .expect("bind cluster node");
             specs.push(server.addr().to_string());
             nodes.push(server);
         }
@@ -138,13 +138,14 @@ fn measure(partitions: u16, synth_config: &SynthConfig, conns: usize) -> Point {
 /// The router-less baseline: the same loadgen straight at one node, so
 /// the table prices the router hop itself.
 fn measure_direct(synth_config: &SynthConfig, conns: usize) -> Point {
-    let server = Server::start(
-        "127.0.0.1:0",
-        ServerConfig::default(),
+    let node = Node::new(
         AdStore::new(),
         ShardedDriver::new(synth_config.num_users, 1, EngineConfig::default()),
-    )
-    .expect("bind direct node");
+        None,
+        ClusterConfig::default(),
+    );
+    let server =
+        Server::start("127.0.0.1:0", ServerConfig::default(), node).expect("bind direct node");
     let workload = Arc::new(adcast_net::synth::build(synth_config));
     let config = LoadgenConfig {
         connections: conns,

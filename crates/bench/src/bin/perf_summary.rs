@@ -174,13 +174,15 @@ fn main() {
             2.min(available),
             EngineConfig::default(),
         );
-        let server = adcast_net::Server::start(
-            "127.0.0.1:0",
-            adcast_net::ServerConfig::default(),
+        let node = adcast_net::Node::new(
             AdStore::new(),
             driver,
-        )
-        .expect("bind loopback");
+            None,
+            adcast_net::ClusterConfig::default(),
+        );
+        let server =
+            adcast_net::Server::start("127.0.0.1:0", adcast_net::ServerConfig::default(), node)
+                .expect("bind loopback");
         let synth_cfg = adcast_net::synth::SynthConfig {
             num_users: scale.pick(400u32, 4_000),
             num_ads: scale.pick(300usize, 2_000),
@@ -306,9 +308,7 @@ fn main() {
         let mut nodes = Vec::new();
         let mut specs = Vec::new();
         for p in 0..2u16 {
-            let server = adcast_net::Server::start_cluster(
-                "127.0.0.1:0",
-                adcast_net::ServerConfig::default(),
+            let node = adcast_net::Node::new(
                 AdStore::new(),
                 ShardedDriver::new(num_users, 1, EngineConfig::default()),
                 None,
@@ -316,8 +316,10 @@ fn main() {
                     state: ClusterState::primary(p, 0),
                     ..ClusterConfig::default()
                 },
-            )
-            .expect("bind cluster node");
+            );
+            let server =
+                adcast_net::Server::start("127.0.0.1:0", adcast_net::ServerConfig::default(), node)
+                    .expect("bind cluster node");
             specs.push(server.addr().to_string());
             nodes.push(server);
         }

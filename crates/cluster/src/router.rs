@@ -35,7 +35,6 @@
 //! partition with no promotable follower sheds with typed
 //! [`WireError::Overloaded`] rather than blocking the connection.
 
-use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc;
@@ -46,9 +45,10 @@ use std::time::Duration;
 use adcast_feed::FeedDelta;
 use adcast_graph::UserId;
 use adcast_net::client::{Client, ClientConfig};
-use adcast_net::codec::{decode_request, encode_response, read_frame, write_frame, NetError};
+use adcast_net::codec::{encode_response, write_frame, NetError};
 use adcast_net::protocol::{Request, Response, ServerStats, TraceContext, WireError};
-use adcast_obs::tracestore::{trace_id_for, tracestore, SpanKind};
+use adcast_net::server::{accept_loop, read_request};
+use adcast_obs::tracestore::{head_sample, tracestore, SpanKind};
 use adcast_obs::{flightrec, Counter, EventKind, Gauge, Hist};
 use adcast_stream::clock::now_ns;
 
@@ -68,8 +68,9 @@ pub struct RouterConfig {
     /// tracing). Sampling is deterministic in the request ordinal, so a
     /// rerun with the same seed samples the same requests.
     pub trace_sample: u64,
-    /// Seed for [`trace_id_for`]: same seed + same ordinal ⇒ same trace
-    /// id, which is what makes sim traces reproducible.
+    /// Seed for [`adcast_obs::tracestore::trace_id_for`]: same seed +
+    /// same ordinal ⇒ same trace id, which is what makes sim traces
+    /// reproducible.
     pub trace_seed: u64,
 }
 
@@ -163,18 +164,8 @@ impl RouterShared {
     /// Sample (or not) the next routable client RPC: a root context whose
     /// trace id is a pure function of `(trace_seed, ordinal)`.
     fn sample_trace(&self) -> TraceContext {
-        let every = self.config.trace_sample;
-        if every == 0 {
-            return TraceContext::NONE;
-        }
         let ordinal = self.trace_ordinal.fetch_add(1, Ordering::Relaxed);
-        if !ordinal.is_multiple_of(every) {
-            return TraceContext::NONE;
-        }
-        TraceContext {
-            trace_id: trace_id_for(self.config.trace_seed, ordinal),
-            parent_span_id: 0,
-        }
+        head_sample(self.config.trace_seed, self.config.trace_sample, ordinal)
     }
 }
 
@@ -474,9 +465,19 @@ impl Router {
         });
         let accept_join = {
             let shared = Arc::clone(&shared);
+            let poll = shared.config.poll_interval;
             std::thread::Builder::new()
                 .name("adcast-router".into())
-                .spawn(move || accept_loop(&listener, &shared))?
+                .spawn(move || {
+                    accept_loop(&listener, &shared.shutdown, poll, |stream| {
+                        shared.obs.connections_total.inc();
+                        let shared = Arc::clone(&shared);
+                        std::thread::Builder::new()
+                            .name("adcast-route-conn".into())
+                            .spawn(move || connection_loop(stream, &shared))
+                            .ok()
+                    });
+                })?
         };
         Ok(Router {
             addr: local,
@@ -506,72 +507,9 @@ impl Router {
     }
 }
 
-fn accept_loop(listener: &TcpListener, shared: &Arc<RouterShared>) {
-    let mut conns: Vec<JoinHandle<()>> = Vec::new();
-    let poll = shared.config.poll_interval;
-    let nonblocking = listener.set_nonblocking(true).is_ok();
-    loop {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                if shared.shutdown.load(Ordering::SeqCst) {
-                    break;
-                }
-                shared.obs.connections_total.inc();
-                let _ = stream.set_nonblocking(false);
-                let _ = stream.set_nodelay(true);
-                let _ = stream.set_read_timeout(Some(poll));
-                let shared = Arc::clone(shared);
-                if let Ok(join) = std::thread::Builder::new()
-                    .name("adcast-route-conn".into())
-                    .spawn(move || connection_loop(stream, &shared))
-                {
-                    conns.push(join);
-                }
-                conns.retain(|j| !j.is_finished());
-            }
-            Err(e) if nonblocking && e.kind() == io::ErrorKind::WouldBlock => {
-                if shared.shutdown.load(Ordering::SeqCst) {
-                    break;
-                }
-                conns.retain(|j| !j.is_finished());
-                std::thread::sleep(poll);
-            }
-            Err(_) => {
-                if shared.shutdown.load(Ordering::SeqCst) {
-                    break;
-                }
-            }
-        }
-    }
-    for j in conns {
-        let _ = j.join();
-    }
-}
-
 fn connection_loop(mut stream: TcpStream, shared: &Arc<RouterShared>) {
     let pool = Pool::spawn(shared);
-    loop {
-        let body = match read_frame(&mut stream) {
-            Ok(Some(body)) => body,
-            Ok(None) => break,
-            Err(NetError::Io(e))
-                if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
-            {
-                if shared.shutdown.load(Ordering::SeqCst) {
-                    break;
-                }
-                continue;
-            }
-            Err(_) => break,
-        };
-        let (id, req) = match decode_request(body) {
-            Ok(pair) => pair,
-            Err(e) => {
-                let resp = Response::Error(WireError::BadRequest(e.to_string()));
-                let _ = write_frame(&mut stream, &encode_response(0, &resp));
-                break;
-            }
-        };
+    while let Some((id, req)) = read_request(&mut stream, &shared.shutdown) {
         let is_shutdown = matches!(req, Request::Shutdown);
         let resp = route_one(shared, &pool, req);
         if write_frame(&mut stream, &encode_response(id, &resp)).is_err() {

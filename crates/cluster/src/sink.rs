@@ -6,7 +6,7 @@
 use adcast_net::client::{Client, ClientConfig};
 use adcast_net::codec::NetError;
 use adcast_net::replication::{ReplicateError, ReplicationSink};
-use adcast_net::{TraceContext, WireError};
+use adcast_net::TraceContext;
 use bytes::Bytes;
 
 /// Replication transport to one follower over TCP.
@@ -48,21 +48,6 @@ impl TcpSink {
         self.client.as_mut().ok_or(ReplicateError::Unreachable)
     }
 
-    fn map_err(err: &NetError) -> ReplicateError {
-        match err {
-            NetError::Remote(WireError::StaleEpoch { current }) => {
-                ReplicateError::Fenced { current: *current }
-            }
-            NetError::Remote(WireError::LsnGap { expected }) => ReplicateError::LsnGap {
-                expected: *expected,
-            },
-            // Anything else — disconnects, timeouts, a follower refusing
-            // for a reason the protocol doesn't type — degrades the
-            // primary rather than stalling or fencing it.
-            _ => ReplicateError::Unreachable,
-        }
-    }
-
     /// Run one RPC against the follower, redialing once on a dead
     /// connection (the reconnect itself retries with jittered backoff).
     fn with_retry<T>(
@@ -80,7 +65,9 @@ impl TcpSink {
                     // the caller resolves by consulting the ack LSN).
                     self.client = None;
                 }
-                Err(e) => return Err(TcpSink::map_err(&e)),
+                Err(NetError::Remote(e)) => return Err(ReplicateError::from_wire(&e)),
+                // Disconnects and timeouts degrade the primary.
+                Err(_) => return Err(ReplicateError::Unreachable),
             }
         }
         Err(ReplicateError::Unreachable)

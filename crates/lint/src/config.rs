@@ -6,7 +6,8 @@
 //! exists to prevent (`perf_summary` graphs the suppression count per PR).
 
 /// Hot-path modules: the blocked ad index and its evaluators, the engine
-/// steady state, the net server loop and codec, the durability
+/// steady state, the net node (request dispatch and ack ladder), server
+/// transport loop and codec, the durability
 /// commit/replay paths, the cluster router forwarding and replication
 /// apply paths (every routed RPC and every replicated record crosses
 /// them), and the obs record paths (metric handles and the
@@ -18,6 +19,7 @@ pub const HOT_PATH_FILES: &[&str] = &[
     "crates/core/src/engine/blockmax.rs",
     "crates/core/src/engine/incremental.rs",
     "crates/core/src/engine/index_scan.rs",
+    "crates/net/src/node.rs",
     "crates/net/src/server.rs",
     "crates/net/src/replication.rs",
     "crates/textproc/src/kernels.rs",
@@ -36,6 +38,7 @@ pub const HOT_PATH_FILES: &[&str] = &[
 /// with loop-invariant bounds everywhere, so they are exempt; the control
 /// paths below have no legitimate reason to index.
 pub const INDEX_CHECKED_FILES: &[&str] = &[
+    "crates/net/src/node.rs",
     "crates/net/src/server.rs",
     "crates/durability/src/apply.rs",
     "crates/durability/src/recovery.rs",
@@ -49,7 +52,7 @@ pub const INDEX_CHECKED_FILES: &[&str] = &[
 pub const ERROR_HYGIENE_PREFIXES: &[&str] = &["crates/net/src/", "crates/durability/src/"];
 
 /// Files where mutation handlers must order WAL commit before store apply.
-pub const WAL_ORDERING_FILES: &[&str] = &["crates/net/src/server.rs"];
+pub const WAL_ORDERING_FILES: &[&str] = &["crates/net/src/node.rs", "crates/net/src/server.rs"];
 
 /// Obs record paths: metric handles and the flight-recorder ring are called
 /// from every serving thread, including inside the zero-alloc engine kernel,
@@ -135,14 +138,14 @@ pub const RPC_SITES: &[RpcSite] = &[
         except: &[],
     },
     RpcSite {
-        file: "crates/net/src/server.rs",
+        file: "crates/net/src/node.rs",
         func: "serve_one",
         enum_name: "Request",
-        role: "server dispatch",
+        role: "node dispatch",
         except: &[],
     },
     RpcSite {
-        file: "crates/net/src/server.rs",
+        file: "crates/net/src/node.rs",
         func: "req_kind_code",
         enum_name: "Request",
         role: "flight-recorder kind table",
@@ -188,7 +191,7 @@ pub struct TraceSite {
 
 /// Every trace-propagation site. The codec entries pin the v6 trace
 /// envelope itself (16 bytes after the epoch in `Routed`/`ReplAppend`);
-/// the router/server/replication entries pin the handoff at each process
+/// the router/node/replication entries pin the handoff at each process
 /// boundary of the routed ack ladder (DESIGN §15).
 pub const TRACE_SITES: &[TraceSite] = &[
     TraceSite {
@@ -210,13 +213,13 @@ pub const TRACE_SITES: &[TraceSite] = &[
         doc: "router forwarding derives a child context and puts it in the Routed envelope",
     },
     TraceSite {
-        file: "crates/net/src/server.rs",
-        func: "serve_one",
+        file: "crates/net/src/node.rs",
+        func: "handle",
         must_mention: &["cur_trace"],
-        doc: "server dispatch captures the wire context before handling the request",
+        doc: "the node captures the wire context before handling the request",
     },
     TraceSite {
-        file: "crates/net/src/server.rs",
+        file: "crates/net/src/node.rs",
         func: "replicate",
         must_mention: &["trace", "child"],
         doc: "primary->follower shipment carries a child of the request's context",
@@ -240,13 +243,13 @@ pub struct Ladder {
 /// durable-commit-before-ack, and the follower apply order.
 pub const ACK_LADDERS: &[Ladder] = &[
     Ladder {
-        file: "crates/net/src/server.rs",
+        file: "crates/net/src/node.rs",
         func: "log_apply",
         steps: &["log", "commit", "apply_record", "replicate"],
         doc: "primary mutations go WAL log -> commit -> apply -> replicate",
     },
     Ladder {
-        file: "crates/net/src/server.rs",
+        file: "crates/net/src/node.rs",
         func: "serve_one",
         steps: &["replica_append", "ReplAck"],
         doc: "a follower acks (`ReplAck`) only after `replica_append` made the batch durable",

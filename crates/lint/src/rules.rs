@@ -656,13 +656,17 @@ pub fn rpc_exhaustive(ws: &Workspace) -> Vec<Diagnostic> {
 /// state machine over the replication path. For each [`config::Ladder`]
 /// matching this file, every fn with the ladder's name must mention the
 /// anchor tokens so that their first occurrences are in ladder order, and
-/// a later step may not appear without every earlier one.
+/// a later step may not appear without every earlier one. A configured
+/// fn that no longer exists while the file still mentions the ladder's
+/// steps (the site was renamed or moved) is itself a diagnostic: a stale
+/// config entry silently checks nothing.
 pub fn ack_ladder(fa: &FileAnalysis) -> Vec<Diagnostic> {
     let mut out = Vec::new();
     for ladder in config::ACK_LADDERS {
         if ladder.file != fa.rel_path {
             continue;
         }
+        let mut found = false;
         for f in fa.fns.iter().filter(|f| f.name == ladder.func) {
             let (Some(open), Some(close)) = (f.body_open, f.body_close) else {
                 continue;
@@ -670,6 +674,7 @@ pub fn ack_ladder(fa: &FileAnalysis) -> Vec<Diagnostic> {
             if fa.in_test[f.fn_idx] {
                 continue;
             }
+            found = true;
             let first: Vec<Option<usize>> = ladder
                 .steps
                 .iter()
@@ -717,6 +722,24 @@ pub fn ack_ladder(fa: &FileAnalysis) -> Vec<Diagnostic> {
                     }
                 }
             }
+        }
+        // Engage only where the steps are still named outside tests, so a
+        // fixture or file unrelated to this ladder stays inert.
+        let mentions_steps = fa
+            .tokens
+            .iter()
+            .enumerate()
+            .any(|(i, t)| !fa.in_test[i] && ladder.steps.iter().any(|step| t.is_ident(step)));
+        if !found && mentions_steps {
+            out.push(diag(
+                fa,
+                1,
+                ACK_LADDER,
+                format!(
+                    "ack-ladder fn `{}` not found; update config::ACK_LADDERS if the site moved",
+                    ladder.func
+                ),
+            ));
         }
     }
     out

@@ -9,6 +9,9 @@ use adcast_lint::{lint_source, lint_sources, rules, Diagnostic, SUPPRESSION_RULE
 /// A hot-path identity: `no-panic-hot-path`, `wal-ordering` and the
 /// index-check all apply here.
 const HOT: &str = "crates/net/src/server.rs";
+/// The node identity: everything `HOT` gets, plus the `ack-ladder` for
+/// the primary's `log_apply`.
+const NODE: &str = "crates/net/src/node.rs";
 /// An error-hygiene identity that is NOT a hot-path file.
 const NET: &str = "crates/net/src/fixture.rs";
 /// A neutral identity: only the path-independent rules apply.
@@ -132,8 +135,8 @@ fn scratch_buffer_pattern_passes_without_pragma() {
 #[test]
 fn apply_before_commit_fails() {
     // The fixture's `log_apply` also matches the generalized `ack-ladder`
-    // for server.rs, so the swap trips both the legacy rule and the ladder.
-    let (diags, _) = lint(HOT, include_str!("fixtures/wal_fail.rs"));
+    // for node.rs, so the swap trips both the legacy rule and the ladder.
+    let (diags, _) = lint(NODE, include_str!("fixtures/wal_fail.rs"));
     assert_eq!(
         rules_of(&diags),
         vec![rules::ACK_LADDER, rules::WAL_ORDERING],
@@ -413,6 +416,22 @@ fn correct_ladder_order_passes() {
     let (diags, sup) = lint(REPL, include_str!("fixtures/ack_ladder_ok.rs"));
     assert!(diags.is_empty(), "{diags:?}");
     assert_eq!(sup, 0);
+}
+
+#[test]
+fn moved_ladder_site_is_diagnosed() {
+    // The file still runs the follower's log -> commit -> apply steps, but
+    // the configured `replica_append` fn is gone: a stale config entry
+    // checks nothing, so the rule says so.
+    let (diags, _) = lint(REPL, include_str!("fixtures/ack_ladder_moved.rs"));
+    assert_eq!(rules_of(&diags), vec![rules::ACK_LADDER], "{diags:?}");
+    assert!(
+        diags[0]
+            .message
+            .contains("`replica_append` not found; update config::ACK_LADDERS"),
+        "{}",
+        diags[0].message
+    );
 }
 
 #[test]

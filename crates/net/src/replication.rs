@@ -27,9 +27,9 @@
 //! [`install_snapshot_on`] — full-state transfer that also serves
 //! rejoining or rebalanced nodes.
 //!
-//! This module is deliberately transport-free: the TCP sink lives in
-//! `adcast-cluster`, and the simulation harness drives these same
-//! functions in-process under its virtual clock and memory backend.
+//! This module is deliberately transport-free: [`crate::node::Node`] runs
+//! the ladder on it, the TCP sink lives in `adcast-cluster`, and the
+//! simulation harness ships between `Node`s in-process.
 
 use std::sync::Arc;
 
@@ -384,6 +384,23 @@ impl std::fmt::Display for ReplicateError {
 }
 
 impl std::error::Error for ReplicateError {}
+
+impl ReplicateError {
+    /// The sink error a follower's wire refusal means to the primary: a
+    /// stale epoch fences it, an LSN gap asks for snapshot transfer, and
+    /// anything else the protocol doesn't type degrades it rather than
+    /// stalling or fencing it.
+    #[must_use]
+    pub fn from_wire(err: &WireError) -> ReplicateError {
+        match err {
+            WireError::StaleEpoch { current } => ReplicateError::Fenced { current: *current },
+            WireError::LsnGap { expected } => ReplicateError::LsnGap {
+                expected: *expected,
+            },
+            _ => ReplicateError::Unreachable,
+        }
+    }
+}
 
 /// The primary's outbound replication transport. `adcast-cluster`
 /// provides the TCP implementation; tests and the simulation harness

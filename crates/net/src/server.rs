@@ -1,4 +1,4 @@
-//! Threaded TCP server fronting one [`ShardedDriver`] + [`AdStore`].
+//! The TCP transport in front of one [`Node`].
 //!
 //! ## Threading model
 //!
@@ -6,16 +6,18 @@
 //! accept thread ──► reader thread per connection
 //!                        │ decode frame
 //!                        │ try_send ──► bounded cmd queue ──► engine thread
-//!                        │   (Full ⇒ Overloaded reply,          │ owns AdStore
-//!                        │    shed counter++)                   │ + ShardedDriver
+//!                        │   (Full ⇒ Overloaded reply,          │ owns the Node:
+//!                        │    shed counter++)                   │ Node::handle
 //!                        ◄──────────── per-RPC reply channel ───┘
 //! ```
 //!
-//! Exactly one thread (the engine thread) ever touches the store and the
-//! driver, so the serving layer adds no locking to the engine hot paths.
-//! Readers run a closed loop per connection: read a frame, submit it,
-//! wait for the reply, write it back — so per-connection ordering is the
-//! processing order.
+//! Exactly one thread (the engine thread) ever touches the [`Node`], so
+//! the serving layer adds no locking to the engine hot paths. Everything
+//! a request does once dequeued — admission, validation, the WAL and
+//! replication ack ladder, telemetry — is [`Node::handle`]; this module
+//! only moves frames. Readers run a closed loop per connection: read a
+//! frame, submit it, wait for the reply, write it back — so
+//! per-connection ordering is the processing order.
 //!
 //! ## Backpressure policy
 //!
@@ -27,56 +29,31 @@
 //! RPCs (submit/pause/stats/shutdown) use a blocking send — they are rare
 //! and must not be shed under ingest pressure.
 //!
-//! ## Telemetry
-//!
-//! Every layer of the delta lifecycle is timed into the process-wide
-//! [`adcast_obs::registry`]: queue wait (enqueue → engine pickup), WAL
-//! log + group-commit, engine apply, and per-RPC service time. Admissions,
-//! sheds, checkpoints, and slow ingests also land in the process-wide
-//! [`flightrec`] ring, which the engine dumps to
-//! [`ServerConfig::flightrec_path`] on shutdown and on the
-//! [`Request::ObsDump`] RPC.
-//!
 //! ## Shutdown
 //!
 //! [`Request::Shutdown`] is acked immediately, then the engine thread
 //! raises the shutdown flag, pokes the accept loop awake with a dummy
 //! connection, drains every already-queued command (each gets its real
-//! reply — in-flight requests are never dropped), and exits. Readers
-//! observe the flag on their next read-timeout tick and exit; the accept
-//! thread joins them; [`ServerHandle::join`] joins everything.
+//! reply — in-flight requests are never dropped), dumps the
+//! [`flightrec`] ring to [`ServerConfig::flightrec_path`], and exits.
+//! Readers observe the flag on their next read-timeout tick and exit; the
+//! accept thread joins them; [`Server::join`] joins everything.
 
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{self, Receiver, SyncSender, TrySendError};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use adcast_ads::{AdStore, CampaignState};
-use adcast_core::ShardedDriver;
-use adcast_durability::{apply_record, ApplyEffect, Durability, EngineSetSnapshot, WalRecord};
-use adcast_metrics::LatencyHistogram;
-use adcast_obs::tracestore::{tracestore, SpanKind, TraceContext};
-use adcast_obs::{flightrec, readiness, Counter, EventKind, Gauge, Hist};
-use adcast_obs::{UNREADY_CATCHING_UP, UNREADY_DEGRADED};
+use adcast_obs::{flightrec, EventKind};
 use adcast_stream::clock::now_ns;
-use bytes::Bytes;
 
-use crate::codec::{self, decode_request, encode_response, read_frame, write_frame, NetError};
-use crate::protocol::{NodeRole, Request, Response, ServerStats, WireError};
-use crate::replication::{
-    install_snapshot_on, promote, replica_append, ClusterState, ReplObs, ReplicaSetup,
-    ReplicateError, ReplicationSink,
-};
-
-/// An Ingest whose engine service time exceeds this (in clock
-/// nanoseconds) gets a `SlowDelta` flight-recorder event (hot-path budget
-/// is microseconds; 10 ms means something is badly wrong — an fsync
-/// stall, a pool hiccup).
-const SLOW_DELTA_THRESHOLD_NS: u64 = 10_000_000;
+use crate::codec::{decode_request, encode_response, read_frame, write_frame, NetError};
+use crate::node::{req_kind_code, NetObs, Node, Transport};
+use crate::protocol::{Request, Response, WireError};
 
 /// Serving-layer knobs.
 #[derive(Debug, Clone)]
@@ -102,21 +79,6 @@ impl Default for ServerConfig {
     }
 }
 
-/// Cluster-mode wiring for a node: its identity plus the replication
-/// plumbing for its role. The default is a standalone node — exactly the
-/// pre-cluster server.
-#[derive(Default)]
-pub struct ClusterConfig {
-    /// The node's role, partition, and epoch.
-    pub state: ClusterState,
-    /// Primary side: transport to this partition's follower. A primary
-    /// without one serves degraded (local-durable acks only).
-    pub sink: Option<Box<dyn ReplicationSink>>,
-    /// Follower side: what [`install_snapshot_on`] needs to rebuild the
-    /// node from a shipped image.
-    pub replica: Option<ReplicaSetup>,
-}
-
 /// One admitted RPC in flight to the engine thread. (The reader keeps
 /// the request id; replies are matched by the per-RPC channel.)
 struct Cmd {
@@ -129,206 +91,67 @@ struct Cmd {
     enqueued_ns: u64,
 }
 
-/// Counters shared between the accept loop, readers, and the engine.
-#[derive(Default)]
-struct Shared {
-    shutdown: AtomicBool,
-    shed: AtomicU64,
-    connections: AtomicU64,
-}
-
-/// Handles into the process-wide metrics registry for the serving layer.
-/// Cloning is cheap (each handle is an `Arc`), so every reader thread
-/// carries its own copy.
-#[derive(Clone)]
-struct NetObs {
-    rpcs_total: Counter,
-    shed_total: Counter,
-    connections_total: Counter,
-    reader_threads: Gauge,
-    queue_wait_ns: Hist,
-    ingest_ns: Hist,
-    recommend_ns: Hist,
-    wal_commit_ns: Hist,
-    engine_apply_ns: Hist,
-}
-
-impl NetObs {
-    fn resolve() -> NetObs {
-        let reg = adcast_obs::registry();
-        NetObs {
-            rpcs_total: reg.counter(
-                "adcast_net_rpcs_total",
-                "RPCs that reached the engine thread (all kinds).",
-            ),
-            shed_total: reg.counter(
-                "adcast_net_shed_total",
-                "Hot-path requests shed because the bounded queue was full.",
-            ),
-            connections_total: reg.counter("adcast_net_connections_total", "Connections accepted."),
-            reader_threads: reg.gauge(
-                "adcast_net_reader_threads",
-                "Live per-connection reader threads.",
-            ),
-            queue_wait_ns: reg.hist(
-                "adcast_net_queue_wait_ns",
-                "Time an admitted RPC waited in the bounded queue before the engine picked it up.",
-            ),
-            ingest_ns: reg.hist(
-                "adcast_net_ingest_ns",
-                "Engine service time per successful Ingest RPC.",
-            ),
-            recommend_ns: reg.hist(
-                "adcast_net_recommend_ns",
-                "Engine service time per successful Recommend RPC.",
-            ),
-            wal_commit_ns: reg.hist(
-                "adcast_net_wal_commit_ns",
-                "WAL log + group-commit time per mutating RPC.",
-            ),
-            engine_apply_ns: reg.hist(
-                "adcast_net_engine_apply_ns",
-                "Engine apply time per mutating RPC (after the WAL commit).",
-            ),
-        }
-    }
-}
-
-/// The wire kind code of a request, for flight-recorder payloads.
-fn req_kind_code(req: &Request) -> u64 {
-    u64::from(match req {
-        Request::Ingest { .. } => codec::K_INGEST,
-        Request::Recommend { .. } => codec::K_RECOMMEND,
-        Request::SubmitCampaign(_) => codec::K_SUBMIT,
-        Request::PauseCampaign { .. } => codec::K_PAUSE,
-        Request::Stats => codec::K_STATS,
-        Request::Shutdown => codec::K_SHUTDOWN,
-        Request::Impression { .. } => codec::K_IMPRESSION,
-        Request::Checkpoint => codec::K_CHECKPOINT,
-        Request::ObsDump => codec::K_OBS_DUMP,
-        Request::Maintain { .. } => codec::K_MAINTAIN,
-        Request::Routed { .. } => codec::K_ROUTED,
-        Request::ReplAppend { .. } => codec::K_REPL_APPEND,
-        Request::Promote { .. } => codec::K_PROMOTE,
-        Request::InstallSnapshot { .. } => codec::K_INSTALL_SNAPSHOT,
-        Request::ClusterStatus => codec::K_CLUSTER_STATUS,
-    })
-}
-
 /// A running server; dropping it does **not** stop it — send
-/// [`Request::Shutdown`] (or call [`ServerHandle::shutdown`]) and then
-/// [`ServerHandle::join`].
+/// [`Request::Shutdown`] (or call [`Server::shutdown`]) and then
+/// [`Server::join`].
 pub struct Server {
     addr: SocketAddr,
-    shared: Arc<Shared>,
+    shared: Arc<Transport>,
     accept_join: Option<JoinHandle<()>>,
     engine_join: Option<JoinHandle<()>>,
 }
 
-/// Alias kept for readability at call sites.
-pub type ServerHandle = Server;
-
 impl Server {
-    /// Bind `addr` (e.g. `"127.0.0.1:0"` for an ephemeral port) and start
-    /// serving `store` + `driver` on background threads — in-memory only,
-    /// no durability (see [`Server::start_durable`]).
+    /// Bind `addr` (e.g. `"127.0.0.1:0"` for an ephemeral port) and serve
+    /// `node` on background threads: the engine thread owns the node and
+    /// answers every admitted request with [`Node::handle`].
     ///
     /// # Errors
     ///
     /// [`NetError::Io`] on bind or thread-spawn failures.
-    pub fn start(
-        addr: &str,
-        config: ServerConfig,
-        store: AdStore,
-        driver: ShardedDriver,
-    ) -> Result<Server, NetError> {
-        Server::start_durable(addr, config, store, driver, None)
-    }
-
-    /// Like [`Server::start`], but with an optional [`Durability`]
-    /// handle: every mutating RPC is WAL-logged and group-committed on
-    /// the engine thread **before** it is applied or acked, periodic
-    /// snapshots fire per its options, and [`Request::Checkpoint`] is
-    /// served. Build the handle from [`adcast_durability::recover`]'s
-    /// output so the WAL writer continues at the recovered LSN.
-    ///
-    /// # Errors
-    ///
-    /// [`NetError::Io`] on bind or thread-spawn failures.
-    pub fn start_durable(
-        addr: &str,
-        config: ServerConfig,
-        store: AdStore,
-        driver: ShardedDriver,
-        durability: Option<Durability>,
-    ) -> Result<Server, NetError> {
-        Server::start_cluster(
-            addr,
-            config,
-            store,
-            driver,
-            durability,
-            ClusterConfig::default(),
-        )
-    }
-
-    /// Like [`Server::start_durable`], but with a cluster identity: the
-    /// node admits `Routed` envelopes for its partition/epoch, a primary
-    /// ships committed WAL records through `cluster.sink` before acking
-    /// (the replication ack ladder — see DESIGN § 14), and a follower
-    /// serves the replication RPCs and refuses client writes with
-    /// [`WireError::NotPrimary`].
-    ///
-    /// # Errors
-    ///
-    /// [`NetError::Io`] on bind or thread-spawn failures.
-    pub fn start_cluster(
-        addr: &str,
-        config: ServerConfig,
-        store: AdStore,
-        driver: ShardedDriver,
-        durability: Option<Durability>,
-        cluster: ClusterConfig,
-    ) -> Result<Server, NetError> {
+    pub fn start(addr: &str, config: ServerConfig, mut node: Node) -> Result<Server, NetError> {
         let listener = TcpListener::bind(addr)?;
         let local = listener.local_addr()?;
-        let shared = Arc::new(Shared::default());
+        let shared = Arc::new(Transport::default());
         let obs = NetObs::resolve();
-        let (cmd_tx, cmd_rx) = mpsc::sync_channel::<Cmd>(config.queue_depth.max(1));
+        let queue_depth = config.queue_depth.max(1);
+        let (cmd_tx, cmd_rx) = mpsc::sync_channel::<Cmd>(queue_depth);
+        node.transport = Arc::clone(&shared);
+        node.queue_depth = queue_depth;
+        node.flightrec_path.clone_from(&config.flightrec_path);
 
         let engine_join = {
-            let repl_obs = ReplObs::resolve(cluster.state.partition);
-            repl_obs
-                .epoch
-                .set(i64::try_from(cluster.state.epoch).unwrap_or(i64::MAX));
-            repl_obs.degraded.set(i64::from(cluster.state.degraded));
-            let mut engine = Engine {
-                store,
-                driver,
-                durability,
-                cluster: cluster.state,
-                sink: cluster.sink,
-                replica: cluster.replica,
-                shared: Arc::clone(&shared),
-                queue_depth: config.queue_depth.max(1),
-                flightrec_path: config.flightrec_path.clone(),
-                obs: obs.clone(),
-                repl_obs,
-                rpcs: 0,
-                cur_trace: TraceContext::NONE,
-                ingest_lat: LatencyHistogram::new(),
-                recommend_lat: LatencyHistogram::new(),
-            };
+            let shared = Arc::clone(&shared);
             std::thread::Builder::new()
                 .name("adcast-engine".into())
-                .spawn(move || engine.run(&cmd_rx, local))?
+                .spawn(move || engine_loop(node, &cmd_rx, &shared, local))?
         };
         let accept_join = {
-            let shared = Arc::clone(&shared);
+            let (flag, shared) = (Arc::clone(&shared), Arc::clone(&shared));
             let poll = config.poll_interval;
+            // The accept thread owns `cmd_tx`: once it and every reader
+            // are gone the engine's recv disconnects and it exits (if the
+            // Shutdown drain has not already).
+            let spawn_reader = move |stream: TcpStream| {
+                shared.connections.fetch_add(1, Ordering::Relaxed);
+                obs.connections_total.inc();
+                obs.reader_threads.inc();
+                let (tx, conn_shared, conn_obs) =
+                    (cmd_tx.clone(), Arc::clone(&shared), obs.clone());
+                let spawned = std::thread::Builder::new()
+                    .name("adcast-conn".into())
+                    .spawn(move || {
+                        connection_loop(stream, &tx, &conn_shared, &conn_obs);
+                        conn_obs.reader_threads.dec();
+                    });
+                if spawned.is_err() {
+                    obs.reader_threads.dec();
+                }
+                spawned.ok()
+            };
             std::thread::Builder::new()
                 .name("adcast-accept".into())
-                .spawn(move || accept_loop(&listener, &cmd_tx, &shared, &obs, poll))?
+                .spawn(move || accept_loop(&listener, &flag.shutdown, poll, spawn_reader))?
         };
         Ok(Server {
             addr: local,
@@ -364,69 +187,120 @@ impl Server {
     }
 }
 
-fn accept_loop(
+/// The engine thread: serve until a Shutdown command or until every
+/// sender is gone (host-side `Server::shutdown` + all readers exited),
+/// then drain and dump the flight recorder.
+fn engine_loop(mut node: Node, cmd_rx: &Receiver<Cmd>, shared: &Transport, addr: SocketAddr) {
+    let mut drained = 0u64;
+    while let Ok(cmd) = cmd_rx.recv() {
+        if serve(&mut node, cmd) {
+            shared.shutdown.store(true, Ordering::SeqCst);
+            // Unblock accept(), then drain: every already-admitted request
+            // still gets its real reply — in-flight work is not dropped.
+            let _ = TcpStream::connect(addr);
+            while let Ok(cmd) = cmd_rx.try_recv() {
+                serve(&mut node, cmd);
+                drained += 1;
+            }
+            break;
+        }
+    }
+    flightrec().record(EventKind::Shutdown, drained, 0, 0);
+    if let Some(path) = &node.flightrec_path {
+        let _ = flightrec().dump_to_path(path);
+    }
+    // Dropping the node joins its snapshot persister after any in-flight
+    // snapshot finishes.
+}
+
+/// Answer one command; returns whether it acked a shutdown.
+fn serve(node: &mut Node, cmd: Cmd) -> bool {
+    let resp = node.handle(cmd.req, cmd.enqueued_ns);
+    let acked_shutdown = matches!(resp, Response::ShutdownAck);
+    // A reader that hung up mid-RPC cannot receive its reply; fine.
+    let _ = cmd.reply.send(resp);
+    acked_shutdown
+}
+
+/// Accept connections on `listener` until `shutdown` is raised. Each
+/// stream gets blocking reads with a `poll` timeout (so its thread can
+/// watch the flag) and is handed to `spawn`, which starts that thread.
+/// Finished threads are reaped every tick — a long-lived listener's
+/// handle list tracks live connections — and the rest are joined on the
+/// way out. The node server and the router both accept through this loop.
+pub fn accept_loop(
     listener: &TcpListener,
-    cmd_tx: &SyncSender<Cmd>,
-    shared: &Arc<Shared>,
-    obs: &NetObs,
+    shutdown: &AtomicBool,
     poll: Duration,
+    mut spawn: impl FnMut(TcpStream) -> Option<JoinHandle<()>>,
 ) {
-    let mut readers: Vec<JoinHandle<()>> = Vec::new();
+    let mut conns: Vec<JoinHandle<()>> = Vec::new();
     // Non-blocking accept with a poll-interval sleep, so the reap below
-    // runs on every tick — a long-lived server's handle list tracks live
-    // connections instead of growing until the next accept arrives.
+    // runs on every tick even when no new connection arrives.
     let nonblocking = listener.set_nonblocking(true).is_ok();
     loop {
         match listener.accept() {
             Ok((stream, _)) => {
-                if shared.shutdown.load(Ordering::SeqCst) {
+                if shutdown.load(Ordering::SeqCst) {
                     break;
                 }
-                shared.connections.fetch_add(1, Ordering::Relaxed);
-                obs.connections_total.inc();
                 // Accepted sockets can inherit the listener's non-blocking
                 // mode on some platforms; readers need blocking reads with
                 // a timeout.
                 let _ = stream.set_nonblocking(false);
                 let _ = stream.set_nodelay(true);
                 let _ = stream.set_read_timeout(Some(poll));
-                let tx = cmd_tx.clone();
-                let shared = Arc::clone(shared);
-                let reader_threads = obs.reader_threads.clone();
-                reader_threads.inc();
-                let conn_obs = obs.clone();
-                match std::thread::Builder::new()
-                    .name("adcast-conn".into())
-                    .spawn(move || {
-                        connection_loop(stream, &tx, &shared, &conn_obs);
-                        conn_obs.reader_threads.dec();
-                    }) {
-                    Ok(join) => readers.push(join),
-                    Err(_) => reader_threads.dec(),
-                }
-                readers.retain(|j| !j.is_finished());
+                conns.extend(spawn(stream));
+                conns.retain(|j| !j.is_finished());
             }
             Err(e) if nonblocking && e.kind() == io::ErrorKind::WouldBlock => {
-                if shared.shutdown.load(Ordering::SeqCst) {
+                if shutdown.load(Ordering::SeqCst) {
                     break;
                 }
-                // Timer-tick reap: join capacity for finished readers is
-                // reclaimed even when no new connection ever arrives.
-                readers.retain(|j| !j.is_finished());
+                conns.retain(|j| !j.is_finished());
                 std::thread::sleep(poll);
             }
             Err(_) => {
-                if shared.shutdown.load(Ordering::SeqCst) {
+                if shutdown.load(Ordering::SeqCst) {
                     break;
                 }
             }
         }
     }
-    for j in readers {
+    for j in conns {
         let _ = j.join();
     }
-    // cmd_tx drops here; once the readers are gone the engine's recv
-    // disconnects and it exits (if the Shutdown drain has not already).
+}
+
+/// The next request on `stream`, or `None` once the peer hangs up, the
+/// transport fails, or `shutdown` is raised while the connection idles.
+/// A frame that arrives intact but does not decode is answered with
+/// [`WireError::BadRequest`] and ends the connection too (the stream may
+/// be desynchronized).
+pub fn read_request(stream: &mut TcpStream, shutdown: &AtomicBool) -> Option<(u64, Request)> {
+    let body = loop {
+        match read_frame(stream) {
+            Ok(Some(body)) => break body,
+            Err(NetError::Io(e))
+                if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
+            {
+                // Idle tick (no bytes consumed): poll the shutdown flag.
+                if shutdown.load(Ordering::SeqCst) {
+                    return None;
+                }
+            }
+            // Clean hang-up, transport error, or malformed framing.
+            Ok(None) | Err(_) => return None,
+        }
+    };
+    match decode_request(body) {
+        Ok(pair) => Some(pair),
+        Err(e) => {
+            let resp = Response::Error(WireError::BadRequest(e.to_string()));
+            let _ = write_frame(stream, &encode_response(0, &resp));
+            None
+        }
+    }
 }
 
 /// Should this request be shed when the queue is full? Routed envelopes
@@ -444,35 +318,10 @@ fn sheddable(req: &Request) -> bool {
 fn connection_loop(
     mut stream: TcpStream,
     cmd_tx: &SyncSender<Cmd>,
-    shared: &Arc<Shared>,
+    shared: &Arc<Transport>,
     obs: &NetObs,
 ) {
-    loop {
-        let body = match read_frame(&mut stream) {
-            Ok(Some(body)) => body,
-            Ok(None) => return, // peer hung up cleanly
-            Err(NetError::Io(e))
-                if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
-            {
-                // Idle tick (no bytes consumed): poll the shutdown flag.
-                if shared.shutdown.load(Ordering::SeqCst) {
-                    return;
-                }
-                continue;
-            }
-            Err(_) => return, // transport error or malformed framing
-        };
-        let (id, req) = match decode_request(body) {
-            Ok(pair) => pair,
-            Err(e) => {
-                // The frame arrived intact but its payload is malformed;
-                // tell the peer why, then drop the connection (the stream
-                // may be desynchronized).
-                let resp = Response::Error(WireError::BadRequest(e.to_string()));
-                let _ = write_frame(&mut stream, &encode_response(0, &resp));
-                return;
-            }
-        };
+    while let Some((id, req)) = read_request(&mut stream, &shared.shutdown) {
         let (reply_tx, reply_rx) = mpsc::sync_channel(1);
         let cmd = Cmd {
             req,
@@ -502,615 +351,10 @@ fn connection_loop(
             }
             Err(TrySendError::Disconnected(_)) => Response::Error(WireError::ShuttingDown),
         };
-        if write_frame(&mut stream, &encode_response(id, &resp)).is_err() {
-            return;
-        }
-        if matches!(resp, Response::ShutdownAck) {
-            return;
-        }
-    }
-}
-
-/// The engine thread's state: the single owner of the store and driver,
-/// plus the counters and telemetry handles its RPC loop feeds.
-struct Engine {
-    store: AdStore,
-    driver: ShardedDriver,
-    durability: Option<Durability>,
-    /// The node's cluster identity; mutated only here (fencing on a
-    /// stale-epoch refusal, promotion, degraded-mode transitions).
-    cluster: ClusterState,
-    /// Primary side: transport to this partition's follower.
-    sink: Option<Box<dyn ReplicationSink>>,
-    /// Follower side: rebuild recipe for snapshot installs.
-    replica: Option<ReplicaSetup>,
-    shared: Arc<Shared>,
-    queue_depth: usize,
-    flightrec_path: Option<PathBuf>,
-    obs: NetObs,
-    repl_obs: ReplObs,
-    rpcs: u64,
-    /// Trace context of the command being served (the wire context's
-    /// child after the queue-wait span); `NONE` for unsampled requests.
-    cur_trace: TraceContext,
-    ingest_lat: LatencyHistogram,
-    recommend_lat: LatencyHistogram,
-}
-
-impl Engine {
-    fn run(&mut self, cmd_rx: &Receiver<Cmd>, addr: SocketAddr) {
-        // Phase 1: serve until a Shutdown command or until every sender is
-        // gone (host-side `Server::shutdown` + all readers exited).
-        let mut draining = false;
-        while let Ok(cmd) = cmd_rx.recv() {
-            let is_shutdown = self.serve_one(cmd);
-            // Periodic snapshots happen between RPCs, where the worker pool
-            // is idle — the engine thread sees a consistent cut for free.
-            if let Some(d) = self.durability.as_mut() {
-                d.maybe_snapshot(&self.store, &self.driver);
-            }
-            if is_shutdown {
-                self.shared.shutdown.store(true, Ordering::SeqCst);
-                let _ = TcpStream::connect(addr); // unblock accept()
-                draining = true;
-                break;
-            }
-        }
-        let mut drained = 0u64;
-        if draining {
-            // Phase 2: every already-admitted request still gets its real
-            // reply — in-flight work is drained, not dropped.
-            while let Ok(cmd) = cmd_rx.try_recv() {
-                self.serve_one(cmd);
-                drained += 1;
-            }
-        }
-        flightrec().record(EventKind::Shutdown, drained, 0, 0);
-        if let Some(path) = &self.flightrec_path {
-            let _ = flightrec().dump_to_path(path);
-        }
-        // Dropping `durability` (with self) joins the persister after any
-        // in-flight snapshot finishes.
-    }
-
-    /// WAL-log `record` (when durability is on), group-commit it, apply
-    /// it through the shared [`apply_record`] path, then — on a cluster
-    /// primary — ship it to the follower and wait for the durable ack
-    /// (the replication ack ladder; see DESIGN § 14). A commit failure
-    /// means the mutation is **not durable**: it is refused without being
-    /// applied, so memory and log can never diverge.
-    fn log_apply(&mut self, record: WalRecord) -> Result<ApplyEffect, WireError> {
-        if self.cluster.fenced {
-            // A deposed primary must not accept writes the promoted
-            // follower will never see.
-            return Err(WireError::StaleEpoch {
-                current: self.cluster.epoch,
-            });
-        }
-        let ladder_started = now_ns();
-        let salt = u64::from(self.cluster.partition);
-        let mut trace = self.cur_trace;
-        let mut shipment: Option<(u64, Bytes)> = None;
-        if let Some(d) = self.durability.as_mut() {
-            let wal_started = now_ns();
-            let logged = d.log(&record);
-            let committed = logged.is_ok() && d.commit().is_ok();
-            let wal_ns = now_ns().saturating_sub(wal_started);
-            self.obs.wal_commit_ns.record(wal_ns);
-            tracestore().record(trace, SpanKind::WalCommit, salt, wal_started, wal_ns);
-            trace = trace.child(SpanKind::WalCommit, salt);
-            if !committed {
-                return Err(WireError::Unavailable);
-            }
-            if self.sink.is_some() {
-                if let Ok(lsn) = logged {
-                    shipment = Some((lsn, record.encode()));
-                }
-            }
-        }
-        let apply_started = now_ns();
-        let outcome = apply_record(&mut self.store, &mut self.driver, record);
-        let apply_ns = now_ns().saturating_sub(apply_started);
-        self.obs.engine_apply_ns.record(apply_ns);
-        tracestore().record(trace, SpanKind::EngineApply, salt, apply_started, apply_ns);
-        trace = trace.child(SpanKind::EngineApply, salt);
-        let effect = outcome.map_err(|why| {
-            if self.driver.is_dead() {
-                WireError::Unavailable
-            } else {
-                WireError::BadRequest(why)
-            }
-        })?;
-        if let Some((lsn, payload)) = shipment {
-            self.replicate(lsn, payload, trace)?;
-        }
-        self.repl_obs
-            .ack_ladder_ns
-            .record(now_ns().saturating_sub(ladder_started));
-        Ok(effect)
-    }
-
-    /// Ship one committed record to the follower and block for its
-    /// durable ack. Failure policy: an epoch refusal fences this node
-    /// (it has been deposed), an LSN gap falls back to snapshot-transfer
-    /// catch-up, and an unreachable follower degrades the primary to
-    /// local-durable acks rather than stalling the partition.
-    fn replicate(
-        &mut self,
-        lsn: u64,
-        payload: Bytes,
-        trace: TraceContext,
-    ) -> Result<(), WireError> {
-        let epoch = self.cluster.epoch;
-        let salt = u64::from(self.cluster.partition);
-        let Some(sink) = self.sink.as_mut() else {
-            return Ok(());
-        };
-        let ship_started = now_ns();
-        // The follower parents its spans on our replicate span — whose id
-        // is derived, so it can ride the wire before the span is timed.
-        let outcome = sink.replicate(
-            epoch,
-            trace.child(SpanKind::Replicate, salt),
-            &[(lsn, payload)],
-        );
-        let ship_ns = now_ns().saturating_sub(ship_started);
-        self.repl_obs.ship_ns.record(ship_ns);
-        tracestore().record(trace, SpanKind::Replicate, salt, ship_started, ship_ns);
-        match outcome {
-            Ok(follower_next) => {
-                self.repl_obs.shipped_total.inc();
-                self.set_degraded(false);
-                let next = self
-                    .durability
-                    .as_ref()
-                    .map_or(lsn + 1, Durability::next_lsn);
-                let lag = next.saturating_sub(follower_next);
-                self.repl_obs
-                    .lag_records
-                    .set(i64::try_from(lag).unwrap_or(i64::MAX));
-                Ok(())
-            }
-            Err(ReplicateError::Fenced { current }) => {
-                self.cluster.fenced = true;
-                self.repl_obs.fenced_total.inc();
-                Err(WireError::StaleEpoch { current })
-            }
-            Err(ReplicateError::LsnGap { .. }) => self.catch_up_follower(),
-            Err(ReplicateError::Unreachable) => {
-                self.set_degraded(true);
-                Ok(())
-            }
-        }
-    }
-
-    /// Flip the partition's degraded state everywhere it is visible at
-    /// once: the cluster state, the transition counter, the gauge twin,
-    /// and the process `/readyz` bit.
-    fn set_degraded(&mut self, degraded: bool) {
-        if degraded && !self.cluster.degraded {
-            self.repl_obs.degraded_total.inc();
-        }
-        self.cluster.degraded = degraded;
-        self.repl_obs.degraded.set(i64::from(degraded));
-        readiness().set(UNREADY_DEGRADED, degraded);
-    }
-
-    /// Snapshot-transfer catch-up: the follower's WAL does not continue
-    /// ours (fresh node, rejoin after divergence), so ship the full
-    /// image. The capture happens post-apply, so it already contains the
-    /// record whose shipment detected the gap — no entry retry needed.
-    fn catch_up_follower(&mut self) -> Result<(), WireError> {
-        let Some(d) = self.durability.as_ref() else {
-            return Ok(());
-        };
-        let image = EngineSetSnapshot::capture(d.next_lsn(), &self.store, &self.driver).encode();
-        self.repl_obs.snapshots_shipped_total.inc();
-        let epoch = self.cluster.epoch;
-        let Some(sink) = self.sink.as_mut() else {
-            return Ok(());
-        };
-        match sink.install(epoch, image) {
-            Ok(_) => {
-                self.set_degraded(false);
-                self.repl_obs.lag_records.set(0);
-                Ok(())
-            }
-            Err(ReplicateError::Fenced { current }) => {
-                self.cluster.fenced = true;
-                self.repl_obs.fenced_total.inc();
-                Err(WireError::StaleEpoch { current })
-            }
-            Err(_) => {
-                self.set_degraded(true);
-                Ok(())
-            }
-        }
-    }
-
-    /// Serve one admitted command; returns whether it acked a shutdown
-    /// (the signal for [`Engine::run`] to enter the drain phase).
-    fn serve_one(&mut self, cmd: Cmd) -> bool {
-        let Cmd {
-            req,
-            reply,
-            enqueued_ns,
-        } = cmd;
-        self.rpcs += 1;
-        self.obs.rpcs_total.inc();
-        let queue_wait_ns = now_ns().saturating_sub(enqueued_ns);
-        self.obs.queue_wait_ns.record(queue_wait_ns);
-        flightrec().record(
-            EventKind::Admission,
-            req_kind_code(&req),
-            queue_wait_ns / 1_000,
-            0,
-        );
-        // A sampled wire context (routed client traffic or a replicated
-        // batch) records the queue-wait span here; everything downstream
-        // in this command parents on it through `cur_trace`.
-        let salt = u64::from(self.cluster.partition);
-        let wire_trace = match &req {
-            Request::Routed { trace, .. } | Request::ReplAppend { trace, .. } => *trace,
-            _ => TraceContext::NONE,
-        };
-        tracestore().record(
-            wire_trace,
-            SpanKind::QueueWait,
-            salt,
-            enqueued_ns,
-            queue_wait_ns,
-        );
-        self.cur_trace = wire_trace.child(SpanKind::QueueWait, salt);
-        // Unwrap the routing envelope before anything else: partition
-        // and epoch admission happens first, and an admitted inner
-        // request then flows through exactly the standalone pipeline.
-        let req = match req {
-            Request::Routed {
-                partition,
-                epoch,
-                trace: _,
-                inner,
-            } => {
-                if let Err(err) = self.cluster.admit(partition, epoch) {
-                    let _ = reply.send(Response::Error(err));
-                    return false;
-                }
-                *inner
-            }
-            req => req,
-        };
-        // Followers mirror the primary and serve only replication and
-        // control RPCs; client traffic is refused with a typed error so
-        // the router (or a misdirected client) knows to go to the
-        // primary rather than seeing timeouts or wrong answers.
-        if self.cluster.role == NodeRole::Follower
-            && matches!(
-                req,
-                Request::Ingest { .. }
-                    | Request::Recommend { .. }
-                    | Request::SubmitCampaign(_)
-                    | Request::PauseCampaign { .. }
-                    | Request::Impression { .. }
-                    | Request::Maintain { .. }
-            )
+        if write_frame(&mut stream, &encode_response(id, &resp)).is_err()
+            || matches!(resp, Response::ShutdownAck)
         {
-            let _ = reply.send(Response::Error(WireError::NotPrimary));
-            return false;
+            return;
         }
-        // For a SlowDelta event we need the batch's lead user after the
-        // deltas have been moved into the WAL record.
-        let ingest_lead_user = match &req {
-            Request::Ingest { deltas } => deltas.first().map(|(u, _)| u64::from(u.0)),
-            _ => None,
-        };
-        let started = now_ns();
-        let resp = match req {
-            Request::Ingest { deltas } => {
-                if self.driver.is_dead() {
-                    Response::Error(WireError::Unavailable)
-                } else if let Some((user, _)) = deltas
-                    .iter()
-                    .find(|(u, _)| u.index() >= self.driver.num_users() as usize)
-                {
-                    // Validate ids *before* logging or dispatch: an
-                    // out-of-range user would panic a shard worker, and a
-                    // record that cannot apply must never reach the WAL
-                    // (replay aborts on apply failures).
-                    Response::Error(WireError::BadRequest(format!(
-                        "user {} out of range (num_users = {})",
-                        user.0,
-                        self.driver.num_users()
-                    )))
-                } else {
-                    match self.log_apply(WalRecord::IngestBatch(deltas)) {
-                        Ok(ApplyEffect::Ingested { accepted }) => Response::Ingested { accepted },
-                        Ok(_) => Response::Error(WireError::Unavailable),
-                        Err(err) => Response::Error(err),
-                    }
-                }
-            }
-            Request::Recommend {
-                user,
-                now,
-                location,
-                k,
-            } => {
-                if user.index() >= self.driver.num_users() as usize {
-                    Response::Error(WireError::BadRequest(format!(
-                        "user {} out of range (num_users = {})",
-                        user.0,
-                        self.driver.num_users()
-                    )))
-                } else {
-                    // Reads are not logged: the engine refreshes rankings
-                    // eagerly on ingest, so recommendations are a pure
-                    // function of the mutation history the WAL captures.
-                    Response::Recommendations(self.driver.recommend(
-                        &self.store,
-                        user,
-                        now,
-                        location,
-                        k as usize,
-                    ))
-                }
-            }
-            Request::SubmitCampaign(spec) => match spec.try_into_submission() {
-                Err(why) => Response::Error(WireError::BadRequest(why)),
-                Ok(sub) => {
-                    if sub.vector.is_empty() || !(sub.bid.is_finite() && sub.bid > 0.0) {
-                        // The store would reject this submission; catch it
-                        // before it can reach the WAL.
-                        Response::Error(WireError::BadRequest(format!(
-                            "empty keyword vector or invalid bid {}",
-                            sub.bid
-                        )))
-                    } else {
-                        match self.log_apply(WalRecord::Submit(sub)) {
-                            Ok(ApplyEffect::Submitted { ad }) => Response::CampaignAccepted { ad },
-                            Ok(_) => Response::Error(WireError::Unavailable),
-                            Err(err) => Response::Error(err),
-                        }
-                    }
-                }
-            },
-            Request::PauseCampaign { ad } => match self.log_apply(WalRecord::Pause(ad)) {
-                Ok(ApplyEffect::Paused { changed: true }) => Response::CampaignPaused { ad },
-                Ok(ApplyEffect::Paused { changed: false }) => {
-                    Response::Error(WireError::UnknownCampaign(ad))
-                }
-                Ok(_) => Response::Error(WireError::Unavailable),
-                Err(err) => Response::Error(err),
-            },
-            Request::Impression {
-                ad,
-                cost,
-                clicked,
-                now,
-            } => {
-                if self.store.campaign(ad).is_none() {
-                    Response::Error(WireError::UnknownCampaign(ad))
-                } else {
-                    let record = WalRecord::Impression {
-                        ad,
-                        cost,
-                        clicked,
-                        now,
-                    };
-                    match self.log_apply(record) {
-                        Ok(ApplyEffect::Impression { state }) => Response::ImpressionRecorded {
-                            ad,
-                            exhausted: state == Some(CampaignState::Exhausted),
-                        },
-                        Ok(_) => Response::Error(WireError::Unavailable),
-                        Err(err) => Response::Error(err),
-                    }
-                }
-            }
-            Request::Maintain { now, idle_for } => {
-                if self.driver.is_dead() {
-                    Response::Error(WireError::Unavailable)
-                } else {
-                    match self.log_apply(WalRecord::Maintenance { now, idle_for }) {
-                        Ok(ApplyEffect::Maintained {
-                            scanned,
-                            decayed,
-                            pruned,
-                        }) => Response::Maintained {
-                            scanned,
-                            decayed,
-                            pruned,
-                        },
-                        Ok(_) => Response::Error(WireError::Unavailable),
-                        Err(err) => Response::Error(err),
-                    }
-                }
-            }
-            Request::Checkpoint => match self.durability.as_mut() {
-                None => Response::Error(WireError::BadRequest(
-                    "server is running without a data directory (start with --data-dir)".into(),
-                )),
-                Some(d) => match d.checkpoint(&self.store, &self.driver) {
-                    Ok(lsn) => Response::Checkpointed { lsn },
-                    Err(_) => Response::Error(WireError::Unavailable),
-                },
-            },
-            Request::ObsDump => match self.flightrec_path.as_deref() {
-                None => Response::Error(WireError::BadRequest(
-                    "server is running without a data directory (start with --data-dir)".into(),
-                )),
-                Some(path) => match flightrec().dump_to_path(path) {
-                    Ok(events) => Response::ObsDumped { events },
-                    Err(_) => Response::Error(WireError::Unavailable),
-                },
-            },
-            Request::Stats => {
-                let engine = self.driver.stats();
-                let dur = self
-                    .durability
-                    .as_ref()
-                    .map(Durability::counters)
-                    .unwrap_or_default();
-                Response::Stats(ServerStats {
-                    deltas: engine.deltas,
-                    recommends: engine.recommends,
-                    active_campaigns: self.store.num_active() as u64,
-                    rpcs: self.rpcs,
-                    shed: self.shared.shed.load(Ordering::Relaxed),
-                    connections: self.shared.connections.load(Ordering::Relaxed),
-                    queue_capacity: self.queue_depth as u64,
-                    ingest_p50_ns: self.ingest_lat.p50(),
-                    ingest_p99_ns: self.ingest_lat.p99(),
-                    recommend_p50_ns: self.recommend_lat.p50(),
-                    recommend_p99_ns: self.recommend_lat.p99(),
-                    wal_records: dur.wal_records,
-                    wal_bytes: dur.wal_bytes,
-                    wal_fsyncs: dur.wal_fsyncs,
-                    snapshots_written: dur.snapshots_written,
-                    recovered_records: dur.recovered_records,
-                    recovered_truncated_bytes: dur.recovered_truncated_bytes,
-                })
-            }
-            Request::ReplAppend {
-                partition,
-                epoch,
-                trace: _,
-                entries,
-            } => {
-                if let Err(err) = self.cluster.admit(partition, epoch) {
-                    Response::Error(err)
-                } else if self.cluster.role != NodeRole::Follower {
-                    Response::Error(WireError::BadRequest(
-                        "replication append to a non-follower".into(),
-                    ))
-                } else {
-                    match self.durability.as_mut() {
-                        None => Response::Error(WireError::BadRequest(
-                            "follower is running without a data directory".into(),
-                        )),
-                        Some(d) => {
-                            match replica_append(
-                                d,
-                                &mut self.store,
-                                &mut self.driver,
-                                self.cur_trace,
-                                &entries,
-                            ) {
-                                Ok(durable_lsn) => Response::ReplAck { durable_lsn },
-                                Err(e) => Response::Error(e.to_wire()),
-                            }
-                        }
-                    }
-                }
-            }
-            Request::InstallSnapshot {
-                partition,
-                epoch,
-                snapshot,
-            } => {
-                if let Err(err) = self.cluster.admit(partition, epoch) {
-                    Response::Error(err)
-                } else if self.cluster.role != NodeRole::Follower {
-                    Response::Error(WireError::BadRequest(
-                        "snapshot install on a non-follower".into(),
-                    ))
-                } else {
-                    match self.replica.as_ref() {
-                        None => Response::Error(WireError::BadRequest(
-                            "follower is running without replica setup".into(),
-                        )),
-                        Some(setup) => {
-                            // The node's state lags the primary until the
-                            // install completes: `/readyz` says so.
-                            readiness().set(UNREADY_CATCHING_UP, true);
-                            let outcome = install_snapshot_on(setup, snapshot);
-                            readiness().set(UNREADY_CATCHING_UP, false);
-                            match outcome {
-                                Ok((store, driver, durability)) => {
-                                    let next_lsn = durability.next_lsn();
-                                    self.store = store;
-                                    self.driver = driver;
-                                    self.durability = Some(durability);
-                                    Response::SnapshotInstalled { next_lsn }
-                                }
-                                Err(e) => Response::Error(e.to_wire()),
-                            }
-                        }
-                    }
-                }
-            }
-            Request::Promote { partition, epoch } => {
-                let was_primary = self.cluster.role == NodeRole::Primary;
-                match promote(&mut self.cluster, partition, epoch) {
-                    Ok(()) => {
-                        if !was_primary {
-                            self.repl_obs.promotions_total.inc();
-                        }
-                        self.repl_obs
-                            .epoch
-                            .set(i64::try_from(self.cluster.epoch).unwrap_or(i64::MAX));
-                        // A fresh primary serves degraded until a follower
-                        // is enrolled; surface that on `/readyz` too.
-                        self.repl_obs.degraded.set(i64::from(self.cluster.degraded));
-                        readiness().set(UNREADY_DEGRADED, self.cluster.degraded);
-                        Response::Promoted {
-                            epoch: self.cluster.epoch,
-                            next_lsn: self.durability.as_ref().map_or(0, Durability::next_lsn),
-                        }
-                    }
-                    Err(err) => Response::Error(err),
-                }
-            }
-            Request::ClusterStatus => Response::ClusterStatusReply {
-                role: self.cluster.role,
-                partition: self.cluster.partition,
-                epoch: self.cluster.epoch,
-                durable_lsn: self.durability.as_ref().map_or(0, Durability::next_lsn),
-                fenced: self.cluster.fenced,
-                degraded: self.cluster.degraded,
-            },
-            // Unreachable: the envelope was unwrapped above and the
-            // decoder refuses nesting, but the match must stay total.
-            Request::Routed { .. } => {
-                Response::Error(WireError::BadRequest("nested routed envelope".into()))
-            }
-            Request::Shutdown => Response::ShutdownAck,
-        };
-        let elapsed_ns = now_ns().saturating_sub(started);
-        match &resp {
-            Response::Ingested { .. } => {
-                self.ingest_lat
-                    .record_duration(Duration::from_nanos(elapsed_ns));
-                self.obs.ingest_ns.record(elapsed_ns);
-                if elapsed_ns >= SLOW_DELTA_THRESHOLD_NS {
-                    flightrec().record(
-                        EventKind::SlowDelta,
-                        ingest_lead_user.unwrap_or(0),
-                        elapsed_ns / 1_000,
-                        0,
-                    );
-                }
-            }
-            Response::Recommendations(_) => {
-                self.recommend_lat
-                    .record_duration(Duration::from_nanos(elapsed_ns));
-                self.obs.recommend_ns.record(elapsed_ns);
-                tracestore().record(
-                    self.cur_trace,
-                    SpanKind::Recommend,
-                    salt,
-                    started,
-                    elapsed_ns,
-                );
-            }
-            Response::Checkpointed { lsn } => {
-                flightrec().record(EventKind::Checkpoint, *lsn, 0, 0);
-            }
-            _ => {}
-        }
-        let acked_shutdown = matches!(resp, Response::ShutdownAck);
-        // A reader that hung up mid-RPC cannot receive its reply; fine.
-        let _ = reply.send(resp);
-        acked_shutdown
     }
 }

@@ -135,6 +135,22 @@ pub fn trace_id_for(seed: u64, ordinal: u64) -> u64 {
     }
 }
 
+/// The head-sampling decision for the `ordinal`-th candidate request when
+/// every `every`-th one is sampled (0 = never): a root context whose id is
+/// [`trace_id_for`]`(seed, ordinal)`, or [`TraceContext::NONE`]. The
+/// router and the simulator both sample through this, so a rerun samples
+/// the same requests under the same ids.
+#[must_use]
+pub fn head_sample(seed: u64, every: u64, ordinal: u64) -> TraceContext {
+    if every == 0 || !ordinal.is_multiple_of(every) {
+        return TraceContext::NONE;
+    }
+    TraceContext {
+        trace_id: trace_id_for(seed, ordinal),
+        parent_span_id: 0,
+    }
+}
+
 /// The derived span id for a hop: a pure function of the trace, the span
 /// site, the upstream span, and a per-site salt (the partition id, so the
 /// fan-out legs of one broadcast get distinct ids). Never 0.

@@ -2,15 +2,15 @@
 //! under virtual time.
 //!
 //! [`run_cluster`] drives N partitions, each a primary/follower pair of
-//! full engine+durability stacks on their own [`MemBackend`]s, through
-//! the *same* transport-free replication core the live server uses
-//! (`replica_append`, `install_snapshot_on`, `promote`, epoch
-//! admission) — no sockets, no threads, no wall clock. The harness
-//! plays the roles the network plays in production: it routes ingest
-//! sub-batches to the owning partition's primary, runs the primary ack
-//! ladder (log → commit → apply → replicate → ack), and delivers
-//! shipments to followers or drops them when a fault says the link is
-//! down.
+//! production [`Node`]s on their own [`MemBackend`]s — no sockets, no
+//! threads, no wall clock. The harness plays the network: as the router
+//! it sends `Routed` envelopes under its view of each partition's epoch
+//! to the serving node's [`Node::handle`], and each node replicates
+//! through an in-process [`ReplicationSink`] that delivers `ReplAppend`
+//! and `InstallSnapshot` to its peer's `handle` — or answers
+//! `Unreachable` while a fault has the link down. So the ack ladder,
+//! admission, fencing and catch-up being proven here are the ones the
+//! TCP server runs.
 //!
 //! What the scenarios prove, deterministically and in milliseconds:
 //!
@@ -32,28 +32,23 @@
 //! Same config ⇒ byte-identical transcript and summary, like the
 //! single-node runner.
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, Weak};
 
-use adcast_ads::AdStore;
-use adcast_core::{EngineConfig, ShardedDriver};
-use adcast_durability::recovery::recover_on;
-use adcast_durability::snapshot::EngineSetSnapshot;
-use adcast_durability::{
-    apply_record, Durability, DurabilityOptions, StorageBackend, WalOptions, WalRecord,
-};
+use adcast_core::EngineConfig;
+use adcast_durability::{Durability, DurabilityOptions, StorageBackend, WalOptions, WalRecord};
 use adcast_graph::UserId;
-use adcast_net::protocol::WireError;
-use adcast_net::replication::{
-    install_snapshot_on, promote, replica_append, ClusterState, ReplicaError, ReplicaSetup,
-};
+use adcast_net::protocol::{Request, Response, WireError};
+use adcast_net::replication::{ClusterState, ReplicaSetup, ReplicateError, ReplicationSink};
 use adcast_net::synth::{self, SynthConfig, SynthWorkload};
-use adcast_obs::tracestore::{trace_id_for, SpanKind, TraceContext};
-use adcast_obs::{readiness, UNREADY_CATCHING_UP};
-use adcast_stream::clock::{SimClock, Timestamp};
+use adcast_net::{ClusterConfig, Node};
+use adcast_obs::tracestore::{head_sample, TraceContext};
+use adcast_stream::clock::{now_ns, SimClock, Timestamp};
+use bytes::Bytes;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 use crate::backend::MemBackend;
+use crate::runner::{event_time, image, logged_record, Shape};
 
 /// An injectable cluster fault.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -211,36 +206,113 @@ pub struct ClusterOutcome {
     pub counters: ClusterCounters,
 }
 
-/// One engine+durability stack on its own simulated disk.
-struct SimNode {
-    backend: Arc<MemBackend>,
-    store: AdStore,
-    driver: ShardedDriver,
-    durability: Durability,
-    state: ClusterState,
-    alive: bool,
+/// One pair's replication link as both nodes' sinks see it. The harness
+/// sets the faults; the sinks count what crossed.
+#[derive(Default)]
+struct Link {
+    /// Both nodes of the pair, by slot; a killed node's slot is emptied,
+    /// so shipments to it go unanswered.
+    nodes: [Weak<Mutex<Node>>; 2],
+    /// Ingest batches the link stays down for.
+    isolated: u64,
+    /// Shipments, drops, gap refusals, and snapshot installs so far.
+    c: ClusterCounters,
+    /// A peer reply the protocol does not allow; fails the run.
+    failure: Option<String>,
 }
 
-impl SimNode {
-    fn state_bytes(&self) -> Vec<u8> {
-        EngineSetSnapshot::capture(self.durability.next_lsn(), &self.store, &self.driver)
-            .encode()
-            .to_vec()
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock()
+        .expect("a node or link panicked mid-request; the run is void")
+}
+
+/// The in-process replication transport: a node's shipments go to its
+/// peer's [`Node::handle`], as the TCP sink's go to the peer's server.
+struct SimSink {
+    link: Arc<Mutex<Link>>,
+    partition: u16,
+    peer: usize,
+}
+
+impl SimSink {
+    /// Hand `req` to the peer unless the link is down and count what
+    /// crossed: the peer's durable LSN, or the sink error its refusal
+    /// means to the shipping node.
+    fn ship(&self, req: Request) -> Result<u64, ReplicateError> {
+        let peer = {
+            let mut link = lock(&self.link);
+            if link.isolated > 0 {
+                link.c.dropped_shipments += 1;
+            }
+            let up = link.isolated == 0;
+            link.nodes[self.peer].upgrade().filter(|_| up)
+        };
+        let peer = peer.ok_or(ReplicateError::Unreachable)?;
+        let resp = lock(&peer).handle(req, now_ns());
+        let mut link = lock(&self.link);
+        let err = match &resp {
+            Response::ReplAck { durable_lsn } => {
+                link.c.shipments += 1;
+                return Ok(*durable_lsn);
+            }
+            Response::SnapshotInstalled { next_lsn } => {
+                link.c.catch_up_snapshots += 1;
+                return Ok(*next_lsn);
+            }
+            Response::Error(e) => ReplicateError::from_wire(e),
+            _ => ReplicateError::Unreachable,
+        };
+        match err {
+            ReplicateError::LsnGap { .. } => link.c.lsn_gap_refusals += 1,
+            ReplicateError::Fenced { .. } => {}
+            _ => {
+                link.failure = Some(format!(
+                    "partition {}: peer answered {resp:?}",
+                    self.partition
+                ))
+            }
+        }
+        Err(err)
+    }
+}
+
+impl ReplicationSink for SimSink {
+    fn replicate(
+        &mut self,
+        epoch: u64,
+        trace: TraceContext,
+        entries: &[(u64, Bytes)],
+    ) -> Result<u64, ReplicateError> {
+        let (partition, entries) = (self.partition, entries.to_vec());
+        self.ship(Request::ReplAppend {
+            partition,
+            epoch,
+            trace,
+            entries,
+        })
+    }
+
+    fn install(&mut self, epoch: u64, snapshot: Bytes) -> Result<u64, ReplicateError> {
+        let partition = self.partition;
+        self.ship(Request::InstallSnapshot {
+            partition,
+            epoch,
+            snapshot,
+        })
     }
 }
 
 /// One partition's pair plus the harness's router-side view of it.
 struct SimPartition {
-    /// `nodes[0]` starts as primary, `nodes[1]` as follower.
-    nodes: Vec<SimNode>,
+    nodes: [Arc<Mutex<Node>>; 2],
+    link: Arc<Mutex<Link>>,
+    backends: [Arc<MemBackend>; 2],
     /// Index of the current primary in `nodes`.
     serving: usize,
     /// Index of the current follower, when one is attached.
     follower: Option<usize>,
     /// The router's epoch for this partition.
     epoch: u64,
-    /// Ingest batches the follower link stays down for.
-    isolated: u64,
     /// Whether this pair's standby state was seeded by a live-primary
     /// snapshot (catch-up / rejoin). A live snapshot bakes in the
     /// primary's serve-time engine state (score caches, work counters),
@@ -259,9 +331,10 @@ struct ClusterRunner {
     now: Timestamp,
     transcript: Vec<String>,
     /// Acked-record ordinal for head-based trace sampling — advances on
-    /// every ack-ladder run, sampled or not, so which records are
-    /// sampled is a pure function of the config.
+    /// every routed write, sampled or not, so which records are sampled
+    /// is a pure function of the config.
     trace_ordinal: u64,
+    shape: Shape,
     c: ClusterCounters,
 }
 
@@ -294,29 +367,37 @@ pub fn run_cluster(config: ClusterSimConfig) -> Result<ClusterOutcome, String> {
     }
     let workload = synth::build(&config.synth);
     let clock = Arc::new(SimClock::new());
+    let shape = Shape {
+        num_users: workload.num_users,
+        num_shards: config.num_shards,
+        engine: config.engine.clone(),
+        options: DurabilityOptions {
+            wal: config.wal,
+            snapshot_every: config.snapshot_every,
+            keep_snapshots: config.keep_snapshots,
+        },
+    };
     let mut parts = Vec::with_capacity(config.partitions);
     for p in 0..config.partitions {
         let partition = p as u16;
-        let nodes = vec![
-            fresh_node(
-                &config,
-                &clock,
-                workload.num_users,
-                ClusterState::primary(partition, 0),
-            )?,
-            fresh_node(
-                &config,
-                &clock,
-                workload.num_users,
-                ClusterState::follower(partition, 0),
-            )?,
-        ];
+        let backends =
+            [(); 2].map(|()| MemBackend::new(Arc::clone(&clock), config.fsync_latency_ns));
+        let link = Arc::default();
+        let primary = ClusterState::primary(partition, 0);
+        let follower = ClusterState::follower(partition, 0);
+        let nodes = [
+            boot(&shape, &backends[0], primary, &link, 1)?,
+            boot(&shape, &backends[1], follower, &link, 0)?,
+        ]
+        .map(|node| Arc::new(Mutex::new(node)));
+        lock(&link).nodes = [Arc::downgrade(&nodes[0]), Arc::downgrade(&nodes[1])];
         parts.push(SimPartition {
             nodes,
+            link,
+            backends,
             serving: 0,
             follower: Some(1),
             epoch: 0,
-            isolated: 0,
             snapshot_seeded: false,
             acked_log: Vec::new(),
         });
@@ -330,44 +411,37 @@ pub fn run_cluster(config: ClusterSimConfig) -> Result<ClusterOutcome, String> {
         now: Timestamp::EPOCH,
         transcript: Vec::new(),
         trace_ordinal: 0,
+        shape,
         c: ClusterCounters::default(),
     };
     runner.execute(workload)
 }
 
-fn fresh_node(
-    config: &ClusterSimConfig,
-    clock: &Arc<SimClock>,
-    num_users: u32,
+/// Start (or restart) a node on `backend` in `state`: recover whatever
+/// is on disk, and ship to slot `peer` of `link`.
+fn boot(
+    shape: &Shape,
+    backend: &Arc<MemBackend>,
     state: ClusterState,
-) -> Result<SimNode, String> {
-    let backend = MemBackend::new(Arc::clone(clock), config.fsync_latency_ns);
-    let recovered = recover_on(
-        Arc::clone(&backend) as Arc<dyn StorageBackend>,
-        num_users,
-        config.num_shards,
-        config.engine.clone(),
-        config.wal,
-    )
-    .map_err(|e| e.to_string())?;
-    let durability = Durability::new_on(
-        Arc::clone(&backend) as Arc<dyn StorageBackend>,
-        recovered.wal,
-        DurabilityOptions {
-            wal: config.wal,
-            snapshot_every: config.snapshot_every,
-            keep_snapshots: config.keep_snapshots,
-        },
-        recovered.report,
-    );
-    Ok(SimNode {
-        backend,
-        store: recovered.store,
-        driver: recovered.driver,
-        durability,
+    link: &Arc<Mutex<Link>>,
+    peer: usize,
+) -> Result<Node, String> {
+    let sink = SimSink {
+        link: Arc::clone(link),
+        partition: state.partition,
+        peer,
+    };
+    let replica = ReplicaSetup {
+        backend: Arc::clone(backend) as Arc<dyn StorageBackend>,
+        options: shape.options,
+        engine: shape.engine.clone(),
+    };
+    let cluster = ClusterConfig {
         state,
-        alive: true,
-    })
+        sink: Some(Box::new(sink)),
+        replica: Some(replica),
+    };
+    shape.boot(backend, cluster)
 }
 
 impl ClusterRunner {
@@ -378,9 +452,8 @@ impl ClusterRunner {
         // replayed campaign ids agree across the cluster (DESIGN §14).
         let total_campaigns = workload.campaigns.len();
         for spec in workload.campaigns {
-            let sub = spec.try_into_submission()?;
             for p in 0..self.parts.len() {
-                self.ack_ladder(p, WalRecord::Submit(sub.clone()))?;
+                self.write(p, Request::SubmitCampaign(spec.clone()))?;
             }
         }
         self.line(format!(
@@ -401,13 +474,7 @@ impl ClusterRunner {
                 self.fire(fault)?;
             }
 
-            for (_, delta) in &batch {
-                if let Some(m) = &delta.entered {
-                    if m.ts > self.now {
-                        self.now = m.ts;
-                    }
-                }
-            }
+            self.now = event_time(self.now, &batch);
 
             // The router's split: one sub-batch per owning partition.
             let mut subs: Vec<Vec<(UserId, adcast_feed::FeedDelta)>> =
@@ -416,40 +483,54 @@ impl ClusterRunner {
                 subs[user.index() % num_partitions].push((user, delta));
             }
             let mut routed = 0u64;
-            for (p, sub) in subs.into_iter().enumerate() {
-                if sub.is_empty() {
+            for (p, deltas) in subs.into_iter().enumerate() {
+                if deltas.is_empty() {
                     continue;
                 }
-                let deltas = sub.len() as u64;
-                self.ack_ladder(p, WalRecord::IngestBatch(sub))?;
-                self.c.acked_deltas += deltas;
-                routed += deltas;
-                if self.parts[p].isolated > 0 {
-                    self.parts[p].isolated -= 1;
-                }
+                let count = deltas.len() as u64;
+                self.write(p, Request::Ingest { deltas })?;
+                self.c.acked_deltas += count;
+                routed += count;
+                let mut link = lock(&self.parts[p].link);
+                link.isolated = link.isolated.saturating_sub(1);
             }
             self.c.batches += 1;
             self.line(format!("ingest batch={i} deltas={routed}"));
 
             if self.config.recommend_every > 0 && (i + 1) % self.config.recommend_every == 0 {
-                self.serve_wave(workload.num_users)?;
+                self.serve_wave()?;
             }
         }
 
         // End-of-run agreement: every live follower that isn't mid-gap
-        // must hold the primary's exact bytes (hot standby, not a cold
-        // log copy).
+        // must be at the primary's LSN and hold exactly a replay of the
+        // acked log (hot standby, not a cold log copy); every primary
+        // must hold exactly the acked log.
         for p in 0..self.parts.len() {
-            self.check_replica_agreement(p)?;
             let part = &self.parts[p];
-            let primary = &part.nodes[part.serving];
-            if part.acked_log.len() as u64 != primary.durability.next_lsn() {
+            let primary_lsn = self.lsn(p, part.serving);
+            let isolated = lock(&part.link).isolated;
+            if let Some(f) = part.follower {
+                let follower_lsn = self.lsn(p, f);
+                if isolated == 0 && follower_lsn != primary_lsn {
+                    return Err(format!(
+                        "partition {p}: follower at lsn {follower_lsn}, primary at {primary_lsn}"
+                    ));
+                }
+                self.check_twin(p, f)?;
+            }
+            let part = &self.parts[p];
+            if part.acked_log.len() as u64 != primary_lsn {
                 return Err(format!(
-                    "partition {p}: {} acked records but primary lsn {}",
+                    "partition {p}: {} acked records but primary lsn {primary_lsn}",
                     part.acked_log.len(),
-                    primary.durability.next_lsn()
                 ));
             }
+            let link = lock(&part.link);
+            self.c.shipments += link.c.shipments;
+            self.c.dropped_shipments += link.c.dropped_shipments;
+            self.c.lsn_gap_refusals += link.c.lsn_gap_refusals;
+            self.c.catch_up_snapshots += link.c.catch_up_snapshots;
         }
         self.line(format!(
             "done batches={} acked_records={} twin_checks={}",
@@ -466,68 +547,68 @@ impl ClusterRunner {
         })
     }
 
-    /// The head-based sampling decision for the next acked record: the
-    /// trace id is a pure function of `(synth seed, ordinal)`, exactly
-    /// like the live router's, so reruns sample the same records and
-    /// derive the same ids.
-    fn sample_trace(&mut self) -> TraceContext {
-        let every = self.config.trace_sample;
-        if every == 0 {
-            return TraceContext::NONE;
-        }
-        let ordinal = self.trace_ordinal;
-        self.trace_ordinal += 1;
-        if !ordinal.is_multiple_of(every) {
-            return TraceContext::NONE;
-        }
-        TraceContext {
-            trace_id: trace_id_for(self.config.synth.seed, ordinal),
-            parent_span_id: 0,
-        }
+    /// Deliver `req` to node `n` of partition `p`, as the network would.
+    fn send(&self, p: usize, n: usize, req: Request) -> Result<Response, String> {
+        let part = &self.parts[p];
+        let resp = lock(&part.nodes[n]).handle(req, now_ns());
+        lock(&part.link).failure.take().map_or(Ok(resp), Err)
     }
 
-    /// The primary ack ladder for one record on one partition:
-    /// log → commit → apply → replicate → ack. Mirrors the server's
-    /// `log_apply` + `replicate` exactly, with the harness as the wire.
-    fn ack_ladder(&mut self, p: usize, record: WalRecord) -> Result<(), String> {
-        let trace = self.sample_trace();
-        let part = &mut self.parts[p];
-        let primary = &mut part.nodes[part.serving];
-        if primary.state.fenced || !primary.alive {
-            return Err(format!(
-                "partition {p}: routed a write to a dead/fenced node"
-            ));
-        }
-        let lsn = primary.durability.log(&record).map_err(|e| e.to_string())?;
-        primary.durability.commit().map_err(|e| e.to_string())?;
-        let payload = record.encode();
-        apply_record(&mut primary.store, &mut primary.driver, record.clone())?;
-        primary
-            .durability
-            .maybe_snapshot(&primary.store, &primary.driver);
+    /// The router's forward: `req` in a `Routed` envelope under `epoch`
+    /// (the serving node's, unless given) to node `n` of partition `p`.
+    fn route(
+        &self,
+        p: usize,
+        target: Option<(usize, u64)>,
+        trace: TraceContext,
+        req: Request,
+    ) -> Result<Response, String> {
+        let part = &self.parts[p];
+        let (n, epoch) = target.unwrap_or((part.serving, part.epoch));
+        let routed = Request::Routed {
+            partition: p as u16,
+            epoch,
+            trace,
+            inner: Box::new(req),
+        };
+        self.send(p, n, routed)
+    }
 
-        let mut replicated = false;
-        if let Some(f) = part.follower {
-            if part.isolated > 0 {
-                // Link down: the primary degrades to local-durable acks
-                // (the record is still acked — fsynced locally).
-                self.c.dropped_shipments += 1;
-            } else {
-                let epoch = part.epoch;
-                self.ship(p, f, epoch, lsn, payload, trace)?;
-                replicated = true;
-            }
+    /// Partition `p`'s replication counts (shipments, snapshot installs).
+    fn shipped(&self, p: usize) -> (u64, u64) {
+        let link = lock(&self.parts[p].link);
+        (link.c.shipments, link.c.catch_up_snapshots)
+    }
+
+    /// One client write on partition `p`: routed to the serving node,
+    /// which runs the whole ack ladder; a non-error reply is the ack and
+    /// the record the node logged joins the loss oracle.
+    fn write(&mut self, p: usize, req: Request) -> Result<(), String> {
+        let record = logged_record(&req)?;
+        // Head sampling exactly like the live router's: the id is a pure
+        // function of (synth seed, write ordinal).
+        let (seed, every) = (self.config.synth.seed, self.config.trace_sample);
+        let trace = head_sample(seed, every, self.trace_ordinal);
+        self.trace_ordinal += 1;
+        let (shipments, installs) = self.shipped(p);
+        if let Response::Error(e) = self.route(p, None, trace, req)? {
+            return Err(format!("partition {p}: write refused: {e}"));
         }
-        let part = &mut self.parts[p];
-        part.acked_log.push(record);
+        self.parts[p].acked_log.push(record);
         self.c.acked_records += 1;
+        let caught_up = self.shipped(p).1 > installs;
+        if caught_up {
+            self.caught_up(p)?;
+        }
         if trace.sampled() {
             // The transcript's trace line is computed purely from the
             // config (never read back from the shared span ring, which a
             // double-run in one process would pollute): the id from the
             // sampling function, the hop list from the ladder just run.
-            let ladder = if replicated {
+            let ladder = if self.shipped(p).0 > shipments {
                 "replicate,follower_commit,follower_apply"
+            } else if caught_up {
+                "replicate,install_snapshot"
             } else {
                 "local_durable"
             };
@@ -539,119 +620,68 @@ impl ClusterRunner {
         Ok(())
     }
 
-    /// Deliver one shipment to the follower; a gap triggers the
-    /// snapshot-transfer catch-up, exactly like the live sink path.
-    fn ship(
-        &mut self,
-        p: usize,
-        f: usize,
-        epoch: u64,
-        lsn: u64,
-        payload: bytes::Bytes,
-        trace: TraceContext,
-    ) -> Result<(), String> {
-        let partition = p as u16;
-        let follower = &mut self.parts[p].nodes[f];
-        follower
-            .state
-            .admit(partition, epoch)
-            .map_err(|e| format!("partition {p}: follower refused shipment: {e}"))?;
-        match replica_append(
-            &mut follower.durability,
-            &mut follower.store,
-            &mut follower.driver,
-            trace.child(SpanKind::Replicate, partition as u64),
-            &[(lsn, payload)],
-        ) {
-            Ok(_) => {
-                self.c.shipments += 1;
-                Ok(())
-            }
-            Err(ReplicaError::LsnGap { .. }) => {
-                self.c.lsn_gap_refusals += 1;
-                self.catch_up(p, f)?;
-                Ok(())
-            }
-            Err(e) => Err(format!("partition {p}: replica append failed: {e}")),
-        }
-    }
-
-    /// Snapshot-transfer catch-up: capture the primary's post-apply
-    /// image, rebuild the follower from it, and prove the installed
-    /// state recaptures to the exact shipped bytes.
-    fn catch_up(&mut self, p: usize, f: usize) -> Result<(), String> {
-        let part = &mut self.parts[p];
-        let snapshot = {
-            let primary = &part.nodes[part.serving];
-            EngineSetSnapshot::capture(
-                primary.durability.next_lsn(),
-                &primary.store,
-                &primary.driver,
-            )
-            .encode()
-        };
-        let setup = ReplicaSetup {
-            backend: Arc::clone(&part.nodes[f].backend) as Arc<dyn StorageBackend>,
-            options: DurabilityOptions {
-                wal: self.config.wal,
-                snapshot_every: self.config.snapshot_every,
-                keep_snapshots: self.config.keep_snapshots,
-            },
-            engine: self.config.engine.clone(),
-        };
-        // The follower is unready for the duration of the install, and
-        // the transcript pins both edges of the flip (the live server
-        // drives the same `/readyz` bit around its own install path).
+    /// The write's shipment met an LSN gap and the primary rebuilt its
+    /// follower by snapshot transfer: the installed state must be the
+    /// primary's exact bytes.
+    fn caught_up(&mut self, p: usize) -> Result<(), String> {
+        let (serving, follower) = (self.parts[p].serving, self.parts[p].follower);
+        let f = follower.ok_or(format!("partition {p}: no follower"))?;
+        // The follower's `/readyz` was unready for the duration of the
+        // install; the transcript pins both edges of the flip.
         self.line(format!("readyz partition={p} state=catching_up"));
-        readiness().set(UNREADY_CATCHING_UP, true);
-        let installed = install_snapshot_on(&setup, snapshot.clone());
-        readiness().set(UNREADY_CATCHING_UP, false);
         self.line(format!("readyz partition={p} state=ready"));
-        let (store, driver, durability) =
-            installed.map_err(|e| format!("partition {p}: snapshot install failed: {e}"))?;
-        let part = &mut self.parts[p];
-        let follower = &mut part.nodes[f];
-        follower.store = store;
-        follower.driver = driver;
-        follower.durability = durability;
-        part.snapshot_seeded = true;
-        if follower.state_bytes() != snapshot.to_vec() {
+        if self.image(p, f) != self.image(p, serving) {
             return Err(format!(
                 "partition {p}: installed snapshot recaptures differently"
             ));
         }
-        self.c.catch_up_snapshots += 1;
+        self.parts[p].snapshot_seeded = true;
         self.c.twin_checks += 1;
-        self.line(format!(
-            "catch_up partition={p} lsn={}",
-            self.parts[p].nodes[f].durability.next_lsn()
-        ));
+        self.line(format!("catch_up partition={p} lsn={}", self.lsn(p, f)));
         Ok(())
+    }
+
+    /// Node `n`'s next LSN on partition `p`.
+    fn lsn(&self, p: usize, n: usize) -> u64 {
+        let node = lock(&self.parts[p].nodes[n]);
+        node.durability().map_or(0, Durability::next_lsn)
+    }
+
+    /// Node `n`'s full state image on partition `p`.
+    fn image(&self, p: usize, n: usize) -> Bytes {
+        image(&lock(&self.parts[p].nodes[n]))
     }
 
     fn fire(&mut self, fault: ClusterFault) -> Result<(), String> {
         match fault {
             ClusterFault::KillPrimary { partition } => {
                 let p = usize::from(partition);
-                {
-                    let part = &mut self.parts[p];
-                    let primary = &mut part.nodes[part.serving];
-                    primary.alive = false;
-                    primary.backend.crash();
-                }
+                let part = &self.parts[p];
+                lock(&part.link).nodes[part.serving] = Weak::new();
+                part.backends[part.serving].crash();
                 self.c.kills += 1;
                 self.line(format!("fault kill_primary partition={p}"));
                 self.promote_follower(p)?;
                 // Zero acked loss: every acked record is durable and
                 // applied on the promoted node, byte-for-byte.
-                self.check_promoted_twin(p)
+                let part = &self.parts[p];
+                let next_lsn = self.lsn(p, part.serving);
+                if next_lsn != part.acked_log.len() as u64 {
+                    return Err(format!(
+                        "partition {p}: acked {} records but promoted node is at lsn {next_lsn}",
+                        part.acked_log.len()
+                    ));
+                }
+                self.check_twin(p, part.serving)?;
+                self.line(format!("twin partition={p} lsn={next_lsn} ok"));
+                Ok(())
             }
             ClusterFault::IsolateFollower { partition, batches } => {
                 let p = usize::from(partition);
                 if self.parts[p].follower.is_none() {
                     return Err(format!("partition {p} has no follower to isolate"));
                 }
-                self.parts[p].isolated = batches;
+                lock(&self.parts[p].link).isolated = batches;
                 self.line(format!(
                     "fault isolate_follower partition={p} batches={batches}"
                 ));
@@ -659,16 +689,13 @@ impl ClusterRunner {
             }
             ClusterFault::SplitPromote { partition } => {
                 let p = usize::from(partition);
-                let deposed = self.parts[p].serving;
+                let (deposed, stale_epoch) = (self.parts[p].serving, self.parts[p].epoch);
                 self.line(format!("fault split_promote partition={p}"));
                 self.promote_follower(p)?;
                 // The deposed primary is still alive and doesn't know:
-                // it takes one more write and tries to ship it. Fencing
-                // refuses the shipment, the node fences itself, and the
-                // write is never acked.
-                self.stale_write(p, deposed)?;
-                // It then rejoins as a follower of the new primary via
-                // snapshot transfer.
+                // a router with the old map sends it one more write.
+                self.stale_write(p, deposed, stale_epoch)?;
+                // It then rejoins as a follower of the new primary.
                 self.rejoin(p, deposed)
             }
         }
@@ -676,168 +703,126 @@ impl ClusterRunner {
 
     /// The router's failover: bump the epoch and promote the follower.
     fn promote_follower(&mut self, p: usize) -> Result<(), String> {
-        let part = &mut self.parts[p];
-        let Some(f) = part.follower else {
+        let Some(f) = self.parts[p].follower else {
             return Err(format!("partition {p}: no follower to promote"));
         };
-        let next_epoch = part.epoch + 1;
-        promote(&mut part.nodes[f].state, p as u16, next_epoch)
-            .map_err(|e| format!("partition {p}: promotion refused: {e}"))?;
-        part.epoch = next_epoch;
+        let epoch = self.parts[p].epoch + 1;
+        let promote = Request::Promote {
+            partition: p as u16,
+            epoch,
+        };
+        let Response::Promoted { next_lsn, .. } = self.send(p, f, promote)? else {
+            return Err(format!("partition {p}: promotion refused"));
+        };
+        let part = &mut self.parts[p];
+        part.epoch = epoch;
         part.serving = f;
         part.follower = None;
-        part.isolated = 0;
+        lock(&part.link).isolated = 0;
         self.c.promotions += 1;
         self.line(format!(
-            "promoted partition={p} epoch={next_epoch} lsn={}",
-            self.parts[p].nodes[f].durability.next_lsn()
+            "promoted partition={p} epoch={epoch} lsn={next_lsn}"
         ));
         Ok(())
     }
 
-    /// A deposed-but-alive primary writes once more; the shipment is
-    /// refused by epoch fencing and the node fences itself.
-    fn stale_write(&mut self, p: usize, deposed: usize) -> Result<(), String> {
-        let stale_epoch = {
-            let part = &mut self.parts[p];
-            let record = WalRecord::Maintenance {
-                now: self.now,
-                idle_for: adcast_stream::clock::Duration::from_secs(1),
-            };
-            let stale = &mut part.nodes[deposed];
-            stale.durability.log(&record).map_err(|e| e.to_string())?;
-            stale.durability.commit().map_err(|e| e.to_string())?;
-            apply_record(&mut stale.store, &mut stale.driver, record)?;
-            stale.state.epoch
+    /// A deposed-but-alive primary takes one more write under the old
+    /// epoch. Its own shipment is refused by the promoted node, so it
+    /// fences itself and answers `StaleEpoch`: the write is never acked.
+    fn stale_write(&mut self, p: usize, deposed: usize, stale_epoch: u64) -> Result<(), String> {
+        let maintain = Request::Maintain {
+            now: self.now,
+            idle_for: adcast_stream::clock::Duration::from_secs(1),
         };
-        // The shipment: the new primary refuses the old epoch.
-        let part = &mut self.parts[p];
-        let refusal = part.nodes[part.serving].state.admit(p as u16, stale_epoch);
-        let Err(WireError::StaleEpoch { current }) = refusal else {
+        let reply = self.route(
+            p,
+            Some((deposed, stale_epoch)),
+            TraceContext::NONE,
+            maintain,
+        )?;
+        let Response::Error(WireError::StaleEpoch { current }) = reply else {
             return Err(format!(
-                "partition {p}: stale shipment was admitted (epoch {stale_epoch})"
+                "partition {p}: stale write (epoch {stale_epoch}) was answered {reply:?}"
             ));
         };
-        part.nodes[deposed].state.fenced = true;
         self.c.fenced_writes += 1;
         self.line(format!(
-            "fenced partition={p} stale_epoch={stale_epoch} current={current}"
+            "fenced partition={p} stale_epoch={stale_epoch} current={current} reply={reply:?}"
+        ));
+        let Response::ClusterStatusReply {
+            role,
+            epoch,
+            fenced: true,
+            ..
+        } = self.send(p, deposed, Request::ClusterStatus)?
+        else {
+            return Err(format!("partition {p}: deposed node is not fenced"));
+        };
+        self.line(format!(
+            "cluster_status partition={p} node={deposed} role={role:?} epoch={epoch} fenced=true"
         ));
         Ok(())
     }
 
-    /// Re-attach a fenced ex-primary as the follower of the current
-    /// primary: adopt the new epoch, rebuild by snapshot transfer.
-    fn rejoin(&mut self, p: usize, node: usize) -> Result<(), String> {
-        {
-            let part = &mut self.parts[p];
-            part.nodes[node].state = ClusterState::follower(p as u16, part.epoch);
-            part.follower = Some(node);
-        }
-        // The rejoining node's WAL diverged (the fenced write); the
-        // first shipment would refuse with a gap anyway — transfer now.
-        self.catch_up(p, node)?;
+    /// Restart a fenced ex-primary as the follower of the current
+    /// primary under the new epoch. Its WAL diverged (the fenced write),
+    /// so the next shipment meets an LSN gap and the primary rebuilds it
+    /// by snapshot transfer.
+    fn rejoin(&mut self, p: usize, n: usize) -> Result<(), String> {
+        let part = &self.parts[p];
+        let mut node = lock(&part.nodes[n]);
+        // The old process exits first: its WAL and persister are released
+        // before the restart recovers from the same disk.
+        drop(node.take_durability());
+        let state = ClusterState::follower(p as u16, part.epoch);
+        *node = boot(&self.shape, &part.backends[n], state, &part.link, 1 - n)?;
+        drop(node);
+        self.parts[p].follower = Some(n);
         self.line(format!("rejoined partition={p} as follower"));
         Ok(())
     }
 
-    /// Follower agreement at end of run: the follower must hold exactly
-    /// a clean replay of the acked log up to its LSN — hot standby, not
-    /// a cold log copy. Serve-time engine state (score caches, work
-    /// counters) lives only on the node that served, so the comparison
-    /// is against a replay twin, not the live primary's bytes; a pair
-    /// whose standby was seeded by a live snapshot is checked by LSN
-    /// accounting alone.
-    fn check_replica_agreement(&mut self, p: usize) -> Result<(), String> {
+    /// Node `n` must hold exactly a clean replay of the acked log up to
+    /// its LSN. Serve-time engine state (score caches, work counters)
+    /// lives only on the node that served, so the comparison is against
+    /// a replay twin, not a live peer's bytes; a pair whose standby was
+    /// seeded by a live snapshot is checked by LSN accounting alone.
+    fn check_twin(&mut self, p: usize, n: usize) -> Result<(), String> {
         let part = &self.parts[p];
-        let Some(f) = part.follower else {
-            return Ok(());
-        };
-        let primary = &part.nodes[part.serving];
-        let follower = &part.nodes[f];
-        let follower_lsn = follower.durability.next_lsn();
-        if part.isolated == 0 && follower_lsn != primary.durability.next_lsn() {
-            return Err(format!(
-                "partition {p}: follower at lsn {follower_lsn}, primary at {}",
-                primary.durability.next_lsn()
-            ));
-        }
         if part.snapshot_seeded {
             return Ok(());
         }
-        let twin_bytes = self.replay_twin(p, follower_lsn)?;
-        let part = &self.parts[p];
-        if part.nodes[f].state_bytes() != twin_bytes {
+        let lsn = self.lsn(p, n);
+        let records = part
+            .acked_log
+            .get(..lsn as usize)
+            .ok_or_else(|| format!("partition {p}: lsn {lsn} is past the acked log"))?;
+        if self.image(p, n) != self.shape.replay_twin(records)? {
             return Err(format!(
-                "partition {p}: follower diverges from acked-log replay at lsn {follower_lsn}"
+                "partition {p}: node {n} diverges from acked-log replay at lsn {lsn}"
             ));
         }
         self.c.twin_checks += 1;
         Ok(())
     }
 
-    /// The promoted node must hold exactly the acked log: nothing lost,
-    /// nothing extra — and, unless its state was seeded by a live
-    /// snapshot, byte-identical to a clean replay.
-    fn check_promoted_twin(&mut self, p: usize) -> Result<(), String> {
-        let part = &self.parts[p];
-        let promoted = &part.nodes[part.serving];
-        let next_lsn = promoted.durability.next_lsn();
-        if next_lsn != part.acked_log.len() as u64 {
-            return Err(format!(
-                "partition {p}: acked {} records but promoted node is at lsn {next_lsn}",
-                part.acked_log.len()
-            ));
-        }
-        if !part.snapshot_seeded {
-            let twin_bytes = self.replay_twin(p, next_lsn)?;
-            let part = &self.parts[p];
-            if part.nodes[part.serving].state_bytes() != twin_bytes {
-                return Err(format!(
-                    "partition {p}: promoted state diverges from acked-log replay at lsn {next_lsn}"
-                ));
-            }
-            self.c.twin_checks += 1;
-        }
-        self.line(format!("twin partition={p} lsn={next_lsn} ok"));
-        Ok(())
-    }
-
-    /// Replay the first `upto` acked records into a fresh pair and
-    /// capture the result — the oracle for log-derived state.
-    fn replay_twin(&self, p: usize, upto: u64) -> Result<Vec<u8>, String> {
-        let part = &self.parts[p];
-        let mut twin_store = AdStore::new();
-        let mut twin_driver = ShardedDriver::new(
-            part.nodes[part.serving].driver.num_users(),
-            self.config.num_shards,
-            self.config.engine.clone(),
-        );
-        for record in part.acked_log.iter().take(upto as usize) {
-            apply_record(&mut twin_store, &mut twin_driver, record.clone())?;
-        }
-        Ok(EngineSetSnapshot::capture(upto, &twin_store, &twin_driver)
-            .encode()
-            .to_vec())
-    }
-
-    fn serve_wave(&mut self, num_users: u32) -> Result<(), String> {
+    fn serve_wave(&mut self) -> Result<(), String> {
         let num_partitions = self.parts.len();
         let mut served = 0u64;
         let mut top = None;
         for _ in 0..self.config.wave_users {
-            let user = UserId(self.rng.gen_range(0..num_users));
+            let user = UserId(self.rng.gen_range(0..self.shape.num_users));
             let p = user.index() % num_partitions;
-            let part = &mut self.parts[p];
-            let serving = part.serving;
-            let node = &mut part.nodes[serving];
-            let recs = node.driver.recommend(
-                &node.store,
+            let recommend = Request::Recommend {
                 user,
-                self.now,
-                adcast_stream::event::LocationId(0),
-                self.config.engine.k,
-            );
+                now: self.now,
+                location: adcast_stream::event::LocationId(0),
+                k: u16::try_from(self.config.engine.k).unwrap_or(u16::MAX),
+            };
+            let reply = self.route(p, None, TraceContext::NONE, recommend)?;
+            let Response::Recommendations(recs) = reply else {
+                return Err(format!("partition {p}: recommend answered {reply:?}"));
+            };
             served += recs.len() as u64;
             if top.is_none() {
                 top = recs.first().map(|r| r.ad);
@@ -850,15 +835,13 @@ impl ClusterRunner {
         if let Some(ad) = top {
             let clicked = self.rng.gen_range(0..10u32) == 0;
             for p in 0..num_partitions {
-                self.ack_ladder(
-                    p,
-                    WalRecord::Impression {
-                        ad,
-                        cost: self.config.impression_cost,
-                        clicked,
-                        now: self.now,
-                    },
-                )?;
+                let impression = Request::Impression {
+                    ad,
+                    cost: self.config.impression_cost,
+                    clicked,
+                    now: self.now,
+                };
+                self.write(p, impression)?;
             }
             self.c.impressions += 1;
         }

@@ -7,7 +7,7 @@
 //! transcript and summary; a crash fault additionally proves the
 //! recovered state is a bit-identical twin of a clean replay.
 //!
-//! The three pieces:
+//! The pieces:
 //!
 //! * [`backend`] — [`MemBackend`], an in-memory
 //!   [`adcast_durability::StorageBackend`] with per-file durability
@@ -15,9 +15,13 @@
 //!   torn-write-on-crash,
 //! * [`scenario`] — [`SimConfig`]: workload shape, engine topology,
 //!   durability knobs, maintenance cadence, and the [`Fault`] script,
-//! * [`runner`] — [`run`]: executes the scenario single-threaded through
-//!   the same `log → commit → apply` path the live server uses,
-//!   producing a [`SimOutcome`] (transcript + summary + counters).
+//! * [`runner`] — [`run`]: executes the scenario single-threaded against
+//!   a production [`adcast_net::Node`], the request handler the live
+//!   server's engine thread runs, producing a [`SimOutcome`] (transcript
+//!   + summary + counters),
+//! * [`cluster`] — [`run_cluster`]: primary/follower pairs of the same
+//!   `Node`s replicating through an in-process sink, under replication
+//!   faults.
 //!
 //! What this buys over the loopback tests: no sockets, no real fsync, no
 //! wall-clock sleeps — a simulated day at simulated-million scale runs in

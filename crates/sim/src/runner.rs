@@ -3,8 +3,8 @@
 //! [`run`] executes a [`SimConfig`] single-threaded over virtual time:
 //! the synthetic workload's ingest batches, recommendation waves with
 //! impression charges, WAL-logged lifecycle maintenance passes, and the
-//! fault script — all through the *same* `log → commit → apply` path and
-//! the same [`apply_record`] the live server uses, against the in-memory
+//! fault script — every request answered by the same [`Node::handle`]
+//! the live server's engine thread runs, on the in-memory
 //! [`MemBackend`]. No real sockets, no real disk, no real sleeping.
 //!
 //! Determinism contract: the transcript and summary derive only from the
@@ -15,23 +15,25 @@
 //! stamps every transcript line instead.
 //!
 //! Crash faults additionally prove the bit-identical-twin property: after
-//! recovery the runner replays its own committed record log into a fresh
-//! store + driver and compares the two [`EngineSetSnapshot`] encodings
-//! byte for byte.
+//! recovery the runner replays its own acked record log into a fresh
+//! store + driver ([`Shape::replay_twin`]) and compares the two
+//! [`EngineSetSnapshot`] encodings byte for byte.
 
 use std::sync::Arc;
 
-use adcast_ads::{AdStore, CampaignState};
-use adcast_core::ShardedDriver;
+use adcast_ads::AdStore;
+use adcast_core::{EngineConfig, ShardedDriver};
 use adcast_durability::recovery::recover_on;
 use adcast_durability::snapshot::EngineSetSnapshot;
-use adcast_durability::{
-    apply_record, ApplyEffect, Durability, DurabilityOptions, StorageBackend, WalRecord,
-};
+use adcast_durability::{apply_record, Durability, DurabilityOptions, StorageBackend, WalRecord};
+use adcast_feed::FeedDelta;
 use adcast_graph::UserId;
+use adcast_net::protocol::{CampaignSpec, Request, Response};
 use adcast_net::synth::{self, SynthWorkload};
-use adcast_stream::clock::{SimClock, Timestamp};
+use adcast_net::{ClusterConfig, Node};
+use adcast_stream::clock::{now_ns, SimClock, Timestamp};
 use adcast_stream::event::LocationId;
+use bytes::Bytes;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -107,11 +109,10 @@ pub struct SimOutcome {
 
 struct Runner {
     config: SimConfig,
+    shape: Shape,
     backend: Arc<MemBackend>,
-    store: AdStore,
-    driver: ShardedDriver,
-    durability: Option<Durability>,
-    /// Every *committed* record in LSN order — the twin-check oracle.
+    node: Node,
+    /// Every *acked* record in LSN order — the twin-check oracle.
     record_log: Vec<WalRecord>,
     rng: SmallRng,
     now: Timestamp,
@@ -135,31 +136,23 @@ pub fn run(config: SimConfig) -> Result<SimOutcome, String> {
     let workload = synth::build(&config.synth);
     let clock = Arc::new(SimClock::new());
     let backend = MemBackend::new(Arc::clone(&clock), config.fsync_latency_ns);
-    let recovered = recover_on(
-        Arc::clone(&backend) as Arc<dyn StorageBackend>,
-        workload.num_users,
-        config.num_shards,
-        config.engine.clone(),
-        config.wal,
-    )
-    .map_err(|e| e.to_string())?;
-    let durability = Durability::new_on(
-        Arc::clone(&backend) as Arc<dyn StorageBackend>,
-        recovered.wal,
-        DurabilityOptions {
+    let shape = Shape {
+        num_users: workload.num_users,
+        num_shards: config.num_shards,
+        engine: config.engine.clone(),
+        options: DurabilityOptions {
             wal: config.wal,
             snapshot_every: config.snapshot_every,
             keep_snapshots: config.keep_snapshots,
         },
-        recovered.report,
-    );
+    };
+    let node = shape.boot(&backend, ClusterConfig::default())?;
     let seed = config.synth.seed;
     let runner = Runner {
         config,
+        shape,
         backend,
-        store: recovered.store,
-        driver: recovered.driver,
-        durability: Some(durability),
+        node,
         record_log: Vec::new(),
         // A distinct stream from the workload generator's, so harness
         // choices (wave users, clicks) never alias workload structure.
@@ -209,14 +202,7 @@ impl Runner {
                 }
             }
 
-            // Virtual event time advances to the batch's newest message.
-            for (_, delta) in &batch {
-                if let Some(m) = &delta.entered {
-                    if m.ts > self.now {
-                        self.now = m.ts;
-                    }
-                }
-            }
+            self.now = event_time(self.now, &batch);
 
             if crash_now {
                 self.crash_and_recover(WalRecord::IngestBatch(batch))?;
@@ -225,16 +211,13 @@ impl Runner {
 
             self.admission_step();
             let deltas = batch.len() as u64;
-            self.log_apply(WalRecord::IngestBatch(batch))?;
+            self.mutate(Request::Ingest { deltas: batch })?;
             self.c.batches += 1;
             self.c.deltas += deltas;
             self.line(format!(
                 "ingest batch={i} deltas={deltas} backlog={} shed_total={}",
                 self.backlog, self.c.sheds
             ));
-            if let Some(d) = self.durability.as_mut() {
-                d.maybe_snapshot(&self.store, &self.driver);
-            }
 
             if self.config.recommend_every > 0 && (i + 1) % self.config.recommend_every == 0 {
                 self.serve_wave(workload.num_users)?;
@@ -244,16 +227,19 @@ impl Runner {
 
         // Settle: a final durable checkpoint, then join the persister so
         // disk numbers are stable before we read them.
-        let durability = self.durability.as_mut().expect("durability live at end");
-        durability
-            .checkpoint(&self.store, &self.driver)
-            .map_err(|e| e.to_string())?;
+        if let Response::Error(e) = self.node.handle(Request::Checkpoint, now_ns()) {
+            return Err(format!("final checkpoint refused: {e}"));
+        }
+        let durability = self
+            .node
+            .take_durability()
+            .ok_or("durability live at end")?;
         let counters = durability.counters();
         self.c.wal_records = counters.wal_records;
-        drop(self.durability.take());
+        drop(durability);
         self.c.snapshots_written = counters.snapshots_written;
         self.c.fsyncs = self.backend.fsyncs();
-        self.c.store_active = self.store.num_active() as u64;
+        self.c.store_active = self.node.store().num_active() as u64;
         self.c.disk_bytes = self.backend.total_bytes();
         self.c.disk_files = self.backend.file_count() as u64;
         self.line(format!(
@@ -271,25 +257,27 @@ impl Runner {
         })
     }
 
-    fn submit_campaigns(
-        &mut self,
-        campaigns: Vec<adcast_net::protocol::CampaignSpec>,
-    ) -> Result<(), String> {
+    fn submit_campaigns(&mut self, campaigns: Vec<CampaignSpec>) -> Result<(), String> {
         let total = campaigns.len();
         for (i, spec) in campaigns.into_iter().enumerate() {
-            let sub = spec.try_into_submission()?;
-            let effect = self.log_apply(WalRecord::Submit(sub))?;
-            let ApplyEffect::Submitted { ad } = effect else {
-                return Err("submit produced a non-submit effect".to_string());
+            let Response::CampaignAccepted { ad } = self.mutate(Request::SubmitCampaign(spec))?
+            else {
+                return Err("submit produced a non-submit reply".to_string());
             };
             self.c.campaigns += 1;
             if self.config.paced_every > 0 && i % self.config.paced_every == 0 {
-                self.log_apply(WalRecord::SetPacing {
+                // Pacing has no RPC of its own: it enters the node's ack
+                // ladder directly.
+                let record = WalRecord::SetPacing {
                     ad,
                     start: Timestamp::EPOCH,
                     end: Timestamp::from_secs(self.config.flight_secs),
                     budget: self.config.flight_budget,
-                })?;
+                };
+                self.node
+                    .log_apply(record.clone())
+                    .map_err(|e| format!("pacing refused: {e}"))?;
+                self.record_log.push(record);
             }
         }
         self.line(format!(
@@ -322,10 +310,15 @@ impl Runner {
         let mut charges = Vec::with_capacity(self.config.wave_users);
         for _ in 0..self.config.wave_users {
             let user = UserId(self.rng.gen_range(0..num_users));
-            let home = self.homes[user.index()];
-            let recs =
-                self.driver
-                    .recommend(&self.store, user, self.now, home, self.config.engine.k);
+            let request = Request::Recommend {
+                user,
+                now: self.now,
+                location: self.homes[user.index()],
+                k: u16::try_from(self.config.engine.k).unwrap_or(u16::MAX),
+            };
+            let Response::Recommendations(recs) = self.node.handle(request, now_ns()) else {
+                return Err(format!("recommend for user {} refused", user.0));
+            };
             served += recs.len() as u64;
             if let Some(top) = recs.first() {
                 let clicked = self.rng.gen_range(0..10u32) == 0;
@@ -335,16 +328,16 @@ impl Runner {
         self.c.recommends += self.config.wave_users as u64;
         self.c.served += served;
         for (ad, clicked) in charges {
-            let effect = self.log_apply(WalRecord::Impression {
+            let request = Request::Impression {
                 ad,
                 cost: self.config.impression_cost,
                 clicked,
                 now: self.now,
-            })?;
+            };
             self.c.impressions += 1;
-            if let ApplyEffect::Impression {
-                state: Some(CampaignState::Exhausted),
-            } = effect
+            if let Response::ImpressionRecorded {
+                exhausted: true, ..
+            } = self.mutate(request)?
             {
                 self.c.exhausted += 1;
             }
@@ -363,17 +356,17 @@ impl Runner {
             return Ok(());
         }
         self.last_maint = self.now;
-        let effect = self.log_apply(WalRecord::Maintenance {
+        let reply = self.mutate(Request::Maintain {
             now: self.now,
             idle_for: self.config.idle_for,
         })?;
-        let ApplyEffect::Maintained {
+        let Response::Maintained {
             scanned,
             decayed,
             pruned,
-        } = effect
+        } = reply
         else {
-            return Err("maintenance produced a non-maintenance effect".to_string());
+            return Err("maintenance produced a non-maintenance reply".to_string());
         };
         self.c.maint_passes += 1;
         self.c.maint_scanned += scanned;
@@ -385,81 +378,53 @@ impl Runner {
         Ok(())
     }
 
-    /// The production ack path: log → commit → apply. Only committed
-    /// records enter the twin-check oracle.
-    fn log_apply(&mut self, record: WalRecord) -> Result<ApplyEffect, String> {
-        let durability = self.durability.as_mut().expect("durability live");
-        durability.log(&record).map_err(|e| e.to_string())?;
-        durability.commit().map_err(|e| e.to_string())?;
-        self.record_log.push(record.clone());
-        apply_record(&mut self.store, &mut self.driver, record)
+    /// Send one mutation through the node's ack ladder. Only an acked
+    /// record enters the twin-check oracle.
+    fn mutate(&mut self, request: Request) -> Result<Response, String> {
+        let record = logged_record(&request)?;
+        match self.node.handle(request, now_ns()) {
+            Response::Error(e) => Err(format!("node refused a mutation: {e}")),
+            reply => {
+                self.record_log.push(record);
+                Ok(reply)
+            }
+        }
     }
 
     /// Power loss with `pending` logged but never committed, then
     /// recovery in place and the bit-identical twin check.
     fn crash_and_recover(&mut self, pending: WalRecord) -> Result<(), String> {
-        let mut durability = self.durability.take().expect("durability live");
+        let mut durability = self.node.take_durability().ok_or("durability live")?;
         durability.log(&pending).map_err(|e| e.to_string())?;
         // Dropping flushes the writer's buffer (unsynced bytes) and joins
         // the snapshot persister — anything it finished is on "disk".
         drop(durability);
         let crash = self.backend.crash();
-        let recovered = recover_on(
-            Arc::clone(&self.backend) as Arc<dyn StorageBackend>,
-            self.driver.num_users(),
-            self.config.num_shards,
-            self.config.engine.clone(),
-            self.config.wal,
-        )
-        .map_err(|e| e.to_string())?;
-        let next_lsn = recovered.wal.next_lsn();
+        self.node = self.shape.boot(&self.backend, ClusterConfig::default())?;
+        let durability = self.node.durability().ok_or("durability live")?;
+        let (next_lsn, report) = (durability.next_lsn(), durability.recovery_report());
         if self.record_log.len() as u64 > next_lsn {
             self.c.lost_acked += self.record_log.len() as u64 - next_lsn;
             self.record_log.truncate(next_lsn as usize);
         }
-        self.store = recovered.store;
-        self.driver = recovered.driver;
         self.c.crashes += 1;
         self.c.lost_records += 1; // the pending, never-acked batch
-        self.c.replayed_records += recovered.report.replayed_records;
-        self.c.torn_bytes += recovered.report.truncated_bytes + crash.bytes_lost;
+        self.c.replayed_records += report.replayed_records;
+        self.c.torn_bytes += report.truncated_bytes + crash.bytes_lost;
 
-        // Twin check: a fresh pair replaying the committed log must be
+        // Twin check: a fresh pair replaying the acked log must be
         // byte-identical to the recovered state.
-        let mut twin_store = AdStore::new();
-        let mut twin_driver = ShardedDriver::new(
-            self.driver.num_users(),
-            self.config.num_shards,
-            self.config.engine.clone(),
-        );
-        for record in &self.record_log {
-            apply_record(&mut twin_store, &mut twin_driver, record.clone())?;
-        }
-        let recovered_bytes =
-            EngineSetSnapshot::capture(next_lsn, &self.store, &self.driver).encode();
-        let twin_bytes = EngineSetSnapshot::capture(next_lsn, &twin_store, &twin_driver).encode();
-        if recovered_bytes != twin_bytes {
+        let twin = self.shape.replay_twin(&self.record_log)?;
+        if image(&self.node) != twin {
             return Err(format!(
                 "twin check failed at lsn {next_lsn}: recovered state diverges from replay"
             ));
         }
         self.c.twin_checks += 1;
-
-        self.durability = Some(Durability::new_on(
-            Arc::clone(&self.backend) as Arc<dyn StorageBackend>,
-            recovered.wal,
-            DurabilityOptions {
-                wal: self.config.wal,
-                snapshot_every: self.config.snapshot_every,
-                keep_snapshots: self.config.keep_snapshots,
-            },
-            recovered.report,
-        ));
         self.line(format!(
             "crash recovered_lsn={next_lsn} replayed={} snapshot_lsn={} twin=ok",
-            recovered.report.replayed_records,
-            recovered
-                .report
+            report.replayed_records,
+            report
                 .snapshot_lsn
                 .map_or_else(|| "none".to_string(), |l| l.to_string()),
         ));
@@ -472,10 +437,11 @@ impl Runner {
 
     fn render_summary(&self) -> String {
         let c = &self.c;
-        let stats = self.driver.stats();
+        let driver = self.node.driver();
+        let stats = driver.stats();
         let mut s = String::new();
         for (key, value) in [
-            ("users", u64::from(self.driver.num_users())),
+            ("users", u64::from(driver.num_users())),
             ("shards", self.config.num_shards as u64),
             ("campaigns", c.campaigns),
             ("batches", c.batches),
@@ -515,4 +481,85 @@ impl Runner {
         }
         s
     }
+}
+
+/// Virtual event time after `batch`: its newest message's stamp, never
+/// moving backwards.
+pub(crate) fn event_time(now: Timestamp, batch: &[(UserId, FeedDelta)]) -> Timestamp {
+    let stamps = batch.iter().filter_map(|(_, d)| d.entered.as_ref());
+    stamps.map(|m| m.ts).fold(now, Timestamp::max)
+}
+
+/// What every node of a run shares — users, shards, engine, and WAL and
+/// snapshot knobs — and the two things built from it: a booted node and
+/// a replay twin.
+pub(crate) struct Shape {
+    pub(crate) num_users: u32,
+    pub(crate) num_shards: usize,
+    pub(crate) engine: EngineConfig,
+    pub(crate) options: DurabilityOptions,
+}
+
+impl Shape {
+    /// A node process starting on `backend`: recover whatever is on disk,
+    /// continue its WAL, and serve as `cluster` says.
+    pub(crate) fn boot(
+        &self,
+        backend: &Arc<MemBackend>,
+        cluster: ClusterConfig,
+    ) -> Result<Node, String> {
+        let backend = Arc::clone(backend) as Arc<dyn StorageBackend>;
+        let (users, shards, engine) = (self.num_users, self.num_shards, self.engine.clone());
+        let recovered = recover_on(
+            Arc::clone(&backend),
+            users,
+            shards,
+            engine,
+            self.options.wal,
+        )
+        .map_err(|e| e.to_string())?;
+        let durability = Durability::new_on(backend, recovered.wal, self.options, recovered.report);
+        let (store, driver) = (recovered.store, recovered.driver);
+        Ok(Node::new(store, driver, Some(durability), cluster))
+    }
+
+    /// Replay `records` into a fresh store + driver and capture the
+    /// result at LSN `records.len()` — the oracle every twin check
+    /// compares against.
+    pub(crate) fn replay_twin(&self, records: &[WalRecord]) -> Result<Bytes, String> {
+        let mut store = AdStore::new();
+        let mut driver = ShardedDriver::new(self.num_users, self.num_shards, self.engine.clone());
+        for record in records {
+            apply_record(&mut store, &mut driver, record.clone())?;
+        }
+        Ok(EngineSetSnapshot::capture(records.len() as u64, &store, &driver).encode())
+    }
+}
+
+/// A node's full state image, for byte-identity checks.
+pub(crate) fn image(node: &Node) -> Bytes {
+    let next_lsn = node.durability().map_or(0, Durability::next_lsn);
+    EngineSetSnapshot::capture(next_lsn, node.store(), node.driver()).encode()
+}
+
+/// The WAL record a node logs when it acks `request` — what the twin
+/// oracles replay.
+pub(crate) fn logged_record(request: &Request) -> Result<WalRecord, String> {
+    Ok(match request {
+        Request::Ingest { deltas } => WalRecord::IngestBatch(deltas.clone()),
+        Request::SubmitCampaign(spec) => WalRecord::Submit(spec.clone().try_into_submission()?),
+        &Request::Impression {
+            ad,
+            cost,
+            clicked,
+            now,
+        } => WalRecord::Impression {
+            ad,
+            cost,
+            clicked,
+            now,
+        },
+        &Request::Maintain { now, idle_for } => WalRecord::Maintenance { now, idle_for },
+        other => return Err(format!("{other:?} is not a logged mutation")),
+    })
 }

@@ -11,8 +11,11 @@
 //!    unreplicated write is refused and never acked — and the node
 //!    rejoins as a follower by snapshot transfer,
 //! 4. same config ⇒ byte-identical transcript and summary, faults
-//!    included.
+//!    included,
+//! 5. a sampled write leaves the production ack ladder's spans — the
+//!    simulator drives the same `Node` the TCP server does.
 
+use adcast_obs::tracestore::{trace_id_for, tracestore, Span, SpanKind};
 use adcast_sim::{run_cluster, ClusterFault, ClusterFaultAt, ClusterSimConfig};
 
 #[test]
@@ -90,6 +93,65 @@ fn split_promotion_fences_the_stale_primary() {
         .contains("rejoined partition=0 as follower"));
     // After rejoin the pair keeps replicating and agrees at the end.
     assert!(outcome.counters.shipments > 0);
+    // The deposed node's own replicate() met the promoted node's epoch
+    // refusal: the write was answered StaleEpoch and the node reports
+    // itself fenced.
+    assert!(
+        outcome.transcript.contains(
+            "fenced partition=0 stale_epoch=0 current=1 reply=Error(StaleEpoch { current: 1 })"
+        ),
+        "{}",
+        outcome.transcript
+    );
+    assert!(
+        outcome
+            .transcript
+            .contains("cluster_status partition=0 node=0 role=Primary epoch=0 fenced=true"),
+        "{}",
+        outcome.transcript
+    );
+}
+
+/// Follow one trace's parent chain from its root and return the span
+/// kinds in order; panics unless the spans form one unbroken chain.
+fn chain_kinds(spans: &[Span]) -> Vec<SpanKind> {
+    let roots: Vec<&Span> = spans.iter().filter(|s| s.parent_span_id == 0).collect();
+    assert_eq!(roots.len(), 1, "one root per trace: {spans:?}");
+    let mut kinds = vec![roots[0].kind];
+    let mut cur = roots[0].span_id;
+    while kinds.len() < spans.len() {
+        let next: Vec<&Span> = spans.iter().filter(|s| s.parent_span_id == cur).collect();
+        assert_eq!(next.len(), 1, "span {cur:#x} needs one child: {spans:?}");
+        kinds.push(next[0].kind);
+        cur = next[0].span_id;
+    }
+    kinds
+}
+
+#[test]
+fn sampled_write_leaves_the_production_span_chain() {
+    // A seed no other test in this binary uses: the span ring is
+    // process-wide, and trace ids derive from (seed, ordinal).
+    const SEED: u64 = 0x5EED_C4A1;
+    let mut config = ClusterSimConfig::smoke(SEED, 2);
+    config.trace_sample = 1;
+    let outcome = run_cluster(config).unwrap();
+    // Every write was sampled; the last acked one is the freshest in the
+    // ring.
+    let id = trace_id_for(SEED, outcome.counters.acked_records - 1);
+    assert_eq!(
+        chain_kinds(&tracestore().trace(id)),
+        [
+            SpanKind::QueueWait,
+            SpanKind::WalCommit,
+            SpanKind::EngineApply,
+            SpanKind::Replicate,
+            SpanKind::QueueWait,
+            SpanKind::FollowerCommit,
+            SpanKind::FollowerApply,
+        ],
+        "trace {id:#x}"
+    );
 }
 
 /// A scenario exercising every cluster fault type across 3 partitions.

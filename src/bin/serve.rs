@@ -44,7 +44,7 @@ use adcast::durability::{
     fs_backend, recover, Durability, DurabilityOptions, FsyncPolicy, WalOptions,
 };
 use adcast::net::client::ClientConfig;
-use adcast::net::{ClusterConfig, ClusterState, ReplicaSetup, Server, ServerConfig};
+use adcast::net::{ClusterConfig, ClusterState, Node, ReplicaSetup, Server, ServerConfig};
 use adcast::obs::flightrec::{recovery_step, EventKind};
 use adcast::obs::{flightrec, install_panic_dump, ObsServer};
 
@@ -151,10 +151,10 @@ fn run(args: &[String]) -> Result<(), String> {
     };
     let engine_config = EngineConfig::default();
 
-    let server = match data_dir {
+    let node = match data_dir {
         None => {
             let driver = ShardedDriver::new(users, shards, engine_config);
-            Server::start(addr, config, AdStore::new(), driver)
+            Node::new(AdStore::new(), driver, None, ClusterConfig::default())
         }
         Some(dir) => {
             let wal_options = WalOptions {
@@ -204,14 +204,8 @@ fn run(args: &[String]) -> Result<(), String> {
                 "durable mode: data dir {}, fsync {fsync}, snapshot every {snapshot_every} record(s)",
                 dir.display()
             );
-            match partition {
-                None => Server::start_durable(
-                    addr,
-                    config,
-                    recovered.store,
-                    recovered.driver,
-                    Some(durability),
-                ),
+            let cluster = match partition {
+                None => ClusterConfig::default(),
                 Some(p) => {
                     eprintln!(
                         "cluster mode: partition {p} epoch {epoch} role {role}{}",
@@ -228,23 +222,17 @@ fn run(args: &[String]) -> Result<(), String> {
                         options,
                         engine: engine_config,
                     });
-                    Server::start_cluster(
-                        addr,
-                        config,
-                        recovered.store,
-                        recovered.driver,
-                        Some(durability),
-                        ClusterConfig {
-                            state,
-                            sink,
-                            replica,
-                        },
-                    )
+                    ClusterConfig {
+                        state,
+                        sink,
+                        replica,
+                    }
                 }
-            }
+            };
+            Node::new(recovered.store, recovered.driver, Some(durability), cluster)
         }
-    }
-    .map_err(|e| {
+    };
+    let server = Server::start(addr, config, node).map_err(|e| {
         let addr_in_use = matches!(
             &e,
             adcast::net::codec::NetError::Io(io) if io.kind() == std::io::ErrorKind::AddrInUse

@@ -12,6 +12,7 @@ use adcast::core::{EngineConfig, ShardedDriver};
 use adcast::net::client::{Client, ClientConfig};
 use adcast::net::server::{Server, ServerConfig};
 use adcast::net::synth::{self, SynthConfig};
+use adcast::net::{ClusterConfig, Node};
 use adcast::obs::{find_family, histogram_quantile, http_get, parse_exposition, ObsServer};
 
 #[test]
@@ -36,8 +37,7 @@ fn metrics_scrape_matches_server_stats() {
             flightrec_path: Some(flightrec_path.clone()),
             ..ServerConfig::default()
         },
-        AdStore::new(),
-        driver,
+        Node::new(AdStore::new(), driver, None, ClusterConfig::default()),
     )
     .expect("bind loopback");
     let obs = ObsServer::start("127.0.0.1:0", adcast::obs::registry()).expect("bind obs");

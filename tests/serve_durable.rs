@@ -15,6 +15,7 @@ use adcast::net::codec::NetError;
 use adcast::net::protocol::{CampaignSpec, WireError};
 use adcast::net::server::{Server, ServerConfig};
 use adcast::net::synth::{self, SynthConfig, SynthWorkload};
+use adcast::net::{ClusterConfig, Node};
 use adcast::stream::clock::Timestamp;
 use adcast::text::dictionary::TermId;
 use adcast::text::SparseVector;
@@ -62,14 +63,13 @@ fn start_durable(dir: &Path, num_users: u32, snapshot_every: u64) -> Server {
         },
         recovered.report,
     );
-    Server::start_durable(
-        "127.0.0.1:0",
-        ServerConfig::default(),
+    let node = Node::new(
         recovered.store,
         recovered.driver,
         Some(durability),
-    )
-    .expect("bind loopback")
+        ClusterConfig::default(),
+    );
+    Server::start("127.0.0.1:0", ServerConfig::default(), node).expect("bind loopback")
 }
 
 /// The full crash-consistency contract through real sockets: generation 1
@@ -218,13 +218,9 @@ fn checkpoint_without_data_dir_is_refused() {
     use adcast::core::ShardedDriver;
 
     let driver = ShardedDriver::new(16, SHARDS, EngineConfig::default());
-    let server = Server::start(
-        "127.0.0.1:0",
-        ServerConfig::default(),
-        AdStore::new(),
-        driver,
-    )
-    .expect("bind loopback");
+    let node = Node::new(AdStore::new(), driver, None, ClusterConfig::default());
+    let server =
+        Server::start("127.0.0.1:0", ServerConfig::default(), node).expect("bind loopback");
     let addr = server.addr().to_string();
     let mut client = Client::connect(addr.as_str(), &ClientConfig::default()).unwrap();
     match client.checkpoint() {

@@ -16,6 +16,7 @@ use adcast::net::loadgen::{run, LoadgenConfig};
 use adcast::net::protocol::{Request, Response, WireError};
 use adcast::net::server::{Server, ServerConfig};
 use adcast::net::synth::{self, SynthConfig};
+use adcast::net::{ClusterConfig, Node};
 
 const SHARDS: usize = 2;
 
@@ -32,7 +33,8 @@ fn small_workload() -> synth::SynthWorkload {
 
 fn start_server(num_users: u32, config: ServerConfig) -> Server {
     let driver = ShardedDriver::new(num_users, SHARDS, EngineConfig::default());
-    Server::start("127.0.0.1:0", config, AdStore::new(), driver).expect("bind loopback")
+    let node = Node::new(AdStore::new(), driver, None, ClusterConfig::default());
+    Server::start("127.0.0.1:0", config, node).expect("bind loopback")
 }
 
 /// (a) Recommendations served over the socket are bit-identical to an

@@ -23,9 +23,9 @@ use adcast::durability::{
 };
 use adcast::graph::UserId;
 use adcast::net::client::{Client, ClientConfig};
-use adcast::net::server::{ClusterConfig, Server, ServerConfig};
+use adcast::net::server::{Server, ServerConfig};
 use adcast::net::synth::{self, SynthConfig};
-use adcast::net::{ClusterState, ReplicaSetup, ReplicationSink};
+use adcast::net::{ClusterConfig, ClusterState, Node, ReplicaSetup, ReplicationSink};
 use adcast::obs::tracestore::{trace_id_for, tracestore, Span, SpanKind};
 use adcast::obs::{http_get, ObsServer};
 
@@ -58,9 +58,7 @@ fn cluster_node(
     backend: &Arc<dyn StorageBackend>,
     num_users: u32,
 ) -> Server {
-    Server::start_cluster(
-        "127.0.0.1:0",
-        ServerConfig::default(),
+    let node = Node::new(
         AdStore::new(),
         ShardedDriver::new(num_users, 1, EngineConfig::default()),
         Some(fresh_durability(backend)),
@@ -73,8 +71,8 @@ fn cluster_node(
                 engine: EngineConfig::default(),
             }),
         },
-    )
-    .expect("bind cluster node")
+    );
+    Server::start("127.0.0.1:0", ServerConfig::default(), node).expect("bind cluster node")
 }
 
 /// Follow the parent chain of one trace from its root (parent 0) and
