@@ -1,29 +1,20 @@
-//! Shared record-payload helpers.
+//! Shared record-payload shapes.
 //!
-//! These encode the payload shapes that both durable storage (WAL +
-//! snapshots) and the `adcast-net` wire codec need: sparse vectors, feed
-//! deltas, time slots. They were originally private to the wire codec;
-//! they live here so the two surfaces cannot drift apart, and they keep
-//! the same contract as [`adcast_stream::trace`]: decoding never panics,
-//! whatever bytes arrive — every malformation is a typed
+//! These encode the payloads that both durable storage (WAL + snapshots)
+//! and the `adcast-net` wire codec carry: sparse vectors, feed deltas and
+//! delta batches, targeting. One helper per shape keeps the surfaces from
+//! drifting apart. Reads go through [`adcast_stream::cursor`], which owns
+//! the layout primitives and the malformed-input policy: decoding never
+//! panics, whatever bytes arrive — every malformation is a typed
 //! [`TraceError`].
 
 use adcast_feed::FeedDelta;
 use adcast_graph::UserId;
-use adcast_stream::event::TimeSlot;
-use adcast_stream::trace::{get_message, put_message, TraceError};
-use adcast_text::dictionary::TermId;
+use adcast_stream::cursor::{put_len16, put_len32, put_len8, put_opt, Cursor, TraceError};
+use adcast_stream::event::{LocationId, TimeSlot};
+use adcast_stream::trace::{get_message, get_terms, nonzero_finite, put_message, put_terms};
 use adcast_text::SparseVector;
-use bytes::{Buf, BufMut, Bytes, BytesMut};
-
-/// Fail with `Truncated` instead of letting a `get_*` panic.
-pub fn need(data: &Bytes, n: usize) -> Result<(), TraceError> {
-    if data.remaining() < n {
-        Err(TraceError::Truncated)
-    } else {
-        Ok(())
-    }
-}
+use bytes::{BufMut, BytesMut};
 
 /// Encode an ad/query vector: `nterms u16 | nterms × (term u32, w f32)`.
 ///
@@ -31,12 +22,8 @@ pub fn need(data: &Bytes, n: usize) -> Result<(), TraceError> {
 ///
 /// Panics when the vector holds more than `u16::MAX` terms.
 pub fn put_vector(buf: &mut BytesMut, v: &SparseVector) {
-    let n = u16::try_from(v.len()).expect("vector larger than u16::MAX terms");
-    buf.put_u16_le(n);
-    for (t, w) in v.iter() {
-        buf.put_u32_le(t.0);
-        buf.put_f32_le(w);
-    }
+    put_len16(buf, v.len());
+    put_terms(buf, v);
 }
 
 /// Decode a vector with the same validation the trace codec applies to
@@ -45,23 +32,9 @@ pub fn put_vector(buf: &mut BytesMut, v: &SparseVector) {
 /// # Errors
 ///
 /// Typed [`TraceError`] on truncation or invalid payloads; never panics.
-pub fn get_vector(data: &mut Bytes) -> Result<SparseVector, TraceError> {
-    need(data, 2)?;
-    let n = data.get_u16_le() as usize;
-    need(data, n * 8)?;
-    let mut entries = Vec::with_capacity(n);
-    for _ in 0..n {
-        let t = TermId(data.get_u32_le());
-        let w = data.get_f32_le();
-        if !w.is_finite() || w == 0.0 {
-            return Err(TraceError::Corrupt("zero or non-finite weight"));
-        }
-        entries.push((t, w));
-    }
-    if entries.windows(2).any(|p| p[0].0 >= p[1].0) {
-        return Err(TraceError::Corrupt("terms not strictly sorted"));
-    }
-    Ok(SparseVector::from_sorted(entries))
+pub fn get_vector(cur: &mut Cursor) -> Result<SparseVector, TraceError> {
+    let n = cur.len16()?;
+    get_terms(cur, n, nonzero_finite, "zero or non-finite weight")
 }
 
 /// Encode a decayed-accumulator vector: `nterms u32 | pairs`.
@@ -72,11 +45,8 @@ pub fn get_vector(data: &mut Bytes) -> Result<SparseVector, TraceError> {
 /// u16 message-vector limit. Weights are carried as raw f32 bits, so a
 /// snapshot restore is bit-exact.
 pub fn put_context_vector(buf: &mut BytesMut, v: &SparseVector) {
-    buf.put_u32_le(u32::try_from(v.len()).expect("context larger than u32::MAX terms"));
-    for (t, w) in v.iter() {
-        buf.put_u32_le(t.0);
-        buf.put_f32_le(w);
-    }
+    put_len32(buf, v.len());
+    put_terms(buf, v);
 }
 
 /// Decode a vector written by [`put_context_vector`].
@@ -85,23 +55,9 @@ pub fn put_context_vector(buf: &mut BytesMut, v: &SparseVector) {
 ///
 /// Typed [`TraceError`] on truncation, non-finite weights, or unsorted
 /// terms; never panics.
-pub fn get_context_vector(data: &mut Bytes) -> Result<SparseVector, TraceError> {
-    need(data, 4)?;
-    let n = data.get_u32_le() as usize;
-    need(data, n.saturating_mul(8))?;
-    let mut entries = Vec::with_capacity(n);
-    for _ in 0..n {
-        let t = TermId(data.get_u32_le());
-        let w = data.get_f32_le();
-        if !w.is_finite() {
-            return Err(TraceError::Corrupt("non-finite context weight"));
-        }
-        entries.push((t, w));
-    }
-    if entries.windows(2).any(|p| p[0].0 >= p[1].0) {
-        return Err(TraceError::Corrupt("terms not strictly sorted"));
-    }
-    Ok(SparseVector::from_sorted(entries))
+pub fn get_context_vector(cur: &mut Cursor) -> Result<SparseVector, TraceError> {
+    let n = cur.len32()?;
+    get_terms(cur, n, f32::is_finite, "non-finite context weight")
 }
 
 /// Encode one `(user, delta)` pair:
@@ -112,15 +68,8 @@ pub fn get_context_vector(data: &mut Bytes) -> Result<SparseVector, TraceError> 
 /// Panics when a delta evicts more than `u16::MAX` messages.
 pub fn put_delta(buf: &mut BytesMut, user: UserId, delta: &FeedDelta) {
     buf.put_u32_le(user.0);
-    match &delta.entered {
-        Some(m) => {
-            buf.put_u8(1);
-            put_message(buf, m);
-        }
-        None => buf.put_u8(0),
-    }
-    let evicted = u16::try_from(delta.evicted.len()).expect("too many evictions in one delta");
-    buf.put_u16_le(evicted);
+    put_opt(buf, delta.entered.as_deref(), put_message);
+    put_len16(buf, delta.evicted.len());
     for m in &delta.evicted {
         put_message(buf, m);
     }
@@ -131,50 +80,86 @@ pub fn put_delta(buf: &mut BytesMut, user: UserId, delta: &FeedDelta) {
 /// # Errors
 ///
 /// Typed [`TraceError`] on any malformation; never panics.
-pub fn get_delta(data: &mut Bytes) -> Result<(UserId, FeedDelta), TraceError> {
-    need(data, 5)?;
-    let user = UserId(data.get_u32_le());
-    let entered = match data.get_u8() {
-        0 => None,
-        1 => Some(get_message(data)?),
-        _ => return Err(TraceError::Corrupt("bad entered flag")),
-    };
-    need(data, 2)?;
-    let n = data.get_u16_le() as usize;
-    let mut evicted = Vec::with_capacity(n.min(1024));
-    for _ in 0..n {
-        evicted.push(get_message(data)?);
-    }
+pub fn get_delta(cur: &mut Cursor) -> Result<(UserId, FeedDelta), TraceError> {
+    let user = UserId(cur.u32()?);
+    let entered = cur.opt("bad entered flag", get_message)?;
+    let n = cur.len16()?;
+    let evicted = cur.many(n, get_message)?;
     Ok((user, FeedDelta { entered, evicted }))
 }
 
-/// Encode a time slot as one byte.
-pub fn put_slot(buf: &mut BytesMut, slot: TimeSlot) {
-    buf.put_u8(match slot {
-        TimeSlot::Morning => 0,
-        TimeSlot::Afternoon => 1,
-        TimeSlot::Night => 2,
-    });
+/// Encode a delta batch: `count u32 | count × delta` (the wire `Ingest`
+/// body and the WAL `IngestBatch` record).
+pub fn put_batch(buf: &mut BytesMut, deltas: &[(UserId, FeedDelta)]) {
+    put_len32(buf, deltas.len());
+    for (user, delta) in deltas {
+        put_delta(buf, *user, delta);
+    }
 }
 
-/// Decode a time slot written by [`put_slot`].
+/// Decode a batch written by [`put_batch`].
 ///
 /// # Errors
 ///
-/// Typed [`TraceError`] on truncation or an unknown discriminant.
-pub fn get_slot(data: &mut Bytes) -> Result<TimeSlot, TraceError> {
-    need(data, 1)?;
-    match data.get_u8() {
-        0 => Ok(TimeSlot::Morning),
-        1 => Ok(TimeSlot::Afternoon),
-        2 => Ok(TimeSlot::Night),
-        _ => Err(TraceError::Corrupt("bad time slot")),
+/// Typed [`TraceError`] on any malformation; never panics.
+pub fn get_batch(cur: &mut Cursor) -> Result<Vec<(UserId, FeedDelta)>, TraceError> {
+    let n = cur.len32()?;
+    cur.many(n, get_delta)
+}
+
+/// Encode a targeting block: `nloc u16 | nloc × location u16 | nslots u8
+/// | nslots × slot u8` (wire `SubmitCampaign`, WAL `Submit`, snapshot
+/// ads).
+///
+/// # Panics
+///
+/// Panics on more than `u16::MAX` locations or `u8::MAX` slots, which
+/// the id types rule out.
+pub fn put_targeting(buf: &mut BytesMut, locations: &[LocationId], slots: &[TimeSlot]) {
+    put_len16(buf, locations.len());
+    for loc in locations {
+        buf.put_u16_le(loc.0);
     }
+    put_len8(buf, slots.len());
+    for slot in slots {
+        buf.put_u8(match slot {
+            TimeSlot::Morning => 0,
+            TimeSlot::Afternoon => 1,
+            TimeSlot::Night => 2,
+        });
+    }
+}
+
+/// Decode a block written by [`put_targeting`].
+///
+/// # Errors
+///
+/// Typed [`TraceError`] on truncation or an unknown slot; never panics.
+pub fn get_targeting(cur: &mut Cursor) -> Result<(Vec<LocationId>, Vec<TimeSlot>), TraceError> {
+    let n = cur.len16()?;
+    let (raw, _) = cur.take(n.saturating_mul(2))?.as_chunks::<2>();
+    let locations = raw
+        .iter()
+        .map(|&b| LocationId(u16::from_le_bytes(b)))
+        .collect();
+    let n = cur.len8()?;
+    let slots = cur
+        .take(n)?
+        .iter()
+        .map(|&b| match b {
+            0 => Ok(TimeSlot::Morning),
+            1 => Ok(TimeSlot::Afternoon),
+            2 => Ok(TimeSlot::Night),
+            _ => Err(TraceError::Corrupt("bad time slot")),
+        })
+        .collect::<Result<_, _>>()?;
+    Ok((locations, slots))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use adcast_text::dictionary::TermId;
 
     fn v(pairs: &[(u32, f32)]) -> SparseVector {
         SparseVector::from_pairs(pairs.iter().map(|&(t, w)| (TermId(t), w)))
@@ -190,9 +175,9 @@ mod tests {
         ]);
         let mut buf = BytesMut::new();
         put_context_vector(&mut buf, &ctx);
-        let mut data = buf.freeze();
+        let mut data = Cursor::new(buf.freeze());
         let back = get_context_vector(&mut data).unwrap();
-        assert_eq!(data.remaining(), 0);
+        assert!(data.is_empty());
         let (a, b) = (ctx.to_pairs(), back.to_pairs());
         assert_eq!(a.len(), b.len());
         for ((ta, wa), (tb, wb)) in a.into_iter().zip(b) {
@@ -208,7 +193,7 @@ mod tests {
         put_context_vector(&mut buf, &ctx);
         let bytes = buf.freeze();
         for cut in 0..bytes.len() {
-            let mut prefix = bytes.slice(0..cut);
+            let mut prefix = Cursor::new(bytes.slice(0..cut));
             assert_eq!(
                 get_context_vector(&mut prefix),
                 Err(TraceError::Truncated),
@@ -224,7 +209,7 @@ mod tests {
         buf.put_u32_le(2);
         buf.put_f32_le(f32::NAN);
         assert!(matches!(
-            get_context_vector(&mut buf.freeze()),
+            get_context_vector(&mut Cursor::new(buf.freeze())),
             Err(TraceError::Corrupt(_))
         ));
         let mut buf = BytesMut::new();
@@ -234,7 +219,7 @@ mod tests {
         buf.put_u32_le(3);
         buf.put_f32_le(1.0);
         assert!(matches!(
-            get_context_vector(&mut buf.freeze()),
+            get_context_vector(&mut Cursor::new(buf.freeze())),
             Err(TraceError::Corrupt(_))
         ));
     }
@@ -243,7 +228,7 @@ mod tests {
     fn ad_vector_keeps_trace_validation() {
         let mut buf = BytesMut::new();
         put_vector(&mut buf, &v(&[(1, 0.5), (7, 0.25)]));
-        let back = get_vector(&mut buf.clone().freeze()).unwrap();
+        let back = get_vector(&mut Cursor::new(buf.clone().freeze())).unwrap();
         assert_eq!(back, v(&[(1, 0.5), (7, 0.25)]));
 
         let mut zero = BytesMut::new();
@@ -251,7 +236,7 @@ mod tests {
         zero.put_u32_le(1);
         zero.put_f32_le(0.0);
         assert!(matches!(
-            get_vector(&mut zero.freeze()),
+            get_vector(&mut Cursor::new(zero.freeze())),
             Err(TraceError::Corrupt(_))
         ));
     }

@@ -27,11 +27,10 @@ use adcast_ads::{AdId, AdSubmission, Budget, Targeting};
 use adcast_feed::FeedDelta;
 use adcast_graph::UserId;
 use adcast_stream::clock::{Duration, Timestamp};
-use adcast_stream::event::LocationId;
-use adcast_stream::trace::TraceError;
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use adcast_stream::cursor::{put_opt, Cursor, TraceError};
+use bytes::{BufMut, Bytes, BytesMut};
 
-use crate::codec::{get_delta, get_slot, get_vector, need, put_delta, put_slot, put_vector};
+use crate::codec::{get_batch, get_targeting, get_vector, put_batch, put_targeting, put_vector};
 
 const T_INGEST: u8 = 1;
 const T_SUBMIT: u8 = 2;
@@ -98,10 +97,7 @@ impl WalRecord {
         match self {
             WalRecord::IngestBatch(deltas) => {
                 buf.put_u8(T_INGEST);
-                buf.put_u32_le(u32::try_from(deltas.len()).expect("batch too large"));
-                for (user, delta) in deltas {
-                    put_delta(&mut buf, *user, delta);
-                }
+                put_batch(&mut buf, deltas);
             }
             WalRecord::Submit(sub) => {
                 buf.put_u8(T_SUBMIT);
@@ -110,23 +106,8 @@ impl WalRecord {
                 let (total, spent) = sub.budget.to_micros();
                 buf.put_u64_le(total);
                 buf.put_u64_le(spent);
-                let locations = sub.targeting.locations();
-                buf.put_u16_le(u16::try_from(locations.len()).expect("too many locations"));
-                for loc in locations {
-                    buf.put_u16_le(loc.0);
-                }
-                let slots = sub.targeting.slots();
-                buf.put_u8(u8::try_from(slots.len()).expect("too many slots"));
-                for slot in slots {
-                    put_slot(&mut buf, *slot);
-                }
-                match sub.topic_hint {
-                    Some(t) => {
-                        buf.put_u8(1);
-                        buf.put_u64_le(t as u64);
-                    }
-                    None => buf.put_u8(0),
-                }
+                put_targeting(&mut buf, sub.targeting.locations(), sub.targeting.slots());
+                put_opt(&mut buf, sub.topic_hint, |b, t| b.put_u64_le(t as u64));
             }
             WalRecord::Pause(ad) => {
                 buf.put_u8(T_PAUSE);
@@ -181,47 +162,20 @@ impl WalRecord {
     /// or semantically invalid payloads (non-finite costs, empty pacing
     /// flights) — anything that could later panic an `assert!` in the
     /// store must be rejected here. Never panics.
-    pub fn decode(mut data: Bytes) -> Result<WalRecord, TraceError> {
-        need(&data, 1)?;
-        let record = match data.get_u8() {
-            T_INGEST => {
-                need(&data, 4)?;
-                let n = data.get_u32_le() as usize;
-                let mut deltas = Vec::with_capacity(n.min(65_536));
-                for _ in 0..n {
-                    deltas.push(get_delta(&mut data)?);
-                }
-                WalRecord::IngestBatch(deltas)
-            }
+    pub fn decode(data: Bytes) -> Result<WalRecord, TraceError> {
+        let mut cur = Cursor::new(data);
+        let record = match cur.u8()? {
+            T_INGEST => WalRecord::IngestBatch(get_batch(&mut cur)?),
             T_SUBMIT => {
-                let vector = get_vector(&mut data)?;
-                need(&data, 4 + 16)?;
-                let bid = data.get_f32_le();
-                let total = data.get_u64_le();
-                let spent = data.get_u64_le();
+                let vector = get_vector(&mut cur)?;
+                let bid = cur.f32()?;
+                let total = cur.u64()?;
+                let spent = cur.u64()?;
                 if spent > total {
                     return Err(TraceError::Corrupt("budget spent above total"));
                 }
-                need(&data, 2)?;
-                let nloc = data.get_u16_le() as usize;
-                need(&data, nloc * 2)?;
-                let locations: Vec<LocationId> =
-                    (0..nloc).map(|_| LocationId(data.get_u16_le())).collect();
-                need(&data, 1)?;
-                let nslots = data.get_u8() as usize;
-                let mut slots = Vec::with_capacity(nslots);
-                for _ in 0..nslots {
-                    slots.push(get_slot(&mut data)?);
-                }
-                need(&data, 1)?;
-                let topic_hint = match data.get_u8() {
-                    0 => None,
-                    1 => {
-                        need(&data, 8)?;
-                        Some(data.get_u64_le() as usize)
-                    }
-                    _ => return Err(TraceError::Corrupt("bad topic flag")),
-                };
+                let (locations, slots) = get_targeting(&mut cur)?;
+                let topic_hint = cur.opt("bad topic flag", Cursor::u64)?;
                 WalRecord::Submit(AdSubmission {
                     vector,
                     bid,
@@ -229,27 +183,17 @@ impl WalRecord {
                         .in_locations(locations)
                         .in_slots(slots),
                     budget: Budget::from_micros(total, spent),
-                    topic_hint,
+                    topic_hint: topic_hint.map(|t| t as usize),
                 })
             }
-            T_PAUSE => {
-                need(&data, 4)?;
-                WalRecord::Pause(AdId(data.get_u32_le()))
-            }
-            T_RESUME => {
-                need(&data, 4)?;
-                WalRecord::Resume(AdId(data.get_u32_le()))
-            }
-            T_REMOVE => {
-                need(&data, 4)?;
-                WalRecord::Remove(AdId(data.get_u32_le()))
-            }
+            T_PAUSE => WalRecord::Pause(AdId(cur.u32()?)),
+            T_RESUME => WalRecord::Resume(AdId(cur.u32()?)),
+            T_REMOVE => WalRecord::Remove(AdId(cur.u32()?)),
             T_SET_PACING => {
-                need(&data, 4 + 8 + 8 + 8)?;
-                let ad = AdId(data.get_u32_le());
-                let start = Timestamp(data.get_u64_le());
-                let end = Timestamp(data.get_u64_le());
-                let budget = data.get_f64_le();
+                let ad = AdId(cur.u32()?);
+                let start = Timestamp(cur.u64()?);
+                let end = Timestamp(cur.u64()?);
+                let budget = cur.f64()?;
                 if end <= start {
                     return Err(TraceError::Corrupt("empty pacing flight"));
                 }
@@ -264,36 +208,25 @@ impl WalRecord {
                 }
             }
             T_IMPRESSION => {
-                need(&data, 4 + 8 + 1 + 8)?;
-                let ad = AdId(data.get_u32_le());
-                let cost = data.get_f64_le();
+                let ad = AdId(cur.u32()?);
+                let cost = cur.f64()?;
                 if !(cost.is_finite() && cost >= 0.0) {
                     return Err(TraceError::Corrupt("invalid impression cost"));
                 }
-                let clicked = match data.get_u8() {
-                    0 => false,
-                    1 => true,
-                    _ => return Err(TraceError::Corrupt("bad clicked flag")),
-                };
-                let now = Timestamp(data.get_u64_le());
                 WalRecord::Impression {
                     ad,
                     cost,
-                    clicked,
-                    now,
+                    clicked: cur.flag("bad clicked flag")?,
+                    now: Timestamp(cur.u64()?),
                 }
             }
-            T_MAINTENANCE => {
-                need(&data, 8 + 8)?;
-                let now = Timestamp(data.get_u64_le());
-                let idle_for = Duration(data.get_u64_le());
-                WalRecord::Maintenance { now, idle_for }
-            }
+            T_MAINTENANCE => WalRecord::Maintenance {
+                now: Timestamp(cur.u64()?),
+                idle_for: Duration(cur.u64()?),
+            },
             _ => return Err(TraceError::Corrupt("unknown wal record tag")),
         };
-        if data.has_remaining() {
-            return Err(TraceError::Corrupt("trailing bytes in wal record"));
-        }
+        cur.finish("trailing bytes in wal record")?;
         Ok(record)
     }
 }
@@ -301,7 +234,7 @@ impl WalRecord {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use adcast_stream::event::{Message, MessageId, TimeSlot};
+    use adcast_stream::event::{LocationId, Message, MessageId, TimeSlot};
     use adcast_text::dictionary::TermId;
     use adcast_text::SparseVector;
     use std::sync::Arc;
@@ -383,6 +316,39 @@ pub(crate) mod tests {
         ]
     }
 
+    /// FNV-1a, 64-bit.
+    pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+
+    #[test]
+    fn encodings_match_recorded_bytes() {
+        // Recorded digests of every sample's payload: the encoder's output
+        // is pinned byte for byte.
+        let got: Vec<u64> = sample_records()
+            .iter()
+            .map(|r| fnv1a(&r.encode()))
+            .collect();
+        assert_eq!(
+            got,
+            [
+                0x354e_f55e_a402_7833,
+                0xd80d_6cae_a7dc_7eec,
+                0x02e3_1042_1dc6_ac01,
+                0x8d87_4d53_27d0_57e7,
+                0x712b_4367_ad00_2a7e,
+                0x31c0_d393_3a73_168f,
+                0x253c_9026_0b75_c7a4,
+                0x7a0a_c880_fdb0_a6c6,
+                0x9cdd_e933_804f_9083,
+                0x4f4d_1426_7915_3564,
+                0x1031_7b34_0754_09ef,
+            ]
+        );
+    }
+
     #[test]
     fn records_roundtrip() {
         for (i, record) in sample_records().into_iter().enumerate() {
@@ -396,6 +362,8 @@ pub(crate) mod tests {
 
     #[test]
     fn truncated_records_never_panic() {
+        // Every proper prefix fails typed; every one-byte flip (XOR 0xFF)
+        // decodes to Ok or a typed error, never a panic.
         for (i, record) in sample_records().into_iter().enumerate() {
             let bytes = record.encode();
             for cut in 0..bytes.len() {
@@ -403,6 +371,9 @@ pub(crate) mod tests {
                     WalRecord::decode(bytes.slice(0..cut)).is_err(),
                     "record {i} cut at {cut}"
                 );
+                let mut flipped = bytes.to_vec();
+                flipped[cut] ^= 0xFF;
+                let _ = WalRecord::decode(Bytes::from(flipped));
             }
         }
     }

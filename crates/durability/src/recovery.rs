@@ -25,7 +25,7 @@ use std::sync::Arc;
 
 use adcast_ads::AdStore;
 use adcast_core::{EngineConfig, ShardedDriver};
-use adcast_stream::trace::TraceError;
+use adcast_stream::cursor::TraceError;
 
 use crate::apply::apply_record;
 use crate::backend::{fs_backend, StorageBackend};

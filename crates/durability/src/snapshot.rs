@@ -29,13 +29,12 @@ use adcast_ads::{CampaignSnapshot, PacingSnapshot, StoreSnapshot};
 use adcast_core::snapshot::{EngineSnapshot, UserStateSnapshot};
 use adcast_core::{EngineStats, ShardedDriver};
 use adcast_stream::clock::Timestamp;
-use adcast_stream::event::LocationId;
-use adcast_stream::trace::{check_stream_header, put_stream_header, TraceError};
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use adcast_stream::cursor::{put_len32, put_opt, put_stream_header, Cursor, TraceError};
+use bytes::{BufMut, Bytes, BytesMut};
 
 use crate::backend::{fs_backend, StorageBackend};
 use crate::codec::{
-    get_context_vector, get_slot, get_vector, need, put_context_vector, put_slot, put_vector,
+    get_context_vector, get_targeting, get_vector, put_context_vector, put_targeting, put_vector,
 };
 use crate::crc::crc32;
 use crate::wal;
@@ -125,7 +124,7 @@ impl EngineSetSnapshot {
         let payload = payload.freeze();
         let mut file = BytesMut::with_capacity(16 + payload.len());
         put_stream_header(&mut file, SNAPSHOT_MAGIC, SNAPSHOT_VERSION);
-        file.put_u32_le(u32::try_from(payload.len()).expect("snapshot too large"));
+        put_len32(&mut file, payload.len());
         file.put_u32_le(crc32(&payload));
         file.put_slice(&payload);
         file.freeze()
@@ -137,37 +136,29 @@ impl EngineSetSnapshot {
     ///
     /// Typed [`TraceError`] on any malformation (bad header, CRC
     /// mismatch, truncation, trailing bytes); never panics.
-    pub fn decode(mut data: Bytes) -> Result<EngineSetSnapshot, TraceError> {
-        check_stream_header(&mut data, SNAPSHOT_MAGIC, SNAPSHOT_VERSION)?;
-        need(&data, 4 + 4)?;
-        let len = data.get_u32_le() as usize;
+    pub fn decode(data: Bytes) -> Result<EngineSetSnapshot, TraceError> {
+        let mut file = Cursor::new(data);
+        file.check_header(SNAPSHOT_MAGIC, SNAPSHOT_VERSION)?;
+        let len = file.u32()? as usize;
         if len > MAX_SNAPSHOT {
             return Err(TraceError::Corrupt("impossible snapshot length"));
         }
-        let crc = data.get_u32_le();
-        need(&data, len)?;
-        if data.remaining() > len {
-            return Err(TraceError::Corrupt("trailing bytes after snapshot"));
-        }
-        let mut payload = data;
+        let crc = file.u32()?;
+        let payload = file.split_to(len)?;
+        file.finish("trailing bytes after snapshot")?;
         if crc32(&payload) != crc {
             return Err(TraceError::Corrupt("snapshot crc mismatch"));
         }
-        need(&payload, 16)?;
-        let next_lsn = payload.get_u64_le();
-        let num_users = payload.get_u32_le();
-        let num_shards = payload.get_u32_le();
+        let mut cur = Cursor::new(payload);
+        let next_lsn = cur.u64()?;
+        let num_users = cur.u32()?;
+        let num_shards = cur.u32()?;
         if num_shards == 0 || num_shards > 4096 {
             return Err(TraceError::Corrupt("impossible shard count"));
         }
-        let store = get_store(&mut payload)?;
-        let mut engines = Vec::with_capacity(num_shards as usize);
-        for _ in 0..num_shards {
-            engines.push(get_engine(&mut payload)?);
-        }
-        if payload.has_remaining() {
-            return Err(TraceError::Corrupt("trailing bytes in snapshot payload"));
-        }
+        let store = get_store(&mut cur)?;
+        let engines = cur.many(num_shards as usize, get_engine)?;
+        cur.finish("trailing bytes in snapshot payload")?;
         Ok(EngineSetSnapshot {
             next_lsn,
             num_users,
@@ -182,49 +173,16 @@ fn put_ad(buf: &mut BytesMut, ad: &Ad) {
     buf.put_u32_le(ad.id.0);
     put_vector(buf, &ad.vector);
     buf.put_f32_le(ad.bid);
-    let locations = ad.targeting.locations();
-    buf.put_u16_le(u16::try_from(locations.len()).expect("too many locations"));
-    for loc in locations {
-        buf.put_u16_le(loc.0);
-    }
-    let slots = ad.targeting.slots();
-    buf.put_u8(u8::try_from(slots.len()).expect("too many slots"));
-    for slot in slots {
-        put_slot(buf, *slot);
-    }
-    match ad.topic_hint {
-        Some(t) => {
-            buf.put_u8(1);
-            buf.put_u64_le(t as u64);
-        }
-        None => buf.put_u8(0),
-    }
+    put_targeting(buf, ad.targeting.locations(), ad.targeting.slots());
+    put_opt(buf, ad.topic_hint, |b, t| b.put_u64_le(t as u64));
 }
 
-fn get_ad(data: &mut Bytes) -> Result<Ad, TraceError> {
-    need(data, 4)?;
-    let id = AdId(data.get_u32_le());
-    let vector = get_vector(data)?;
-    need(data, 4 + 2)?;
-    let bid = data.get_f32_le();
-    let nloc = data.get_u16_le() as usize;
-    need(data, nloc * 2)?;
-    let locations: Vec<LocationId> = (0..nloc).map(|_| LocationId(data.get_u16_le())).collect();
-    need(data, 1)?;
-    let nslots = data.get_u8() as usize;
-    let mut slots = Vec::with_capacity(nslots);
-    for _ in 0..nslots {
-        slots.push(get_slot(data)?);
-    }
-    need(data, 1)?;
-    let topic_hint = match data.get_u8() {
-        0 => None,
-        1 => {
-            need(data, 8)?;
-            Some(data.get_u64_le() as usize)
-        }
-        _ => return Err(TraceError::Corrupt("bad topic flag")),
-    };
+fn get_ad(cur: &mut Cursor) -> Result<Ad, TraceError> {
+    let id = AdId(cur.u32()?);
+    let vector = get_vector(cur)?;
+    let bid = cur.f32()?;
+    let (locations, slots) = get_targeting(cur)?;
+    let topic_hint = cur.opt("bad topic flag", Cursor::u64)?;
     Ok(Ad {
         id,
         vector,
@@ -232,13 +190,13 @@ fn get_ad(data: &mut Bytes) -> Result<Ad, TraceError> {
         targeting: adcast_ads::Targeting::everywhere()
             .in_locations(locations)
             .in_slots(slots),
-        topic_hint,
+        topic_hint: topic_hint.map(|t| t as usize),
     })
 }
 
 fn put_store(buf: &mut BytesMut, store: &StoreSnapshot) {
     buf.put_u64_le(store.index_epoch);
-    buf.put_u32_le(u32::try_from(store.campaigns.len()).expect("too many campaigns"));
+    put_len32(buf, store.campaigns.len());
     for c in &store.campaigns {
         put_ad(buf, &c.ad);
         buf.put_u64_le(c.budget_total_micros);
@@ -252,72 +210,52 @@ fn put_store(buf: &mut BytesMut, store: &StoreSnapshot) {
         buf.put_u64_le(c.impressions);
         buf.put_u64_le(c.ctr_impressions);
         buf.put_u64_le(c.ctr_clicks);
-        match &c.pacing {
-            Some(p) => {
-                buf.put_u8(1);
-                buf.put_u64_le(p.flight_start.micros());
-                buf.put_u64_le(p.flight_end.micros());
-                buf.put_f64_le(p.total_budget);
-                buf.put_f64_le(p.throttle);
-                buf.put_f64_le(p.step);
-                buf.put_f64_le(p.min_throttle);
-                buf.put_f64_le(p.spent);
+        put_opt(buf, c.pacing.as_ref(), |b, p| {
+            b.put_u64_le(p.flight_start.micros());
+            b.put_u64_le(p.flight_end.micros());
+            for v in [p.total_budget, p.throttle, p.step, p.min_throttle, p.spent] {
+                b.put_f64_le(v);
             }
-            None => buf.put_u8(0),
-        }
+        });
     }
 }
 
-fn get_store(data: &mut Bytes) -> Result<StoreSnapshot, TraceError> {
-    need(data, 8 + 4)?;
-    let index_epoch = data.get_u64_le();
-    let n = data.get_u32_le() as usize;
-    let mut campaigns = Vec::with_capacity(n.min(65_536));
-    for _ in 0..n {
-        let ad = get_ad(data)?;
-        need(data, 8 + 8 + 1 + 8 + 8 + 8 + 1)?;
-        let budget_total_micros = data.get_u64_le();
-        let budget_spent_micros = data.get_u64_le();
-        let state = match data.get_u8() {
+fn get_store(cur: &mut Cursor) -> Result<StoreSnapshot, TraceError> {
+    let index_epoch = cur.u64()?;
+    let n = cur.len32()?;
+    let campaigns = cur.many(n, get_campaign)?;
+    Ok(StoreSnapshot {
+        campaigns,
+        index_epoch,
+    })
+}
+
+fn get_campaign(cur: &mut Cursor) -> Result<CampaignSnapshot, TraceError> {
+    Ok(CampaignSnapshot {
+        ad: get_ad(cur)?,
+        budget_total_micros: cur.u64()?,
+        budget_spent_micros: cur.u64()?,
+        state: match cur.u8()? {
             0 => CampaignState::Active,
             1 => CampaignState::Paused,
             2 => CampaignState::Exhausted,
             3 => CampaignState::Removed,
             _ => return Err(TraceError::Corrupt("bad campaign state")),
-        };
-        let impressions = data.get_u64_le();
-        let ctr_impressions = data.get_u64_le();
-        let ctr_clicks = data.get_u64_le();
-        let pacing = match data.get_u8() {
-            0 => None,
-            1 => {
-                need(data, 8 + 8 + 5 * 8)?;
-                Some(PacingSnapshot {
-                    flight_start: Timestamp(data.get_u64_le()),
-                    flight_end: Timestamp(data.get_u64_le()),
-                    total_budget: data.get_f64_le(),
-                    throttle: data.get_f64_le(),
-                    step: data.get_f64_le(),
-                    min_throttle: data.get_f64_le(),
-                    spent: data.get_f64_le(),
-                })
-            }
-            _ => return Err(TraceError::Corrupt("bad pacing flag")),
-        };
-        campaigns.push(CampaignSnapshot {
-            ad,
-            budget_total_micros,
-            budget_spent_micros,
-            state,
-            impressions,
-            ctr_impressions,
-            ctr_clicks,
-            pacing,
-        });
-    }
-    Ok(StoreSnapshot {
-        campaigns,
-        index_epoch,
+        },
+        impressions: cur.u64()?,
+        ctr_impressions: cur.u64()?,
+        ctr_clicks: cur.u64()?,
+        pacing: cur.opt("bad pacing flag", |c| {
+            Ok(PacingSnapshot {
+                flight_start: Timestamp(c.u64()?),
+                flight_end: Timestamp(c.u64()?),
+                total_budget: c.f64()?,
+                throttle: c.f64()?,
+                step: c.f64()?,
+                min_throttle: c.f64()?,
+                spent: c.f64()?,
+            })
+        })?,
     })
 }
 
@@ -338,42 +276,41 @@ fn put_stats(buf: &mut BytesMut, stats: &EngineStats) {
     }
 }
 
-fn get_stats(data: &mut Bytes) -> Result<EngineStats, TraceError> {
-    need(data, 10 * 8)?;
+fn get_stats(cur: &mut Cursor) -> Result<EngineStats, TraceError> {
     Ok(EngineStats {
-        deltas: data.get_u64_le(),
-        postings_scanned: data.get_u64_le(),
-        ads_scored: data.get_u64_le(),
-        screened_out: data.get_u64_le(),
-        promotions: data.get_u64_le(),
-        refreshes: data.get_u64_le(),
-        fallbacks: data.get_u64_le(),
-        recommends: data.get_u64_le(),
-        rebases: data.get_u64_le(),
-        hot_path_allocs: data.get_u64_le(),
+        deltas: cur.u64()?,
+        postings_scanned: cur.u64()?,
+        ads_scored: cur.u64()?,
+        screened_out: cur.u64()?,
+        promotions: cur.u64()?,
+        refreshes: cur.u64()?,
+        fallbacks: cur.u64()?,
+        recommends: cur.u64()?,
+        rebases: cur.u64()?,
+        hot_path_allocs: cur.u64()?,
     })
 }
 
 fn put_scored_list(buf: &mut BytesMut, entries: &[(AdId, f32)]) {
-    buf.put_u32_le(u32::try_from(entries.len()).expect("too many entries"));
+    put_len32(buf, entries.len());
     for &(ad, v) in entries {
         buf.put_u32_le(ad.0);
         buf.put_f32_le(v);
     }
 }
 
-fn get_scored_list(data: &mut Bytes) -> Result<Vec<(AdId, f32)>, TraceError> {
-    need(data, 4)?;
-    let n = data.get_u32_le() as usize;
-    need(data, n.saturating_mul(8))?;
-    Ok((0..n)
-        .map(|_| (AdId(data.get_u32_le()), data.get_f32_le()))
+fn get_scored_list(cur: &mut Cursor) -> Result<Vec<(AdId, f32)>, TraceError> {
+    let n = cur.len32()?;
+    let (words, _) = cur.take(n.saturating_mul(8))?.as_chunks::<4>();
+    Ok(words
+        .chunks_exact(2)
+        .map(|p| (AdId(u32::from_le_bytes(p[0])), f32::from_le_bytes(p[1])))
         .collect())
 }
 
 fn put_engine(buf: &mut BytesMut, engine: &EngineSnapshot) {
     put_stats(buf, &engine.stats);
-    buf.put_u32_le(u32::try_from(engine.users.len()).expect("too many users"));
+    put_len32(buf, engine.users.len());
     for user in &engine.users {
         buf.put_u64_le(user.landmark.micros());
         buf.put_u64_le(user.last_ts.micros());
@@ -386,33 +323,21 @@ fn put_engine(buf: &mut BytesMut, engine: &EngineSnapshot) {
     }
 }
 
-fn get_engine(data: &mut Bytes) -> Result<EngineSnapshot, TraceError> {
-    let stats = get_stats(data)?;
-    need(data, 4)?;
-    let n = data.get_u32_le() as usize;
-    let mut users = Vec::with_capacity(n.min(1_048_576));
-    for _ in 0..n {
-        need(data, 16)?;
-        let landmark = Timestamp(data.get_u64_le());
-        let last_ts = Timestamp(data.get_u64_le());
-        let context = get_context_vector(data)?;
-        let buffer = get_scored_list(data)?;
-        let cache = get_scored_list(data)?;
-        need(data, 4 + 4 + 8)?;
-        let ceiling = data.get_f32_le();
-        let outside_bound = data.get_f32_le();
-        let index_epoch = data.get_u64_le();
-        users.push(UserStateSnapshot {
-            landmark,
-            last_ts,
-            context,
-            buffer,
-            cache,
-            ceiling,
-            outside_bound,
-            index_epoch,
-        });
-    }
+fn get_engine(cur: &mut Cursor) -> Result<EngineSnapshot, TraceError> {
+    let stats = get_stats(cur)?;
+    let n = cur.len32()?;
+    let users = cur.many(n, |c| {
+        Ok(UserStateSnapshot {
+            landmark: Timestamp(c.u64()?),
+            last_ts: Timestamp(c.u64()?),
+            context: get_context_vector(c)?,
+            buffer: get_scored_list(c)?,
+            cache: get_scored_list(c)?,
+            ceiling: c.f32()?,
+            outside_bound: c.f32()?,
+            index_epoch: c.u64()?,
+        })
+    })?;
     Ok(EngineSnapshot { stats, users })
 }
 
@@ -642,7 +567,7 @@ mod tests {
     use adcast_core::EngineConfig;
     use adcast_feed::FeedDelta;
     use adcast_graph::UserId;
-    use adcast_stream::event::{Message, MessageId};
+    use adcast_stream::event::{LocationId, Message, MessageId};
     use adcast_text::dictionary::TermId;
     use adcast_text::SparseVector;
     use std::sync::atomic::{AtomicU64, Ordering};
@@ -729,6 +654,74 @@ mod tests {
             EngineSetSnapshot::capture(42, &store, &driver).encode(),
             bytes
         );
+    }
+
+    /// A small hand-built snapshot touching every field shape: both
+    /// pacing forms, both topic-hint forms, targeting, a non-empty context
+    /// with a negative residual, and buffer and cache lists.
+    fn small_snapshot() -> EngineSetSnapshot {
+        let campaign = |id: u32, pacing: Option<PacingSnapshot>| CampaignSnapshot {
+            ad: Ad {
+                id: AdId(id),
+                vector: v(&[(id, 0.5), (id + 3, 0.25)]),
+                bid: 1.5,
+                targeting: Targeting::everywhere()
+                    .in_locations([LocationId(2), LocationId(5)])
+                    .in_slots([adcast_stream::event::TimeSlot::Night]),
+                topic_hint: pacing.as_ref().map(|_| 4),
+            },
+            budget_total_micros: 9_000_000,
+            budget_spent_micros: 250_000,
+            state: CampaignState::Paused,
+            impressions: 12,
+            ctr_impressions: 10,
+            ctr_clicks: 3,
+            pacing,
+        };
+        let pacing = PacingSnapshot {
+            flight_start: Timestamp::from_secs(1),
+            flight_end: Timestamp::from_secs(3600),
+            total_budget: 9.0,
+            throttle: 0.75,
+            step: 0.05,
+            min_throttle: 0.1,
+            spent: 0.25,
+        };
+        EngineSetSnapshot {
+            next_lsn: 17,
+            num_users: 2,
+            num_shards: 1,
+            store: StoreSnapshot {
+                campaigns: vec![campaign(0, Some(pacing)), campaign(1, None)],
+                index_epoch: 6,
+            },
+            engines: vec![EngineSnapshot {
+                stats: EngineStats {
+                    deltas: 40,
+                    ads_scored: 7,
+                    recommends: 2,
+                    ..EngineStats::default()
+                },
+                users: vec![UserStateSnapshot {
+                    landmark: Timestamp::from_secs(2),
+                    last_ts: Timestamp::from_secs(30),
+                    context: SparseVector::from_sorted(vec![(TermId(0), 0.5), (TermId(3), -1e-7)]),
+                    buffer: vec![(AdId(0), 0.25)],
+                    cache: vec![(AdId(1), 0.125), (AdId(0), 0.5)],
+                    ceiling: 0.5,
+                    outside_bound: 0.0625,
+                    index_epoch: 6,
+                }],
+            }],
+        }
+    }
+
+    #[test]
+    fn encoding_matches_recorded_bytes() {
+        let bytes = small_snapshot().encode();
+        let digest = crate::record::tests::fnv1a(&bytes);
+        assert_eq!(bytes.len(), 430);
+        assert_eq!(digest, 0x38a3_53cd_e299_5dab);
     }
 
     #[test]

@@ -27,8 +27,8 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use adcast_stream::clock::now_ns;
-use adcast_stream::trace::{check_stream_header, put_stream_header, TraceError};
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use adcast_stream::cursor::{put_len32, put_stream_header, Cursor, TraceError};
+use bytes::{BufMut, Bytes, BytesMut};
 
 use crate::backend::{fs_backend, StorageBackend, StorageFile};
 use crate::crc::crc32;
@@ -279,12 +279,10 @@ pub fn parse_segment(
     is_last: bool,
 ) -> Result<SegmentRecords, WalError> {
     let file_len = raw.len() as u64;
-    let mut data = Bytes::from(raw);
-    check_stream_header(&mut data, WAL_MAGIC, WAL_VERSION).map_err(WalError::Header)?;
-    if data.remaining() < 8 {
-        return Err(WalError::Header(TraceError::Truncated));
-    }
-    let base_lsn = data.get_u64_le();
+    let mut cur = Cursor::new(Bytes::from(raw));
+    cur.check_header(WAL_MAGIC, WAL_VERSION)
+        .map_err(WalError::Header)?;
+    let base_lsn = cur.u64().map_err(WalError::Header)?;
     if base_lsn != expect_base {
         return Err(WalError::Corrupt {
             segment: expect_base,
@@ -307,38 +305,35 @@ pub fn parse_segment(
             })
         }
     };
-    loop {
-        if !data.has_remaining() {
-            break;
-        }
-        if data.remaining() < 8 {
+    while !cur.is_empty() {
+        let (Ok(len), Ok(crc)) = (cur.u32(), cur.u32()) else {
             tear(valid_len, "torn record prefix")?;
             break;
-        }
-        let len = data.get_u32_le() as usize;
-        let crc = data.get_u32_le();
+        };
+        let len = len as usize;
         if !(8..=MAX_RECORD).contains(&len) {
             tear(valid_len, "impossible record length")?;
             break;
         }
-        if data.remaining() < len {
+        let Ok(payload) = cur.split_to(len) else {
             tear(valid_len, "torn record body")?;
             break;
-        }
-        let mut payload = data.slice(..len);
-        data.advance(len);
+        };
         if crc32(&payload) != crc {
             tear(valid_len, "crc mismatch")?;
             break;
         }
-        let lsn = payload.get_u64_le();
-        if lsn != next_lsn {
-            tear(valid_len, "lsn out of sequence")?;
-            break;
+        // `len >= 8`, so the lsn read cannot fail.
+        let mut payload = Cursor::new(payload);
+        match payload.u64() {
+            Ok(lsn) if lsn == next_lsn => records.push((lsn, payload.into_rest())),
+            _ => {
+                tear(valid_len, "lsn out of sequence")?;
+                break;
+            }
         }
         next_lsn += 1;
-        records.push((lsn, payload));
-        valid_len += 8 + len as u64;
+        valid_len = file_len - cur.len() as u64;
     }
     Ok(SegmentRecords {
         records,
@@ -431,9 +426,7 @@ impl WalWriter {
             return Err(WalError::RecordTooLarge { len: payload.len() });
         }
         let mut frame = BytesMut::with_capacity(8 + payload.len());
-        let len32 = u32::try_from(payload.len())
-            .map_err(|_| WalError::RecordTooLarge { len: payload.len() })?;
-        frame.put_u32_le(len32);
+        put_len32(&mut frame, payload.len());
         frame.put_u32_le(crc32(&payload));
         frame.put_slice(&payload);
         self.file.write_all(&frame)?;

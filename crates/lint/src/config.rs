@@ -7,8 +7,9 @@
 
 /// Hot-path modules: the blocked ad index and its evaluators, the engine
 /// steady state, the net node (request dispatch and ack ladder), server
-/// transport loop and codec, the durability
-/// commit/replay paths, the cluster router forwarding and replication
+/// transport loop, every binary format (the byte cursor they decode
+/// through, and the wire, trace, WAL record and snapshot codecs), the
+/// durability commit/replay paths, the cluster router forwarding and replication
 /// apply paths (every routed RPC and every replicated record crosses
 /// them), and the obs record paths (metric handles and the
 /// flight-recorder ring run inside all of the former).
@@ -24,6 +25,11 @@ pub const HOT_PATH_FILES: &[&str] = &[
     "crates/net/src/replication.rs",
     "crates/textproc/src/kernels.rs",
     "crates/net/src/codec.rs",
+    "crates/stream/src/cursor.rs",
+    "crates/stream/src/trace.rs",
+    "crates/durability/src/codec.rs",
+    "crates/durability/src/record.rs",
+    "crates/durability/src/snapshot.rs",
     "crates/durability/src/wal.rs",
     "crates/durability/src/apply.rs",
     "crates/durability/src/recovery.rs",

@@ -26,6 +26,12 @@ fn workspace_is_lint_clean() {
         report.files_scanned
     );
     // Every suppression in the tree carries a reason by construction; the
-    // count is recorded in bench_summary.json so creep is visible.
-    assert!(report.suppressions >= 1);
+    // count is recorded in bench_summary.json so creep is visible, and
+    // this ratchet keeps it from growing back: lower it when a pragma
+    // goes, never raise it to make room for one.
+    assert!(
+        (1..=6).contains(&report.suppressions),
+        "{} suppression(s); the ratchet allows at most 6",
+        report.suppressions
+    );
 }

@@ -442,7 +442,7 @@ impl Client {
 fn unexpected(resp: Response) -> NetError {
     match resp {
         Response::Error(e) => NetError::Remote(e),
-        other => NetError::Decode(adcast_stream::trace::TraceError::Corrupt(match other {
+        other => NetError::Decode(adcast_stream::cursor::TraceError::Corrupt(match other {
             Response::Ingested { .. } => "unexpected Ingested reply",
             Response::Recommendations(_) => "unexpected Recommendations reply",
             Response::CampaignAccepted { .. } => "unexpected CampaignAccepted reply",

@@ -4,28 +4,30 @@
 //!
 //! ```text
 //! len u32        — bytes after this prefix (0 and > MAX_FRAME rejected)
-//! magic "ADCN" | version u16 | reserved u16     (shared header helpers)
+//! magic "ADCN" | version u16 | reserved u16
 //! kind u8 | request_id u64 | body…
 //! ```
 //!
-//! The per-frame header and the message-record encoding are the same
-//! helpers the trace codec uses ([`adcast_stream::trace`]), and the
-//! vector/delta/slot body encoders are shared with the WAL codec
-//! ([`adcast_durability::codec`]), so every wire surface shares one set
-//! of malformed-input guards: decoding never panics, whatever a peer
-//! sends — truncation, bad magic/version, zero-length or oversized
-//! frames, and corrupt payloads all come back as typed errors.
+//! Bodies reuse the payload shapes of [`adcast_durability::codec`]
+//! (vectors, delta batches, targeting) and decode through
+//! [`adcast_stream::cursor`], the one module that owns the layout
+//! primitives and the malformed-input policy of every adcast binary
+//! format. Decoding never panics, whatever a peer sends: truncation, bad
+//! magic/version, zero-length or oversized frames, invalid flag bytes,
+//! trailing bytes and corrupt payloads all come back as typed errors.
 
 use std::io::{self, Read, Write};
 
 use adcast_ads::AdId;
 use adcast_core::Recommendation;
-use adcast_durability::codec::{get_delta, get_slot, get_vector, put_delta, put_slot, put_vector};
+use adcast_durability::codec::{
+    get_batch, get_targeting, get_vector, put_batch, put_targeting, put_vector,
+};
 use adcast_graph::UserId;
-use adcast_stream::clock::Timestamp;
+use adcast_stream::clock::{Duration, Timestamp};
+use adcast_stream::cursor::{put_len16, put_len32, put_opt, put_stream_header, Cursor, TraceError};
 use adcast_stream::event::LocationId;
-use adcast_stream::trace::{check_stream_header, put_stream_header, TraceError};
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{BufMut, Bytes, BytesMut};
 
 use crate::protocol::{
     CampaignSpec, NodeRole, Request, Response, ServerStats, TraceContext, WireError,
@@ -149,23 +151,23 @@ const E_WRONG_PARTITION: u8 = 7;
 const E_LSN_GAP: u8 = 8;
 const E_NOT_PRIMARY: u8 = 9;
 
-/// Fail with `Truncated` instead of letting a `get_*` panic.
-fn need(data: &Bytes, n: usize) -> Result<(), NetError> {
-    adcast_durability::codec::need(data, n).map_err(NetError::from)
-}
-
 /// The 16 trace-context bytes (wire v6): trace id, then parent span id.
 fn put_trace(body: &mut BytesMut, trace: &TraceContext) {
     body.put_u64_le(trace.trace_id);
     body.put_u64_le(trace.parent_span_id);
 }
 
-fn get_trace(data: &mut Bytes) -> Result<TraceContext, NetError> {
-    need(data, 16)?;
+fn get_trace(cur: &mut Cursor) -> Result<TraceContext, TraceError> {
     Ok(TraceContext {
-        trace_id: data.get_u64_le(),
-        parent_span_id: data.get_u64_le(),
+        trace_id: cur.u64()?,
+        parent_span_id: cur.u64()?,
     })
+}
+
+/// `kind u8 | id u64`, the head of every request and response body.
+fn put_head(body: &mut BytesMut, kind: u8, id: u64) {
+    body.put_u8(kind);
+    body.put_u64_le(id);
 }
 
 /// Frame up one request: length prefix, header, kind, id, body.
@@ -181,15 +183,8 @@ pub fn encode_request(id: u64, req: &Request) -> Bytes {
 fn put_request(body: &mut BytesMut, id: u64, req: &Request) {
     match req {
         Request::Ingest { deltas } => {
-            body.put_u8(K_INGEST);
-            body.put_u64_le(id);
-            // adcast-lint: allow(no-panic-hot-path) -- encode side of our
-            // own client; a >4-billion-delta batch cannot be built (the
-            // frame would blow MAX_FRAME long before the count overflows).
-            body.put_u32_le(u32::try_from(deltas.len()).expect("batch too large"));
-            for (user, delta) in deltas {
-                put_delta(body, *user, delta);
-            }
+            put_head(body, K_INGEST, id);
+            put_batch(body, deltas);
         }
         Request::Recommend {
             user,
@@ -197,48 +192,22 @@ fn put_request(body: &mut BytesMut, id: u64, req: &Request) {
             location,
             k,
         } => {
-            body.put_u8(K_RECOMMEND);
-            body.put_u64_le(id);
+            put_head(body, K_RECOMMEND, id);
             body.put_u32_le(user.0);
             body.put_u64_le(now.micros());
             body.put_u16_le(location.0);
             body.put_u16_le(*k);
         }
         Request::SubmitCampaign(spec) => {
-            body.put_u8(K_SUBMIT);
-            body.put_u64_le(id);
+            put_head(body, K_SUBMIT, id);
             put_vector(body, &spec.vector);
             body.put_f32_le(spec.bid);
-            // adcast-lint: allow(no-panic-hot-path) -- LocationId is u16,
-            // so a spec cannot name more than 65536 distinct locations.
-            body.put_u16_le(u16::try_from(spec.locations.len()).expect("too many locations"));
-            for loc in &spec.locations {
-                body.put_u16_le(loc.0);
-            }
-            // adcast-lint: allow(no-panic-hot-path) -- `TimeSlot` has a
-            // handful of variants; a spec can never carry 256 slots.
-            body.put_u8(u8::try_from(spec.slots.len()).expect("too many slots"));
-            for slot in &spec.slots {
-                put_slot(body, *slot);
-            }
-            match spec.budget {
-                Some(b) => {
-                    body.put_u8(1);
-                    body.put_f64_le(b);
-                }
-                None => body.put_u8(0),
-            }
-            match spec.topic_hint {
-                Some(t) => {
-                    body.put_u8(1);
-                    body.put_u32_le(t);
-                }
-                None => body.put_u8(0),
-            }
+            put_targeting(body, &spec.locations, &spec.slots);
+            put_opt(body, spec.budget, BytesMut::put_f64_le);
+            put_opt(body, spec.topic_hint, BytesMut::put_u32_le);
         }
         Request::PauseCampaign { ad } => {
-            body.put_u8(K_PAUSE);
-            body.put_u64_le(id);
+            put_head(body, K_PAUSE, id);
             body.put_u32_le(ad.0);
         }
         Request::Impression {
@@ -247,43 +216,28 @@ fn put_request(body: &mut BytesMut, id: u64, req: &Request) {
             clicked,
             now,
         } => {
-            body.put_u8(K_IMPRESSION);
-            body.put_u64_le(id);
+            put_head(body, K_IMPRESSION, id);
             body.put_u32_le(ad.0);
             body.put_f64_le(*cost);
             body.put_u8(u8::from(*clicked));
             body.put_u64_le(now.micros());
         }
         Request::Maintain { now, idle_for } => {
-            body.put_u8(K_MAINTAIN);
-            body.put_u64_le(id);
+            put_head(body, K_MAINTAIN, id);
             body.put_u64_le(now.micros());
             body.put_u64_le(idle_for.micros());
         }
-        Request::Checkpoint => {
-            body.put_u8(K_CHECKPOINT);
-            body.put_u64_le(id);
-        }
-        Request::ObsDump => {
-            body.put_u8(K_OBS_DUMP);
-            body.put_u64_le(id);
-        }
-        Request::Stats => {
-            body.put_u8(K_STATS);
-            body.put_u64_le(id);
-        }
-        Request::Shutdown => {
-            body.put_u8(K_SHUTDOWN);
-            body.put_u64_le(id);
-        }
+        Request::Checkpoint => put_head(body, K_CHECKPOINT, id),
+        Request::ObsDump => put_head(body, K_OBS_DUMP, id),
+        Request::Stats => put_head(body, K_STATS, id),
+        Request::Shutdown => put_head(body, K_SHUTDOWN, id),
         Request::Routed {
             partition,
             epoch,
             trace,
             inner,
         } => {
-            body.put_u8(K_ROUTED);
-            body.put_u64_le(id);
+            put_head(body, K_ROUTED, id);
             body.put_u16_le(*partition);
             body.put_u64_le(*epoch);
             put_trace(body, trace);
@@ -295,21 +249,14 @@ fn put_request(body: &mut BytesMut, id: u64, req: &Request) {
             trace,
             entries,
         } => {
-            body.put_u8(K_REPL_APPEND);
-            body.put_u64_le(id);
+            put_head(body, K_REPL_APPEND, id);
             body.put_u16_le(*partition);
             body.put_u64_le(*epoch);
             put_trace(body, trace);
-            // adcast-lint: allow(no-panic-hot-path) -- a batch of 4
-            // billion records would blow MAX_FRAME long before the
-            // count overflows u32.
-            body.put_u32_le(u32::try_from(entries.len()).expect("too many entries"));
+            put_len32(body, entries.len());
             for (lsn, record) in entries {
                 body.put_u64_le(*lsn);
-                // adcast-lint: allow(no-panic-hot-path) -- a single WAL
-                // record is itself bounded by the WAL's frame limit,
-                // far below u32::MAX.
-                body.put_u32_le(u32::try_from(record.len()).expect("record too large"));
+                put_len32(body, record.len());
                 body.put_slice(record);
             }
         }
@@ -318,26 +265,18 @@ fn put_request(body: &mut BytesMut, id: u64, req: &Request) {
             epoch,
             snapshot,
         } => {
-            body.put_u8(K_INSTALL_SNAPSHOT);
-            body.put_u64_le(id);
+            put_head(body, K_INSTALL_SNAPSHOT, id);
             body.put_u16_le(*partition);
             body.put_u64_le(*epoch);
-            // adcast-lint: allow(no-panic-hot-path) -- snapshot transfer
-            // is a rare catch-up path and EngineSetSnapshot::decode
-            // bounds the image at 1 GiB; u32 holds 4 GiB.
-            body.put_u32_le(u32::try_from(snapshot.len()).expect("snapshot too large"));
+            put_len32(body, snapshot.len());
             body.put_slice(snapshot);
         }
         Request::Promote { partition, epoch } => {
-            body.put_u8(K_PROMOTE);
-            body.put_u64_le(id);
+            put_head(body, K_PROMOTE, id);
             body.put_u16_le(*partition);
             body.put_u64_le(*epoch);
         }
-        Request::ClusterStatus => {
-            body.put_u8(K_CLUSTER_STATUS);
-            body.put_u64_le(id);
-        }
+        Request::ClusterStatus => put_head(body, K_CLUSTER_STATUS, id),
     }
 }
 
@@ -347,16 +286,12 @@ pub fn encode_response(id: u64, resp: &Response) -> Bytes {
     put_stream_header(&mut body, MAGIC, VERSION);
     match resp {
         Response::Ingested { accepted } => {
-            body.put_u8(K_INGESTED);
-            body.put_u64_le(id);
+            put_head(&mut body, K_INGESTED, id);
             body.put_u32_le(*accepted);
         }
         Response::Recommendations(recs) => {
-            body.put_u8(K_RECOMMENDATIONS);
-            body.put_u64_le(id);
-            // adcast-lint: allow(no-panic-hot-path) -- the request's k is
-            // u16 and the engine returns at most k recommendations.
-            body.put_u16_le(u16::try_from(recs.len()).expect("too many recommendations"));
+            put_head(&mut body, K_RECOMMENDATIONS, id);
+            put_len16(&mut body, recs.len());
             for r in recs {
                 body.put_u32_le(r.ad.0);
                 body.put_f32_le(r.score);
@@ -364,18 +299,15 @@ pub fn encode_response(id: u64, resp: &Response) -> Bytes {
             }
         }
         Response::CampaignAccepted { ad } => {
-            body.put_u8(K_ACCEPTED);
-            body.put_u64_le(id);
+            put_head(&mut body, K_ACCEPTED, id);
             body.put_u32_le(ad.0);
         }
         Response::CampaignPaused { ad } => {
-            body.put_u8(K_PAUSED);
-            body.put_u64_le(id);
+            put_head(&mut body, K_PAUSED, id);
             body.put_u32_le(ad.0);
         }
         Response::ImpressionRecorded { ad, exhausted } => {
-            body.put_u8(K_IMPRESSION_ACK);
-            body.put_u64_le(id);
+            put_head(&mut body, K_IMPRESSION_ACK, id);
             body.put_u32_le(ad.0);
             body.put_u8(u8::from(*exhausted));
         }
@@ -384,25 +316,21 @@ pub fn encode_response(id: u64, resp: &Response) -> Bytes {
             decayed,
             pruned,
         } => {
-            body.put_u8(K_MAINTAINED);
-            body.put_u64_le(id);
+            put_head(&mut body, K_MAINTAINED, id);
             body.put_u64_le(*scanned);
             body.put_u64_le(*decayed);
             body.put_u64_le(*pruned);
         }
         Response::Checkpointed { lsn } => {
-            body.put_u8(K_CHECKPOINTED);
-            body.put_u64_le(id);
+            put_head(&mut body, K_CHECKPOINTED, id);
             body.put_u64_le(*lsn);
         }
         Response::ObsDumped { events } => {
-            body.put_u8(K_OBS_DUMPED);
-            body.put_u64_le(id);
+            put_head(&mut body, K_OBS_DUMPED, id);
             body.put_u64_le(*events);
         }
         Response::Stats(s) => {
-            body.put_u8(K_STATS_REPLY);
-            body.put_u64_le(id);
+            put_head(&mut body, K_STATS_REPLY, id);
             for v in [
                 s.deltas,
                 s.recommends,
@@ -425,23 +353,17 @@ pub fn encode_response(id: u64, resp: &Response) -> Bytes {
                 body.put_u64_le(v);
             }
         }
-        Response::ShutdownAck => {
-            body.put_u8(K_SHUTDOWN_ACK);
-            body.put_u64_le(id);
-        }
+        Response::ShutdownAck => put_head(&mut body, K_SHUTDOWN_ACK, id),
         Response::ReplAck { durable_lsn } => {
-            body.put_u8(K_REPL_ACK);
-            body.put_u64_le(id);
+            put_head(&mut body, K_REPL_ACK, id);
             body.put_u64_le(*durable_lsn);
         }
         Response::SnapshotInstalled { next_lsn } => {
-            body.put_u8(K_SNAPSHOT_INSTALLED);
-            body.put_u64_le(id);
+            put_head(&mut body, K_SNAPSHOT_INSTALLED, id);
             body.put_u64_le(*next_lsn);
         }
         Response::Promoted { epoch, next_lsn } => {
-            body.put_u8(K_PROMOTED);
-            body.put_u64_le(id);
+            put_head(&mut body, K_PROMOTED, id);
             body.put_u64_le(*epoch);
             body.put_u64_le(*next_lsn);
         }
@@ -453,8 +375,7 @@ pub fn encode_response(id: u64, resp: &Response) -> Bytes {
             fenced,
             degraded,
         } => {
-            body.put_u8(K_CLUSTER_STATUS_REPLY);
-            body.put_u64_le(id);
+            put_head(&mut body, K_CLUSTER_STATUS_REPLY, id);
             body.put_u8(match role {
                 NodeRole::Standalone => 0,
                 NodeRole::Primary => 1,
@@ -466,8 +387,7 @@ pub fn encode_response(id: u64, resp: &Response) -> Bytes {
             body.put_u8(u8::from(*fenced) | (u8::from(*degraded) << 1));
         }
         Response::Error(e) => {
-            body.put_u8(K_ERROR);
-            body.put_u64_le(id);
+            put_head(&mut body, K_ERROR, id);
             match e {
                 WireError::Overloaded => body.put_u8(E_OVERLOADED),
                 WireError::Unavailable => body.put_u8(E_UNAVAILABLE),
@@ -476,7 +396,7 @@ pub fn encode_response(id: u64, resp: &Response) -> Bytes {
                     body.put_u8(E_BAD_REQUEST);
                     let bytes = why.as_bytes();
                     let n = bytes.len().min(u16::MAX as usize);
-                    body.put_u16_le(n as u16);
+                    put_len16(&mut body, n);
                     body.put_slice(&bytes[..n]);
                 }
                 WireError::UnknownCampaign(ad) => {
@@ -503,145 +423,91 @@ pub fn encode_response(id: u64, resp: &Response) -> Bytes {
 }
 
 fn prefix_len(body: BytesMut) -> Bytes {
-    let body = body.freeze();
     let mut framed = BytesMut::with_capacity(4 + body.len());
-    // adcast-lint: allow(no-panic-hot-path) -- bodies we encode are bounded
-    // far below u32::MAX (decode enforces MAX_FRAME = 64 MiB on the way in).
-    framed.put_u32_le(u32::try_from(body.len()).expect("frame too large"));
+    put_len32(&mut framed, body.len());
     framed.put_slice(&body);
     framed.freeze()
-}
-
-/// Check header and pull `(kind, id)` off a frame body.
-fn open_frame(data: &mut Bytes) -> Result<(u8, u64), NetError> {
-    check_stream_header(data, MAGIC, VERSION)?;
-    need(data, 9)?;
-    let kind = data.get_u8();
-    let id = data.get_u64_le();
-    Ok((kind, id))
 }
 
 /// Decode a request frame body (everything after the length prefix).
 ///
 /// # Errors
 ///
-/// Typed [`NetError`] on any malformation; never panics.
-pub fn decode_request(mut data: Bytes) -> Result<(u64, Request), NetError> {
-    check_stream_header(&mut data, MAGIC, VERSION)?;
-    take_request(&mut data, true)
+/// Typed [`NetError`] on any malformation, trailing bytes included;
+/// never panics.
+pub fn decode_request(data: Bytes) -> Result<(u64, Request), NetError> {
+    let mut cur = Cursor::new(data);
+    cur.check_header(MAGIC, VERSION)?;
+    let request = take_request(&mut cur, true)?;
+    cur.finish("trailing bytes after request")?;
+    Ok(request)
 }
 
 /// Read `kind | id | payload` for one request. `allow_routed` is false
 /// for the inner request of a [`Request::Routed`] envelope, so nesting
 /// depth is capped at one.
-fn take_request(data: &mut Bytes, allow_routed: bool) -> Result<(u64, Request), NetError> {
-    need(data, 9)?;
-    let kind = data.get_u8();
-    let id = data.get_u64_le();
+fn take_request(cur: &mut Cursor, allow_routed: bool) -> Result<(u64, Request), TraceError> {
+    let kind = cur.u8()?;
+    let id = cur.u64()?;
     let req = match kind {
-        K_INGEST => {
-            need(data, 4)?;
-            let n = data.get_u32_le() as usize;
-            let mut deltas = Vec::with_capacity(n.min(65_536));
-            for _ in 0..n {
-                deltas.push(get_delta(data)?);
-            }
-            Request::Ingest { deltas }
-        }
-        K_RECOMMEND => {
-            need(data, 16)?;
-            Request::Recommend {
-                user: UserId(data.get_u32_le()),
-                now: Timestamp(data.get_u64_le()),
-                location: LocationId(data.get_u16_le()),
-                k: data.get_u16_le(),
-            }
-        }
+        K_INGEST => Request::Ingest {
+            deltas: get_batch(cur)?,
+        },
+        K_RECOMMEND => Request::Recommend {
+            user: UserId(cur.u32()?),
+            now: Timestamp(cur.u64()?),
+            location: LocationId(cur.u16()?),
+            k: cur.u16()?,
+        },
         K_SUBMIT => {
-            let vector = get_vector(data)?;
-            need(data, 6)?;
-            let bid = data.get_f32_le();
-            let nloc = data.get_u16_le() as usize;
-            need(data, nloc * 2)?;
-            let locations = (0..nloc).map(|_| LocationId(data.get_u16_le())).collect();
-            need(data, 1)?;
-            let nslots = data.get_u8() as usize;
-            let mut slots = Vec::with_capacity(nslots);
-            for _ in 0..nslots {
-                slots.push(get_slot(data)?);
-            }
-            need(data, 1)?;
-            let budget = match data.get_u8() {
-                0 => None,
-                _ => {
-                    need(data, 8)?;
-                    Some(data.get_f64_le())
-                }
-            };
-            need(data, 1)?;
-            let topic_hint = match data.get_u8() {
-                0 => None,
-                _ => {
-                    need(data, 4)?;
-                    Some(data.get_u32_le())
-                }
-            };
+            let vector = get_vector(cur)?;
+            let bid = cur.f32()?;
+            let (locations, slots) = get_targeting(cur)?;
             Request::SubmitCampaign(CampaignSpec {
                 vector,
                 bid,
                 locations,
                 slots,
-                budget,
-                topic_hint,
+                budget: cur.opt("bad budget flag", Cursor::f64)?,
+                topic_hint: cur.opt("bad topic flag", Cursor::u32)?,
             })
         }
-        K_PAUSE => {
-            need(data, 4)?;
-            Request::PauseCampaign {
-                ad: AdId(data.get_u32_le()),
-            }
-        }
+        K_PAUSE => Request::PauseCampaign {
+            ad: AdId(cur.u32()?),
+        },
         K_IMPRESSION => {
-            need(data, 4 + 8 + 1 + 8)?;
-            let ad = AdId(data.get_u32_le());
-            let cost = data.get_f64_le();
+            let ad = AdId(cur.u32()?);
+            let cost = cur.f64()?;
             if !cost.is_finite() || cost < 0.0 {
-                return Err(TraceError::Corrupt("negative or non-finite impression cost").into());
+                return Err(TraceError::Corrupt(
+                    "negative or non-finite impression cost",
+                ));
             }
-            let clicked = match data.get_u8() {
-                0 => false,
-                1 => true,
-                _ => return Err(TraceError::Corrupt("bad clicked flag").into()),
-            };
             Request::Impression {
                 ad,
                 cost,
-                clicked,
-                now: Timestamp(data.get_u64_le()),
+                clicked: cur.flag("bad clicked flag")?,
+                now: Timestamp(cur.u64()?),
             }
         }
-        K_MAINTAIN => {
-            need(data, 16)?;
-            Request::Maintain {
-                now: Timestamp(data.get_u64_le()),
-                idle_for: adcast_stream::clock::Duration(data.get_u64_le()),
-            }
-        }
+        K_MAINTAIN => Request::Maintain {
+            now: Timestamp(cur.u64()?),
+            idle_for: Duration(cur.u64()?),
+        },
         K_CHECKPOINT => Request::Checkpoint,
         K_OBS_DUMP => Request::ObsDump,
         K_STATS => Request::Stats,
         K_SHUTDOWN => Request::Shutdown,
         K_ROUTED => {
             if !allow_routed {
-                return Err(TraceError::Corrupt("nested routed envelope").into());
+                return Err(TraceError::Corrupt("nested routed envelope"));
             }
-            need(data, 10)?;
-            let partition = data.get_u16_le();
-            let epoch = data.get_u64_le();
-            let trace = get_trace(data)?;
-            let (inner_id, inner) = take_request(data, false)?;
+            let partition = cur.u16()?;
+            let epoch = cur.u64()?;
+            let trace = get_trace(cur)?;
+            let (inner_id, inner) = take_request(cur, false)?;
             if inner_id != id {
-                return Err(TraceError::Corrupt("routed inner id mismatch").into());
+                return Err(TraceError::Corrupt("routed inner id mismatch"));
             }
             Request::Routed {
                 partition,
@@ -651,20 +517,15 @@ fn take_request(data: &mut Bytes, allow_routed: bool) -> Result<(u64, Request), 
             }
         }
         K_REPL_APPEND => {
-            need(data, 10)?;
-            let partition = data.get_u16_le();
-            let epoch = data.get_u64_le();
-            let trace = get_trace(data)?;
-            need(data, 4)?;
-            let n = data.get_u32_le() as usize;
-            let mut entries = Vec::with_capacity(n.min(65_536));
-            for _ in 0..n {
-                need(data, 12)?;
-                let lsn = data.get_u64_le();
-                let len = data.get_u32_le() as usize;
-                need(data, len)?;
-                entries.push((lsn, data.split_to(len)));
-            }
+            let partition = cur.u16()?;
+            let epoch = cur.u64()?;
+            let trace = get_trace(cur)?;
+            let n = cur.len32()?;
+            let entries = cur.many(n, |c| {
+                let lsn = c.u64()?;
+                let len = c.len32()?;
+                Ok((lsn, c.split_to(len)?))
+            })?;
             Request::ReplAppend {
                 partition,
                 epoch,
@@ -673,26 +534,21 @@ fn take_request(data: &mut Bytes, allow_routed: bool) -> Result<(u64, Request), 
             }
         }
         K_INSTALL_SNAPSHOT => {
-            need(data, 14)?;
-            let partition = data.get_u16_le();
-            let epoch = data.get_u64_le();
-            let len = data.get_u32_le() as usize;
-            need(data, len)?;
+            let partition = cur.u16()?;
+            let epoch = cur.u64()?;
+            let len = cur.len32()?;
             Request::InstallSnapshot {
                 partition,
                 epoch,
-                snapshot: data.split_to(len),
+                snapshot: cur.split_to(len)?,
             }
         }
-        K_PROMOTE => {
-            need(data, 10)?;
-            Request::Promote {
-                partition: data.get_u16_le(),
-                epoch: data.get_u64_le(),
-            }
-        }
+        K_PROMOTE => Request::Promote {
+            partition: cur.u16()?,
+            epoch: cur.u64()?,
+        },
         K_CLUSTER_STATUS => Request::ClusterStatus,
-        _ => return Err(TraceError::Corrupt("unknown request kind").into()),
+        _ => return Err(TraceError::Corrupt("unknown request kind")),
     };
     Ok((id, req))
 }
@@ -701,125 +557,88 @@ fn take_request(data: &mut Bytes, allow_routed: bool) -> Result<(u64, Request), 
 ///
 /// # Errors
 ///
-/// Typed [`NetError`] on any malformation; never panics.
-pub fn decode_response(mut data: Bytes) -> Result<(u64, Response), NetError> {
-    let (kind, id) = open_frame(&mut data)?;
+/// Typed [`NetError`] on any malformation, trailing bytes included;
+/// never panics.
+pub fn decode_response(data: Bytes) -> Result<(u64, Response), NetError> {
+    let mut cur = Cursor::new(data);
+    cur.check_header(MAGIC, VERSION)?;
+    let kind = cur.u8()?;
+    let id = cur.u64()?;
     let resp = match kind {
-        K_INGESTED => {
-            need(&data, 4)?;
-            Response::Ingested {
-                accepted: data.get_u32_le(),
-            }
-        }
+        K_INGESTED => Response::Ingested {
+            accepted: cur.u32()?,
+        },
         K_RECOMMENDATIONS => {
-            need(&data, 2)?;
-            let n = data.get_u16_le() as usize;
-            need(&data, n * 12)?;
-            let recs = (0..n)
-                .map(|_| Recommendation {
-                    ad: AdId(data.get_u32_le()),
-                    score: data.get_f32_le(),
-                    relevance: data.get_f32_le(),
+            let n = cur.len16()?;
+            let (words, _) = cur.take(n.saturating_mul(12))?.as_chunks::<4>();
+            let recs = words
+                .chunks_exact(3)
+                .map(|r| Recommendation {
+                    ad: AdId(u32::from_le_bytes(r[0])),
+                    score: f32::from_le_bytes(r[1]),
+                    relevance: f32::from_le_bytes(r[2]),
                 })
                 .collect();
             Response::Recommendations(recs)
         }
-        K_ACCEPTED => {
-            need(&data, 4)?;
-            Response::CampaignAccepted {
-                ad: AdId(data.get_u32_le()),
-            }
-        }
-        K_PAUSED => {
-            need(&data, 4)?;
-            Response::CampaignPaused {
-                ad: AdId(data.get_u32_le()),
-            }
-        }
-        K_IMPRESSION_ACK => {
-            need(&data, 5)?;
-            let ad = AdId(data.get_u32_le());
-            let exhausted = match data.get_u8() {
-                0 => false,
-                1 => true,
-                _ => return Err(TraceError::Corrupt("bad exhausted flag").into()),
-            };
-            Response::ImpressionRecorded { ad, exhausted }
-        }
-        K_MAINTAINED => {
-            need(&data, 24)?;
-            Response::Maintained {
-                scanned: data.get_u64_le(),
-                decayed: data.get_u64_le(),
-                pruned: data.get_u64_le(),
-            }
-        }
-        K_CHECKPOINTED => {
-            need(&data, 8)?;
-            Response::Checkpointed {
-                lsn: data.get_u64_le(),
-            }
-        }
-        K_OBS_DUMPED => {
-            need(&data, 8)?;
-            Response::ObsDumped {
-                events: data.get_u64_le(),
-            }
-        }
-        K_STATS_REPLY => {
-            need(&data, 17 * 8)?;
-            Response::Stats(ServerStats {
-                deltas: data.get_u64_le(),
-                recommends: data.get_u64_le(),
-                active_campaigns: data.get_u64_le(),
-                rpcs: data.get_u64_le(),
-                shed: data.get_u64_le(),
-                connections: data.get_u64_le(),
-                queue_capacity: data.get_u64_le(),
-                ingest_p50_ns: data.get_u64_le(),
-                ingest_p99_ns: data.get_u64_le(),
-                recommend_p50_ns: data.get_u64_le(),
-                recommend_p99_ns: data.get_u64_le(),
-                wal_records: data.get_u64_le(),
-                wal_bytes: data.get_u64_le(),
-                wal_fsyncs: data.get_u64_le(),
-                snapshots_written: data.get_u64_le(),
-                recovered_records: data.get_u64_le(),
-                recovered_truncated_bytes: data.get_u64_le(),
-            })
-        }
+        K_ACCEPTED => Response::CampaignAccepted {
+            ad: AdId(cur.u32()?),
+        },
+        K_PAUSED => Response::CampaignPaused {
+            ad: AdId(cur.u32()?),
+        },
+        K_IMPRESSION_ACK => Response::ImpressionRecorded {
+            ad: AdId(cur.u32()?),
+            exhausted: cur.flag("bad exhausted flag")?,
+        },
+        K_MAINTAINED => Response::Maintained {
+            scanned: cur.u64()?,
+            decayed: cur.u64()?,
+            pruned: cur.u64()?,
+        },
+        K_CHECKPOINTED => Response::Checkpointed { lsn: cur.u64()? },
+        K_OBS_DUMPED => Response::ObsDumped { events: cur.u64()? },
+        K_STATS_REPLY => Response::Stats(ServerStats {
+            deltas: cur.u64()?,
+            recommends: cur.u64()?,
+            active_campaigns: cur.u64()?,
+            rpcs: cur.u64()?,
+            shed: cur.u64()?,
+            connections: cur.u64()?,
+            queue_capacity: cur.u64()?,
+            ingest_p50_ns: cur.u64()?,
+            ingest_p99_ns: cur.u64()?,
+            recommend_p50_ns: cur.u64()?,
+            recommend_p99_ns: cur.u64()?,
+            wal_records: cur.u64()?,
+            wal_bytes: cur.u64()?,
+            wal_fsyncs: cur.u64()?,
+            snapshots_written: cur.u64()?,
+            recovered_records: cur.u64()?,
+            recovered_truncated_bytes: cur.u64()?,
+        }),
         K_SHUTDOWN_ACK => Response::ShutdownAck,
-        K_REPL_ACK => {
-            need(&data, 8)?;
-            Response::ReplAck {
-                durable_lsn: data.get_u64_le(),
-            }
-        }
-        K_SNAPSHOT_INSTALLED => {
-            need(&data, 8)?;
-            Response::SnapshotInstalled {
-                next_lsn: data.get_u64_le(),
-            }
-        }
-        K_PROMOTED => {
-            need(&data, 16)?;
-            Response::Promoted {
-                epoch: data.get_u64_le(),
-                next_lsn: data.get_u64_le(),
-            }
-        }
+        K_REPL_ACK => Response::ReplAck {
+            durable_lsn: cur.u64()?,
+        },
+        K_SNAPSHOT_INSTALLED => Response::SnapshotInstalled {
+            next_lsn: cur.u64()?,
+        },
+        K_PROMOTED => Response::Promoted {
+            epoch: cur.u64()?,
+            next_lsn: cur.u64()?,
+        },
         K_CLUSTER_STATUS_REPLY => {
-            need(&data, 1 + 2 + 8 + 8 + 1)?;
-            let role = match data.get_u8() {
+            let role = match cur.u8()? {
                 0 => NodeRole::Standalone,
                 1 => NodeRole::Primary,
                 2 => NodeRole::Follower,
                 _ => return Err(TraceError::Corrupt("unknown cluster role").into()),
             };
-            let partition = data.get_u16_le();
-            let epoch = data.get_u64_le();
-            let durable_lsn = data.get_u64_le();
-            let flags = data.get_u8();
+            let partition = cur.u16()?;
+            let epoch = cur.u64()?;
+            let durable_lsn = cur.u64()?;
+            let flags = cur.u8()?;
             if flags & !0b11 != 0 {
                 return Err(TraceError::Corrupt("bad cluster status flags").into());
             }
@@ -832,49 +651,30 @@ pub fn decode_response(mut data: Bytes) -> Result<(u64, Response), NetError> {
                 degraded: flags & 2 != 0,
             }
         }
-        K_ERROR => {
-            need(&data, 1)?;
-            let err = match data.get_u8() {
-                E_OVERLOADED => WireError::Overloaded,
-                E_UNAVAILABLE => WireError::Unavailable,
-                E_SHUTTING_DOWN => WireError::ShuttingDown,
-                E_BAD_REQUEST => {
-                    need(&data, 2)?;
-                    let n = data.get_u16_le() as usize;
-                    need(&data, n)?;
-                    let mut bytes = vec![0u8; n];
-                    data.copy_to_slice(&mut bytes);
-                    WireError::BadRequest(String::from_utf8_lossy(&bytes).into_owned())
-                }
-                E_UNKNOWN_CAMPAIGN => {
-                    need(&data, 4)?;
-                    WireError::UnknownCampaign(AdId(data.get_u32_le()))
-                }
-                E_STALE_EPOCH => {
-                    need(&data, 8)?;
-                    WireError::StaleEpoch {
-                        current: data.get_u64_le(),
-                    }
-                }
-                E_WRONG_PARTITION => {
-                    need(&data, 2)?;
-                    WireError::WrongPartition {
-                        expected: data.get_u16_le(),
-                    }
-                }
-                E_LSN_GAP => {
-                    need(&data, 8)?;
-                    WireError::LsnGap {
-                        expected: data.get_u64_le(),
-                    }
-                }
-                E_NOT_PRIMARY => WireError::NotPrimary,
-                _ => return Err(TraceError::Corrupt("unknown error code").into()),
-            };
-            Response::Error(err)
-        }
+        K_ERROR => Response::Error(match cur.u8()? {
+            E_OVERLOADED => WireError::Overloaded,
+            E_UNAVAILABLE => WireError::Unavailable,
+            E_SHUTTING_DOWN => WireError::ShuttingDown,
+            E_BAD_REQUEST => {
+                let n = cur.len16()?;
+                WireError::BadRequest(String::from_utf8_lossy(cur.take(n)?).into_owned())
+            }
+            E_UNKNOWN_CAMPAIGN => WireError::UnknownCampaign(AdId(cur.u32()?)),
+            E_STALE_EPOCH => WireError::StaleEpoch {
+                current: cur.u64()?,
+            },
+            E_WRONG_PARTITION => WireError::WrongPartition {
+                expected: cur.u16()?,
+            },
+            E_LSN_GAP => WireError::LsnGap {
+                expected: cur.u64()?,
+            },
+            E_NOT_PRIMARY => WireError::NotPrimary,
+            _ => return Err(TraceError::Corrupt("unknown error code").into()),
+        }),
         _ => return Err(TraceError::Corrupt("unknown response kind").into()),
     };
+    cur.finish("trailing bytes after response")?;
     Ok((id, resp))
 }
 
@@ -1260,10 +1060,18 @@ mod tests {
         );
     }
 
+    /// `body` with its byte `at` XORed with 0xFF.
+    fn flipped(body: &Bytes, at: usize) -> Bytes {
+        let mut bytes = body.to_vec();
+        bytes[at] ^= 0xFF;
+        Bytes::from(bytes)
+    }
+
     #[test]
     fn truncated_bodies_never_panic() {
         // Every proper prefix of every sample frame must fail with a typed
-        // error — this sweeps each decoder's bounds checks.
+        // error — this sweeps each decoder's bounds checks. Every one-byte
+        // flip must decode to Ok or a typed error, never a panic.
         for req in sample_requests() {
             let body = body_of(&encode_request(7, &req));
             for cut in 0..body.len() {
@@ -1271,6 +1079,7 @@ mod tests {
                     decode_request(body.slice(0..cut)).is_err(),
                     "{req:?} cut at {cut}"
                 );
+                let _ = decode_request(flipped(&body, cut));
             }
         }
         for resp in sample_responses() {
@@ -1280,7 +1089,32 @@ mod tests {
                     decode_response(body.slice(0..cut)).is_err(),
                     "{resp:?} cut at {cut}"
                 );
+                let _ = decode_response(flipped(&body, cut));
             }
+        }
+    }
+
+    #[test]
+    fn submit_option_flags_are_strict() {
+        let spec = CampaignSpec {
+            budget: Some(5.0),
+            topic_hint: Some(2),
+            ..CampaignSpec::unrestricted(v(&[(1, 1.0)]), 1.0)
+        };
+        let base = body_of(&encode_request(1, &Request::SubmitCampaign(spec))).to_vec();
+        // The body ends `budget flag | f64 | topic flag | u32`.
+        for (at, what) in [
+            (base.len() - 14, "bad budget flag"),
+            (base.len() - 5, "bad topic flag"),
+        ] {
+            let mut bad = base.clone();
+            assert_eq!(bad[at], 1);
+            bad[at] = 2;
+            let err = decode_request(Bytes::from(bad)).unwrap_err();
+            assert!(
+                matches!(err, NetError::Decode(TraceError::Corrupt(w)) if w == what),
+                "{what}: {err}"
+            );
         }
     }
 

@@ -46,7 +46,7 @@ use adcast_durability::{
 use adcast_obs::tracestore::{tracestore, SpanKind, TraceContext};
 use adcast_obs::{Counter, Gauge, Hist};
 use adcast_stream::clock::now_ns;
-use adcast_stream::trace::TraceError;
+use adcast_stream::cursor::TraceError;
 use bytes::Bytes;
 
 use crate::protocol::{NodeRole, WireError};

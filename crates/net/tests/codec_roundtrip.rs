@@ -11,9 +11,12 @@ use adcast_ads::AdId;
 use adcast_core::Recommendation;
 use adcast_feed::FeedDelta;
 use adcast_graph::UserId;
-use adcast_net::codec::{decode_request, decode_response, encode_request, encode_response};
+use adcast_net::codec::{
+    decode_request, decode_response, encode_request, encode_response, NetError,
+};
 use adcast_net::{CampaignSpec, NodeRole, Request, Response, ServerStats, TraceContext, WireError};
 use adcast_stream::clock::{Duration, Timestamp};
+use adcast_stream::cursor::TraceError;
 use adcast_stream::event::{LocationId, Message, MessageId, TimeSlot};
 use adcast_text::dictionary::TermId;
 use adcast_text::SparseVector;
@@ -310,5 +313,129 @@ fn every_wire_error_round_trips_inside_response_error() {
             .unwrap_or_else(|e| panic!("{}: {e}", response_kind(&resp)));
         assert_eq!(got_id, id);
         assert_eq!(got, resp);
+    }
+}
+
+/// FNV-1a, 64-bit.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// Every sample's full frame, labelled: each request and response
+/// variant, each wire error, the option-free `SubmitCampaign` form, and
+/// one trace stream holding one message record.
+fn labelled_encodings() -> Vec<(String, Bytes)> {
+    let mut out = Vec::new();
+    for (i, req) in one_request_per_variant().iter().enumerate() {
+        let label = format!("Request::{}", request_kind(req));
+        out.push((label, encode_request(1000 + i as u64, req)));
+    }
+    let bare = Request::SubmitCampaign(CampaignSpec::unrestricted(vector(&[(2, 0.7)]), 1.0));
+    out.push((
+        "Request::SubmitCampaign/none".to_string(),
+        encode_request(1, &bare),
+    ));
+    for (i, resp) in one_response_per_variant().iter().enumerate() {
+        let label = format!("Response::{}", response_kind(resp));
+        out.push((label, encode_response(2000 + i as u64, resp)));
+    }
+    for (i, err) in all_errors().into_iter().enumerate() {
+        let label = format!("WireError::{}", wire_error_kind(&err));
+        out.push((
+            label,
+            encode_response(3000 + i as u64, &Response::Error(err)),
+        ));
+    }
+    let mut trace = adcast_stream::trace::TraceWriter::new();
+    trace.write(&message(4));
+    out.push(("trace".to_string(), trace.finish()));
+    out
+}
+
+/// Recorded digests of [`labelled_encodings`]: the encoders' output is
+/// pinned byte for byte, so a codec refactor that changes one byte of any
+/// format fails here.
+const GOLDEN: &[(&str, u64)] = &[
+    ("Request::Ingest", 0xcc624d37021bfc07),
+    ("Request::Recommend", 0xe77fa1557b09ffd8),
+    ("Request::SubmitCampaign", 0xc0258d487f8e1811),
+    ("Request::PauseCampaign", 0x7dfc516eeb20bff4),
+    ("Request::Impression", 0x2b44ea19c4cc8ffa),
+    ("Request::Maintain", 0xb8dad7bcff1aecdf),
+    ("Request::Checkpoint", 0xbeb2aa6f82cfd86d),
+    ("Request::ObsDump", 0x1f50b2fc111420ef),
+    ("Request::Stats", 0xd526422551dc4f50),
+    ("Request::Shutdown", 0xf893cb585acd3f78),
+    ("Request::Routed", 0x2f3e5d38221a5493),
+    ("Request::ReplAppend", 0x173570744fee245b),
+    ("Request::InstallSnapshot", 0x7e95d171cceb6db6),
+    ("Request::Promote", 0x2d2fc9bb19ea75d1),
+    ("Request::ClusterStatus", 0x50f47a8f99ad46d4),
+    ("Request::SubmitCampaign/none", 0x3085bdc40dec317d),
+    ("Response::Ingested", 0x45dfa83fcf2452a3),
+    ("Response::Recommendations", 0x63528484a3afacf3),
+    ("Response::CampaignAccepted", 0xd61b2ba3a435207f),
+    ("Response::CampaignPaused", 0xde9914024b4fb1ff),
+    ("Response::ImpressionRecorded", 0x43540c47f39c96cd),
+    ("Response::Maintained", 0x14fc9e26c3ccf5be),
+    ("Response::Checkpointed", 0x5d49d137485e15ab),
+    ("Response::ObsDumped", 0x6d0ffc755313fed9),
+    ("Response::Stats", 0x8d7ba9a8003e653c),
+    ("Response::ShutdownAck", 0x86bce842aff3cb3c),
+    ("Response::ReplAck", 0x1b38e2c356edd8fd),
+    ("Response::SnapshotInstalled", 0x76d1fa038d28f488),
+    ("Response::Promoted", 0xdb671f1b076d788a),
+    ("Response::ClusterStatusReply", 0x33979f3ecb03c37c),
+    ("Response::Error", 0xd9a1154a10905208),
+    ("WireError::Overloaded", 0x17ed4e89d233794a),
+    ("WireError::Unavailable", 0xf9a0c068cdb85fdc),
+    ("WireError::ShuttingDown", 0x6d03c1f2d4bab90e),
+    ("WireError::BadRequest", 0xa9f37827df2e3319),
+    ("WireError::UnknownCampaign", 0xde6650421607de19),
+    ("WireError::StaleEpoch", 0xc02592333cd2b6a5),
+    ("WireError::WrongPartition", 0xf1caeea7037a50f6),
+    ("WireError::LsnGap", 0xec4162e40bcbe11b),
+    ("WireError::NotPrimary", 0x1fa38f59eb0871da),
+    ("trace", 0x9dd2eaebecba5d1e),
+];
+
+#[test]
+fn encodings_match_recorded_bytes() {
+    let got: Vec<(String, u64)> = labelled_encodings()
+        .into_iter()
+        .map(|(label, bytes)| (label, fnv1a(&bytes)))
+        .collect();
+    let want: Vec<(String, u64)> = GOLDEN.iter().map(|&(l, d)| (l.to_string(), d)).collect();
+    assert_eq!(got, want);
+}
+
+#[test]
+fn trailing_bytes_are_rejected() {
+    // One extra byte after a valid body is a typed error, for every
+    // variant — a `Routed` envelope is checked after its inner request.
+    for (i, req) in one_request_per_variant().iter().enumerate() {
+        let mut body = body_of(&encode_request(i as u64, req)).to_vec();
+        body.push(0);
+        let err = decode_request(Bytes::from(body)).unwrap_err();
+        assert!(
+            matches!(err, NetError::Decode(TraceError::Corrupt(_))),
+            "{}: {err}",
+            request_kind(req)
+        );
+    }
+    let responses = one_response_per_variant()
+        .into_iter()
+        .chain(all_errors().into_iter().map(Response::Error));
+    for (i, resp) in responses.enumerate() {
+        let mut body = body_of(&encode_response(i as u64, &resp)).to_vec();
+        body.push(0);
+        let err = decode_response(Bytes::from(body)).unwrap_err();
+        assert!(
+            matches!(err, NetError::Decode(TraceError::Corrupt(_))),
+            "{}: {err}",
+            response_kind(&resp)
+        );
     }
 }

@@ -22,10 +22,13 @@
 //! * [`generator`] — the end-to-end workload generator producing message
 //!   streams and ad corpora over a shared dictionary,
 //! * [`trace`] — record/replay with a hand-rolled binary codec (no serde
-//!   format crates offline).
+//!   format crates offline),
+//! * [`cursor`] — the checked byte cursor and layout primitives every
+//!   adcast binary format (trace, wire, WAL, snapshot) decodes through.
 
 pub mod arrival;
 pub mod clock;
+pub mod cursor;
 pub mod decay;
 pub mod event;
 pub mod generator;

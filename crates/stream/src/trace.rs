@@ -6,7 +6,9 @@
 //! re-running the generator, and for persisting interesting workloads).
 //!
 //! The codec is hand-rolled on the `bytes` crate (no serde format crates
-//! are available offline). Layout, all little-endian:
+//! are available offline) and decodes through [`crate::cursor`], which
+//! owns the layout primitives and the malformed-input policy of every
+//! adcast binary format. Layout, all little-endian:
 //!
 //! ```text
 //! header:  magic "ADCT" | version u16 | reserved u16
@@ -19,51 +21,56 @@ use std::sync::Arc;
 use adcast_graph::UserId;
 use adcast_text::dictionary::TermId;
 use adcast_text::SparseVector;
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{BufMut, Bytes, BytesMut};
 
 use crate::clock::Timestamp;
+use crate::cursor::{put_len16, put_stream_header, Cursor, TraceError};
 use crate::event::{LocationId, Message, MessageId, SharedMessage};
 
 const MAGIC: &[u8; 4] = b"ADCT";
 const VERSION: u16 = 1;
 
-/// Write a `magic | version u16 | reserved u16` stream header.
-///
-/// Shared by the trace codec (stream-level header) and the `adcast-net`
-/// wire codec (per-frame header): both formats lead with the same 8-byte
-/// shape so one pair of helpers guards both against malformed inputs.
-pub fn put_stream_header(buf: &mut BytesMut, magic: &[u8; 4], version: u16) {
-    buf.put_slice(magic);
-    buf.put_u16_le(version);
-    buf.put_u16_le(0);
+/// Write `v`'s `(term u32, weight f32)` pairs; the count before them is
+/// the caller's, since its width differs between formats.
+#[inline]
+pub fn put_terms(buf: &mut BytesMut, v: &SparseVector) {
+    for (t, w) in v.iter() {
+        buf.put_u32_le(t.0);
+        buf.put_f32_le(w);
+    }
 }
 
-/// Validate and consume a header written by [`put_stream_header`].
+/// Read `n` pairs written by [`put_terms`] with one bounds check. Every
+/// weight must pass `valid` (else `Corrupt(bad_weight)`) and terms must
+/// strictly increase.
 ///
 /// # Errors
 ///
-/// [`TraceError::BadMagic`] when the buffer is shorter than a header or
-/// does not start with `magic`; [`TraceError::BadVersion`] on a version
-/// mismatch. Never panics, whatever the peer sent.
-pub fn check_stream_header(
-    data: &mut Bytes,
-    magic: &[u8; 4],
-    version: u16,
-) -> Result<(), TraceError> {
-    if data.remaining() < 8 {
-        return Err(TraceError::BadMagic);
+/// Typed [`TraceError`] on truncation or invalid pairs; never panics.
+pub fn get_terms(
+    cur: &mut Cursor,
+    n: usize,
+    valid: impl Fn(f32) -> bool,
+    bad_weight: &'static str,
+) -> Result<SparseVector, TraceError> {
+    let (words, _) = cur.take(n.saturating_mul(8))?.as_chunks::<4>();
+    let mut entries = Vec::with_capacity(n);
+    for pair in words.chunks_exact(2) {
+        let w = f32::from_le_bytes(pair[1]);
+        if !valid(w) {
+            return Err(TraceError::Corrupt(bad_weight));
+        }
+        entries.push((TermId(u32::from_le_bytes(pair[0])), w));
     }
-    let mut found = [0u8; 4];
-    data.copy_to_slice(&mut found);
-    if &found != magic {
-        return Err(TraceError::BadMagic);
+    if entries.windows(2).any(|p| p[0].0 >= p[1].0) {
+        return Err(TraceError::Corrupt("terms not strictly sorted"));
     }
-    let found_version = data.get_u16_le();
-    if found_version != version {
-        return Err(TraceError::BadVersion(found_version));
-    }
-    let _reserved = data.get_u16_le();
-    Ok(())
+    Ok(SparseVector::from_sorted(entries))
+}
+
+/// Finite and non-zero: the weight rule for message and ad vectors.
+pub fn nonzero_finite(w: f32) -> bool {
+    w.is_finite() && w != 0.0
 }
 
 /// Encode one message record (the layout in the module docs).
@@ -72,16 +79,12 @@ pub fn check_stream_header(
 ///
 /// Panics when the vector holds more than `u16::MAX` terms.
 pub fn put_message(buf: &mut BytesMut, m: &Message) {
-    let n = u16::try_from(m.vector.len()).expect("vector larger than u16::MAX terms");
     buf.put_u64_le(m.id.0);
     buf.put_u32_le(m.author.0);
     buf.put_u64_le(m.ts.micros());
     buf.put_u16_le(m.location.0);
-    buf.put_u16_le(n);
-    for (t, w) in m.vector.iter() {
-        buf.put_u32_le(t.0);
-        buf.put_f32_le(w);
-    }
+    put_len16(buf, m.vector.len());
+    put_terms(buf, &m.vector);
 }
 
 /// Decode one message record written by [`put_message`].
@@ -91,32 +94,13 @@ pub fn put_message(buf: &mut BytesMut, m: &Message) {
 /// [`TraceError::Truncated`] when the buffer ends mid-record,
 /// [`TraceError::Corrupt`] on invalid payloads (zero/non-finite weights,
 /// unsorted terms). Never panics, whatever the peer sent.
-pub fn get_message(data: &mut Bytes) -> Result<SharedMessage, TraceError> {
-    const FIXED: usize = 8 + 4 + 8 + 2 + 2;
-    if data.remaining() < FIXED {
-        return Err(TraceError::Truncated);
-    }
-    let id = MessageId(data.get_u64_le());
-    let author = UserId(data.get_u32_le());
-    let ts = Timestamp(data.get_u64_le());
-    let location = LocationId(data.get_u16_le());
-    let n = data.get_u16_le() as usize;
-    if data.remaining() < n * 8 {
-        return Err(TraceError::Truncated);
-    }
-    let mut entries = Vec::with_capacity(n);
-    for _ in 0..n {
-        let t = TermId(data.get_u32_le());
-        let w = data.get_f32_le();
-        if !w.is_finite() || w == 0.0 {
-            return Err(TraceError::Corrupt("zero or non-finite weight"));
-        }
-        entries.push((t, w));
-    }
-    if entries.windows(2).any(|p| p[0].0 >= p[1].0) {
-        return Err(TraceError::Corrupt("terms not strictly sorted"));
-    }
-    let vector = SparseVector::from_sorted(entries);
+pub fn get_message(cur: &mut Cursor) -> Result<SharedMessage, TraceError> {
+    let id = MessageId(cur.u64()?);
+    let author = UserId(cur.u32()?);
+    let ts = Timestamp(cur.u64()?);
+    let location = LocationId(cur.u16()?);
+    let n = cur.len16()?;
+    let vector = get_terms(cur, n, nonzero_finite, "zero or non-finite weight")?;
     Ok(Arc::new(Message {
         id,
         author,
@@ -125,32 +109,6 @@ pub fn get_message(data: &mut Bytes) -> Result<SharedMessage, TraceError> {
         vector,
     }))
 }
-
-/// Decode failure.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum TraceError {
-    /// The trace does not start with the `ADCT` magic.
-    BadMagic,
-    /// The trace was written by an incompatible version.
-    BadVersion(u16),
-    /// The trace ends mid-record.
-    Truncated,
-    /// A record contains an invalid payload (e.g. non-finite weight).
-    Corrupt(&'static str),
-}
-
-impl std::fmt::Display for TraceError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            TraceError::BadMagic => write!(f, "not an adcast trace (bad magic)"),
-            TraceError::BadVersion(v) => write!(f, "unsupported trace version {v}"),
-            TraceError::Truncated => write!(f, "trace truncated mid-record"),
-            TraceError::Corrupt(what) => write!(f, "corrupt trace: {what}"),
-        }
-    }
-}
-
-impl std::error::Error for TraceError {}
 
 /// Serializes messages into an in-memory trace buffer.
 #[derive(Debug)]
@@ -198,22 +156,23 @@ impl TraceWriter {
 /// Streaming decoder over trace bytes.
 #[derive(Debug)]
 pub struct TraceReader {
-    data: Bytes,
+    cur: Cursor,
 }
 
 impl TraceReader {
     /// Validate the header and position after it.
-    pub fn new(mut data: Bytes) -> Result<Self, TraceError> {
-        check_stream_header(&mut data, MAGIC, VERSION)?;
-        Ok(TraceReader { data })
+    pub fn new(data: Bytes) -> Result<Self, TraceError> {
+        let mut cur = Cursor::new(data);
+        cur.check_header(MAGIC, VERSION)?;
+        Ok(TraceReader { cur })
     }
 
     /// Decode the next message, `Ok(None)` at a clean end of trace.
     pub fn next_message(&mut self) -> Result<Option<SharedMessage>, TraceError> {
-        if !self.data.has_remaining() {
+        if self.cur.is_empty() {
             return Ok(None);
         }
-        get_message(&mut self.data).map(Some)
+        get_message(&mut self.cur).map(Some)
     }
 
     /// Decode the whole remaining trace.
@@ -332,25 +291,23 @@ mod tests {
     fn shared_header_helpers_roundtrip_and_reject() {
         let mut buf = BytesMut::new();
         put_stream_header(&mut buf, b"WXYZ", 3);
-        let mut ok = buf.clone().freeze();
-        assert_eq!(check_stream_header(&mut ok, b"WXYZ", 3), Ok(()));
-        assert_eq!(ok.remaining(), 0, "header fully consumed");
-        let mut wrong_magic = buf.clone().freeze();
+        let bytes = buf.freeze();
+        let mut ok = Cursor::new(bytes.clone());
+        assert_eq!(ok.check_header(b"WXYZ", 3), Ok(()));
+        assert!(ok.is_empty(), "header fully consumed");
         assert_eq!(
-            check_stream_header(&mut wrong_magic, b"ABCD", 3),
+            Cursor::new(bytes.clone()).check_header(b"ABCD", 3),
             Err(TraceError::BadMagic)
         );
-        let mut wrong_version = buf.freeze();
         assert_eq!(
-            check_stream_header(&mut wrong_version, b"WXYZ", 4),
+            Cursor::new(bytes.clone()).check_header(b"WXYZ", 4),
             Err(TraceError::BadVersion(3))
         );
         // Shorter than a header (the empty buffer included): BadMagic,
         // never a panic.
         for cut in 0..8usize {
-            let mut short = Bytes::from_static(b"WXYZ\x03\x00\x00\x00").slice(0..cut);
             assert_eq!(
-                check_stream_header(&mut short, b"WXYZ", 3),
+                Cursor::new(bytes.slice(0..cut)).check_header(b"WXYZ", 3),
                 Err(TraceError::BadMagic),
                 "cut at {cut}"
             );
@@ -363,11 +320,11 @@ mod tests {
         let mut buf = BytesMut::new();
         put_message(&mut buf, msg);
         let bytes = buf.freeze();
-        let mut whole = bytes.clone();
+        let mut whole = Cursor::new(bytes.clone());
         assert_eq!(&*get_message(&mut whole).unwrap(), &**msg);
         // Every proper prefix must decode to Truncated, not panic.
         for cut in 0..bytes.len() {
-            let mut prefix = bytes.slice(0..cut);
+            let mut prefix = Cursor::new(bytes.slice(0..cut));
             assert_eq!(
                 get_message(&mut prefix),
                 Err(TraceError::Truncated),
