@@ -10,7 +10,8 @@
 //! every bit of the id.
 //!
 //! Use [`IdMap`] for maps keyed by such ids; keep the default hasher for
-//! anything keyed by outside input.
+//! anything keyed by outside input, and [`idmap_bytes`] to charge an
+//! `IdMap` to a `memory_bytes` estimate.
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -49,6 +50,22 @@ impl Hasher for IdHasher {
 /// `HashMap` keyed by a dense id, hashed with [`IdHasher`].
 pub type IdMap<K, V> = HashMap<K, V, BuildHasherDefault<IdHasher>>;
 
+/// Heap bytes held by an [`IdMap<K, V>`] whose `capacity()` is
+/// `capacity`. std's map (hashbrown) allocates a power-of-two bucket count
+/// with a 7/8 load factor: one `(K, V)` slot and one control byte per
+/// bucket, plus one trailing 16-byte SIMD group of control bytes. A map
+/// of capacity 0 has not allocated.
+pub fn idmap_bytes<K, V>(capacity: usize) -> usize {
+    const GROUP: usize = 16;
+    let buckets = match capacity {
+        0 => return 0,
+        1..=3 => 4,
+        4..=7 => 8,
+        _ => (capacity * 8 / 7).next_power_of_two(),
+    };
+    (buckets * std::mem::size_of::<(K, V)>()).next_multiple_of(GROUP) + buckets + GROUP
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -78,6 +95,23 @@ mod tests {
         tags.sort_unstable();
         tags.dedup();
         assert_eq!(tags.len(), 128);
+    }
+
+    #[test]
+    fn idmap_bytes_follows_the_bucket_layout() {
+        // `capacity()` reports 7/8 of a power-of-two bucket count.
+        let cap = |n: usize| {
+            IdMap::<AdId, f32>::with_capacity_and_hasher(n, Default::default()).capacity()
+        };
+        assert_eq!((cap(1), cap(5), cap(14), cap(1_528)), (3, 7, 14, 1_792));
+        assert_eq!(idmap_bytes::<AdId, f32>(0), 0);
+        assert_eq!(idmap_bytes::<AdId, f32>(3), 4 * 8 + 4 + 16);
+        assert_eq!(idmap_bytes::<AdId, f32>(7), 8 * 8 + 8 + 16);
+        assert_eq!(idmap_bytes::<AdId, f32>(14), 16 * 8 + 16 + 16);
+        // A 1 528-entry score cache: 2 048 buckets of 9 B.
+        assert_eq!(idmap_bytes::<AdId, f32>(1_792), 2_048 * 9 + 16);
+        // Slots round up to the control bytes' 16-byte alignment.
+        assert_eq!(idmap_bytes::<u8, ()>(3), 16 + 4 + 16);
     }
 
     #[test]

@@ -37,7 +37,7 @@ pub use auction::{run_gsp, AuctionBid, AuctionConfig, SlotAward};
 pub use budget::Budget;
 pub use campaign::{Campaign, CampaignState};
 pub use ctr::{ClickModel, CtrTracker};
-pub use idhash::{IdHasher, IdMap};
+pub use idhash::{idmap_bytes, IdHasher, IdMap};
 pub use index::{AdIndex, Posting, PostingsView, BLOCK_SIZE};
 pub use pacing::PacingController;
 pub use snapshot::{CampaignSnapshot, PacingSnapshot, StoreSnapshot};

@@ -3,6 +3,9 @@
 //! Paper shape: the incremental engine's extra state (buffers + bounds)
 //! is a small constant per user — far below the feed windows themselves —
 //! and the ad index grows linearly in total ad keywords.
+//!
+//! `lane_users` counts the users whose score cache ended dense enough to
+//! be an `f32` lane indexed by ad id rather than a hash map.
 
 use adcast_bench::{fmt_u, Report, Scale};
 use adcast_core::runner::EngineKind;
@@ -42,6 +45,7 @@ fn main() {
             "ad_store_B",
             "engine_B",
             "engine_pretty",
+            "lane_users",
         ],
     );
     let default_cache = adcast_core::EngineConfig::default().cache_capacity;
@@ -77,6 +81,7 @@ fn main() {
             fmt_u(sim.store().memory_bytes() as u64),
             fmt_u(engine_bytes as u64),
             format_bytes(engine_bytes),
+            sim.engine().lane_users().to_string(),
         ]);
     }
     report.finish();

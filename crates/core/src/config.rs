@@ -61,6 +61,12 @@ pub struct EngineConfig {
     /// re-scored on every delta. Cached values are exact when written and
     /// only ever drift *high* (they ignore evictions), so they remain
     /// sound upper bounds; promotions re-verify with an exact dot.
+    ///
+    /// A user's cache is a hash map until it holds at least 64 ads and a
+    /// quarter of the ids it spans, then a dense `f32` lane indexed by ad
+    /// id (4 B per id in the span); either way it holds at most this many
+    /// ads. At the default a user typically caches most of a catalogue of
+    /// a few thousand ads, which is what makes the lane pay.
     pub cache_capacity: usize,
     /// Minimum true-scale relevance an ad needs to be served. Shields all
     /// engines from f32 cancellation dust left by window evictions (an ad

@@ -271,7 +271,9 @@ impl IncrementalEngine {
                 st.buffer.insert(ad, rel, |_, r| r);
             }
             st.cache.clear();
-            for &(ad, bound) in &snap.cache {
+            // Highest id first: a dense cache then turns into a lane once,
+            // at its final length, instead of growing slot by slot.
+            for &(ad, bound) in snap.cache.iter().rev() {
                 st.cache.insert(ad, bound);
             }
             st.ceiling = snap.ceiling;
@@ -303,9 +305,11 @@ impl IncrementalEngine {
             if !has_state || now.since(st.ctx.last_ts()) < idle_for {
                 continue;
             }
+            // Fresh structures, not `clear()`: a cleared map keeps its
+            // allocation, and a decayed user should hold none.
             st.ctx = UserContext::new(self.config.half_life);
-            st.buffer.clear();
-            st.cache.clear();
+            st.buffer = CandidateBuffer::new(self.config.buffer_capacity());
+            st.cache = ScoreCache::new(self.config.cache_capacity);
             st.ceiling = 0.0;
             st.outside_bound = 0.0;
             st.index_epoch = 0;
@@ -541,6 +545,9 @@ impl IncrementalEngine {
         // Negative terms touch nothing outside the buffer — the buffered
         // ads' own small vectors are probed directly, far cheaper than a
         // second postings walk.
+        //
+        // Buffer and cache are disjoint, so the cache is probed first: on
+        // a dense user it is an array index, and most postings hit it.
         self.gains.begin(store.num_total());
         self.ctx_scatter.invalidate();
         let bound_before = self.users[user.index()].outside_bound;
@@ -566,9 +573,6 @@ impl IncrementalEngine {
                 self.stats.postings_scanned += postings.len() as u64;
                 for p in postings {
                     let gain = dw * p.weight;
-                    if st.buffer.nudge(p.ad, gain) {
-                        continue;
-                    }
                     if let Some(updated) = st.cache.nudge(p.ad, gain) {
                         let trigger = if self.config.scoring.lambda >= 1.0 {
                             updated
@@ -588,7 +592,7 @@ impl IncrementalEngine {
                         } else {
                             st.ceiling = st.ceiling.max(updated);
                         }
-                    } else {
+                    } else if !st.buffer.nudge(p.ad, gain) {
                         self.gains.add(p.ad, gain);
                     }
                 }
@@ -949,6 +953,10 @@ impl RecommendationEngine for IncrementalEngine {
                 })
                 .sum::<usize>()
     }
+
+    fn lane_users(&self) -> usize {
+        self.users.iter().filter(|st| st.cache.is_lane()).count()
+    }
 }
 
 #[cfg(test)]
@@ -1254,10 +1262,16 @@ mod tests {
     #[test]
     fn maintain_resets_idle_users_to_fresh_state() {
         use adcast_stream::clock::Duration as SimDuration;
-        let store = store_with(&[&[(1, 1.0)], &[(2, 1.0)]]);
+        // Ads 2.. share ad 0's term and overflow user 0's 4-ad buffer into
+        // its score cache.
+        let mut specs: Vec<Vec<(u32, f32)>> = vec![vec![(1, 1.0)], vec![(2, 1.0)]];
+        specs.extend((0..8).map(|i| vec![(1, 0.9 - 0.05 * i as f32)]));
+        let specs: Vec<&[(u32, f32)]> = specs.iter().map(Vec::as_slice).collect();
+        let store = store_with(&specs);
         let mut e = IncrementalEngine::new(2, cfg(1));
         e.on_feed_delta(&store, UserId(0), &delta(&[(1, 1.0)], 1, vec![]));
         e.on_feed_delta(&store, UserId(1), &delta(&[(2, 1.0)], 500, vec![]));
+        assert!(!e.users[0].cache.is_empty(), "user 0 must reach its cache");
         // At t=600s with a 300s idle cut, only user 0 (last active t=1s)
         // is reset; user 1 (t=500s) keeps its state.
         let (scanned, decayed) = e.maintain(Timestamp::from_secs(600), SimDuration::from_secs(300));
@@ -1281,6 +1295,93 @@ mod tests {
             e.export_snapshot().users[0].context.memory_bytes(),
             fresh.export_snapshot().users[0].context.memory_bytes()
         );
+        // …and holds no more memory: a cleared map would keep its table.
+        let (decayed, fresh) = (&e.users[0], &fresh.users[0]);
+        assert_eq!(decayed.buffer.memory_bytes(), fresh.buffer.memory_bytes());
+        assert_eq!(decayed.cache.memory_bytes(), fresh.cache.memory_bytes());
+    }
+
+    /// The postings walk probes the cache before the buffer, which is
+    /// sound only while no ad is in both. Check it after every delta of a
+    /// seeded stream with churn, on both cache representations.
+    #[test]
+    fn buffer_and_cache_stay_disjoint() {
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+        let ad = |rng: &mut SmallRng| AdSubmission {
+            vector: SparseVector::from_pairs(
+                (0..rng.gen_range(1..5))
+                    .map(|_| (TermId(rng.gen_range(0..24)), rng.gen_range(0.05f32..1.0))),
+            ),
+            bid: rng.gen_range(0.5f32..2.0),
+            targeting: Targeting::everywhere(),
+            budget: Budget::unlimited(),
+            topic_hint: None,
+        };
+        for (cache_capacity, lanes) in [(8192, true), (16, false)] {
+            let mut rng = SmallRng::seed_from_u64(0xd15_0123 ^ cache_capacity as u64);
+            let mut store = AdStore::new();
+            for _ in 0..300 {
+                store.submit(ad(&mut rng)).unwrap();
+            }
+            let config = EngineConfig {
+                k: 3,
+                cache_capacity,
+                half_life: None,
+                ..Default::default()
+            };
+            let mut e = IncrementalEngine::new(6, config);
+            let mut windows: Vec<Vec<Arc<Message>>> = vec![Vec::new(); 6];
+            let mut paused = Vec::new();
+            for i in 0..3_000u64 {
+                let user = UserId(rng.gen_range(0..6));
+                let terms: Vec<(u32, f32)> = (0..3)
+                    .map(|_| (rng.gen_range(0..24), rng.gen_range(0.1f32..1.0)))
+                    .collect();
+                let window = &mut windows[user.index()];
+                let evicted = if window.len() >= 8 {
+                    vec![window.remove(0)]
+                } else {
+                    vec![]
+                };
+                let d = delta(&terms, i + 1, evicted);
+                window.push(d.entered.clone().unwrap());
+                e.on_feed_delta(&store, user, &d);
+                if i % 7 == 0 {
+                    let now = Timestamp::from_secs(i + 1);
+                    e.recommend(&store, user, now, LocationId(0), 3);
+                }
+                match i % 600 {
+                    100 => paused.extend(
+                        (0..10)
+                            .map(|_| AdId(rng.gen_range(0..300)))
+                            .filter(|&a| store.pause(a)),
+                    ),
+                    200 => paused.drain(..).for_each(|a| {
+                        store.resume(a);
+                    }),
+                    300 => {
+                        let gone: Vec<AdId> = (0..4)
+                            .map(|_| AdId(rng.gen_range(0..300)))
+                            .filter(|&a| store.remove(a))
+                            .collect();
+                        e.on_campaigns_removed(&gone);
+                    }
+                    400 => {
+                        store.submit(ad(&mut rng)).unwrap();
+                    }
+                    _ => {}
+                }
+                for (u, st) in e.users.iter().enumerate() {
+                    if let Some((ad, _)) =
+                        st.buffer.iter().find(|&(ad, _)| st.cache.get(ad).is_some())
+                    {
+                        panic!("delta {i}: user {u} holds {ad:?} in both buffer and cache");
+                    }
+                }
+            }
+            assert_eq!(e.lane_users() > 0, lanes, "cache capacity {cache_capacity}");
+        }
     }
 
     #[test]

@@ -155,6 +155,13 @@ pub trait RecommendationEngine {
 
     /// Approximate resident bytes of engine state.
     fn memory_bytes(&self) -> usize;
+
+    /// How many users hold their score cache as a dense lane (tests and
+    /// the memory experiment; 0 for engines without a score cache).
+    #[doc(hidden)]
+    fn lane_users(&self) -> usize {
+        0
+    }
 }
 
 /// Dot product of a (large) context against a (small) ad vector — the

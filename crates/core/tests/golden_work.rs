@@ -11,6 +11,10 @@
 //! exact dots are evaluated) must leave every counter and every f32 bit of
 //! state unchanged. Only a deliberate change to what the engine computes
 //! may re-record them.
+//!
+//! Each run also pins how many users end with a dense score-cache lane:
+//! every user in the first configuration and none in the second, so the
+//! digests cover both cache representations.
 
 use std::sync::Arc;
 
@@ -106,7 +110,8 @@ fn digest(snapshot: &EngineSnapshot) -> u64 {
 /// screened_out, promotions, refreshes, fallbacks, rebases, digest)`.
 type Work = (u64, u64, u64, u64, u64, u64, u64, u64);
 
-fn run(config: EngineConfig) -> Work {
+/// Runs the stream; returns the work and the users on a dense lane.
+fn run(config: EngineConfig) -> (Work, usize) {
     let mut rng = SmallRng::seed_from_u64(0x5eed_2016);
     let mut store = AdStore::new();
     for _ in 0..ADS {
@@ -187,7 +192,7 @@ fn run(config: EngineConfig) -> Work {
 
     let s = engine.stats();
     assert_eq!(s.deltas, DELTAS);
-    (
+    let work = (
         s.postings_scanned,
         s.ads_scored,
         s.screened_out,
@@ -196,7 +201,8 @@ fn run(config: EngineConfig) -> Work {
         s.fallbacks,
         s.rebases,
         digest(&engine.export_snapshot()),
-    )
+    );
+    (work, engine.lane_users())
 }
 
 fn decayed() -> EngineConfig {
@@ -208,8 +214,10 @@ fn decayed() -> EngineConfig {
 
 #[test]
 fn pure_relevance_work_is_golden() {
+    let (work, lane_users) = run(decayed());
+    assert_eq!(lane_users, USERS as usize);
     assert_eq!(
-        run(decayed()),
+        work,
         (
             2030067,
             966323,
@@ -225,12 +233,13 @@ fn pure_relevance_work_is_golden() {
 
 #[test]
 fn blended_small_cache_work_is_golden() {
-    let got = run(EngineConfig {
+    let (got, lane_users) = run(EngineConfig {
         k: 6,
         scoring: ScoringPolicy::blended(0.7),
         cache_capacity: 24,
         ..decayed()
     });
+    assert_eq!(lane_users, 0, "a 24-entry cache is below the lane floor");
     assert_eq!(
         got,
         (

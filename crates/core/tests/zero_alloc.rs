@@ -71,12 +71,12 @@ fn stream(n: u64) -> Vec<FeedDelta> {
     out
 }
 
-#[test]
-fn steady_state_deltas_do_not_allocate() {
-    // No decay: rebases never fire, so every post-warmup delta walks the
-    // identical code path. 30 ads against a buffer of k·headroom = 8
-    // keeps the outside-ad machinery (gain accumulator, screening) exercised.
-    let s = store(30);
+/// Feed one user 1 000 warm-up deltas, then 1 000 measured ones, over a
+/// store of `num_ads`; returns the engine and the allocations counted in
+/// each half. No decay: rebases never fire, so every post-warmup delta
+/// walks the identical code path.
+fn warm_then_measure(num_ads: u32) -> (IncrementalEngine, u64, u64) {
+    let s = store(num_ads);
     let config = EngineConfig {
         k: 2,
         half_life: None,
@@ -84,28 +84,51 @@ fn steady_state_deltas_do_not_allocate() {
     };
     let mut engine = IncrementalEngine::new(1, config);
     let deltas = stream(2_000);
-
     // Warm-up: grow every scratch buffer, map, and context to its
     // steady-state capacity (including at least one refresh).
     for d in &deltas[..1_000] {
         engine.on_feed_delta(&s, UserId(0), d);
     }
     let warmup_allocs = engine.stats().hot_path_allocs;
-    assert!(
-        warmup_allocs > 0,
-        "warm-up must allocate (buffers grow from empty)"
-    );
-
     // Steady state: the counter must not move at all.
     for d in &deltas[1_000..] {
         engine.on_feed_delta(&s, UserId(0), d);
     }
     let steady_allocs = engine.stats().hot_path_allocs - warmup_allocs;
+    assert_eq!(engine.stats().deltas, 2_000);
+    (engine, warmup_allocs, steady_allocs)
+}
+
+#[test]
+fn steady_state_deltas_do_not_allocate() {
+    // 30 ads against a buffer of k·headroom = 8 keeps the outside-ad
+    // machinery (gain accumulator, screening, a sparse score cache)
+    // exercised.
+    let (engine, warmup_allocs, steady_allocs) = warm_then_measure(30);
+    assert!(
+        warmup_allocs > 0,
+        "warm-up must allocate (buffers grow from empty)"
+    );
     assert_eq!(
         steady_allocs, 0,
         "steady-state deltas allocated {steady_allocs} times over 1000 deltas"
     );
-    assert_eq!(engine.stats().deltas, 2_000);
+    assert_eq!(engine.lane_users(), 0, "30 ads stay below the lane floor");
+}
+
+#[test]
+fn steady_state_deltas_on_a_dense_lane_do_not_allocate() {
+    // 300 ads over the stream's 16 terms: every ad is touched, the buffer
+    // keeps 8, and the rest fill the score cache past the density cut, so
+    // the user's cache turns into a lane during warm-up (turning and
+    // growing allocate, which a measured delta would count) and every
+    // measured delta probes it.
+    let (engine, _, steady_allocs) = warm_then_measure(300);
+    assert_eq!(engine.lane_users(), 1, "the user's cache must be a lane");
+    assert_eq!(
+        steady_allocs, 0,
+        "steady-state lane deltas allocated {steady_allocs} times over 1000 deltas"
+    );
 }
 
 #[test]

@@ -6,7 +6,8 @@
 //! exists to prevent (`perf_summary` graphs the suppression count per PR).
 
 /// Hot-path modules: the blocked ad index and its evaluators, the engine
-/// steady state, the net node (request dispatch and ack ladder), server
+/// steady state and its per-user candidate buffer and score cache (probed
+/// once per posting), the net node (request dispatch and ack ladder), server
 /// transport loop, every binary format (the byte cursor they decode
 /// through, and the wire, trace, WAL record and snapshot codecs), the
 /// durability commit/replay paths, the cluster router forwarding and replication
@@ -20,6 +21,7 @@ pub const HOT_PATH_FILES: &[&str] = &[
     "crates/core/src/engine/blockmax.rs",
     "crates/core/src/engine/incremental.rs",
     "crates/core/src/engine/index_scan.rs",
+    "crates/core/src/skyband.rs",
     "crates/net/src/node.rs",
     "crates/net/src/server.rs",
     "crates/net/src/replication.rs",
