@@ -4,8 +4,9 @@
 //! is a small constant per user — far below the feed windows themselves —
 //! and the ad index grows linearly in total ad keywords.
 //!
-//! `lane_users` counts the users whose score cache ended dense enough to
-//! be an `f32` lane indexed by ad id rather than a hash map.
+//! `lane_users` counts the users on an exact relevance lane: their score
+//! cache turned dense, so they hold one `f32` of relevance per ad id
+//! instead of a candidate buffer and a cache.
 
 use adcast_bench::{fmt_u, Report, Scale};
 use adcast_core::runner::EngineKind;

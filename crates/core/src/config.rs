@@ -62,11 +62,13 @@ pub struct EngineConfig {
     /// only ever drift *high* (they ignore evictions), so they remain
     /// sound upper bounds; promotions re-verify with an exact dot.
     ///
-    /// A user's cache is a hash map until it holds at least 64 ads and a
-    /// quarter of the ids it spans, then a dense `f32` lane indexed by ad
-    /// id (4 B per id in the span); either way it holds at most this many
-    /// ads. At the default a user typically caches most of a catalogue of
-    /// a few thousand ads, which is what makes the lane pay.
+    /// The cache serves only the engine's bounded regime. Once a user's
+    /// cache holds at least 64 ads and a quarter of the catalogue's ids,
+    /// the user moves to an exact lane — one `f32` of relevance per ad id,
+    /// maintained by scatter-adds with no bounds to certify — and its
+    /// cache is dropped. At the default a user typically caches most of a
+    /// catalogue of a few thousand ads, so it converts; a capacity below
+    /// a quarter of the catalogue (or below 64) keeps every user bounded.
     pub cache_capacity: usize,
     /// Minimum true-scale relevance an ad needs to be served. Shields all
     /// engines from f32 cancellation dust left by window evictions (an ad

@@ -1,17 +1,24 @@
 //! **The system**: incremental per-user top-k maintenance.
 //!
-//! ## State per user
+//! Each user is in one of two regimes, chosen by how dense its candidates
+//! are in the catalogue (a property of the input, not an option).
+//!
+//! ## Bounded regime (sparse users)
+//!
+//! State per user:
 //!
 //! * a forward-decayed [`UserContext`],
 //! * a [`CandidateBuffer`] holding *exact* forward-scale relevance dots
 //!   for up to `headroom · k` ads,
+//! * a [`ScoreCache`] of drift-high bounds for candidates that did not
+//!   make the buffer, covered by a `ceiling`,
 //! * an `outside_bound`: a certified upper bound on the forward-scale
-//!   relevance of **every ad not in the buffer**.
+//!   relevance of **every ad neither buffered nor cached**.
 //!
-//! ## Per feed delta (the hot path)
+//! Per feed delta (the hot path):
 //!
 //! 1. apply the delta to the context; if a decay rebase fired, rescale the
-//!    buffer and the bound by the same factor;
+//!    buffer, the cache and the bounds by the same factor;
 //! 2. walk the posting lists of only the **changed terms**: buffered ads
 //!    get their dots nudged exactly; outside ads touched by *positive*
 //!    weight accumulate their potential gain in a dense stamped
@@ -29,6 +36,30 @@
 //! With `RefreshPolicy::Eager` the served top-k is provably identical to
 //! the baselines' (the equivalence tests exercise this); `Budgeted` trades
 //! bounded staleness for fewer refreshes.
+//!
+//! ## Exact regime (dense users)
+//!
+//! Once a bounded user's score cache holds at least 64 ads and a quarter
+//! of the catalogue's ids ([`ScoreCache::is_dense`]), the buffer, cache
+//! and bounds cost more than they save: the user converts to an **exact
+//! lane**, one `f32` of `ctx · ad` per ad id, filled by one blocked TAAT
+//! walk. From then on a feed delta is the context update plus
+//! `lane[ad] += Δw · w` over the postings of every changed term, both
+//! signs, and a recommend is one filtered pass over the lane. There is no
+//! screening, promotion, certification or refresh.
+//!
+//! Accumulated f32 drifts from a fresh dot, so the lane is **re-anchored**
+//! (rebuilt by the same walk, bit-identical to `IndexScanEngine`'s
+//! scores) on an index-epoch change, on a context rebase, and every
+//! `REANCHOR_EVERY` (256) deltas of that user. A removed ad's slot is zeroed;
+//! a paused ad's slot goes stale with its postings, is filtered at serve,
+//! and is rebuilt on resume (which bumps the epoch). `maintain` returns an
+//! idle user to a fresh bounded state.
+//!
+//! A recommend never changes a lane (a lane older than the index epoch is
+//! answered by a fallback walk until the user's next delta re-anchors it),
+//! so an engine that served reads and a WAL replay that never saw them
+//! hold the same lanes.
 
 use adcast_stream::clock::now_ns;
 
@@ -45,13 +76,63 @@ use crate::context::{ContextUpdate, UserContext};
 use crate::engine::blockmax::{taat_blocked, IndexObs, TaatAccumulator};
 use crate::engine::scatter::ContextScatter;
 use crate::engine::{EngineStats, Recommendation, RecommendationEngine};
+use crate::score::ScoringPolicy;
 use crate::skyband::{CandidateBuffer, ScoreCache};
-use crate::snapshot::{EngineSnapshot, UserStateSnapshot};
-use crate::topk::{top_k, Scored};
+use crate::snapshot::{EngineSnapshot, RelevanceSnapshot, UserStateSnapshot};
+use crate::topk::{insert_bounded, top_k, Scored};
+
+/// Deltas an exact lane accumulates between re-anchors. Each scattered
+/// delta adds one f32 rounding per touched slot; 256 of them stay well
+/// inside the 1e-4 of the user's top relevance that the drift test
+/// allows, while a re-anchor walks the whole context's postings once — a
+/// few deltas' worth, a few percent of the scatter once spread over 256.
+const REANCHOR_EVERY: u32 = 256;
 
 #[derive(Debug)]
 struct UserState {
     ctx: UserContext,
+    /// The store's index epoch when this user's relevance was last made
+    /// current (buffer certified or lane re-anchored). Ads submitted or
+    /// resumed after that are not covered, so a stale epoch forces a
+    /// refresh or re-anchor on the next touch.
+    index_epoch: u64,
+    relevance: Relevance,
+}
+
+impl UserState {
+    fn fresh(config: &EngineConfig) -> Self {
+        UserState {
+            ctx: UserContext::new(config.half_life),
+            index_epoch: 0,
+            relevance: Relevance::Bounded(Bounded::new(config)),
+        }
+    }
+
+    fn bounded(&self) -> Option<&Bounded> {
+        match &self.relevance {
+            Relevance::Bounded(b) => Some(b),
+            Relevance::Exact(_) => None,
+        }
+    }
+
+    fn bounded_mut(&mut self) -> Option<&mut Bounded> {
+        match &mut self.relevance {
+            Relevance::Bounded(b) => Some(b),
+            Relevance::Exact(_) => None,
+        }
+    }
+}
+
+/// A user's relevance state in one of the two regimes (module docs).
+#[derive(Debug)]
+enum Relevance {
+    Bounded(Bounded),
+    Exact(ExactLane),
+}
+
+/// The bounded regime's state.
+#[derive(Debug)]
+struct Bounded {
     buffer: CandidateBuffer,
     /// Score cache: exact-when-written, drift-high forward relevances of
     /// candidates that did not make the buffer (see
@@ -63,10 +144,75 @@ struct UserState {
     /// Upper bound (forward scale) on any ad that is neither buffered nor
     /// cached.
     outside_bound: f32,
-    /// The store's index epoch when this buffer was last certified. Ads
-    /// submitted or resumed after that are not covered by the bound, so a
-    /// stale epoch forces a refresh on the next touch.
-    index_epoch: u64,
+}
+
+impl Bounded {
+    fn new(config: &EngineConfig) -> Self {
+        Bounded {
+            buffer: CandidateBuffer::new(config.buffer_capacity()),
+            cache: ScoreCache::new(config.cache_capacity),
+            ceiling: 0.0,
+            outside_bound: 0.0,
+        }
+    }
+
+    /// The combined relevance bound over every non-buffered ad: cached
+    /// ads are below the ceiling, everything else below the unknown-ad
+    /// bound.
+    fn outside_rel_bound(&self) -> f32 {
+        self.ceiling.max(self.outside_bound)
+    }
+
+    /// Push the buffered ads that clear `min_fwd` and are active and
+    /// targeted at (`location`, `now`) onto `eligible` as (ad, relevance,
+    /// rank); returns whether any cleared `min_fwd` but was filtered out.
+    fn eligible_into(
+        &self,
+        store: &AdStore,
+        min_fwd: f32,
+        location: LocationId,
+        now: Timestamp,
+        policy: ScoringPolicy,
+        eligible: &mut Vec<(AdId, f32, f32)>,
+    ) -> bool {
+        let mut filtered_any = false;
+        for (ad, rel) in self.buffer.iter() {
+            if rel <= min_fwd {
+                continue;
+            }
+            let Some(campaign) = store.campaign(ad) else {
+                filtered_any = true;
+                continue;
+            };
+            if !campaign.is_active() || !campaign.ad.targeting.matches(location, now) {
+                filtered_any = true;
+                continue;
+            }
+            eligible.push((ad, rel, policy.rank(rel, campaign.ad.bid)));
+        }
+        filtered_any
+    }
+}
+
+/// The exact regime's state.
+#[derive(Debug)]
+struct ExactLane {
+    /// `rel[id]` is ad `id`'s forward-scale relevance (0.0 where the
+    /// context shares no term with it); one slot per id up to the
+    /// catalogue size at the last re-anchor.
+    rel: Vec<f32>,
+    /// Deltas scattered into `rel` since it was last rebuilt.
+    since_anchor: u32,
+}
+
+impl ExactLane {
+    /// Zero a removed ad's slot (its postings have left the index, so
+    /// nothing scatters into it again).
+    fn zero(&mut self, ad: AdId) {
+        if let Some(rel) = self.rel.get_mut(ad.index()) {
+            *rel = 0.0;
+        }
+    }
 }
 
 /// Engine-owned reusable buffers for the delta and serve paths. Every
@@ -92,6 +238,8 @@ struct HotScratch {
     refresh_candidates: Vec<(AdId, f32, f32)>,
     /// Serve-time eligible triples (ad, relevance, rank).
     eligible: Vec<(AdId, f32, f32)>,
+    /// Serve-time top-k of an exact lane, best first.
+    top: Vec<Scored>,
 }
 
 impl HotScratch {
@@ -105,6 +253,7 @@ impl HotScratch {
             + self.ranks.capacity() * std::mem::size_of::<f32>()
             + (self.refresh_candidates.capacity() + self.eligible.capacity())
                 * std::mem::size_of::<(AdId, f32, f32)>()
+            + self.top.capacity() * std::mem::size_of::<Scored>()
     }
 }
 
@@ -166,18 +315,8 @@ impl IncrementalEngine {
         // adcast-lint: allow(no-panic-hot-path) -- construction-time config
         // validation, documented under "# Panics"; no request in flight.
         config.validate().expect("invalid engine config");
-        let capacity = config.buffer_capacity();
         IncrementalEngine {
-            users: (0..num_users)
-                .map(|_| UserState {
-                    ctx: UserContext::new(config.half_life),
-                    buffer: CandidateBuffer::new(capacity),
-                    cache: ScoreCache::new(config.cache_capacity),
-                    ceiling: 0.0,
-                    outside_bound: 0.0,
-                    index_epoch: 0,
-                })
-                .collect(),
+            users: (0..num_users).map(|_| UserState::fresh(&config)).collect(),
             config,
             stats: EngineStats::default(),
             gains: TaatAccumulator::default(),
@@ -204,18 +343,29 @@ impl IncrementalEngine {
             .iter()
             .map(|st| {
                 let (landmark, last_ts, context) = st.ctx.snapshot_parts();
-                let mut buffer: Vec<(AdId, f32)> = st.buffer.iter().collect();
-                buffer.sort_unstable_by_key(|&(ad, _)| ad);
-                let mut cache: Vec<(AdId, f32)> = st.cache.iter().collect();
-                cache.sort_unstable_by_key(|&(ad, _)| ad);
+                let relevance = match &st.relevance {
+                    Relevance::Bounded(b) => {
+                        let mut buffer: Vec<(AdId, f32)> = b.buffer.iter().collect();
+                        buffer.sort_unstable_by_key(|&(ad, _)| ad);
+                        let mut cache: Vec<(AdId, f32)> = b.cache.iter().collect();
+                        cache.sort_unstable_by_key(|&(ad, _)| ad);
+                        RelevanceSnapshot::Bounded {
+                            buffer,
+                            cache,
+                            ceiling: b.ceiling,
+                            outside_bound: b.outside_bound,
+                        }
+                    }
+                    Relevance::Exact(lane) => RelevanceSnapshot::Exact {
+                        lane: lane.rel.clone(),
+                        since_anchor: lane.since_anchor,
+                    },
+                };
                 UserStateSnapshot {
                     landmark,
                     last_ts,
                     context,
-                    buffer,
-                    cache,
-                    ceiling: st.ceiling,
-                    outside_bound: st.outside_bound,
+                    relevance,
                     index_epoch: st.index_epoch,
                 }
             })
@@ -229,7 +379,7 @@ impl IncrementalEngine {
     /// Restore state captured by [`export_snapshot`](Self::export_snapshot)
     /// into this engine. The engine must have been built with the same
     /// user count and a configuration whose buffer/cache capacities can
-    /// hold the snapshot's entries.
+    /// hold the snapshot's entries. An exact lane is restored by copy.
     ///
     /// Work counters are reset and then set to the snapshot's totals, so a
     /// recovery that replays a WAL tail on top counts each replayed delta
@@ -248,37 +398,48 @@ impl IncrementalEngine {
             ));
         }
         for (i, (st, snap)) in self.users.iter_mut().zip(&snapshot.users).enumerate() {
-            if snap.buffer.len() > st.buffer.capacity() {
-                return Err(format!(
-                    "user {i}: snapshot buffer holds {} ads, capacity is {}",
-                    snap.buffer.len(),
-                    st.buffer.capacity()
-                ));
-            }
-            if snap.cache.len() > self.config.cache_capacity {
-                return Err(format!(
-                    "user {i}: snapshot cache holds {} ads, capacity is {}",
-                    snap.cache.len(),
-                    self.config.cache_capacity
-                ));
-            }
             st.ctx
                 .restore_parts(snap.landmark, snap.last_ts, snap.context.clone());
-            st.buffer.clear();
-            for &(ad, rel) in &snap.buffer {
-                // len ≤ capacity, so insert never evicts and the rank
-                // closure is never consulted.
-                st.buffer.insert(ad, rel, |_, r| r);
-            }
-            st.cache.clear();
-            // Highest id first: a dense cache then turns into a lane once,
-            // at its final length, instead of growing slot by slot.
-            for &(ad, bound) in snap.cache.iter().rev() {
-                st.cache.insert(ad, bound);
-            }
-            st.ceiling = snap.ceiling;
-            st.outside_bound = snap.outside_bound;
             st.index_epoch = snap.index_epoch;
+            st.relevance = match &snap.relevance {
+                RelevanceSnapshot::Bounded {
+                    buffer,
+                    cache,
+                    ceiling,
+                    outside_bound,
+                } => {
+                    let mut b = Bounded::new(&self.config);
+                    if buffer.len() > b.buffer.capacity() {
+                        return Err(format!(
+                            "user {i}: snapshot buffer holds {} ads, capacity is {}",
+                            buffer.len(),
+                            b.buffer.capacity()
+                        ));
+                    }
+                    if cache.len() > self.config.cache_capacity {
+                        return Err(format!(
+                            "user {i}: snapshot cache holds {} ads, capacity is {}",
+                            cache.len(),
+                            self.config.cache_capacity
+                        ));
+                    }
+                    for &(ad, rel) in buffer {
+                        // len ≤ capacity, so insert never evicts and the
+                        // rank closure is never consulted.
+                        b.buffer.insert(ad, rel, |_, r| r);
+                    }
+                    for &(ad, bound) in cache {
+                        b.cache.insert(ad, bound);
+                    }
+                    b.ceiling = *ceiling;
+                    b.outside_bound = *outside_bound;
+                    Relevance::Bounded(b)
+                }
+                RelevanceSnapshot::Exact { lane, since_anchor } => Relevance::Exact(ExactLane {
+                    rel: lane.clone(),
+                    since_anchor: *since_anchor,
+                }),
+            };
         }
         self.stats.reset();
         self.stats += &snapshot.stats;
@@ -288,10 +449,11 @@ impl IncrementalEngine {
     /// Lifecycle maintenance: reset every user whose last feed activity
     /// is at least `idle_for` old as of `now`, returning `(scanned,
     /// decayed)`. A reset user is bit-identical to a freshly constructed
-    /// one (empty context, empty buffer/cache, zero bounds, epoch 0), so
-    /// replaying the same maintenance record on a recovery twin
-    /// reproduces the exact same state. Users with no resident state are
-    /// scanned but not counted as decayed.
+    /// one (empty context, empty buffer/cache, zero bounds, epoch 0 — an
+    /// exact-lane user drops its lane and is bounded again), so replaying
+    /// the same maintenance record on a recovery twin reproduces the exact
+    /// same state. Users with no resident state are scanned but not
+    /// counted as decayed.
     pub fn maintain(
         &mut self,
         now: Timestamp,
@@ -301,18 +463,16 @@ impl IncrementalEngine {
         let mut decayed = 0u64;
         for st in &mut self.users {
             scanned += 1;
-            let has_state = !st.ctx.is_empty() || !st.buffer.is_empty() || !st.cache.is_empty();
+            let has_state = !st.ctx.is_empty()
+                || st
+                    .bounded()
+                    .is_none_or(|b| !b.buffer.is_empty() || !b.cache.is_empty());
             if !has_state || now.since(st.ctx.last_ts()) < idle_for {
                 continue;
             }
             // Fresh structures, not `clear()`: a cleared map keeps its
             // allocation, and a decayed user should hold none.
-            st.ctx = UserContext::new(self.config.half_life);
-            st.buffer = CandidateBuffer::new(self.config.buffer_capacity());
-            st.cache = ScoreCache::new(self.config.cache_capacity);
-            st.ceiling = 0.0;
-            st.outside_bound = 0.0;
-            st.index_epoch = 0;
+            *st = UserState::fresh(&self.config);
             decayed += 1;
         }
         (scanned, decayed)
@@ -330,14 +490,6 @@ impl IncrementalEngine {
         }
     }
 
-    /// The combined relevance bound over every non-buffered ad of `user`:
-    /// cached ads are below the ceiling, everything else below the
-    /// unknown-ad bound.
-    fn outside_rel_bound(&self, user: UserId) -> f32 {
-        let st = &self.users[user.index()];
-        st.ceiling.max(st.outside_bound)
-    }
-
     /// Upper bound on the *rank* of any outside ad, from the relevance
     /// bound and the maximum active bid.
     fn outside_rank_bound(&self, store: &AdStore, relevance_bound: f32) -> f32 {
@@ -353,22 +505,26 @@ impl IncrementalEngine {
         }
     }
 
+    /// One blocked TAAT walk of `user`'s context into `self.taat`, the
+    /// exact evaluation behind refreshes, re-anchors and fallbacks; every
+    /// touched ad counts as scored.
+    fn walk_context(&mut self, store: &AdStore, user: UserId) {
+        taat_blocked(
+            store.index(),
+            self.users[user.index()].ctx.raw(),
+            store.num_total(),
+            &mut self.taat,
+            &mut self.stats,
+            &self.index_obs,
+        );
+        self.stats.ads_scored += self.taat.touched().len() as u64;
+    }
+
     /// One-user exact TAAT re-evaluation: refill the buffer with the
     /// top-capacity ads by rank and reset the outside bound.
     fn refresh(&mut self, store: &AdStore, user: UserId) {
         self.stats.refreshes += 1;
-        {
-            let st = &self.users[user.index()];
-            taat_blocked(
-                store.index(),
-                st.ctx.raw(),
-                store.num_total(),
-                &mut self.taat,
-                &mut self.stats,
-                &self.index_obs,
-            );
-        }
-        self.stats.ads_scored += self.taat.touched().len() as u64;
+        self.walk_context(store, user);
         // Order candidates by rank, best first (reusing the engine-owned
         // candidate buffer across refreshes).
         let mut candidates = std::mem::take(&mut self.scratch.refresh_candidates);
@@ -383,34 +539,114 @@ impl IncrementalEngine {
         let capacity = self.config.buffer_capacity();
         let cache_capacity = self.config.cache_capacity;
         let st = &mut self.users[user.index()];
-        st.buffer.clear();
-        st.cache.clear();
-        for &(ad, rel, _) in candidates.iter().take(capacity) {
-            st.buffer.insert(ad, rel, |_, r| r);
+        // An empty context certifies nothing the user's next delta will
+        // not. While the user may still turn dense, leave its epoch stale:
+        // a read before its first delta would otherwise spare that delta
+        // the refresh a WAL replay (which never saw the read) runs, and the
+        // two would move the user onto its exact lane at different deltas.
+        let may_turn_dense = st
+            .bounded()
+            .is_some_and(|b| b.cache.can_be_dense(store.num_total()));
+        if !(st.ctx.is_empty() && may_turn_dense) {
+            st.index_epoch = store.index_epoch();
         }
-        // The next `cache_capacity` candidates are memoized with their
-        // exact dots; the ceiling covers them (max non-admitted relevance
-        // — relevance, not rank, because the bounds track relevance; rank
-        // bounding happens at certification time).
-        st.ceiling = candidates.get(capacity).map_or(0.0, |&(_, rel, _)| rel);
-        for &(ad, rel, _) in candidates.iter().skip(capacity).take(cache_capacity) {
-            if rel > 0.0 {
-                st.cache.insert(ad, rel);
+        if let Some(st) = st.bounded_mut() {
+            st.buffer.clear();
+            st.cache.clear();
+            for &(ad, rel, _) in candidates.iter().take(capacity) {
+                st.buffer.insert(ad, rel, |_, r| r);
             }
+            // The next `cache_capacity` candidates are memoized with their
+            // exact dots; the ceiling covers them (max non-admitted
+            // relevance — relevance, not rank, because the bounds track
+            // relevance; rank bounding happens at certification time).
+            st.ceiling = candidates.get(capacity).map_or(0.0, |&(_, rel, _)| rel);
+            for &(ad, rel, _) in candidates.iter().skip(capacity).take(cache_capacity) {
+                if rel > 0.0 {
+                    st.cache.insert(ad, rel);
+                }
+            }
+            // Ads beyond the cache are unknown; bound them by the best
+            // relevance among them.
+            st.outside_bound = candidates
+                .iter()
+                .skip(capacity + cache_capacity)
+                .map(|&(_, rel, _)| rel)
+                .fold(0.0f32, f32::max);
         }
-        // Ads beyond the cache are unknown; bound them by the best
-        // relevance among them.
-        st.outside_bound = candidates
-            .iter()
-            .skip(capacity + cache_capacity)
-            .map(|&(_, rel, _)| rel)
-            .fold(0.0f32, f32::max);
-        st.index_epoch = store.index_epoch();
         self.scratch.refresh_candidates = candidates;
     }
 
-    /// Serve a targeted query by exact TAAT without touching buffers
-    /// (used when the buffer cannot certify a targeted top-k).
+    /// Rebuild an exact-lane user's relevance from the index with the
+    /// same blocked TAAT walk as [`refresh`](Self::refresh), so every slot
+    /// is bit-identical to `IndexScanEngine`'s score for that ad. Counted
+    /// as a refresh.
+    fn reanchor(&mut self, store: &AdStore, user: UserId) {
+        self.stats.refreshes += 1;
+        self.walk_context(store, user);
+        let st = &mut self.users[user.index()];
+        st.index_epoch = store.index_epoch();
+        if let Relevance::Exact(lane) = &mut st.relevance {
+            lane.since_anchor = 0;
+            lane.rel.clear();
+            lane.rel.resize(store.num_total(), 0.0);
+            for &ad in self.taat.touched() {
+                if let Some(rel) = lane.rel.get_mut(ad.index()) {
+                    *rel = self.taat.get(ad);
+                }
+            }
+        }
+    }
+
+    /// Move a bounded user whose score cache turned dense onto an exact
+    /// lane (module docs): the buffer, cache and bounds are dropped and
+    /// the lane is filled by one re-anchor.
+    fn convert_if_dense(&mut self, store: &AdStore, user: UserId) {
+        let st = &mut self.users[user.index()];
+        if st
+            .bounded()
+            .is_some_and(|b| b.cache.is_dense(store.num_total()))
+        {
+            st.relevance = Relevance::Exact(ExactLane {
+                rel: Vec::new(),
+                since_anchor: 0,
+            });
+            self.reanchor(store, user);
+        }
+    }
+
+    /// The exact regime's delta path: scatter `Δw · w` into the lane over
+    /// the postings of every changed term, or re-anchor when the lane is
+    /// due (rebase, stale epoch, or `REANCHOR_EVERY` scattered deltas).
+    fn apply_exact(&mut self, store: &AdStore, user: UserId, update: &ContextUpdate) {
+        let st = &mut self.users[user.index()];
+        let stale = st.index_epoch != store.index_epoch();
+        let Relevance::Exact(lane) = &mut st.relevance else {
+            return;
+        };
+        if update.rescale.is_some() || stale || lane.since_anchor >= REANCHOR_EVERY {
+            self.reanchor(store, user);
+            return;
+        }
+        if update.delta.is_empty() {
+            return;
+        }
+        lane.since_anchor += 1;
+        let index = store.index();
+        for (term, dw) in update.delta.iter() {
+            let postings = index.postings(term);
+            self.stats.postings_scanned += postings.len() as u64;
+            for (&ad, &w) in postings.ads().iter().zip(postings.weights()) {
+                if let Some(rel) = lane.rel.get_mut(ad.index()) {
+                    *rel += dw * w;
+                }
+            }
+        }
+    }
+
+    /// Serve a targeted query by exact TAAT without touching user state
+    /// (used when the buffer cannot certify a targeted top-k, and for an
+    /// exact lane older than the index epoch).
     fn fallback_query(
         &mut self,
         store: &AdStore,
@@ -420,18 +656,7 @@ impl IncrementalEngine {
         k: usize,
     ) -> Vec<Recommendation> {
         self.stats.fallbacks += 1;
-        {
-            let st = &self.users[user.index()];
-            taat_blocked(
-                store.index(),
-                st.ctx.raw(),
-                store.num_total(),
-                &mut self.taat,
-                &mut self.stats,
-                &self.index_obs,
-            );
-        }
-        self.stats.ads_scored += self.taat.touched().len() as u64;
+        self.walk_context(store, user);
         let st = &self.users[user.index()];
         let policy = self.config.scoring;
         let min_fwd = self.config.min_relevance * st.ctx.normalizer(now) as f32;
@@ -463,26 +688,191 @@ impl IncrementalEngine {
             .collect()
     }
 
+    /// The bounded regime's serve path: certify the buffer for the
+    /// request (refreshing if needed), filter it, and fall back to an
+    /// exact targeted walk when filtering leaves the top-k uncertified.
+    fn recommend_bounded(
+        &mut self,
+        store: &AdStore,
+        user: UserId,
+        now: Timestamp,
+        location: LocationId,
+        k: usize,
+    ) -> Vec<Recommendation> {
+        if self.users[user.index()].index_epoch != store.index_epoch() {
+            self.refresh(store, user);
+        }
+        // Re-certify at serve time (covers the k > config.k case too).
+        let serving_k = k.max(self.config.k);
+        let mut ranks = std::mem::take(&mut self.scratch.ranks);
+        let (kth, outside) = match self.users[user.index()].bounded() {
+            Some(st) => (
+                st.buffer.kth_rank_in(
+                    serving_k,
+                    |ad, rel| self.rank_of(store, ad, rel),
+                    &mut ranks,
+                ),
+                self.outside_rank_bound(store, st.outside_rel_bound()),
+            ),
+            None => (None, 0.0),
+        };
+        let uncertified = match kth {
+            None => outside > 0.0,
+            Some(kth) => self.config.refresh.should_refresh(kth, outside),
+        };
+        if uncertified {
+            self.refresh(store, user);
+        }
+
+        // Collect eligible buffered candidates into the reusable buffer.
+        let policy = self.config.scoring;
+        let mut eligible = std::mem::take(&mut self.scratch.eligible);
+        eligible.clear();
+        let st = &self.users[user.index()];
+        let normalizer = st.ctx.normalizer(now) as f32;
+        let min_fwd = self.config.min_relevance * normalizer;
+        let (filtered_any, outside_rel) = match st.bounded() {
+            Some(b) => (
+                b.eligible_into(store, min_fwd, location, now, policy, &mut eligible),
+                b.outside_rel_bound(),
+            ),
+            None => (false, 0.0),
+        };
+        // If filtering removed candidates and we cannot certify that the
+        // remaining k-th eligible beats every outside ad, answer the query
+        // exactly via a targeted TAAT instead.
+        if filtered_any {
+            ranks.clear();
+            ranks.extend(eligible.iter().map(|&(_, _, r)| r));
+            ranks.sort_unstable_by(|a, b| b.total_cmp(a));
+            let kth_eligible = ranks.get(k.saturating_sub(1)).copied();
+            let outside = self.outside_rank_bound(store, outside_rel);
+            let certified = match kth_eligible {
+                Some(kth) => !self.config.refresh.should_refresh(kth, outside),
+                None => outside <= 0.0,
+            };
+            if !certified {
+                self.scratch.ranks = ranks;
+                self.scratch.eligible = eligible;
+                return self.fallback_query(store, user, now, location, k);
+            }
+        }
+        self.scratch.ranks = ranks;
+
+        let top = top_k(
+            eligible
+                .iter()
+                .map(|&(ad, _, rank)| Scored { ad, score: rank }),
+            k,
+        );
+        let rank_scale = normalizer.powf(policy.lambda);
+        let out = top
+            .into_iter()
+            .map(|s| {
+                // adcast-lint: allow(no-panic-hot-path) -- `top` is a
+                // subset of `eligible` by construction (top_k consumed the
+                // same iterator), so the lookup always succeeds.
+                let rel = eligible
+                    .iter()
+                    .find(|&&(ad, _, _)| ad == s.ad)
+                    .map(|&(_, rel, _)| rel)
+                    .expect("top-k item came from eligible");
+                Recommendation {
+                    ad: s.ad,
+                    score: s.score / rank_scale,
+                    relevance: rel / normalizer,
+                }
+            })
+            .collect();
+        self.scratch.eligible = eligible;
+        out
+    }
+
+    /// The exact regime's serve path: one pass over the lane applying the
+    /// serving threshold, the `is_active` and targeting filters and the
+    /// rank for any λ, then a top-k. A pure read: a lane older than the
+    /// index epoch is answered by a fallback walk instead.
+    fn recommend_exact(
+        &mut self,
+        store: &AdStore,
+        user: UserId,
+        now: Timestamp,
+        location: LocationId,
+        k: usize,
+    ) -> Vec<Recommendation> {
+        if self.users[user.index()].index_epoch != store.index_epoch() {
+            // Ads were admitted since the lane was built. Answer from a
+            // fresh walk and leave the re-anchor to the user's next delta,
+            // so a read never changes a lane.
+            return self.fallback_query(store, user, now, location, k);
+        }
+        let st = &self.users[user.index()];
+        let Relevance::Exact(lane) = &st.relevance else {
+            return Vec::new();
+        };
+        let policy = self.config.scoring;
+        let normalizer = st.ctx.normalizer(now) as f32;
+        let min_fwd = self.config.min_relevance * normalizer;
+        let mut top = std::mem::take(&mut self.scratch.top);
+        top.clear();
+        for (&fwd, id) in lane.rel.iter().zip(0u32..) {
+            if fwd <= min_fwd {
+                continue;
+            }
+            // With λ ≥ 1 the rank is the relevance itself, so a slot that
+            // cannot beat the k-th kept rank skips the campaign lookup
+            // (ids ascend, so an equal rank loses the id tie-break).
+            if policy.lambda >= 1.0 && top.len() >= k && top.last().is_none_or(|w| fwd <= w.score) {
+                continue;
+            }
+            let ad = AdId(id);
+            let Some(campaign) = store.campaign(ad) else {
+                continue;
+            };
+            if campaign.is_active() && campaign.ad.targeting.matches(location, now) {
+                let score = policy.rank(fwd, campaign.ad.bid);
+                insert_bounded(&mut top, k, Scored { ad, score });
+            }
+        }
+        let rank_scale = normalizer.powf(policy.lambda);
+        let out = top
+            .iter()
+            .map(|s| Recommendation {
+                ad: s.ad,
+                score: s.score / rank_scale,
+                relevance: lane.rel.get(s.ad.index()).copied().unwrap_or(0.0) / normalizer,
+            })
+            .collect();
+        self.scratch.top = top;
+        out
+    }
+
+    /// The buffer's worst rank once it is full (`None` while it has room).
+    fn worst_rank(&self, store: &AdStore, user: UserId) -> Option<f32> {
+        let st = self.users[user.index()].bounded()?;
+        st.buffer
+            .is_full()
+            .then(|| st.buffer.min_rank(|a, r| self.rank_of(store, a, r)))
+    }
+
     /// Certification check; refreshes when the buffered top-k can no
     /// longer be proven fresh enough under the refresh policy.
     fn certify(&mut self, store: &AdStore, user: UserId) {
-        if self.users[user.index()].index_epoch != store.index_epoch() {
+        let st = &self.users[user.index()];
+        if st.index_epoch != store.index_epoch() {
             self.refresh(store, user);
             return;
         }
-        let mut ranks = std::mem::take(&mut self.scratch.ranks);
-        let (kth, outside) = {
-            let st = &self.users[user.index()];
-            let kth = st.buffer.kth_rank_in(
-                self.config.k,
-                |ad, rel| self.rank_of(store, ad, rel),
-                &mut ranks,
-            );
-            (
-                kth,
-                self.outside_rank_bound(store, self.outside_rel_bound(user)),
-            )
+        let Some(st) = st.bounded() else {
+            return;
         };
+        let mut ranks = std::mem::take(&mut self.scratch.ranks);
+        let kth = st.buffer.kth_rank_in(
+            self.config.k,
+            |ad, rel| self.rank_of(store, ad, rel),
+            &mut ranks,
+        );
+        let outside = self.outside_rank_bound(store, st.outside_rel_bound());
         self.scratch.ranks = ranks;
         let needs = match kth {
             // Fewer than k buffered: refresh unless the outside world is
@@ -499,36 +889,53 @@ impl IncrementalEngine {
     /// The delta hot path (body of `on_feed_delta`; the trait method wraps
     /// it with allocation accounting under `debug-stats`).
     ///
-    /// Steady state — deltas that trigger no refresh and discover no
-    /// never-seen candidates — performs **zero heap allocations**: every
-    /// temporary lives in [`HotScratch`], the gain accumulator or the
-    /// context scatter, all of which retain their capacity across calls.
-    /// The `zero_alloc` integration test pins this down with a counting
-    /// global allocator; the `adcast-lint` marker below makes it a static
-    /// check too.
+    /// Steady state — deltas that trigger no refresh or re-anchor and
+    /// discover no never-seen candidates — performs **zero heap
+    /// allocations**: every temporary lives in [`HotScratch`], the gain
+    /// accumulator or the context scatter, all of which retain their
+    /// capacity across calls, and an exact lane keeps its length. The
+    /// `zero_alloc` integration test pins this down with a counting global
+    /// allocator; the `adcast-lint` markers below make it a static check
+    /// too.
     // adcast-lint: zero-alloc
     fn apply_feed_delta(&mut self, store: &AdStore, user: UserId, delta: &FeedDelta) {
         self.stats.deltas += 1;
-        let index = store.index();
 
-        // 1. Context update (+ rebase propagation). The update buffers are
-        // engine-owned; `take` detaches them for the duration of the call.
+        // The context update (+ rebase propagation). The update buffers
+        // are engine-owned; `take` detaches them for the duration of the
+        // call.
         let mut update = std::mem::take(&mut self.scratch.update);
         let mut sparse = std::mem::take(&mut self.scratch.sparse);
         self.users[user.index()]
             .ctx
             .apply_into(delta, &mut update, &mut sparse);
         self.scratch.sparse = sparse;
-        if let Some(factor) = update.rescale {
+        if update.rescale.is_some() {
             self.stats.rebases += 1;
-            let st = &mut self.users[user.index()];
-            st.buffer.scale_all(factor as f32);
-            st.cache.scale_all(factor as f32);
-            st.ceiling *= factor as f32;
-            st.outside_bound *= factor as f32;
+        }
+        if self.users[user.index()].bounded().is_some() {
+            self.apply_bounded(store, user, &update);
+            self.convert_if_dense(store, user);
+        } else {
+            self.apply_exact(store, user, &update);
+        }
+        self.scratch.update = update;
+    }
+
+    /// The bounded regime's delta path: steps 1–5 of the module docs,
+    /// after the context update.
+    // adcast-lint: zero-alloc
+    fn apply_bounded(&mut self, store: &AdStore, user: UserId, update: &ContextUpdate) {
+        let index = store.index();
+        if let Some(factor) = update.rescale {
+            if let Some(st) = self.users[user.index()].bounded_mut() {
+                st.buffer.scale_all(factor as f32);
+                st.cache.scale_all(factor as f32);
+                st.ceiling *= factor as f32;
+                st.outside_bound *= factor as f32;
+            }
         }
         if update.delta.is_empty() {
-            self.scratch.update = update;
             return;
         }
 
@@ -546,23 +953,19 @@ impl IncrementalEngine {
         // ads' own small vectors are probed directly, far cheaper than a
         // second postings walk.
         //
-        // Buffer and cache are disjoint, so the cache is probed first: on
-        // a dense user it is an array index, and most postings hit it.
+        // Buffer and cache are disjoint, so the cache is probed first.
         self.gains.begin(store.num_total());
         self.ctx_scatter.invalidate();
-        let bound_before = self.users[user.index()].outside_bound;
+        let Some(bound_before) = self.users[user.index()]
+            .bounded()
+            .map(|st| st.outside_bound)
+        else {
+            return;
+        };
+        let worst_rel_hint = self.worst_rank(store, user).unwrap_or(f32::NEG_INFINITY);
         let mut promote = std::mem::take(&mut self.scratch.promote);
         promote.clear();
-        {
-            let worst_rel_hint = {
-                let st = &self.users[user.index()];
-                if st.buffer.is_full() {
-                    st.buffer.min_rank(|a, r| self.rank_of(store, a, r))
-                } else {
-                    f32::NEG_INFINITY
-                }
-            };
-            let st = &mut self.users[user.index()];
+        if let Some(st) = self.users[user.index()].bounded_mut() {
             let mut has_negative = false;
             for (term, dw) in update.delta.iter() {
                 if dw <= 0.0 {
@@ -620,14 +1023,7 @@ impl IncrementalEngine {
         // 4a. Cache promotions: verify with an exact dot (cached values
         // may have drifted high), then either enter the buffer or write
         // the corrected exact value back to the cache.
-        let mut worst: Option<f32> = {
-            let st = &self.users[user.index()];
-            if st.buffer.is_full() {
-                Some(st.buffer.min_rank(|a, r| self.rank_of(store, a, r)))
-            } else {
-                None
-            }
-        };
+        let mut worst = self.worst_rank(store, user);
         let mut new_bound = bound_before;
         for ad in promote.drain(..) {
             let (rel, rank) = {
@@ -641,7 +1037,9 @@ impl IncrementalEngine {
                 None => rel > 0.0,
                 Some(w) => rank > w,
             };
-            let st = &mut self.users[user.index()];
+            let Some(st) = self.users[user.index()].bounded_mut() else {
+                continue;
+            };
             if admit {
                 self.stats.promotions += 1;
                 st.cache.remove(ad);
@@ -663,12 +1061,7 @@ impl IncrementalEngine {
                         }
                     }
                 }
-                worst = if st.buffer.is_full() {
-                    let st = &self.users[user.index()];
-                    Some(st.buffer.min_rank(|a, r| self.rank_of(store, a, r)))
-                } else {
-                    None
-                };
+                worst = self.worst_rank(store, user);
             } else {
                 // Write back the corrected exact value so this ad stops
                 // re-triggering verification.
@@ -724,7 +1117,9 @@ impl IncrementalEngine {
                     None => rel > 0.0,
                     Some(w) => rank > w,
                 };
-                let st = &mut self.users[user.index()];
+                let Some(st) = self.users[user.index()].bounded_mut() else {
+                    continue;
+                };
                 if admit {
                     self.stats.promotions += 1;
                     let rank_fn = |a: AdId, r: f32| {
@@ -743,12 +1138,7 @@ impl IncrementalEngine {
                             }
                         }
                     }
-                    worst = if st.buffer.is_full() {
-                        let st = &self.users[user.index()];
-                        Some(st.buffer.min_rank(|a, r| self.rank_of(store, a, r)))
-                    } else {
-                        None
-                    };
+                    worst = self.worst_rank(store, user);
                 } else if rel > 0.0 {
                     // Known exactly now: memoize and cover with the
                     // ceiling instead of the unknown bound. A zero-capacity
@@ -764,8 +1154,9 @@ impl IncrementalEngine {
             }
             self.scratch.drained_gains = gains;
         }
-        self.users[user.index()].outside_bound = new_bound;
-        self.scratch.update = update;
+        if let Some(st) = self.users[user.index()].bounded_mut() {
+            st.outside_bound = new_bound;
+        }
         self.obs
             .gain_screen_ns
             .record(now_ns().saturating_sub(gain_screen_started));
@@ -799,115 +1190,24 @@ impl RecommendationEngine for IncrementalEngine {
         k: usize,
     ) -> Vec<Recommendation> {
         self.stats.recommends += 1;
-        if self.users[user.index()].index_epoch != store.index_epoch() {
-            self.refresh(store, user);
+        if self.users[user.index()].bounded().is_some() {
+            self.recommend_bounded(store, user, now, location, k)
+        } else {
+            self.recommend_exact(store, user, now, location, k)
         }
-        // Re-certify at serve time (covers the k > config.k case too).
-        let serving_k = k.max(self.config.k);
-        let mut ranks = std::mem::take(&mut self.scratch.ranks);
-        let (kth, outside) = {
-            let st = &self.users[user.index()];
-            (
-                st.buffer.kth_rank_in(
-                    serving_k,
-                    |ad, rel| self.rank_of(store, ad, rel),
-                    &mut ranks,
-                ),
-                self.outside_rank_bound(store, self.outside_rel_bound(user)),
-            )
-        };
-        let uncertified = match kth {
-            None => outside > 0.0,
-            Some(kth) => self.config.refresh.should_refresh(kth, outside),
-        };
-        if uncertified {
-            self.refresh(store, user);
-        }
-
-        // Collect eligible buffered candidates into the reusable buffer.
-        let policy = self.config.scoring;
-        let mut eligible = std::mem::take(&mut self.scratch.eligible);
-        eligible.clear();
-        let (filtered_any, outside_rel, normalizer) = {
-            let st = &self.users[user.index()];
-            let mut filtered_any = false;
-            let min_fwd = self.config.min_relevance * st.ctx.normalizer(now) as f32;
-            for (ad, rel) in st.buffer.iter() {
-                if rel <= min_fwd {
-                    continue;
-                }
-                let Some(campaign) = store.campaign(ad) else {
-                    filtered_any = true;
-                    continue;
-                };
-                if !campaign.is_active() || !campaign.ad.targeting.matches(location, now) {
-                    filtered_any = true;
-                    continue;
-                }
-                eligible.push((ad, rel, policy.rank(rel, campaign.ad.bid)));
-            }
-            (
-                filtered_any,
-                st.ceiling.max(st.outside_bound),
-                st.ctx.normalizer(now) as f32,
-            )
-        };
-        // If filtering removed candidates and we cannot certify that the
-        // remaining k-th eligible beats every outside ad, answer the query
-        // exactly via a targeted TAAT instead.
-        if filtered_any {
-            ranks.clear();
-            ranks.extend(eligible.iter().map(|&(_, _, r)| r));
-            ranks.sort_unstable_by(|a, b| b.total_cmp(a));
-            let kth_eligible = ranks.get(k.saturating_sub(1)).copied();
-            let outside = self.outside_rank_bound(store, outside_rel);
-            let certified = match kth_eligible {
-                Some(kth) => !self.config.refresh.should_refresh(kth, outside),
-                None => outside <= 0.0,
-            };
-            if !certified {
-                self.scratch.ranks = ranks;
-                self.scratch.eligible = eligible;
-                return self.fallback_query(store, user, now, location, k);
-            }
-        }
-        self.scratch.ranks = ranks;
-
-        let top = top_k(
-            eligible
-                .iter()
-                .map(|&(ad, _, rank)| Scored { ad, score: rank }),
-            k,
-        );
-        let rank_scale = normalizer.powf(policy.lambda);
-        let out = top
-            .into_iter()
-            .map(|s| {
-                // adcast-lint: allow(no-panic-hot-path) -- `top` is a
-                // subset of `eligible` by construction (top_k consumed the
-                // same iterator), so the lookup always succeeds.
-                let rel = eligible
-                    .iter()
-                    .find(|&&(ad, _, _)| ad == s.ad)
-                    .map(|&(_, rel, _)| rel)
-                    .expect("top-k item came from eligible");
-                Recommendation {
-                    ad: s.ad,
-                    score: s.score / rank_scale,
-                    relevance: rel / normalizer,
-                }
-            })
-            .collect();
-        self.scratch.eligible = eligible;
-        out
     }
 
     fn on_campaign_removed(&mut self, ad: AdId) {
-        // Purge the ad from every buffer; bounds are unaffected (a removed
-        // ad cannot outrank anything).
+        // Purge the ad from every buffer and zero its lane slots; bounds
+        // are unaffected (a removed ad cannot outrank anything).
         for st in &mut self.users {
-            st.buffer.remove(ad);
-            st.cache.remove(ad);
+            match &mut st.relevance {
+                Relevance::Bounded(b) => {
+                    b.buffer.remove(ad);
+                    b.cache.remove(ad);
+                }
+                Relevance::Exact(lane) => lane.zero(ad),
+            }
         }
     }
 
@@ -924,8 +1224,13 @@ impl RecommendationEngine for IncrementalEngine {
                 sorted.sort_unstable();
                 let gone = |ad: AdId| sorted.binary_search(&ad).is_ok();
                 for st in &mut self.users {
-                    st.buffer.remove_if(gone);
-                    st.cache.remove_if(gone);
+                    match &mut st.relevance {
+                        Relevance::Bounded(b) => {
+                            b.buffer.remove_if(gone);
+                            b.cache.remove_if(gone);
+                        }
+                        Relevance::Exact(lane) => sorted.iter().for_each(|&ad| lane.zero(ad)),
+                    }
                 }
             }
         }
@@ -949,13 +1254,24 @@ impl RecommendationEngine for IncrementalEngine {
                 .users
                 .iter()
                 .map(|st| {
-                    st.ctx.memory_bytes() + st.buffer.memory_bytes() + st.cache.memory_bytes() + 8
+                    st.ctx.memory_bytes()
+                        + match &st.relevance {
+                            Relevance::Bounded(b) => {
+                                b.buffer.memory_bytes() + b.cache.memory_bytes() + 8
+                            }
+                            Relevance::Exact(lane) => {
+                                lane.rel.capacity() * std::mem::size_of::<f32>() + 4
+                            }
+                        }
                 })
                 .sum::<usize>()
     }
 
     fn lane_users(&self) -> usize {
-        self.users.iter().filter(|st| st.cache.is_lane()).count()
+        self.users
+            .iter()
+            .filter(|st| matches!(st.relevance, Relevance::Exact(_)))
+            .count()
     }
 }
 
@@ -1271,7 +1587,10 @@ mod tests {
         let mut e = IncrementalEngine::new(2, cfg(1));
         e.on_feed_delta(&store, UserId(0), &delta(&[(1, 1.0)], 1, vec![]));
         e.on_feed_delta(&store, UserId(1), &delta(&[(2, 1.0)], 500, vec![]));
-        assert!(!e.users[0].cache.is_empty(), "user 0 must reach its cache");
+        assert!(
+            e.users[0].bounded().is_some_and(|b| !b.cache.is_empty()),
+            "user 0 must reach its cache"
+        );
         // At t=600s with a 300s idle cut, only user 0 (last active t=1s)
         // is reset; user 1 (t=500s) keeps its state.
         let (scanned, decayed) = e.maintain(Timestamp::from_secs(600), SimDuration::from_secs(300));
@@ -1296,14 +1615,17 @@ mod tests {
             fresh.export_snapshot().users[0].context.memory_bytes()
         );
         // …and holds no more memory: a cleared map would keep its table.
-        let (decayed, fresh) = (&e.users[0], &fresh.users[0]);
-        assert_eq!(decayed.buffer.memory_bytes(), fresh.buffer.memory_bytes());
-        assert_eq!(decayed.cache.memory_bytes(), fresh.cache.memory_bytes());
+        let (decayed, fresh) = (e.users[0].bounded(), fresh.users[0].bounded());
+        let bytes =
+            |b: Option<&Bounded>| b.map(|b| (b.buffer.memory_bytes(), b.cache.memory_bytes()));
+        assert_eq!(bytes(decayed), bytes(fresh));
+        assert!(bytes(fresh).is_some());
     }
 
     /// The postings walk probes the cache before the buffer, which is
     /// sound only while no ad is in both. Check it after every delta of a
-    /// seeded stream with churn, on both cache representations.
+    /// seeded stream with churn, for a cache that turns its users dense
+    /// (they move to exact lanes) and one that never does.
     #[test]
     fn buffer_and_cache_stay_disjoint() {
         use rand::rngs::SmallRng;
@@ -1373,6 +1695,7 @@ mod tests {
                     _ => {}
                 }
                 for (u, st) in e.users.iter().enumerate() {
+                    let Some(st) = st.bounded() else { continue };
                     if let Some((ad, _)) =
                         st.buffer.iter().find(|&(ad, _)| st.cache.get(ad).is_some())
                     {
@@ -1382,6 +1705,284 @@ mod tests {
             }
             assert_eq!(e.lane_users() > 0, lanes, "cache capacity {cache_capacity}");
         }
+    }
+
+    /// A topical catalogue of 400 ads over 60 terms and a seeded stream of
+    /// sliding-window deltas for `users` users, `per_user` deltas each,
+    /// dense enough that every user converts to an exact lane.
+    fn dense_workload(seed: u64, users: u32, per_user: u64) -> (AdStore, Vec<(UserId, FeedDelta)>) {
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let term = |rng: &mut SmallRng, topic: u32| {
+            if rng.gen_range(0..5u32) == 0 {
+                rng.gen_range(0..60u32)
+            } else {
+                15 * topic + rng.gen_range(0..15u32)
+            }
+        };
+        let mut store = AdStore::new();
+        for _ in 0..400 {
+            let topic = rng.gen_range(0..4u32);
+            let n = rng.gen_range(2..7);
+            let pairs: Vec<(u32, f32)> = (0..n)
+                .map(|_| (term(&mut rng, topic), rng.gen_range(0.05f32..1.0)))
+                .collect();
+            store
+                .submit(AdSubmission {
+                    vector: v(&pairs),
+                    bid: rng.gen_range(0.5f32..2.0),
+                    targeting: Targeting::everywhere(),
+                    budget: Budget::unlimited(),
+                    topic_hint: None,
+                })
+                .unwrap();
+        }
+        let mut windows: Vec<Vec<Arc<Message>>> = vec![Vec::new(); users as usize];
+        let stream = (0..u64::from(users) * per_user)
+            .map(|i| {
+                let user = UserId((i % u64::from(users)) as u32);
+                let n = rng.gen_range(2..6);
+                let pairs: Vec<(u32, f32)> = (0..n)
+                    .map(|_| (term(&mut rng, user.0 % 4), rng.gen_range(0.1f32..1.0)))
+                    .collect();
+                let window = &mut windows[user.index()];
+                let evicted = if window.len() >= 12 {
+                    vec![window.remove(0)]
+                } else {
+                    vec![]
+                };
+                let d = delta(&pairs, i + 1, evicted);
+                window.push(d.entered.clone().unwrap());
+                (user, d)
+            })
+            .collect();
+        (store, stream)
+    }
+
+    /// Exact lanes drift from fresh dots only by f32 rounding, and the
+    /// re-anchors keep that bounded: over 3.5 × `REANCHOR_EVERY` deltas
+    /// per user with campaign churn, every lane slot stays within 1e-4 of
+    /// the user's top relevance, the served top-k ids equal
+    /// `IndexScanEngine`'s, and right after a re-anchor the served list is
+    /// bit-identical to it.
+    #[test]
+    fn exact_lanes_track_fresh_dots_and_the_index_scan() {
+        use crate::engine::IndexScanEngine;
+        use adcast_ads::CampaignState;
+        const USERS: u32 = 4;
+        let per_user = u64::from(REANCHOR_EVERY) * 7 / 2;
+        let (mut store, stream) = dense_workload(0x1a4e, USERS, per_user);
+        let config = EngineConfig {
+            k: 5,
+            half_life: None,
+            ..Default::default()
+        };
+        let mut inc = IncrementalEngine::new(USERS, config.clone());
+        let mut idx = IndexScanEngine::new(USERS, config);
+        let (mut checked, mut anchored) = (0, 0);
+        for (i, (user, d)) in stream.iter().enumerate() {
+            inc.on_feed_delta(&store, *user, d);
+            idx.on_feed_delta(&store, *user, d);
+            if let Relevance::Exact(_) = inc.users[user.index()].relevance {
+                // A delta re-anchors a lane left stale by a resume.
+                assert_eq!(inc.users[user.index()].index_epoch, store.index_epoch());
+            }
+            match i % 900 {
+                300 => {
+                    for ad in (7..400).step_by(37) {
+                        store.pause(AdId(ad));
+                    }
+                }
+                510 => {
+                    for ad in (7..400).step_by(74) {
+                        store.resume(AdId(ad));
+                    }
+                }
+                700 => {
+                    let gone: Vec<AdId> = (11..400).step_by(97).map(AdId).collect();
+                    gone.iter().for_each(|&ad| {
+                        store.remove(ad);
+                    });
+                    inc.on_campaigns_removed(&gone);
+                }
+                _ => {}
+            }
+            if i % 25 != 0 {
+                continue;
+            }
+            let now = Timestamp::from_secs(i as u64 + 1);
+            for u in (0..USERS).map(UserId) {
+                let st = &inc.users[u.index()];
+                let Relevance::Exact(lane) = &st.relevance else {
+                    continue;
+                };
+                let fresh: Vec<f32> = (0..store.num_total() as u32)
+                    .map(|ad| {
+                        let a = store.campaign(AdId(ad)).unwrap();
+                        if a.is_active() {
+                            st.ctx.raw().dot(&a.ad.vector)
+                        } else {
+                            0.0
+                        }
+                    })
+                    .collect();
+                let top = fresh.iter().copied().fold(0.0f32, f32::max);
+                for (ad, &want) in fresh.iter().enumerate() {
+                    let state = store.campaign(AdId(ad as u32)).unwrap().state();
+                    let got = lane.rel[ad];
+                    if state == CampaignState::Active && st.index_epoch == store.index_epoch() {
+                        assert!(
+                            (got - want).abs() <= 1e-4 * top,
+                            "delta {i} user {u:?} ad {ad}: lane {got} vs dot {want} (top {top})"
+                        );
+                    }
+                    if state == CampaignState::Removed {
+                        assert_eq!(got, 0.0, "delta {i} user {u:?}: removed ad {ad}");
+                    }
+                }
+                let since_anchor = lane.since_anchor;
+                let a = inc.recommend(&store, u, now, LocationId(0), 5);
+                let b = idx.recommend(&store, u, now, LocationId(0), 5);
+                let ids = |r: &[Recommendation]| r.iter().map(|r| r.ad).collect::<Vec<_>>();
+                assert_eq!(ids(&a), ids(&b), "delta {i} user {u:?}");
+                if since_anchor == 0 {
+                    assert_eq!(a, b, "delta {i} user {u:?}: fresh anchor differs");
+                    anchored += 1;
+                }
+                checked += 1;
+            }
+        }
+        assert_eq!(inc.lane_users(), USERS as usize);
+        assert!(
+            checked > 100 && anchored > 0,
+            "{checked} checks, {anchored} anchored"
+        );
+        // Conversions, the periodic re-anchors and the resumes' epochs.
+        assert!(inc.stats().refreshes >= u64::from(USERS) * 4);
+    }
+
+    /// A snapshot taken between two re-anchors restores to an engine that
+    /// replays the rest of the stream to the same state, bit for bit, as
+    /// an engine that never stopped; `maintain` then returns every lane
+    /// user to a fresh bounded one.
+    #[test]
+    fn snapshot_between_reanchors_replays_bit_identically() {
+        use adcast_stream::clock::Duration as SimDuration;
+        const USERS: u32 = 3;
+        let (mut store, stream) = dense_workload(0x5a4e, USERS, 400);
+        let config = EngineConfig {
+            k: 4,
+            half_life: Some(SimDuration::from_secs(3_000)),
+            ..Default::default()
+        };
+        let mut whole = IncrementalEngine::new(USERS, config.clone());
+        let cut = stream.len() / 2;
+        let mut restored = None;
+        for (i, (user, d)) in stream.iter().enumerate() {
+            if i == cut {
+                let mid: Vec<u32> = whole
+                    .users
+                    .iter()
+                    .filter_map(|st| match &st.relevance {
+                        Relevance::Exact(lane) => Some(lane.since_anchor),
+                        Relevance::Bounded(_) => None,
+                    })
+                    .collect();
+                assert!(
+                    mid.len() == USERS as usize && mid.iter().all(|&n| n > 0),
+                    "the cut must fall between re-anchors: {mid:?}"
+                );
+                let mut e = IncrementalEngine::new(USERS, config.clone());
+                e.restore_snapshot(&whole.export_snapshot()).unwrap();
+                assert_eq!(e.export_snapshot(), whole.export_snapshot());
+                restored = Some(e);
+            }
+            if i == cut + 100 {
+                store
+                    .submit(AdSubmission {
+                        vector: v(&[(3, 0.5), (20, 0.25)]),
+                        bid: 1.0,
+                        targeting: Targeting::everywhere(),
+                        budget: Budget::unlimited(),
+                        topic_hint: None,
+                    })
+                    .unwrap();
+            }
+            whole.on_feed_delta(&store, *user, d);
+            if let Some(e) = restored.as_mut() {
+                e.on_feed_delta(&store, *user, d);
+            }
+        }
+        let mut restored = restored.unwrap();
+        assert_eq!(restored.export_snapshot(), whole.export_snapshot());
+        let now = Timestamp::from_secs(stream.len() as u64);
+        for u in (0..USERS).map(UserId) {
+            assert_eq!(
+                restored.recommend(&store, u, now, LocationId(0), 4),
+                whole.recommend(&store, u, now, LocationId(0), 4)
+            );
+        }
+        assert_eq!(whole.lane_users(), USERS as usize);
+        let later = Timestamp::from_secs(stream.len() as u64 + 10_000);
+        assert_eq!(whole.maintain(later, SimDuration::from_secs(100)), (3, 3));
+        assert_eq!(whole.lane_users(), 0);
+        let fresh = IncrementalEngine::new(USERS, config);
+        assert_eq!(whole.export_snapshot().users, fresh.export_snapshot().users);
+        let bytes = |st: &UserState| {
+            st.bounded()
+                .map(|b| b.buffer.memory_bytes() + b.cache.memory_bytes())
+        };
+        for (decayed, fresh) in whole.users.iter().zip(&fresh.users) {
+            assert_eq!(bytes(decayed), bytes(fresh));
+        }
+    }
+
+    /// A WAL replay never sees reads, so reads must not change anything
+    /// that decides a user's lane: an engine serving `k = config.k` reads
+    /// before the users' first deltas, between deltas and right after a
+    /// submission ends bit-identical to one that only applied the deltas.
+    #[test]
+    fn reads_leave_lanes_and_conversions_unchanged() {
+        const USERS: u32 = 8;
+        let (mut store, stream) = dense_workload(0, USERS, 120);
+        let mut served = IncrementalEngine::new(USERS, EngineConfig::default());
+        let mut replay = IncrementalEngine::new(USERS, EngineConfig::default());
+        let read_all = |e: &mut IncrementalEngine, store: &AdStore, at: u64| {
+            for u in (0..USERS).map(UserId) {
+                e.recommend(store, u, Timestamp::from_secs(at), LocationId(0), 10);
+            }
+        };
+        read_all(&mut served, &store, 0);
+        for (i, (user, d)) in stream.iter().enumerate() {
+            served.on_feed_delta(&store, *user, d);
+            replay.on_feed_delta(&store, *user, d);
+            if i == 500 {
+                // The submission re-anchors every lane, so compare first.
+                assert_eq!(
+                    served.export_snapshot().users,
+                    replay.export_snapshot().users
+                );
+                store
+                    .submit(AdSubmission {
+                        vector: v(&[(3, 0.5), (20, 0.25)]),
+                        bid: 1.0,
+                        targeting: Targeting::everywhere(),
+                        budget: Budget::unlimited(),
+                        topic_hint: None,
+                    })
+                    .unwrap();
+                read_all(&mut served, &store, i as u64 + 1);
+            }
+            if i % 7 == 0 {
+                read_all(&mut served, &store, i as u64 + 1);
+            }
+        }
+        assert_eq!(replay.lane_users(), USERS as usize);
+        assert_eq!(
+            served.export_snapshot().users,
+            replay.export_snapshot().users
+        );
     }
 
     #[test]

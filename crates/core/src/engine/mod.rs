@@ -156,8 +156,8 @@ pub trait RecommendationEngine {
     /// Approximate resident bytes of engine state.
     fn memory_bytes(&self) -> usize;
 
-    /// How many users hold their score cache as a dense lane (tests and
-    /// the memory experiment; 0 for engines without a score cache).
+    /// How many users hold their relevance as an exact dense lane (tests
+    /// and the memory experiment; 0 for engines without one).
     #[doc(hidden)]
     fn lane_users(&self) -> usize {
         0

@@ -67,4 +67,4 @@ pub use engine::{
 pub use market::{AdMarket, ServedImpression};
 pub use runner::{Simulation, SimulationConfig};
 pub use score::ScoringPolicy;
-pub use snapshot::{EngineSnapshot, UserStateSnapshot};
+pub use snapshot::{EngineSnapshot, RelevanceSnapshot, UserStateSnapshot};

@@ -9,12 +9,15 @@
 //!
 //! The buffer is an [`IdMap`]: every posting a feed delta walks may probe
 //! it, so it hashes ad ids with one multiply ([`adcast_ads::IdHasher`])
-//! instead of SipHash. The cache starts as an `IdMap` too and turns into a
-//! dense lane — an `f32` per ad id, NaN where absent — once it holds at
-//! least a quarter of the ids the lane would span, so the common probe is
-//! one array index. The probes that modify an entry
+//! instead of SipHash. The cache is an `IdMap` too; once it holds at least
+//! a quarter of the catalogue's ids ([`ScoreCache::is_dense`]) the engine
+//! drops both structures and keeps the user's exact relevance in a dense
+//! lane instead. The probes that modify an entry
 //! ([`CandidateBuffer::nudge`], [`ScoreCache::nudge`]) also report it, so
 //! a hit costs one probe.
+//!
+//! These structures serve only the engine's *bounded* regime: users whose
+//! candidates are sparse in a large catalogue.
 //!
 //! The buffer stores *relevance* (forward dots); ranking scores (which may
 //! blend bids) are computed by the engine from these relevances, so the
@@ -308,16 +311,20 @@ mod tests {
     }
 }
 
-/// A cache never turns dense below this many entries: a small map costs
+/// A cache is never dense below this many entries: a small map costs
 /// less than a lane spanning the whole id range.
 const LANE_FLOOR: usize = 64;
 
-/// Lane slots per cached entry at which a map turns into a lane. A map
+/// Ids spanned per cached entry at which a cache counts as dense. A map
 /// entry costs 10–21 B (9 B buckets, a power-of-two count of them at a
-/// 7/8 load factor) and a lane slot 4 B, so at a quarter occupancy the two
-/// are about even, and every probe after the cut is an array index
-/// instead of a hash.
+/// 7/8 load factor) and a lane slot 4 B, so at a quarter occupancy a dense
+/// `f32` per id costs no more than the map, and the engine moves the user
+/// onto an exact relevance lane.
 const LANE_SLOTS_PER_ENTRY: usize = 4;
+
+fn meets_density_cut(entries: usize, span: usize) -> bool {
+    entries >= LANE_FLOOR && entries * LANE_SLOTS_PER_ENTRY >= span
+}
 
 /// The incremental engine's per-user **score cache**: a bounded memo of
 /// upper-bound relevances for candidates that did not make the buffer.
@@ -327,24 +334,13 @@ const LANE_SLOTS_PER_ENTRY: usize = 4;
 /// insert, and reports the maximum evicted value so the caller can fold
 /// it into its unknown-ad bound.
 ///
-/// It starts as a sparse map and turns into a dense lane indexed by ad id
-/// once it holds at least 64 ads and a quarter of the ids the lane would
-/// span; only a fresh cache is a map again. The two hold the same values and answer every
-/// call alike, so the representation never changes a result.
+/// Its size against the catalogue tells the engine when the user has
+/// become dense ([`is_dense`](Self::is_dense)) and is cheaper to serve
+/// from an exact lane than from bounds.
 #[derive(Debug, Clone)]
 pub struct ScoreCache {
-    slots: Slots,
+    map: IdMap<AdId, f32>,
     capacity: usize,
-}
-
-#[derive(Debug, Clone)]
-enum Slots {
-    /// `hi` is one past the highest id inserted since the map was built
-    /// (never lowered), the length a lane would need.
-    Map { map: IdMap<AdId, f32>, hi: usize },
-    /// `vals[id]` is the bound, NaN when absent: cached values are finite
-    /// dots, and scaling keeps NaN as NaN. `len` counts the non-NaN slots.
-    Lane { vals: Vec<f32>, len: usize },
 }
 
 impl ScoreCache {
@@ -354,73 +350,46 @@ impl ScoreCache {
         // Grow on demand: most users never touch more than a fraction of
         // the capacity, and pre-allocating per user dominates engine memory.
         ScoreCache {
-            slots: Slots::Map {
-                map: IdMap::default(),
-                hi: 0,
-            },
-            capacity,
-        }
-    }
-
-    /// A cache that stays a map at any density: a `hi` of `usize::MAX`
-    /// never meets the density cut.
-    #[cfg(test)]
-    fn sparse(capacity: usize) -> Self {
-        ScoreCache {
-            slots: Slots::Map {
-                map: IdMap::default(),
-                hi: usize::MAX,
-            },
-            capacity,
-        }
-    }
-
-    /// A cache that is a lane from the start.
-    #[cfg(test)]
-    fn dense(capacity: usize) -> Self {
-        ScoreCache {
-            slots: Slots::Lane {
-                vals: Vec::new(),
-                len: 0,
-            },
+            map: IdMap::default(),
             capacity,
         }
     }
 
     /// Number of cached ads.
     pub fn len(&self) -> usize {
-        match &self.slots {
-            Slots::Map { map, .. } => map.len(),
-            Slots::Lane { len, .. } => *len,
-        }
+        self.map.len()
     }
 
     /// Is the cache empty?
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.map.is_empty()
     }
 
-    /// Is the cache a dense lane (rather than a sparse map)?
-    pub(crate) fn is_lane(&self) -> bool {
-        matches!(self.slots, Slots::Lane { .. })
+    /// Does the cache hold at least 64 ads and a quarter of the `span`
+    /// ids a lane would cover (the catalogue size)? The engine's cut
+    /// between its bounded and exact regimes. It depends on the cache's
+    /// contents and the catalogue only, so a restored snapshot makes the
+    /// same call as the engine it was taken from.
+    pub(crate) fn is_dense(&self, span: usize) -> bool {
+        meets_density_cut(self.map.len(), span)
+    }
+
+    /// Could this cache ever be [dense](Self::is_dense) over `span` ids,
+    /// i.e. does its capacity reach the cut?
+    pub(crate) fn can_be_dense(&self, span: usize) -> bool {
+        meets_density_cut(self.capacity, span)
     }
 
     /// The cached upper bound for `ad`, if present.
     pub fn get(&self, ad: AdId) -> Option<f32> {
-        match &self.slots {
-            Slots::Map { map, .. } => map.get(&ad).copied(),
-            Slots::Lane { vals, .. } => vals.get(ad.index()).copied().filter(|v| !v.is_nan()),
-        }
+        self.map.get(&ad).copied()
     }
 
     /// Add `delta` to a cached ad's bound and return the updated bound;
     /// `None` (and no-op) when absent. One probe for a read-modify-read.
     #[inline]
     pub fn nudge(&mut self, ad: AdId, delta: f32) -> Option<f32> {
-        let v = match &mut self.slots {
-            Slots::Map { map, .. } => map.get_mut(&ad)?,
-            Slots::Lane { vals, .. } => vals.get_mut(ad.index()).filter(|v| !v.is_nan())?,
-        };
+        let v = self.map.get_mut(&ad)?;
         *v += delta;
         Some(*v)
     }
@@ -432,148 +401,59 @@ impl ScoreCache {
         if self.capacity == 0 {
             return Some(value);
         }
-        debug_assert!(!value.is_nan(), "NaN marks an absent lane slot");
-        match &mut self.slots {
-            Slots::Map { map, hi } => {
-                map.insert(ad, value);
-                *hi = (*hi).max(ad.index() + 1);
-            }
-            Slots::Lane { vals, len } => {
-                let i = ad.index();
-                if i >= vals.len() {
-                    grow_lane(vals, i + 1);
-                }
-                if let Some(slot) = vals.get_mut(i) {
-                    if slot.is_nan() {
-                        *len += 1;
-                    }
-                    *slot = value;
-                }
-            }
-        }
-        let swept = (self.len() > self.capacity).then(|| self.sweep());
-        if let Slots::Map { map, hi } = &self.slots {
-            if map.len() >= LANE_FLOOR && map.len() * LANE_SLOTS_PER_ENTRY >= *hi {
-                let mut vals = vec![f32::NAN; *hi];
-                for (&ad, &v) in map {
-                    if let Some(slot) = vals.get_mut(ad.index()) {
-                        *slot = v;
-                    }
-                }
-                let len = map.len();
-                self.slots = Slots::Lane { vals, len };
-            }
-        }
-        swept
+        self.map.insert(ad, value);
+        (self.map.len() > self.capacity).then(|| self.sweep())
     }
 
     /// Drop the lower half in one pass (amortized O(1) per insert) and
     /// return the maximum dropped value.
     fn sweep(&mut self) -> f32 {
-        let mut values: Vec<f32> = self.iter().map(|(_, v)| v).collect();
+        let mut values: Vec<f32> = self.map.values().copied().collect();
         let mid = values.len() / 2;
         let (_, median, _) = values.select_nth_unstable_by(mid, |a, b| a.total_cmp(b));
         let threshold = *median;
         let mut evicted_max = f32::NEG_INFINITY;
-        self.retain(|_, v| {
-            if v > threshold {
+        self.map.retain(|_, v| {
+            if *v > threshold {
                 true
             } else {
-                evicted_max = evicted_max.max(v);
+                evicted_max = evicted_max.max(*v);
                 false
             }
         });
         evicted_max
     }
 
-    /// Keep only the entries for which `keep` returns true.
-    fn retain(&mut self, mut keep: impl FnMut(AdId, f32) -> bool) {
-        match &mut self.slots {
-            Slots::Map { map, .. } => map.retain(|&ad, v| keep(ad, *v)),
-            Slots::Lane { vals, len } => {
-                for (i, v) in vals.iter_mut().enumerate() {
-                    if !v.is_nan() && !keep(AdId(i as u32), *v) {
-                        *v = f32::NAN;
-                        *len -= 1;
-                    }
-                }
-            }
-        }
-    }
-
     /// Remove `ad` (campaign churn).
     pub fn remove(&mut self, ad: AdId) -> Option<f32> {
-        match &mut self.slots {
-            Slots::Map { map, .. } => map.remove(&ad),
-            Slots::Lane { vals, len } => {
-                let slot = vals.get_mut(ad.index()).filter(|v| !v.is_nan())?;
-                *len -= 1;
-                Some(std::mem::replace(slot, f32::NAN))
-            }
-        }
+        self.map.remove(&ad)
     }
 
     /// Drop every cached ad for which `gone` returns true (batch
     /// campaign churn) — one sweep for any number of removals.
     pub fn remove_if(&mut self, mut gone: impl FnMut(AdId) -> bool) {
-        self.retain(|ad, _| !gone(ad));
+        self.map.retain(|&ad, _| !gone(ad));
     }
 
     /// Multiply every bound by `factor` (context rebase).
     pub fn scale_all(&mut self, factor: f32) {
-        match &mut self.slots {
-            Slots::Map { map, .. } => map.values_mut().for_each(|v| *v *= factor),
-            Slots::Lane { vals, .. } => vals.iter_mut().for_each(|v| *v *= factor),
-        }
+        self.map.values_mut().for_each(|v| *v *= factor);
     }
 
-    /// Iterate over `(ad, bound)` pairs (arbitrary order for a map, id
-    /// order for a lane).
+    /// Iterate over `(ad, bound)` pairs (arbitrary order).
     pub fn iter(&self) -> impl Iterator<Item = (AdId, f32)> + '_ {
-        let (map, vals) = match &self.slots {
-            Slots::Map { map, .. } => (Some(map), None),
-            Slots::Lane { vals, .. } => (None, Some(vals)),
-        };
-        let sparse = map.into_iter().flatten().map(|(&id, &v)| (id, v));
-        let dense = vals
-            .into_iter()
-            .flatten()
-            .enumerate()
-            .filter(|(_, v)| !v.is_nan())
-            .map(|(i, &v)| (AdId(i as u32), v));
-        sparse.chain(dense)
+        self.map.iter().map(|(&id, &v)| (id, v))
     }
 
-    /// Drop every entry. A lane stays a lane, so a refresh (clear, then
-    /// refill) does not flip the representation back and forth.
+    /// Drop every entry.
     pub fn clear(&mut self) {
-        match &mut self.slots {
-            Slots::Map { map, .. } => map.clear(),
-            Slots::Lane { vals, len } => {
-                vals.fill(f32::NAN);
-                *len = 0;
-            }
-        }
+        self.map.clear();
     }
 
     /// Approximate resident bytes.
     pub fn memory_bytes(&self) -> usize {
-        std::mem::size_of::<Self>()
-            + match &self.slots {
-                Slots::Map { map, .. } => idmap_bytes::<AdId, f32>(map.capacity()),
-                Slots::Lane { vals, .. } => vals.capacity() * std::mem::size_of::<f32>(),
-            }
+        std::mem::size_of::<Self>() + idmap_bytes::<AdId, f32>(self.map.capacity())
     }
-}
-
-/// Extend a lane to `len` slots. Growth past the allocation adds at least
-/// an eighth: amortized O(1) per slot without doubling a lane's memory.
-fn grow_lane(vals: &mut Vec<f32>, len: usize) {
-    let cap = vals.capacity();
-    if len > cap {
-        vals.reserve_exact(len.max(cap + cap / 8) - vals.len());
-    }
-    vals.resize(len, f32::NAN);
 }
 
 #[cfg(test)]
@@ -621,120 +501,22 @@ mod cache_tests {
     }
 
     #[test]
-    fn dense_enough_maps_turn_into_lanes_and_stay_lanes() {
+    fn density_needs_the_floor_and_a_quarter_of_the_span() {
         let mut c = ScoreCache::new(8192);
-        // Ids 0, 4, 8, …: a quarter occupancy of the span once 64 are in.
         for i in 0..63u32 {
             c.insert(AdId(4 * i), 1.0);
         }
-        assert!(!c.is_lane(), "below the floor");
+        assert!(!c.is_dense(100), "below the floor");
         c.insert(AdId(4 * 63), 1.0);
-        assert!(c.is_lane(), "64 entries over 253 slots");
-        assert_eq!(c.len(), 64);
-        c.insert(AdId(10_000), 2.0);
-        assert_eq!(c.get(AdId(10_000)), Some(2.0), "lane grows to a higher id");
-        c.clear();
-        assert!(c.is_lane() && c.is_empty(), "clear keeps the lane");
-        // A sparse map stays a map.
-        let mut c = ScoreCache::new(8192);
-        for i in 0..500u32 {
-            c.insert(AdId(5 * i), 1.0);
-        }
-        assert!(!c.is_lane());
-    }
-
-    /// Drives one seeded op sequence through a pinned map, a pinned lane
-    /// and a cache free to convert; every return value and the id-sorted
-    /// contents must agree bit for bit. Returns how many sweeps ran and
-    /// whether the free cache ended on a lane.
-    fn representations_agree(capacity: usize, ids: u32, ops: usize, seed: u64) -> (usize, bool) {
-        use rand::rngs::SmallRng;
-        use rand::{Rng, SeedableRng};
-        fn bits(v: Option<f32>) -> Option<u32> {
-            v.map(f32::to_bits)
-        }
-        fn sorted(c: &ScoreCache) -> Vec<(AdId, u32)> {
-            let mut all: Vec<(AdId, u32)> = c.iter().map(|(ad, v)| (ad, v.to_bits())).collect();
-            all.sort_unstable_by_key(|&(ad, _)| ad);
-            all
-        }
-        let mut rng = SmallRng::seed_from_u64(seed);
-        let mut caches = [
-            ScoreCache::sparse(capacity),
-            ScoreCache::dense(capacity),
-            ScoreCache::new(capacity),
-        ];
-        let mut sweeps = 0;
-        for step in 0..ops {
-            let ad = AdId(rng.gen_range(0..ids));
-            // Quantized values make median ties common.
-            let value = rng.gen_range(-5..100i32) as f32 / 64.0;
-            let op = rng.gen_range(0..1000u32);
-            let got: Vec<Option<u32>> = match op {
-                0..=599 => caches
-                    .iter_mut()
-                    .map(|c| bits(c.insert(ad, value)))
-                    .collect(),
-                600..=849 => caches
-                    .iter_mut()
-                    .map(|c| bits(c.nudge(ad, value)))
-                    .collect(),
-                850..=899 => caches.iter_mut().map(|c| bits(c.remove(ad))).collect(),
-                900..=979 => caches.iter().map(|c| bits(c.get(ad))).collect(),
-                980 => {
-                    let m = rng.gen_range(2..9u32);
-                    for c in &mut caches {
-                        c.remove_if(|a| a.0 % m == 0);
-                    }
-                    vec![]
-                }
-                981..=990 => {
-                    let factor = rng.gen_range(0.25f32..1.0);
-                    for c in &mut caches {
-                        c.scale_all(factor);
-                    }
-                    vec![]
-                }
-                991 => {
-                    for c in &mut caches {
-                        c.clear();
-                    }
-                    vec![]
-                }
-                _ => vec![],
-            };
-            if let [a, b, c] = got[..] {
-                assert!(a == b && b == c, "step {step}: {got:?}");
-            }
-            assert!(caches.iter().all(|c| c.len() == caches[0].len()));
-            if op < 600 && capacity > 0 && got[0].is_some() {
-                sweeps += 1;
-            }
-            if step % 97 == 0 || step + 1 == ops {
-                let want = sorted(&caches[0]);
-                assert_eq!(sorted(&caches[1]), want, "step {step}: lane differs");
-                assert_eq!(
-                    sorted(&caches[2]),
-                    want,
-                    "step {step}: converting cache differs"
-                );
-            }
-        }
-        assert!(!caches[0].is_lane() && caches[1].is_lane());
-        (sweeps, caches[2].is_lane())
-    }
-
-    #[test]
-    fn map_and_lane_agree_bit_for_bit() {
-        // E9's setting: a 1 024-entry lane over 2 000 ids evicts.
-        let (sweeps, lane) = representations_agree(1024, 2000, 40_000, 9);
-        assert!(sweeps > 0 && lane, "{sweeps} sweeps, lane {lane}");
-        // The default capacity never evicts at this catalogue size.
-        assert_eq!(representations_agree(8192, 2000, 20_000, 8), (0, true));
-        // A small cache over a small catalogue sweeps often, as a map.
-        let (sweeps, lane) = representations_agree(24, 200, 20_000, 24);
-        assert!(sweeps > 0 && !lane, "{sweeps} sweeps, lane {lane}");
-        assert_eq!(representations_agree(0, 100, 2_000, 0), (0, false));
+        assert!(c.is_dense(256), "64 entries over 256 ids");
+        assert!(!c.is_dense(257), "64 entries over 257 ids");
+        c.remove(AdId(0));
+        assert!(!c.is_dense(100), "back below the floor");
+        assert!(c.can_be_dense(32_768) && !c.can_be_dense(32_769));
+        assert!(
+            !ScoreCache::new(63).can_be_dense(1),
+            "capacity below the floor"
+        );
     }
 
     #[test]

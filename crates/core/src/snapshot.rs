@@ -2,9 +2,12 @@
 //!
 //! These structs capture everything a [`crate::engine::IncrementalEngine`]
 //! needs to resume serving *bit-identically* after a restart: the
-//! forward-decayed context (landmark + raw accumulator), the exact
-//! candidate buffer, the drift-high score cache, both certification
-//! bounds, and the index epoch the buffer was last certified against.
+//! forward-decayed context (landmark + raw accumulator), the user's
+//! relevance state in whichever regime it is in, and the index epoch that
+//! state was last made current against. A bounded user carries its exact
+//! candidate buffer, drift-high score cache and both certification
+//! bounds; an exact-lane user carries one relevance per ad id and how many
+//! deltas it has applied since its last re-anchor.
 //!
 //! They are deliberately dumb data — serialization lives in
 //! `adcast-durability`, which encodes them with the same length-prefixed,
@@ -27,16 +30,34 @@ pub struct UserStateSnapshot {
     pub last_ts: Timestamp,
     /// The raw (forward-scale) context accumulator.
     pub context: SparseVector,
-    /// Exact buffered `(ad, forward relevance)` pairs, sorted by ad id.
-    pub buffer: Vec<(AdId, f32)>,
-    /// Cached `(ad, drift-high bound)` pairs, sorted by ad id.
-    pub cache: Vec<(AdId, f32)>,
-    /// Upper bound covering every cached ad.
-    pub ceiling: f32,
-    /// Upper bound covering every ad neither buffered nor cached.
-    pub outside_bound: f32,
-    /// Store index epoch the buffer was last certified against.
+    /// The user's relevance state.
+    pub relevance: RelevanceSnapshot,
+    /// Store index epoch the relevance state was last made current
+    /// against (certified buffer or re-anchored lane).
     pub index_epoch: u64,
+}
+
+/// A user's relevance state in one of the engine's two regimes.
+#[derive(Debug, Clone, PartialEq)]
+pub enum RelevanceSnapshot {
+    /// Sparse user: exact buffer, drift-high cache, certification bounds.
+    Bounded {
+        /// Exact buffered `(ad, forward relevance)` pairs, sorted by ad id.
+        buffer: Vec<(AdId, f32)>,
+        /// Cached `(ad, drift-high bound)` pairs, sorted by ad id.
+        cache: Vec<(AdId, f32)>,
+        /// Upper bound covering every cached ad.
+        ceiling: f32,
+        /// Upper bound covering every ad neither buffered nor cached.
+        outside_bound: f32,
+    },
+    /// Dense user: forward relevance of every ad id.
+    Exact {
+        /// `lane[id]` is ad `id`'s forward-scale relevance.
+        lane: Vec<f32>,
+        /// Deltas applied since the lane was last rebuilt from the index.
+        since_anchor: u32,
+    },
 }
 
 /// One engine's full state: every user plus the work counters.

@@ -70,6 +70,25 @@ pub fn top_k(candidates: impl IntoIterator<Item = Scored>, k: usize) -> Vec<Scor
     out
 }
 
+/// Offer `c` to `top`, a caller-owned list kept sorted best-first and at
+/// most `k` long: it enters when there is room or it beats the worst
+/// entry. Offering every candidate leaves the same list [`top_k`] returns,
+/// without a heap allocation per call — and a scan that knows a bound on a
+/// candidate's score can compare it with `top`'s last entry and skip the
+/// candidate unscored.
+pub fn insert_bounded(top: &mut Vec<Scored>, k: usize, c: Scored) {
+    if top.len() >= k {
+        match top.last() {
+            Some(worst) if c.cmp_desc(worst) == Ordering::Less => {
+                top.pop();
+            }
+            _ => return,
+        }
+    }
+    let at = top.partition_point(|s| s.cmp_desc(&c) == Ordering::Less);
+    top.insert(at, c);
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -119,9 +138,14 @@ mod tests {
         }
         let mut sorted = candidates.clone();
         sorted.sort_by(|a, b| b.score.total_cmp(&a.score).then(a.ad.cmp(&b.ad)));
-        for k in [1, 7, 50, 499, 500, 600] {
+        for k in [0, 1, 7, 50, 499, 500, 600] {
             let got = top_k(candidates.iter().copied(), k);
             assert_eq!(got, sorted[..k.min(500)].to_vec(), "k={k}");
+            let mut top = Vec::new();
+            for &c in &candidates {
+                insert_bounded(&mut top, k, c);
+            }
+            assert_eq!(top, got, "insert_bounded, k={k}");
         }
     }
 

@@ -12,14 +12,14 @@
 //! state unchanged. Only a deliberate change to what the engine computes
 //! may re-record them.
 //!
-//! Each run also pins how many users end with a dense score-cache lane:
+//! Each run also pins how many users end on an exact relevance lane:
 //! every user in the first configuration and none in the second, so the
-//! digests cover both cache representations.
+//! digests cover both engine regimes.
 
 use std::sync::Arc;
 
 use adcast_ads::{AdId, AdStore, AdSubmission, Budget, Targeting};
-use adcast_core::snapshot::EngineSnapshot;
+use adcast_core::snapshot::{EngineSnapshot, RelevanceSnapshot};
 use adcast_core::{EngineConfig, IncrementalEngine, RecommendationEngine, ScoringPolicy};
 use adcast_feed::FeedDelta;
 use adcast_graph::UserId;
@@ -92,15 +92,31 @@ fn digest(snapshot: &EngineSnapshot) -> u64 {
             eat(u64::from(t.0));
             eat(u64::from(w.to_bits()));
         }
-        for entries in [&u.buffer, &u.cache] {
-            eat(entries.len() as u64);
-            for &(ad, v) in entries {
-                eat(u64::from(ad.0));
-                eat(u64::from(v.to_bits()));
+        match &u.relevance {
+            RelevanceSnapshot::Bounded {
+                buffer,
+                cache,
+                ceiling,
+                outside_bound,
+            } => {
+                for entries in [buffer, cache] {
+                    eat(entries.len() as u64);
+                    for &(ad, v) in entries {
+                        eat(u64::from(ad.0));
+                        eat(u64::from(v.to_bits()));
+                    }
+                }
+                eat(u64::from(ceiling.to_bits()));
+                eat(u64::from(outside_bound.to_bits()));
+            }
+            RelevanceSnapshot::Exact { lane, since_anchor } => {
+                eat(lane.len() as u64);
+                for v in lane {
+                    eat(u64::from(v.to_bits()));
+                }
+                eat(u64::from(*since_anchor));
             }
         }
-        eat(u64::from(u.ceiling.to_bits()));
-        eat(u64::from(u.outside_bound.to_bits()));
         eat(u.index_epoch);
     }
     h
@@ -219,14 +235,14 @@ fn pure_relevance_work_is_golden() {
     assert_eq!(
         work,
         (
-            2030067,
-            966323,
-            51604,
-            156381,
-            1516,
-            0,
+            2315715,
+            840983,
+            13114,
+            17419,
+            1595,
+            58,
             64,
-            16243602643893796365
+            397495071141004763
         )
     );
 }

@@ -72,10 +72,11 @@ fn stream(n: u64) -> Vec<FeedDelta> {
 }
 
 /// Feed one user 1 000 warm-up deltas, then 1 000 measured ones, over a
-/// store of `num_ads`; returns the engine and the allocations counted in
-/// each half. No decay: rebases never fire, so every post-warmup delta
-/// walks the identical code path.
-fn warm_then_measure(num_ads: u32) -> (IncrementalEngine, u64, u64) {
+/// store of `num_ads`; returns the engine, the allocations counted in
+/// each half, and the refreshes (re-anchors, on an exact lane) in the
+/// measured half. No decay: rebases never fire, so every post-warmup
+/// delta walks the same code paths.
+fn warm_then_measure(num_ads: u32) -> (IncrementalEngine, u64, u64, u64) {
     let s = store(num_ads);
     let config = EngineConfig {
         k: 2,
@@ -90,13 +91,15 @@ fn warm_then_measure(num_ads: u32) -> (IncrementalEngine, u64, u64) {
         engine.on_feed_delta(&s, UserId(0), d);
     }
     let warmup_allocs = engine.stats().hot_path_allocs;
+    let warmup_refreshes = engine.stats().refreshes;
     // Steady state: the counter must not move at all.
     for d in &deltas[1_000..] {
         engine.on_feed_delta(&s, UserId(0), d);
     }
     let steady_allocs = engine.stats().hot_path_allocs - warmup_allocs;
+    let steady_refreshes = engine.stats().refreshes - warmup_refreshes;
     assert_eq!(engine.stats().deltas, 2_000);
-    (engine, warmup_allocs, steady_allocs)
+    (engine, warmup_allocs, steady_allocs, steady_refreshes)
 }
 
 #[test]
@@ -104,7 +107,7 @@ fn steady_state_deltas_do_not_allocate() {
     // 30 ads against a buffer of k·headroom = 8 keeps the outside-ad
     // machinery (gain accumulator, screening, a sparse score cache)
     // exercised.
-    let (engine, warmup_allocs, steady_allocs) = warm_then_measure(30);
+    let (engine, warmup_allocs, steady_allocs, _) = warm_then_measure(30);
     assert!(
         warmup_allocs > 0,
         "warm-up must allocate (buffers grow from empty)"
@@ -120,11 +123,16 @@ fn steady_state_deltas_do_not_allocate() {
 fn steady_state_deltas_on_a_dense_lane_do_not_allocate() {
     // 300 ads over the stream's 16 terms: every ad is touched, the buffer
     // keeps 8, and the rest fill the score cache past the density cut, so
-    // the user's cache turns into a lane during warm-up (turning and
-    // growing allocate, which a measured delta would count) and every
-    // measured delta probes it.
-    let (engine, _, steady_allocs) = warm_then_measure(300);
-    assert_eq!(engine.lane_users(), 1, "the user's cache must be a lane");
+    // the user converts to an exact lane during warm-up (converting
+    // allocates the lane, which a measured delta would count). Every
+    // measured delta scatters into that lane, and the measured thousand
+    // include the periodic re-anchors, which must reuse it.
+    let (engine, _, steady_allocs, steady_refreshes) = warm_then_measure(300);
+    assert_eq!(engine.lane_users(), 1, "the user must be on an exact lane");
+    assert!(
+        steady_refreshes >= 3,
+        "1000 measured deltas must re-anchor the lane, got {steady_refreshes}"
+    );
     assert_eq!(
         steady_allocs, 0,
         "steady-state lane deltas allocated {steady_allocs} times over 1000 deltas"

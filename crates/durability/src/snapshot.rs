@@ -11,7 +11,16 @@
 //! header:  magic "ADSS" | version u16 | reserved u16
 //!          next_lsn u64 | payload_len u32 | crc32 u32
 //! payload: num_users u32 | num_shards u32 | store | num_shards × engine
+//! engine:  stats | num_users u32 | users
+//! user:    landmark u64 | last_ts u64 | context | regime u8 | state
+//!          | index_epoch u64
+//! state:   0 (bounded): buffer | cache | ceiling f32 | outside_bound f32
+//!          1 (exact):   lane_len u32 | lane_len × f32 | since_anchor u32
 //! ```
+//!
+//! Buffer and cache lists must hold strictly ascending ad ids, and every
+//! relevance, bound and lane value must be finite: a NaN bound would be
+//! dropped by `f32::max` and silently stop covering the ads it bounds.
 //!
 //! The CRC covers the payload; decoding consumes it entirely, so a
 //! truncated or bit-flipped file yields a typed [`TraceError`] and the
@@ -26,7 +35,7 @@ use std::path::{Path, PathBuf};
 
 use adcast_ads::{Ad, AdId, AdStore, CampaignState};
 use adcast_ads::{CampaignSnapshot, PacingSnapshot, StoreSnapshot};
-use adcast_core::snapshot::{EngineSnapshot, UserStateSnapshot};
+use adcast_core::snapshot::{EngineSnapshot, RelevanceSnapshot, UserStateSnapshot};
 use adcast_core::{EngineStats, ShardedDriver};
 use adcast_stream::clock::Timestamp;
 use adcast_stream::cursor::{put_len32, put_opt, put_stream_header, Cursor, TraceError};
@@ -42,8 +51,8 @@ use crate::wal;
 /// Snapshot file magic (traces use `ADCT`, wire frames `ADCN`, WAL
 /// segments `ADWL`).
 pub const SNAPSHOT_MAGIC: &[u8; 4] = b"ADSS";
-/// Snapshot format version.
-pub const SNAPSHOT_VERSION: u16 = 1;
+/// Snapshot format version (2: per-user regime flag and exact lanes).
+pub const SNAPSHOT_VERSION: u16 = 2;
 /// Upper bound on one snapshot payload (1 GiB) — declared lengths above
 /// this are rejected before allocation.
 pub const MAX_SNAPSHOT: usize = 1 << 30;
@@ -299,45 +308,116 @@ fn put_scored_list(buf: &mut BytesMut, entries: &[(AdId, f32)]) {
     }
 }
 
+/// Decode an `(ad, value)` list: strictly ascending ids, finite values.
 fn get_scored_list(cur: &mut Cursor) -> Result<Vec<(AdId, f32)>, TraceError> {
     let n = cur.len32()?;
     let (words, _) = cur.take(n.saturating_mul(8))?.as_chunks::<4>();
-    Ok(words
-        .chunks_exact(2)
-        .map(|p| (AdId(u32::from_le_bytes(p[0])), f32::from_le_bytes(p[1])))
-        .collect())
+    let mut out = Vec::with_capacity(n);
+    for p in words.chunks_exact(2) {
+        let (ad, v) = (AdId(u32::from_le_bytes(p[0])), f32::from_le_bytes(p[1]));
+        if !v.is_finite() {
+            return Err(TraceError::Corrupt("non-finite scored value"));
+        }
+        if out.last().is_some_and(|&(last, _)| last >= ad) {
+            return Err(TraceError::Corrupt("scored ids not strictly ascending"));
+        }
+        out.push((ad, v));
+    }
+    Ok(out)
+}
+
+/// Read an `f32` that must be finite.
+fn get_finite(cur: &mut Cursor, what: &'static str) -> Result<f32, TraceError> {
+    let v = cur.f32()?;
+    if v.is_finite() {
+        Ok(v)
+    } else {
+        Err(TraceError::Corrupt(what))
+    }
+}
+
+fn put_lane(buf: &mut BytesMut, lane: &[f32]) {
+    put_len32(buf, lane.len());
+    for &v in lane {
+        buf.put_f32_le(v);
+    }
+}
+
+fn get_lane(cur: &mut Cursor) -> Result<Vec<f32>, TraceError> {
+    let n = cur.len32()?;
+    let (words, _) = cur.take(n.saturating_mul(4))?.as_chunks::<4>();
+    let lane: Vec<f32> = words.iter().map(|w| f32::from_le_bytes(*w)).collect();
+    if lane.iter().all(|v| v.is_finite()) {
+        Ok(lane)
+    } else {
+        Err(TraceError::Corrupt("non-finite lane value"))
+    }
+}
+
+fn put_user(buf: &mut BytesMut, user: &UserStateSnapshot) {
+    buf.put_u64_le(user.landmark.micros());
+    buf.put_u64_le(user.last_ts.micros());
+    put_context_vector(buf, &user.context);
+    match &user.relevance {
+        RelevanceSnapshot::Bounded {
+            buffer,
+            cache,
+            ceiling,
+            outside_bound,
+        } => {
+            buf.put_u8(0);
+            put_scored_list(buf, buffer);
+            put_scored_list(buf, cache);
+            buf.put_f32_le(*ceiling);
+            buf.put_f32_le(*outside_bound);
+        }
+        RelevanceSnapshot::Exact { lane, since_anchor } => {
+            buf.put_u8(1);
+            put_lane(buf, lane);
+            buf.put_u32_le(*since_anchor);
+        }
+    }
+    buf.put_u64_le(user.index_epoch);
+}
+
+fn get_user(cur: &mut Cursor) -> Result<UserStateSnapshot, TraceError> {
+    let landmark = Timestamp(cur.u64()?);
+    let last_ts = Timestamp(cur.u64()?);
+    let context = get_context_vector(cur)?;
+    let relevance = if cur.flag("bad relevance regime")? {
+        RelevanceSnapshot::Exact {
+            lane: get_lane(cur)?,
+            since_anchor: cur.u32()?,
+        }
+    } else {
+        RelevanceSnapshot::Bounded {
+            buffer: get_scored_list(cur)?,
+            cache: get_scored_list(cur)?,
+            ceiling: get_finite(cur, "non-finite ceiling")?,
+            outside_bound: get_finite(cur, "non-finite outside bound")?,
+        }
+    };
+    Ok(UserStateSnapshot {
+        landmark,
+        last_ts,
+        context,
+        relevance,
+        index_epoch: cur.u64()?,
+    })
 }
 
 fn put_engine(buf: &mut BytesMut, engine: &EngineSnapshot) {
     put_stats(buf, &engine.stats);
     put_len32(buf, engine.users.len());
     for user in &engine.users {
-        buf.put_u64_le(user.landmark.micros());
-        buf.put_u64_le(user.last_ts.micros());
-        put_context_vector(buf, &user.context);
-        put_scored_list(buf, &user.buffer);
-        put_scored_list(buf, &user.cache);
-        buf.put_f32_le(user.ceiling);
-        buf.put_f32_le(user.outside_bound);
-        buf.put_u64_le(user.index_epoch);
+        put_user(buf, user);
     }
 }
 
 fn get_engine(cur: &mut Cursor) -> Result<EngineSnapshot, TraceError> {
     let stats = get_stats(cur)?;
     let n = cur.len32()?;
-    let users = cur.many(n, |c| {
-        Ok(UserStateSnapshot {
-            landmark: Timestamp(c.u64()?),
-            last_ts: Timestamp(c.u64()?),
-            context: get_context_vector(c)?,
-            buffer: get_scored_list(c)?,
-            cache: get_scored_list(c)?,
-            ceiling: c.f32()?,
-            outside_bound: c.f32()?,
-            index_epoch: c.u64()?,
-        })
-    })?;
+    let users = cur.many(n, get_user)?;
     Ok(EngineSnapshot { stats, users })
 }
 
@@ -658,7 +738,8 @@ mod tests {
 
     /// A small hand-built snapshot touching every field shape: both
     /// pacing forms, both topic-hint forms, targeting, a non-empty context
-    /// with a negative residual, and buffer and cache lists.
+    /// with a negative residual, a bounded user with buffer and cache
+    /// lists, and an exact-lane user.
     fn small_snapshot() -> EngineSetSnapshot {
         let campaign = |id: u32, pacing: Option<PacingSnapshot>| CampaignSnapshot {
             ad: Ad {
@@ -702,17 +783,100 @@ mod tests {
                     recommends: 2,
                     ..EngineStats::default()
                 },
-                users: vec![UserStateSnapshot {
-                    landmark: Timestamp::from_secs(2),
-                    last_ts: Timestamp::from_secs(30),
-                    context: SparseVector::from_sorted(vec![(TermId(0), 0.5), (TermId(3), -1e-7)]),
-                    buffer: vec![(AdId(0), 0.25)],
-                    cache: vec![(AdId(1), 0.125), (AdId(0), 0.5)],
-                    ceiling: 0.5,
-                    outside_bound: 0.0625,
-                    index_epoch: 6,
-                }],
+                users: vec![
+                    UserStateSnapshot {
+                        landmark: Timestamp::from_secs(2),
+                        last_ts: Timestamp::from_secs(30),
+                        context: SparseVector::from_sorted(vec![
+                            (TermId(0), 0.5),
+                            (TermId(3), -1e-7),
+                        ]),
+                        relevance: RelevanceSnapshot::Bounded {
+                            buffer: vec![(AdId(0), 0.25)],
+                            cache: vec![(AdId(1), 0.125), (AdId(4), 0.5)],
+                            ceiling: 0.5,
+                            outside_bound: 0.0625,
+                        },
+                        index_epoch: 6,
+                    },
+                    UserStateSnapshot {
+                        landmark: Timestamp::from_secs(2),
+                        last_ts: Timestamp::from_secs(31),
+                        context: SparseVector::from_sorted(vec![(TermId(1), 0.75)]),
+                        relevance: RelevanceSnapshot::Exact {
+                            lane: vec![0.0, 0.375, -1e-7],
+                            since_anchor: 9,
+                        },
+                        index_epoch: 5,
+                    },
+                ],
             }],
+        }
+    }
+
+    #[test]
+    fn small_snapshot_roundtrips() {
+        let snap = small_snapshot();
+        let back = EngineSetSnapshot::decode(snap.encode()).unwrap();
+        assert_eq!(back.engines, snap.engines);
+        assert_eq!(back.store, snap.store);
+    }
+
+    /// A NaN bound would be dropped by `f32::max` and stop covering the
+    /// ads it bounds, and an unsorted list would restore a different
+    /// state than was exported: both are corrupt even under a valid CRC.
+    #[test]
+    fn decode_rejects_non_finite_values_and_unsorted_ids() {
+        type Damage = fn(&mut RelevanceSnapshot);
+        let damages: [(&str, usize, Damage); 7] = [
+            ("buffer value", 0, |r| {
+                if let RelevanceSnapshot::Bounded { buffer, .. } = r {
+                    buffer[0].1 = f32::NAN;
+                }
+            }),
+            ("cache value", 0, |r| {
+                if let RelevanceSnapshot::Bounded { cache, .. } = r {
+                    cache[1].1 = f32::INFINITY;
+                }
+            }),
+            ("ceiling", 0, |r| {
+                if let RelevanceSnapshot::Bounded { ceiling, .. } = r {
+                    *ceiling = f32::NAN;
+                }
+            }),
+            ("outside bound", 0, |r| {
+                if let RelevanceSnapshot::Bounded { outside_bound, .. } = r {
+                    *outside_bound = f32::NAN;
+                }
+            }),
+            ("cache order", 0, |r| {
+                if let RelevanceSnapshot::Bounded { cache, .. } = r {
+                    cache.swap(0, 1);
+                }
+            }),
+            ("duplicate cache id", 0, |r| {
+                if let RelevanceSnapshot::Bounded { cache, .. } = r {
+                    cache[1].0 = cache[0].0;
+                }
+            }),
+            ("lane value", 1, |r| {
+                if let RelevanceSnapshot::Exact { lane, .. } = r {
+                    lane[1] = f32::NAN;
+                }
+            }),
+        ];
+        for (what, user, damage) in damages {
+            let mut snap = small_snapshot();
+            damage(&mut snap.engines[0].users[user].relevance);
+            assert_ne!(
+                snap.engines,
+                small_snapshot().engines,
+                "{what}: not damaged"
+            );
+            match EngineSetSnapshot::decode(snap.encode()) {
+                Err(TraceError::Corrupt(_)) => {}
+                other => panic!("{what}: decoded as {other:?}"),
+            }
         }
     }
 
@@ -720,8 +884,8 @@ mod tests {
     fn encoding_matches_recorded_bytes() {
         let bytes = small_snapshot().encode();
         let digest = crate::record::tests::fnv1a(&bytes);
-        assert_eq!(bytes.len(), 430);
-        assert_eq!(digest, 0x38a3_53cd_e299_5dab);
+        assert_eq!(bytes.len(), 488);
+        assert_eq!(digest, 0x4f2c_e77f_94dd_52d4);
     }
 
     #[test]

@@ -12,7 +12,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use adcast_ads::{AdId, AdStore, AdSubmission, Budget, Targeting};
-use adcast_core::{EngineConfig, ShardedDriver};
+use adcast_core::{EngineConfig, RelevanceSnapshot, ShardedDriver, UserStateSnapshot};
 use adcast_durability::wal::{FsyncPolicy, WalOptions, WalWriter};
 use adcast_durability::{apply_record, recover, Durability, DurabilityOptions, WalRecord};
 use adcast_feed::FeedDelta;
@@ -63,6 +63,11 @@ fn delta(user: u32, term: u32, secs: u64) -> (UserId, FeedDelta) {
     )
 }
 
+/// Users at or above this index read a vocabulary only three ads share,
+/// so they stay in the engine's bounded regime; the others touch every
+/// ad and move onto exact lanes.
+const FIRST_SPARSE_USER: u32 = 6;
+
 /// A deterministic mixed workload: submissions with budgets and pacing,
 /// feed batches across both shards, campaign churn, charged impressions
 /// (one exhausting its budget).
@@ -81,6 +86,22 @@ fn workload() -> Vec<WalRecord> {
             topic_hint: None,
         }));
     }
+    // A catalogue dense in the first users' vocabulary, plus three ads on
+    // the sparse users' own terms.
+    for i in 0..153u32 {
+        let (term, weight) = if i < 150 {
+            (i % 6, 0.2 + 0.005 * i as f32)
+        } else {
+            (40 + i % 3, 0.6)
+        };
+        records.push(WalRecord::Submit(AdSubmission {
+            vector: v(&[(term, weight), (term + 1, 0.1)]),
+            bid: 1.0,
+            targeting: Targeting::everywhere(),
+            budget: Budget::unlimited(),
+            topic_hint: None,
+        }));
+    }
     records.push(WalRecord::SetPacing {
         ad: AdId(1),
         start: Timestamp::from_secs(0),
@@ -89,7 +110,10 @@ fn workload() -> Vec<WalRecord> {
     });
     for step in 0..12u64 {
         let batch: Vec<_> = (0..NUM_USERS)
-            .map(|u| delta(u, (step % 5) as u32, step * 10 + 1))
+            .map(|u| {
+                let base = if u < FIRST_SPARSE_USER { 0 } else { 40 };
+                delta(u, base + (step % 5) as u32, step * 10 + 1)
+            })
             .collect();
         records.push(WalRecord::IngestBatch(batch));
         if step == 3 {
@@ -153,8 +177,21 @@ fn run_durable(dir: &Path, records: &[WalRecord], snapshot_every: u64) {
     // already hit disk before the kill.)
 }
 
-/// Assert the recovered pair is bit-identical to the twin.
+/// Assert the recovered pair is bit-identical to the twin, and that the
+/// twin holds users in both engine regimes, so both were recovered.
 fn assert_twins(recovered: &mut (AdStore, ShardedDriver), twin: &mut (AdStore, ShardedDriver)) {
+    let users: Vec<_> = twin
+        .1
+        .export_snapshots()
+        .into_iter()
+        .flat_map(|e| e.users)
+        .collect();
+    let exact = |u: &&UserStateSnapshot| matches!(u.relevance, RelevanceSnapshot::Exact { .. });
+    assert!(users.iter().any(|u| exact(&u)), "no exact-lane user");
+    assert!(
+        users.iter().any(|u| !exact(&u) && !u.context.is_empty()),
+        "no bounded user with state"
+    );
     // Engine counters first (recommend() below bumps them on both sides).
     assert_eq!(recovered.1.stats(), twin.1.stats(), "engine counters");
     // Full state: campaigns, budgets, pacing, CTR, per-user engine state.
