@@ -33,6 +33,18 @@
 //! pruning math (context terms with non-positive weight cannot raise any
 //! ad's score) relies on it.
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::unreachable
+    )
+)]
+
 use adcast_text::dictionary::TermId;
 use adcast_text::SparseVector;
 

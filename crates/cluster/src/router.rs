@@ -35,6 +35,18 @@
 //! partition with no promotable follower sheds with typed
 //! [`WireError::Overloaded`] rather than blocking the connection.
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::unreachable
+    )
+)]
+
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc;
@@ -530,12 +542,21 @@ fn route_one(shared: &Arc<RouterShared>, pool: &Pool, req: Request) -> Response 
     // One sampling decision per client RPC, taken before any fan-out, so
     // every partition leg of this request shares one trace id.
     let trace = match &req {
+        Request::Ingest { .. }
+        | Request::Recommend { .. }
+        | Request::SubmitCampaign(_)
+        | Request::PauseCampaign { .. }
+        | Request::Impression { .. }
+        | Request::Maintain { .. }
+        | Request::Checkpoint
+        | Request::ObsDump
+        | Request::Stats
+        | Request::Shutdown => shared.sample_trace(),
         Request::Routed { .. }
         | Request::ReplAppend { .. }
         | Request::InstallSnapshot { .. }
         | Request::Promote { .. }
         | Request::ClusterStatus => TraceContext::NONE,
-        _ => shared.sample_trace(),
     };
     match req {
         Request::Ingest { deltas } => {
@@ -698,7 +719,209 @@ fn merge_broadcast(req: &Request, replies: Vec<Response>) -> Response {
             Response::Stats(merge_stats(&stats))
         }
         Request::Shutdown => Response::ShutdownAck,
-        // Broadcast is only called for the kinds above.
-        _ => Response::Error(WireError::Unavailable),
+        // `route_one` never broadcasts these kinds.
+        Request::Ingest { .. }
+        | Request::Recommend { .. }
+        | Request::Routed { .. }
+        | Request::ReplAppend { .. }
+        | Request::InstallSnapshot { .. }
+        | Request::Promote { .. }
+        | Request::ClusterStatus => Response::Error(WireError::Unavailable),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use adcast_ads::AdId;
+    use adcast_net::protocol::CampaignSpec;
+    use adcast_stream::clock::Timestamp;
+    use adcast_text::dictionary::TermId;
+    use adcast_text::SparseVector;
+
+    fn submit() -> Request {
+        Request::SubmitCampaign(CampaignSpec::unrestricted(
+            SparseVector::from_pairs([(TermId(1), 1.0)]),
+            1.0,
+        ))
+    }
+
+    fn stats(deltas: u64, p99: u64) -> ServerStats {
+        ServerStats {
+            deltas,
+            ingest_p99_ns: p99,
+            ..ServerStats::default()
+        }
+    }
+
+    #[test]
+    fn each_broadcast_kind_gets_its_merged_reply() {
+        let ad = AdId(7);
+        let now = Timestamp::from_secs(5);
+        let cases = [
+            (
+                submit(),
+                vec![
+                    Response::CampaignAccepted { ad },
+                    Response::CampaignAccepted { ad },
+                ],
+                Response::CampaignAccepted { ad },
+            ),
+            (
+                Request::PauseCampaign { ad },
+                vec![
+                    Response::CampaignPaused { ad },
+                    Response::CampaignPaused { ad },
+                ],
+                Response::CampaignPaused { ad },
+            ),
+            (
+                Request::Impression {
+                    ad,
+                    cost: 0.5,
+                    clicked: false,
+                    now,
+                },
+                vec![
+                    Response::ImpressionRecorded {
+                        ad,
+                        exhausted: false,
+                    },
+                    Response::ImpressionRecorded {
+                        ad,
+                        exhausted: true,
+                    },
+                ],
+                Response::ImpressionRecorded {
+                    ad,
+                    exhausted: true,
+                },
+            ),
+            (
+                Request::Maintain {
+                    now,
+                    idle_for: adcast_stream::clock::Duration::from_secs(60),
+                },
+                vec![
+                    Response::Maintained {
+                        scanned: 10,
+                        decayed: 1,
+                        pruned: 2,
+                    },
+                    Response::Maintained {
+                        scanned: 5,
+                        decayed: 3,
+                        pruned: 2,
+                    },
+                ],
+                Response::Maintained {
+                    scanned: 15,
+                    decayed: 4,
+                    pruned: 4,
+                },
+            ),
+            (
+                Request::Checkpoint,
+                vec![
+                    Response::Checkpointed { lsn: 4 },
+                    Response::Checkpointed { lsn: 9 },
+                ],
+                Response::Checkpointed { lsn: 9 },
+            ),
+            (
+                Request::ObsDump,
+                vec![
+                    Response::ObsDumped { events: 3 },
+                    Response::ObsDumped { events: 4 },
+                ],
+                Response::ObsDumped { events: 7 },
+            ),
+            (
+                Request::Stats,
+                vec![Response::Stats(stats(2, 50)), Response::Stats(stats(3, 80))],
+                Response::Stats(merge_stats(&[stats(2, 50), stats(3, 80)])),
+            ),
+            (
+                Request::Shutdown,
+                vec![Response::ShutdownAck, Response::ShutdownAck],
+                Response::ShutdownAck,
+            ),
+        ];
+        for (req, replies, want) in cases {
+            assert_eq!(merge_broadcast(&req, replies), want, "{:?}", req.kind());
+        }
+        assert_eq!(
+            merge_stats(&[stats(2, 50), stats(3, 80)]),
+            stats(5, 80),
+            "counters add, latency percentiles take the max"
+        );
+    }
+
+    #[test]
+    fn any_error_reply_wins() {
+        let replies = vec![
+            Response::Checkpointed { lsn: 4 },
+            Response::Error(WireError::ShuttingDown),
+            Response::Checkpointed { lsn: 9 },
+        ];
+        assert_eq!(
+            merge_broadcast(&Request::Checkpoint, replies),
+            Response::Error(WireError::ShuttingDown)
+        );
+    }
+
+    #[test]
+    fn divergent_campaign_ids_are_unavailable() {
+        let replies = vec![
+            Response::CampaignAccepted { ad: AdId(1) },
+            Response::CampaignAccepted { ad: AdId(2) },
+        ];
+        assert_eq!(
+            merge_broadcast(&submit(), replies),
+            Response::Error(WireError::Unavailable)
+        );
+    }
+
+    #[test]
+    fn a_non_broadcast_kind_is_unavailable() {
+        let routed = Request::Routed {
+            partition: 0,
+            epoch: 1,
+            trace: TraceContext::NONE,
+            inner: Box::new(Request::Stats),
+        };
+        for req in [
+            Request::Ingest { deltas: Vec::new() },
+            Request::Recommend {
+                user: UserId(1),
+                now: Timestamp::from_secs(1),
+                location: adcast_stream::event::LocationId(0),
+                k: 5,
+            },
+            routed,
+            Request::ReplAppend {
+                partition: 0,
+                epoch: 1,
+                trace: TraceContext::NONE,
+                entries: Vec::new(),
+            },
+            Request::InstallSnapshot {
+                partition: 0,
+                epoch: 1,
+                snapshot: bytes::Bytes::new(),
+            },
+            Request::Promote {
+                partition: 0,
+                epoch: 2,
+            },
+            Request::ClusterStatus,
+        ] {
+            assert_eq!(
+                merge_broadcast(&req, vec![Response::ShutdownAck]),
+                Response::Error(WireError::Unavailable),
+                "{:?}",
+                req.kind()
+            );
+        }
     }
 }

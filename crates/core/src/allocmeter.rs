@@ -45,32 +45,34 @@ impl CountingAllocator {
 // which itself never allocates (`Cell<u64>` write) and so cannot re-enter
 // the allocator.
 unsafe impl GlobalAlloc for CountingAllocator {
-    // SAFETY: caller upholds `GlobalAlloc::alloc`'s contract (nonzero-size
-    // layout); we forward the same layout to `System` unchanged.
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         Self::bump();
-        System.alloc(layout)
+        // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract
+        // (nonzero-size layout); we forward the same layout to `System`.
+        unsafe { System.alloc(layout) }
     }
 
-    // SAFETY: same contract forwarding as `alloc`; `System.alloc_zeroed`
-    // receives the caller's layout unmodified.
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         Self::bump();
-        System.alloc_zeroed(layout)
+        // SAFETY: same contract forwarding as `alloc`; `System.alloc_zeroed`
+        // receives the caller's layout unmodified.
+        unsafe { System.alloc_zeroed(layout) }
     }
 
-    // SAFETY: caller guarantees `ptr` was allocated by this allocator with
-    // `layout` and `new_size` is nonzero; since we delegate allocation to
-    // `System`, forwarding the triple to `System.realloc` is sound.
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         Self::bump();
-        System.realloc(ptr, layout, new_size)
+        // SAFETY: the caller guarantees `ptr` was allocated by this
+        // allocator with `layout` and `new_size` is nonzero; since we
+        // delegate allocation to `System`, forwarding the triple to
+        // `System.realloc` is sound.
+        unsafe { System.realloc(ptr, layout, new_size) }
     }
 
-    // SAFETY: caller guarantees `ptr`/`layout` match a live allocation from
-    // this allocator, and every allocation path above came from `System`,
-    // so `System.dealloc` is the matching deallocator.
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
+        // SAFETY: the caller guarantees `ptr`/`layout` match a live
+        // allocation from this allocator, and every allocation path above
+        // came from `System`, so `System.dealloc` is the matching
+        // deallocator.
+        unsafe { System.dealloc(ptr, layout) }
     }
 }

@@ -37,6 +37,18 @@
 //!   undiscovered ad that could tie the k-th score (and win the id
 //!   tie-break) is never pruned.
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::unreachable
+    )
+)]
+
 use adcast_stream::clock::now_ns;
 
 use adcast_ads::{AdId, AdIndex, AdStore, BLOCK_SIZE};
@@ -233,7 +245,10 @@ impl BlockMaxScorer {
     /// Evaluate the top `k` eligible ads for `ctx`, leaving the result in
     /// [`BlockMaxScorer::hits`]. `min_fwd` is the forward-scale serving
     /// threshold (candidates must score strictly above it).
-    #[allow(clippy::too_many_arguments)]
+    #[allow(
+        clippy::too_many_arguments,
+        reason = "one caller (`IndexScanEngine::recommend_pruned`) passes a serving request's inputs unbundled"
+    )]
     pub fn run(
         &mut self,
         store: &AdStore,

@@ -61,6 +61,18 @@
 //! so an engine that served reads and a WAL replay that never saw them
 //! hold the same lanes.
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::unreachable
+    )
+)]
+
 use adcast_stream::clock::now_ns;
 
 use adcast_ads::{AdId, AdStore};
@@ -312,8 +324,11 @@ impl IncrementalEngine {
     ///
     /// Panics on an invalid configuration.
     pub fn new(num_users: u32, config: EngineConfig) -> Self {
-        // adcast-lint: allow(no-panic-hot-path) -- construction-time config
-        // validation, documented under "# Panics"; no request in flight.
+        #[expect(
+            clippy::expect_used,
+            reason = "construction-time config validation, documented under \"# Panics\"; \
+                      no request in flight"
+        )]
         config.validate().expect("invalid engine config");
         IncrementalEngine {
             users: (0..num_users).map(|_| UserState::fresh(&config)).collect(),
@@ -769,9 +784,11 @@ impl IncrementalEngine {
         let out = top
             .into_iter()
             .map(|s| {
-                // adcast-lint: allow(no-panic-hot-path) -- `top` is a
-                // subset of `eligible` by construction (top_k consumed the
-                // same iterator), so the lookup always succeeds.
+                #[expect(
+                    clippy::expect_used,
+                    reason = "`top` is a subset of `eligible` by construction (top_k consumed \
+                              the same iterator), so the lookup always succeeds"
+                )]
                 let rel = eligible
                     .iter()
                     .find(|&&(ad, _, _)| ad == s.ad)

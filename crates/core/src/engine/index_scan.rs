@@ -13,6 +13,18 @@
 //! [`IndexScanEngine::recommend_exhaustive`] for the equivalence suite and
 //! the work-cost comparisons.
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::unreachable
+    )
+)]
+
 use adcast_ads::AdStore;
 use adcast_feed::FeedDelta;
 use adcast_graph::UserId;
@@ -54,8 +66,11 @@ impl IndexScanEngine {
     ///
     /// Panics on an invalid configuration.
     pub fn new(num_users: u32, config: EngineConfig) -> Self {
-        // adcast-lint: allow(no-panic-hot-path) -- construction-time config
-        // validation, documented under "# Panics"; no request in flight.
+        #[expect(
+            clippy::expect_used,
+            reason = "construction-time config validation, documented under \"# Panics\"; \
+                      no request in flight"
+        )]
         config.validate().expect("invalid engine config");
         IndexScanEngine {
             contexts: (0..num_users)

@@ -24,6 +24,18 @@
 //! buffer itself stays policy-agnostic. Order statistics used for
 //! certification take a rank function from the caller.
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::unreachable
+    )
+)]
+
 use adcast_ads::{idmap_bytes, AdId, IdMap};
 
 /// A bounded map `AdId → forward-scale relevance`.

@@ -7,6 +7,19 @@
 //! so the recovered store and engines cannot diverge from the
 //! uninterrupted twin.
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::unreachable,
+        clippy::indexing_slicing
+    )
+)]
+
 use adcast_ads::{AdId, AdStore, CampaignState, PacingController};
 use adcast_core::ShardedDriver;
 use adcast_graph::UserId;

@@ -8,6 +8,18 @@
 //! panics, whatever bytes arrive — every malformation is a typed
 //! [`TraceError`].
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::unreachable
+    )
+)]
+
 use adcast_feed::FeedDelta;
 use adcast_graph::UserId;
 use adcast_stream::cursor::{put_len16, put_len32, put_len8, put_opt, Cursor, TraceError};

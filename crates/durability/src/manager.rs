@@ -14,6 +14,19 @@
 //! is the synchronous variant behind the `Checkpoint` RPC; periodic
 //! snapshots via [`Durability::maybe_snapshot`] are fire-and-forget.
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::unreachable,
+        clippy::indexing_slicing
+    )
+)]
+
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{self, Sender};
@@ -170,8 +183,10 @@ impl Durability {
             let written = Arc::clone(&snapshots_written);
             let keep = options.keep_snapshots;
             let snapshot_write_ns = snapshot_write_ns.clone();
-            // adcast-lint: allow(no-panic-hot-path) -- one-time startup
-            // spawn, documented under "# Panics"; no request is in flight.
+            #[expect(
+                clippy::expect_used,
+                reason = "one-time startup spawn, documented under \"# Panics\"; no request is in flight"
+            )]
             std::thread::Builder::new()
                 .name("adcast-persister".to_owned())
                 .spawn(move || {

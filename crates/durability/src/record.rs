@@ -23,6 +23,18 @@
 //! 8 Maintenance: now u64 | idle_for u64
 //! ```
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::unreachable
+    )
+)]
+
 use adcast_ads::{AdId, AdSubmission, Budget, Targeting};
 use adcast_feed::FeedDelta;
 use adcast_graph::UserId;

@@ -18,6 +18,19 @@
 //! were acknowledged durable, so silently skipping them would serve
 //! wrong budgets.
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::unreachable,
+        clippy::indexing_slicing
+    )
+)]
+
 use std::fs;
 use std::io;
 use std::path::Path;

@@ -29,6 +29,18 @@
 //! the directory is fsynced — so a crash mid-write can never leave a
 //! half-snapshot under the real name.
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::unreachable
+    )
+)]
+
 use std::fs;
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};

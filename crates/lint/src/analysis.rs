@@ -1,5 +1,6 @@
-//! Structural analysis over the token stream: item extents, `#[cfg(test)]`
-//! masking, function discovery, and `adcast-lint:` pragma parsing.
+//! Structural analysis over the token stream: item extents, brace-matched
+//! blocks, `#[cfg(test)]` masking, function discovery, `adcast-lint:`
+//! pragma parsing, and the lint-attribute count.
 //!
 //! Everything here is heuristic by design — the lexer guarantees we never
 //! look inside strings or comments, and brace/paren matching gives us item
@@ -7,7 +8,6 @@
 //! (rustfmt-formatted, no macro-generated items on the checked paths).
 
 use crate::lexer::{lex, Comment, Lexed, Tok, TokKind};
-use crate::tree::ItemTree;
 
 /// One function found in a file.
 #[derive(Debug, Clone)]
@@ -24,6 +24,13 @@ pub struct FnInfo {
     /// Token range of the return type (between `->` and the body/`;`).
     pub ret: Option<(usize, usize)>,
     pub line: u32,
+}
+
+/// One brace-matched block; `open`/`close` are token indices of `{`/`}`.
+#[derive(Debug, Clone)]
+pub struct Block {
+    pub open: usize,
+    pub close: usize,
 }
 
 /// A parsed `// adcast-lint: ...` pragma.
@@ -55,45 +62,46 @@ pub struct BadPragma {
 pub struct FileAnalysis {
     pub rel_path: String,
     pub tokens: Vec<Tok>,
-    pub comments: Vec<Comment>,
     /// Parallel to `tokens`: true when the token sits under `#[cfg(test)]`.
     pub in_test: Vec<bool>,
-    /// Lines fully occupied by attribute tokens (`#[...]`).
-    pub attr_lines: Vec<u32>,
     pub fns: Vec<FnInfo>,
-    /// Structural index: brace-matched blocks, enum/impl/match items and
-    /// the per-file symbol list (see [`crate::tree`]).
-    pub tree: ItemTree,
+    /// Every brace-matched `{ ... }`, so a rule can ask for the smallest
+    /// block enclosing a token (how long a lock guard lives).
+    pub blocks: Vec<Block>,
     pub pragmas: Vec<Pragma>,
     pub bad_pragmas: Vec<BadPragma>,
+    /// `#[allow(...)]`/`#[expect(...)]` lint attributes (inner forms
+    /// included): rustc's and clippy's suppressions, counted beside the
+    /// pragmas so one ratchet covers both mechanisms.
+    pub lint_attrs: usize,
 }
 
 impl FileAnalysis {
     pub fn new(rel_path: &str, src: &str) -> Self {
         let Lexed { tokens, comments } = lex(src);
         let in_test = cfg_test_mask(&tokens);
-        let attr_lines = attribute_lines(&tokens);
         let fns = find_fns(&tokens);
-        let tree = ItemTree::build(&tokens);
+        let blocks = find_blocks(&tokens);
         let (pragmas, bad_pragmas) = parse_pragmas(&comments);
+        let lint_attrs = count_lint_attrs(&tokens);
         FileAnalysis {
             rel_path: rel_path.to_string(),
             tokens,
-            comments,
             in_test,
-            attr_lines,
             fns,
-            tree,
+            blocks,
             pragmas,
             bad_pragmas,
+            lint_attrs,
         }
     }
 
-    /// True when `line` is covered by a comment.
-    pub fn comment_on(&self, line: u32) -> Option<&Comment> {
-        self.comments
+    /// The smallest block strictly containing token `idx`, if any.
+    pub fn enclosing_block(&self, idx: usize) -> Option<&Block> {
+        self.blocks
             .iter()
-            .find(|c| c.line <= line && line <= c.end_line)
+            .filter(|b| b.open < idx && idx < b.close)
+            .min_by_key(|b| b.close - b.open)
     }
 
     /// The inclusive line span of the item starting at the first token after
@@ -208,27 +216,47 @@ fn cfg_test_mask(tokens: &[Tok]) -> Vec<bool> {
     mask
 }
 
-/// Lines whose tokens belong to attribute groups; used when checking that a
-/// `// SAFETY:` comment is "immediately above" an unsafe item that also has
-/// attributes.
-fn attribute_lines(tokens: &[Tok]) -> Vec<u32> {
-    let mut lines = Vec::new();
-    let mut i = 0usize;
-    while i + 1 < tokens.len() {
-        if tokens[i].is_punct('#') && tokens[i + 1].is_punct('[') {
-            if let Some(close) = matching_close(tokens, i + 1) {
-                for t in &tokens[i..=close] {
-                    lines.push(t.line);
-                }
-                i = close + 1;
-                continue;
+/// Pair every `{` with its `}`. An unbalanced file (mid-edit) still
+/// yields usable blocks: stragglers close at EOF rather than vanishing.
+fn find_blocks(tokens: &[Tok]) -> Vec<Block> {
+    let mut blocks: Vec<Block> = Vec::new();
+    let mut open: Vec<usize> = Vec::new();
+    for (i, t) in tokens.iter().enumerate() {
+        if t.is_punct('{') {
+            open.push(blocks.len());
+            blocks.push(Block {
+                open: i,
+                close: usize::MAX,
+            });
+        } else if t.is_punct('}') {
+            if let Some(b) = open.pop() {
+                blocks[b].close = i;
             }
         }
-        i += 1;
     }
-    lines.sort_unstable();
-    lines.dedup();
-    lines
+    let eof = tokens.len().saturating_sub(1);
+    for b in &mut blocks {
+        if b.close == usize::MAX {
+            b.close = eof;
+        }
+    }
+    blocks
+}
+
+/// Count `#[allow(` / `#[expect(` (and `#![...]`) attribute openings.
+fn count_lint_attrs(tokens: &[Tok]) -> usize {
+    tokens
+        .iter()
+        .enumerate()
+        .filter(|&(i, t)| {
+            let at = |k: usize| tokens.get(i + k);
+            let bang = usize::from(at(1).is_some_and(|b| b.is_punct('!')));
+            t.is_punct('#')
+                && at(1 + bang).is_some_and(|b| b.is_punct('['))
+                && at(2 + bang).is_some_and(|n| n.is_ident("allow") || n.is_ident("expect"))
+                && at(3 + bang).is_some_and(|p| p.is_punct('('))
+        })
+        .count()
 }
 
 /// Discover every `fn` with its visibility, body extent and return type.
@@ -465,7 +493,7 @@ mod tests {
 
     #[test]
     fn pragma_parsing() {
-        let src = "// adcast-lint: allow(no-panic-hot-path) -- checked above\n// adcast-lint: allow(no-panic-hot-path)\n// adcast-lint: zero-alloc\n// adcast-lint: allow(bogus-rule) -- x\n";
+        let src = "// adcast-lint: allow(lock-discipline) -- checked above\n// adcast-lint: allow(lock-discipline)\n// adcast-lint: zero-alloc\n// adcast-lint: allow(no-panic-hot-path) -- x\n";
         let fa = FileAnalysis::new("x.rs", src);
         assert_eq!(fa.pragmas.len(), 2);
         assert_eq!(fa.bad_pragmas.len(), 2);
@@ -474,8 +502,25 @@ mod tests {
     }
 
     #[test]
+    fn lint_attributes_are_counted_outside_strings() {
+        let src = "#![allow(dead_code)]\n#[expect(clippy::expect_used, reason = \"x\")]\n\
+                   #[derive(Debug)]\nfn f() { let s = \"#[allow(x)]\"; }\n";
+        assert_eq!(FileAnalysis::new("x.rs", src).lint_attrs, 2);
+    }
+
+    #[test]
+    fn blocks_nest_and_enclose() {
+        let fa = FileAnalysis::new("x.rs", "fn f() { if x { y(); } }");
+        assert_eq!(fa.blocks.len(), 2);
+        let (outer, inner) = (&fa.blocks[0], &fa.blocks[1]);
+        assert!(outer.open < inner.open && inner.close < outer.close);
+        let y = fa.tokens.iter().position(|t| t.is_ident("y")).unwrap();
+        assert_eq!(fa.enclosing_block(y).unwrap().open, inner.open);
+    }
+
+    #[test]
     fn next_item_span_covers_whole_fn() {
-        let src = "// adcast-lint: allow(no-panic-hot-path) -- all of it\n#[inline]\nfn f() {\n    x.unwrap();\n}\nfn g() { y.unwrap(); }\n";
+        let src = "// adcast-lint: allow(lock-discipline) -- all of it\n#[inline]\nfn f() {\n    x.unwrap();\n}\nfn g() { y.unwrap(); }\n";
         let fa = FileAnalysis::new("x.rs", src);
         let (s, e) = fa.next_item_span(1).unwrap();
         assert_eq!((s, e), (3, 5));

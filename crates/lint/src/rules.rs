@@ -1,38 +1,25 @@
 //! The rule implementations. Each rule is a pure function from a
 //! [`FileAnalysis`] to diagnostics; path gating lives in [`crate::config`]
-//! so a fixture can be linted "as if" it were a hot-path file.
+//! so a fixture can be linted "as if" it were, say, the node or an obs
+//! record path.
 
 use crate::analysis::{matching_close, Directive, FileAnalysis};
 use crate::config;
-use crate::context::Workspace;
 use crate::lexer::TokKind;
 use crate::Diagnostic;
 
-pub const UNSAFE_NEEDS_SAFETY: &str = "unsafe-needs-safety";
-pub const NO_PANIC_HOT_PATH: &str = "no-panic-hot-path";
 pub const NO_ALLOC_STEADY_STATE: &str = "no-alloc-steady-state";
 pub const WAL_ORDERING: &str = "wal-ordering";
 pub const ERROR_HYGIENE: &str = "error-hygiene";
 pub const NO_LOCK_IN_RECORD: &str = "no-lock-in-record";
-pub const NO_WALLCLOCK: &str = "no-wallclock";
-pub const RPC_EXHAUSTIVE: &str = "rpc-exhaustive";
 pub const ACK_LADDER: &str = "ack-ladder";
 pub const TRACE_PROPAGATION: &str = "trace-propagation";
 pub const LOCK_DISCIPLINE: &str = "lock-discipline";
-pub const BOUNDED_CHANNEL: &str = "bounded-channel";
 
 /// One-line documentation per rule, in [`crate::RULES`] order plus the
 /// suppression meta-rule; `--list-rules` prints this table and the DESIGN
 /// §10 drift test diffs it against the documented rule table.
 pub const RULE_DOCS: &[(&str, &str)] = &[
-    (
-        UNSAFE_NEEDS_SAFETY,
-        "every `unsafe` needs an immediately preceding `// SAFETY:` comment",
-    ),
-    (
-        NO_PANIC_HOT_PATH,
-        "no unwrap/expect/panic!-family (and, in the strict set, no bare indexing) on hot-path files",
-    ),
     (
         NO_ALLOC_STEADY_STATE,
         "fns marked `// adcast-lint: zero-alloc` may not allocate; scratch reuse only",
@@ -50,14 +37,6 @@ pub const RULE_DOCS: &[(&str, &str)] = &[
         "obs record paths stay lock-free (atomics only)",
     ),
     (
-        NO_WALLCLOCK,
-        "simulated crates read time via adcast_stream::clock, never Instant/SystemTime::now()",
-    ),
-    (
-        RPC_EXHAUSTIVE,
-        "every protocol Request/Response variant is handled at each codec/dispatch/router site",
-    ),
-    (
         ACK_LADDER,
         "replication-path fns keep their configured token order (commit -> apply -> replicate -> ack)",
     ),
@@ -68,10 +47,6 @@ pub const RULE_DOCS: &[(&str, &str)] = &[
     (
         LOCK_DISCIPLINE,
         "no blocking calls or undeclared nested locks while a lock guard is live",
-    ),
-    (
-        BOUNDED_CHANNEL,
-        "serving crates use mpsc::sync_channel, never unbounded mpsc::channel()",
     ),
     (
         crate::SUPPRESSION_RULE,
@@ -96,105 +71,7 @@ fn diag(fa: &FileAnalysis, line: u32, rule: &'static str, message: String) -> Di
     }
 }
 
-/// Rule 1: every `unsafe` keyword (block, fn, impl) must be immediately
-/// preceded by a `// SAFETY:` comment — attributes may sit between, blank
-/// lines may not. Applies to every file, test code included: unsoundness in
-/// tests is still unsoundness.
-pub fn unsafe_needs_safety(fa: &FileAnalysis) -> Vec<Diagnostic> {
-    let mut out = Vec::new();
-    for t in &fa.tokens {
-        if !t.is_ident("unsafe") {
-            continue;
-        }
-        let mut l = t.line.saturating_sub(1);
-        let mut ok = false;
-        while l > 0 {
-            if let Some(c) = fa.comment_on(l) {
-                if c.text.contains("SAFETY:") {
-                    ok = true;
-                    break;
-                }
-                l = c.line.saturating_sub(1);
-            } else if fa.attr_lines.binary_search(&l).is_ok() {
-                l -= 1;
-            } else {
-                break;
-            }
-        }
-        if !ok {
-            out.push(diag(
-                fa,
-                t.line,
-                UNSAFE_NEEDS_SAFETY,
-                "`unsafe` without an immediately preceding `// SAFETY:` comment".to_string(),
-            ));
-        }
-    }
-    out
-}
-
-/// Rule 2: no panicking constructs in the configured hot-path modules
-/// (outside `#[cfg(test)]`). A narrower sub-set of files also bans bare
-/// slice indexing in favour of `.get()`.
-pub fn no_panic_hot_path(fa: &FileAnalysis) -> Vec<Diagnostic> {
-    if !config::is_hot_path(&fa.rel_path) {
-        return Vec::new();
-    }
-    let index_checked = config::is_index_checked(&fa.rel_path);
-    let mut out = Vec::new();
-    for (i, t) in fa.tokens.iter().enumerate() {
-        if fa.in_test[i] {
-            continue;
-        }
-        let prev = i.checked_sub(1).map(|p| &fa.tokens[p]);
-        let next = fa.tokens.get(i + 1);
-        if t.kind == TokKind::Ident
-            && matches!(t.text.as_str(), "unwrap" | "expect")
-            && prev.is_some_and(|p| p.is_punct('.'))
-            && next.is_some_and(|n| n.is_punct('('))
-        {
-            out.push(diag(
-                fa,
-                t.line,
-                NO_PANIC_HOT_PATH,
-                format!(
-                    "`.{}()` on a hot path; return a typed error instead",
-                    t.text
-                ),
-            ));
-            continue;
-        }
-        if t.kind == TokKind::Ident
-            && matches!(
-                t.text.as_str(),
-                "panic" | "unimplemented" | "todo" | "unreachable"
-            )
-            && next.is_some_and(|n| n.is_punct('!'))
-        {
-            out.push(diag(
-                fa,
-                t.line,
-                NO_PANIC_HOT_PATH,
-                format!("`{}!` on a hot path; return a typed error instead", t.text),
-            ));
-            continue;
-        }
-        if index_checked
-            && t.is_punct('[')
-            && prev.is_some_and(|p| p.kind == TokKind::Ident || p.is_punct(')') || p.is_punct(']'))
-        {
-            out.push(diag(
-                fa,
-                t.line,
-                NO_PANIC_HOT_PATH,
-                "bare slice index on a hot path; use `.get()` and handle `None`".to_string(),
-            ));
-        }
-    }
-    out
-}
-
-/// Rule 3: a fn marked `// adcast-lint: zero-alloc` may not allocate.
+/// Rule 1: a fn marked `// adcast-lint: zero-alloc` may not allocate.
 /// Scratch re-use is the sanctioned pattern: pushes are allowed only when
 /// the receiver chain goes through `scratch` or a local taken from
 /// `self.scratch` via `mem::take`. This is the static complement to the
@@ -391,7 +268,7 @@ fn check_zero_alloc_body(
     }
 }
 
-/// Rule 4: in mutation handlers, the WAL commit must happen before the store
+/// Rule 2: in mutation handlers, the WAL commit must happen before the store
 /// apply. Token-order check: within any fn body that mentions
 /// `apply_record`, a `commit(` call must appear earlier in the body.
 pub fn wal_ordering(fa: &FileAnalysis) -> Vec<Diagnostic> {
@@ -429,7 +306,7 @@ pub fn wal_ordering(fa: &FileAnalysis) -> Vec<Diagnostic> {
     out
 }
 
-/// Rule 5: public fallible APIs in `net`/`durability` return the crate's
+/// Rule 3: public fallible APIs in `net`/`durability` return the crate's
 /// typed error, never `io::Result`/`io::Error` directly; and public error
 /// enums are `#[non_exhaustive]` so adding a variant is not a breaking
 /// change downstream.
@@ -499,7 +376,7 @@ pub fn error_hygiene(fa: &FileAnalysis) -> Vec<Diagnostic> {
     out
 }
 
-/// Rule 6: the obs record paths must stay lock-free. A metric handle or the
+/// Rule 4: the obs record paths must stay lock-free. A metric handle or the
 /// flight recorder is hit from every serving thread — the accept loop, each
 /// reader, the engine, the durability persister — and from inside the
 /// zero-alloc engine kernel, so a lock here would serialize the very paths
@@ -544,115 +421,7 @@ pub fn no_lock_in_record(fa: &FileAnalysis) -> Vec<Diagnostic> {
     out
 }
 
-/// Rule 7: the deterministic-simulation seam. Core, durability and net run
-/// unmodified under the sim harness's virtual clock, so their non-test code
-/// must read time through `adcast_stream::clock::now_ns()`; a raw
-/// `Instant::now()` / `SystemTime::now()` is invisible to the simulator and
-/// breaks same-seed reproducibility. The clock module itself lives in
-/// `crates/stream/` — outside the gated set — and needs no exemption here.
-pub fn no_wallclock(fa: &FileAnalysis) -> Vec<Diagnostic> {
-    if !config::wants_no_wallclock(&fa.rel_path) {
-        return Vec::new();
-    }
-    let mut out = Vec::new();
-    for (i, t) in fa.tokens.iter().enumerate() {
-        if fa.in_test[i] || t.kind != TokKind::Ident {
-            continue;
-        }
-        if !matches!(t.text.as_str(), "Instant" | "SystemTime") {
-            continue;
-        }
-        let now_call = fa.tokens.get(i + 1).is_some_and(|a| a.is_punct(':'))
-            && fa.tokens.get(i + 2).is_some_and(|b| b.is_punct(':'))
-            && fa.tokens.get(i + 3).is_some_and(|c| c.is_ident("now"))
-            && fa.tokens.get(i + 4).is_some_and(|d| d.is_punct('('));
-        if now_call {
-            out.push(diag(
-                fa,
-                t.line,
-                NO_WALLCLOCK,
-                format!(
-                    "`{}::now()` reads the wall clock on a simulated path; use \
-                     `adcast_stream::clock::now_ns()` so virtual time stays authoritative",
-                    t.text
-                ),
-            ));
-        }
-    }
-    out
-}
-
-/// Rule 8 (cross-file): every variant of the protocol's `Request`/
-/// `Response` enums must be mentioned at each conformance site declared in
-/// [`config::RPC_SITES`] — codec encode/decode, server dispatch, the
-/// flight-recorder kind table, and the router's forward/broadcast merge
-/// tables. Adding an RPC kind and forgetting one site is a lint error,
-/// not a runtime `BadRequest`. Sites list by-design exemptions in config;
-/// an exemption the site does handle anyway is itself diagnosed so the
-/// table cannot rot. Inert when the protocol file or a site file is not
-/// in the linted set (single-file fixture runs).
-pub fn rpc_exhaustive(ws: &Workspace) -> Vec<Diagnostic> {
-    let mut out = Vec::new();
-    for site in config::RPC_SITES {
-        let Some(decl) = ws.enum_decl(config::PROTOCOL_FILE, site.enum_name) else {
-            continue;
-        };
-        let Some(file) = ws.file(site.file) else {
-            continue;
-        };
-        let Some(anchor) = file
-            .fns
-            .iter()
-            .find(|f| f.name == site.func)
-            .map(|f| f.line)
-        else {
-            out.push(Diagnostic {
-                file: site.file.to_string(),
-                line: 1,
-                rule: RPC_EXHAUSTIVE,
-                message: format!(
-                    "{} fn `{}` not found; update config::RPC_SITES if the site moved",
-                    site.role, site.func
-                ),
-            });
-            continue;
-        };
-        let used = ws.variants_used(site.file, site.func, site.enum_name);
-        for v in &decl.variants {
-            let handled = used.contains(v.as_str());
-            let excepted = site.except.contains(&v.as_str());
-            if !handled && !excepted {
-                out.push(Diagnostic {
-                    file: site.file.to_string(),
-                    line: anchor,
-                    rule: RPC_EXHAUSTIVE,
-                    message: format!(
-                        "`{}::{v}` (declared in {}:{}) is not handled in the {} (`{}`)",
-                        site.enum_name,
-                        config::PROTOCOL_FILE,
-                        decl.line,
-                        site.role,
-                        site.func
-                    ),
-                });
-            } else if handled && excepted {
-                out.push(Diagnostic {
-                    file: site.file.to_string(),
-                    line: anchor,
-                    rule: RPC_EXHAUSTIVE,
-                    message: format!(
-                        "stale exemption: `{}::{v}` is handled in the {} (`{}`) but still \
-                         listed in config::RPC_SITES.except; remove the exemption",
-                        site.enum_name, site.role, site.func
-                    ),
-                });
-            }
-        }
-    }
-    out
-}
-
-/// Rule 9: the generalized `wal-ordering` — a configurable token-order
+/// Rule 5: the generalized `wal-ordering` — a configurable token-order
 /// state machine over the replication path. For each [`config::Ladder`]
 /// matching this file, every fn with the ladder's name must mention the
 /// anchor tokens so that their first occurrences are in ladder order, and
@@ -745,7 +514,7 @@ pub fn ack_ladder(fa: &FileAnalysis) -> Vec<Diagnostic> {
     out
 }
 
-/// Rule 12: `trace-propagation` — each [`config::TraceSite`] fn must
+/// Rule 6: `trace-propagation` — each [`config::TraceSite`] fn must
 /// mention every anchor token of the trace plumbing it owns. Membership,
 /// not order (`ack-ladder` owns ordering); a missing token means the
 /// refactored site dropped the context and every cross-node trace now
@@ -823,7 +592,7 @@ struct LiveGuard {
     line: u32,
 }
 
-/// Rule 10 (scope-aware): while a lock guard is live — from a `.lock()` /
+/// Rule 7 (scope-aware): while a lock guard is live — from a `.lock()` /
 /// RwLock `.read()`/`.write()` acquisition to the end of its enclosing
 /// block or an explicit `drop(guard)` — ban calls that can block the
 /// thread (socket read/write, channel `recv`, `join`, fsync, sleeps) and
@@ -857,7 +626,6 @@ pub fn lock_discipline(fa: &FileAnalysis) -> Vec<Diagnostic> {
         }
         let args_close = matching_close(&fa.tokens, i + 1).unwrap_or(i + 1);
         let block_close = fa
-            .tree
             .enclosing_block(i)
             .map_or(fa.tokens.len().saturating_sub(1), |b| b.close);
         let mut region_end = block_close;
@@ -982,36 +750,6 @@ fn binding_name(fa: &FileAnalysis, call: usize) -> Option<String> {
         .get(n)
         .filter(|t| t.kind == TokKind::Ident)
         .map(|t| t.text.clone())
-}
-
-/// Rule 11: serving crates may not create unbounded `mpsc::channel()`s —
-/// every queue between serving threads is a `sync_channel` whose capacity
-/// states the intended backpressure (depth-1 reply slots, protocol-bounded
-/// job queues). Test code is exempt.
-pub fn bounded_channel(fa: &FileAnalysis) -> Vec<Diagnostic> {
-    if !config::is_serving(&fa.rel_path) {
-        return Vec::new();
-    }
-    let mut out = Vec::new();
-    for (i, t) in fa.tokens.iter().enumerate() {
-        if fa.in_test[i] || !t.is_ident("channel") || i < 3 {
-            continue;
-        }
-        let from_mpsc = fa.tokens[i - 1].is_punct(':')
-            && fa.tokens[i - 2].is_punct(':')
-            && fa.tokens[i - 3].is_ident("mpsc");
-        if from_mpsc {
-            out.push(diag(
-                fa,
-                t.line,
-                BOUNDED_CHANNEL,
-                "unbounded `mpsc::channel()` on a serving path; use `mpsc::sync_channel` \
-                 with an explicit bound so backpressure is a decision, not an accident"
-                    .to_string(),
-            ));
-        }
-    }
-    out
 }
 
 /// Walk backwards from the token at `before` (the `pub` of an item) over

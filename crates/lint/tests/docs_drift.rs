@@ -51,8 +51,8 @@ fn design_rule_table_matches_list_rules() {
     let registered = registered_rules();
     let documented = documented_rules();
     assert!(
-        registered.len() >= 12,
-        "expected at least 12 registered rules, got {registered:?}"
+        registered.len() >= 8,
+        "expected at least 8 registered rules, got {registered:?}"
     );
     assert_eq!(
         documented, registered,
@@ -88,7 +88,7 @@ fn unknown_rule_exits_2_with_the_listing() {
     let err = String::from_utf8(out.stderr).expect("utf-8 stderr");
     assert!(err.contains("unknown rule"), "{err}");
     assert!(
-        err.contains("rpc-exhaustive") && err.contains("unsafe-needs-safety"),
+        err.contains("no-alloc-steady-state") && err.contains("lock-discipline"),
         "error should carry the full rule listing:\n{err}"
     );
 }

@@ -1,8 +1,8 @@
 // Fixture: an allow() without the mandatory `-- <reason>` is itself a
-// diagnostic AND suppresses nothing — the unwrap below must still fire.
-// Linted under a pretend hot-path rel path; never compiled.
+// diagnostic AND suppresses nothing — the `.lock()` below must still fire.
+// Linted under a pretend obs record-path rel path; never compiled.
 
-// adcast-lint: allow(no-panic-hot-path)
-fn serve_one(q: Option<u32>) -> u32 {
-    q.unwrap()
+// adcast-lint: allow(no-lock-in-record)
+fn record(state: &Shared) -> u64 {
+    *state.lock()
 }

@@ -1,12 +1,12 @@
 // Fixture: a suppression covers the next item ONLY — the second fn's
-// unwrap must still fire. Linted under a pretend hot-path rel path;
-// never compiled.
+// `.lock()` must still fire. Linted under a pretend obs record-path rel
+// path; never compiled.
 
-// adcast-lint: allow(no-panic-hot-path) -- fixture: only `covered` is exempt
-fn covered(q: Option<u32>) -> u32 {
-    q.unwrap()
+// adcast-lint: allow(no-lock-in-record) -- fixture: only `covered` is exempt
+fn covered(state: &Shared) -> u64 {
+    *state.lock()
 }
 
-fn uncovered(q: Option<u32>) -> u32 {
-    q.unwrap()
+fn uncovered(state: &Shared) -> u64 {
+    *state.lock()
 }

@@ -4,99 +4,31 @@
 //! live under `tests/fixtures/` (never compiled; the lint's own workspace
 //! walk skips that directory too).
 
-use adcast_lint::{lint_source, lint_sources, rules, Diagnostic, SUPPRESSION_RULE};
+use adcast_lint::{lint_source, rules, Diagnostic, SUPPRESSION_RULE};
 
-/// A hot-path identity: `no-panic-hot-path`, `wal-ordering` and the
-/// index-check all apply here.
-const HOT: &str = "crates/net/src/server.rs";
-/// The node identity: everything `HOT` gets, plus the `ack-ladder` for
+/// The transport identity: `wal-ordering` applies here.
+const SERVER: &str = "crates/net/src/server.rs";
+/// The node identity: everything `SERVER` gets, plus the `ack-ladder` for
 /// the primary's `log_apply`.
 const NODE: &str = "crates/net/src/node.rs";
-/// An error-hygiene identity that is NOT a hot-path file.
+/// An error-hygiene identity with no `wal-ordering` or ladder site.
 const NET: &str = "crates/net/src/fixture.rs";
 /// A neutral identity: only the path-independent rules apply.
 const NEUTRAL: &str = "crates/core/src/fixture.rs";
 /// An obs record-path identity: `no-lock-in-record` applies here.
 const RECORD: &str = "crates/obs/src/metrics.rs";
-
-/// The wire-protocol identity: the cross-file `rpc-exhaustive` rule treats
-/// this path as the source of truth for `Request`/`Response`.
-const PROTOCOL: &str = "crates/net/src/protocol.rs";
 /// The replication-path identity: `ack-ladder` has a ladder for
 /// `replica_append` here.
 const REPL: &str = "crates/net/src/replication.rs";
-/// A serving-crate identity off the hot path: `lock-discipline` and
-/// `bounded-channel` apply, `no-panic-hot-path` does not.
+/// A serving-crate identity: `lock-discipline` applies.
 const CLUSTER: &str = "crates/cluster/src/fixture.rs";
 
 fn lint(rel: &str, src: &str) -> (Vec<Diagnostic>, usize) {
     lint_source(rel, src, None)
 }
 
-/// Lint a faked multi-file workspace (for the cross-file rules).
-fn lint_ws(files: &[(&str, &str)]) -> (Vec<Diagnostic>, usize) {
-    let owned: Vec<(String, String)> = files
-        .iter()
-        .map(|(p, s)| (p.to_string(), s.to_string()))
-        .collect();
-    let report = lint_sources(&owned, None);
-    (report.diagnostics, report.suppressions)
-}
-
 fn rules_of(diags: &[Diagnostic]) -> Vec<&'static str> {
     diags.iter().map(|d| d.rule).collect()
-}
-
-// ---- unsafe-needs-safety ----------------------------------------------
-
-#[test]
-fn unsafe_without_safety_comment_fails() {
-    let (diags, sup) = lint(NEUTRAL, include_str!("fixtures/unsafe_fail.rs"));
-    assert_eq!(
-        rules_of(&diags),
-        vec![rules::UNSAFE_NEEDS_SAFETY],
-        "{diags:?}"
-    );
-    assert_eq!(sup, 0);
-}
-
-#[test]
-fn unsafe_with_pragma_is_allowed() {
-    let (diags, sup) = lint(NEUTRAL, include_str!("fixtures/unsafe_allow.rs"));
-    assert!(diags.is_empty(), "{diags:?}");
-    assert_eq!(sup, 1);
-}
-
-#[test]
-fn unsafe_with_safety_comment_passes_without_pragma() {
-    let (diags, sup) = lint(NEUTRAL, include_str!("fixtures/unsafe_safety_comment.rs"));
-    assert!(diags.is_empty(), "{diags:?}");
-    assert_eq!(sup, 0);
-}
-
-// ---- no-panic-hot-path ------------------------------------------------
-
-#[test]
-fn unwrap_on_hot_path_fails() {
-    let (diags, _) = lint(HOT, include_str!("fixtures/panic_fail.rs"));
-    assert_eq!(
-        rules_of(&diags),
-        vec![rules::NO_PANIC_HOT_PATH],
-        "{diags:?}"
-    );
-}
-
-#[test]
-fn unwrap_off_hot_path_is_not_checked() {
-    let (diags, _) = lint(NEUTRAL, include_str!("fixtures/panic_fail.rs"));
-    assert!(diags.is_empty(), "{diags:?}");
-}
-
-#[test]
-fn unwrap_with_pragma_is_allowed() {
-    let (diags, sup) = lint(HOT, include_str!("fixtures/panic_allow.rs"));
-    assert!(diags.is_empty(), "{diags:?}");
-    assert_eq!(sup, 1);
 }
 
 // ---- no-alloc-steady-state --------------------------------------------
@@ -146,14 +78,14 @@ fn apply_before_commit_fails() {
 
 #[test]
 fn apply_without_commit_with_pragma_is_allowed() {
-    let (diags, sup) = lint(HOT, include_str!("fixtures/wal_allow.rs"));
+    let (diags, sup) = lint(SERVER, include_str!("fixtures/wal_allow.rs"));
     assert!(diags.is_empty(), "{diags:?}");
     assert_eq!(sup, 1);
 }
 
 #[test]
 fn commit_before_apply_passes() {
-    let (diags, sup) = lint(HOT, include_str!("fixtures/wal_ok.rs"));
+    let (diags, sup) = lint(SERVER, include_str!("fixtures/wal_ok.rs"));
     assert!(diags.is_empty(), "{diags:?}");
     assert_eq!(sup, 0);
 }
@@ -220,175 +152,6 @@ fn lock_with_pragma_is_allowed() {
     let (diags, sup) = lint(RECORD, include_str!("fixtures/no_lock_allow.rs"));
     assert!(diags.is_empty(), "{diags:?}");
     assert_eq!(sup, 1);
-}
-
-// ---- no-wallclock -----------------------------------------------------
-
-#[test]
-fn wallclock_read_on_simulated_path_fails() {
-    let (diags, _) = lint(NET, include_str!("fixtures/wallclock_fail.rs"));
-    assert_eq!(
-        rules_of(&diags),
-        vec![rules::NO_WALLCLOCK, rules::NO_WALLCLOCK],
-        "{diags:?}"
-    );
-    assert!(diags.iter().any(|d| d.message.contains("Instant::now()")));
-    assert!(diags
-        .iter()
-        .any(|d| d.message.contains("SystemTime::now()")));
-}
-
-#[test]
-fn wallclock_outside_simulated_crates_is_not_checked() {
-    // The bench/obs measurement crates (and the clock seam itself in
-    // `crates/stream/`) read real time on purpose.
-    let (diags, _) = lint(
-        "crates/bench/src/fixture.rs",
-        include_str!("fixtures/wallclock_fail.rs"),
-    );
-    assert!(diags.is_empty(), "{diags:?}");
-}
-
-#[test]
-fn wallclock_with_pragma_is_allowed() {
-    let (diags, sup) = lint(NET, include_str!("fixtures/wallclock_allow.rs"));
-    assert!(diags.is_empty(), "{diags:?}");
-    assert_eq!(sup, 1);
-}
-
-// ---- cluster paths ----------------------------------------------------
-// The router forwarding path and the replication apply path joined the
-// hot set with the cluster layer; the whole cluster crate runs under the
-// sim's virtual clock. These prove the gates actually engage there.
-
-#[test]
-fn unwrap_in_router_forwarding_path_fails() {
-    let (diags, _) = lint(
-        "crates/cluster/src/router.rs",
-        include_str!("fixtures/panic_fail.rs"),
-    );
-    assert_eq!(
-        rules_of(&diags),
-        vec![rules::NO_PANIC_HOT_PATH],
-        "{diags:?}"
-    );
-}
-
-#[test]
-fn unwrap_in_replication_apply_path_fails() {
-    let (diags, _) = lint(
-        "crates/net/src/replication.rs",
-        include_str!("fixtures/panic_fail.rs"),
-    );
-    assert_eq!(
-        rules_of(&diags),
-        vec![rules::NO_PANIC_HOT_PATH],
-        "{diags:?}"
-    );
-}
-
-#[test]
-fn wallclock_read_in_cluster_crate_fails() {
-    let (diags, _) = lint(
-        "crates/cluster/src/fixture.rs",
-        include_str!("fixtures/wallclock_fail.rs"),
-    );
-    assert_eq!(
-        rules_of(&diags),
-        vec![rules::NO_WALLCLOCK, rules::NO_WALLCLOCK],
-        "{diags:?}"
-    );
-}
-
-// ---- rpc-exhaustive (cross-file) ---------------------------------------
-
-#[test]
-fn missing_codec_variant_fails() {
-    let (diags, _) = lint_ws(&[
-        (PROTOCOL, include_str!("fixtures/rpc_protocol.rs")),
-        (
-            "crates/net/src/codec.rs",
-            include_str!("fixtures/rpc_codec_fail.rs"),
-        ),
-    ]);
-    assert_eq!(rules_of(&diags), vec![rules::RPC_EXHAUSTIVE], "{diags:?}");
-    assert!(
-        diags[0].message.contains("Request::Ingest") && diags[0].message.contains("put_request"),
-        "{}",
-        diags[0].message
-    );
-}
-
-#[test]
-fn codec_gap_with_pragma_is_allowed() {
-    let (diags, sup) = lint_ws(&[
-        (PROTOCOL, include_str!("fixtures/rpc_protocol.rs")),
-        (
-            "crates/net/src/codec.rs",
-            include_str!("fixtures/rpc_codec_allow.rs"),
-        ),
-    ]);
-    assert!(diags.is_empty(), "{diags:?}");
-    assert_eq!(sup, 1);
-}
-
-#[test]
-fn merge_table_gap_and_stale_exemption_fail() {
-    let (diags, _) = lint_ws(&[
-        (PROTOCOL, include_str!("fixtures/rpc_protocol.rs")),
-        (
-            "crates/cluster/src/router.rs",
-            include_str!("fixtures/rpc_router_fail.rs"),
-        ),
-    ]);
-    assert_eq!(
-        rules_of(&diags),
-        vec![rules::RPC_EXHAUSTIVE, rules::RPC_EXHAUSTIVE],
-        "{diags:?}"
-    );
-    assert!(
-        diags
-            .iter()
-            .any(|d| d.message.contains("stale exemption")
-                && d.message.contains("Response::Ingested")),
-        "{diags:?}"
-    );
-    assert!(
-        diags
-            .iter()
-            .any(|d| d.message.contains("Response::Results")
-                && d.message.contains("merge_broadcast")),
-        "{diags:?}"
-    );
-}
-
-#[test]
-fn moved_site_fn_is_diagnosed() {
-    // A codec file where every conformance fn vanished: each missing site
-    // is a diagnostic pointing at config::RPC_SITES.
-    let (diags, _) = lint_ws(&[
-        (PROTOCOL, include_str!("fixtures/rpc_protocol.rs")),
-        ("crates/net/src/codec.rs", "fn unrelated() {}\n"),
-    ]);
-    assert_eq!(diags.len(), 4, "{diags:?}");
-    assert!(diags.iter().all(|d| d.rule == rules::RPC_EXHAUSTIVE));
-    assert!(
-        diags
-            .iter()
-            .any(|d| d.message.contains("put_request") && d.message.contains("not found")),
-        "{diags:?}"
-    );
-}
-
-#[test]
-fn rpc_rule_is_inert_without_the_protocol_file() {
-    // Single-file runs (and fixtures) that lack the protocol declaration
-    // must not fire: there is no truth to diff against.
-    let (diags, _) = lint(
-        "crates/net/src/codec.rs",
-        include_str!("fixtures/rpc_codec_fail.rs"),
-    );
-    assert!(diags.is_empty(), "{diags:?}");
 }
 
 // ---- ack-ladder ---------------------------------------------------------
@@ -476,14 +239,9 @@ fn trace_rule_is_inert_without_trace_context_in_the_file() {
     // The codec identity has two trace sites, but a file that never names
     // `TraceContext` (a pre-tracing snapshot, or any non-trace fixture) is
     // out of the rule's scope entirely.
-    let (diags, _) = lint(
-        "crates/net/src/codec.rs",
-        include_str!("fixtures/rpc_codec_fail.rs"),
-    );
-    assert!(
-        !rules_of(&diags).contains(&rules::TRACE_PROPAGATION),
-        "{diags:?}"
-    );
+    let src = "fn put_request(body: &mut BytesMut, req: &Request) { put_head(body, req); }\n";
+    let (diags, _) = lint("crates/net/src/codec.rs", src);
+    assert!(diags.is_empty(), "{diags:?}");
 }
 
 #[test]
@@ -548,47 +306,16 @@ fn lock_discipline_outside_serving_crates_is_not_checked() {
     assert!(diags.is_empty(), "{diags:?}");
 }
 
-// ---- bounded-channel ----------------------------------------------------
-
-#[test]
-fn unbounded_channel_on_serving_path_fails() {
-    let (diags, _) = lint(NET, include_str!("fixtures/bounded_fail.rs"));
-    assert_eq!(rules_of(&diags), vec![rules::BOUNDED_CHANNEL], "{diags:?}");
-}
-
-#[test]
-fn unbounded_channel_with_pragma_is_allowed() {
-    let (diags, sup) = lint(NET, include_str!("fixtures/bounded_allow.rs"));
-    assert!(diags.is_empty(), "{diags:?}");
-    assert_eq!(sup, 1);
-}
-
-#[test]
-fn sync_channel_passes() {
-    let (diags, sup) = lint(NET, include_str!("fixtures/bounded_ok.rs"));
-    assert!(diags.is_empty(), "{diags:?}");
-    assert_eq!(sup, 0);
-}
-
-#[test]
-fn unbounded_channel_outside_serving_crates_is_not_checked() {
-    let (diags, _) = lint(
-        "crates/durability/src/fixture.rs",
-        include_str!("fixtures/bounded_fail.rs"),
-    );
-    assert!(diags.is_empty(), "{diags:?}");
-}
-
 // ---- suppression hygiene ----------------------------------------------
 
 #[test]
 fn allow_without_reason_is_a_diagnostic_and_suppresses_nothing() {
-    let (diags, sup) = lint(HOT, include_str!("fixtures/bad_pragma.rs"));
+    let (diags, sup) = lint(RECORD, include_str!("fixtures/bad_pragma.rs"));
     let mut seen = rules_of(&diags);
     seen.sort_unstable();
     assert_eq!(
         seen,
-        vec![rules::NO_PANIC_HOT_PATH, SUPPRESSION_RULE],
+        vec![rules::NO_LOCK_IN_RECORD, SUPPRESSION_RULE],
         "{diags:?}"
     );
     assert_eq!(
@@ -602,14 +329,14 @@ fn allow_without_reason_is_a_diagnostic_and_suppresses_nothing() {
 #[test]
 fn suppression_covers_next_item_only() {
     let src = include_str!("fixtures/scope_next_item_only.rs");
-    let (diags, sup) = lint(HOT, src);
+    let (diags, sup) = lint(RECORD, src);
     assert_eq!(sup, 1);
     assert_eq!(
         rules_of(&diags),
-        vec![rules::NO_PANIC_HOT_PATH],
+        vec![rules::NO_LOCK_IN_RECORD],
         "{diags:?}"
     );
-    // The surviving diagnostic must be the SECOND fn's unwrap.
+    // The surviving diagnostic must be the SECOND fn's `.lock()`.
     let uncovered_line = src
         .lines()
         .position(|l| l.contains("fn uncovered"))

@@ -16,6 +16,18 @@
 //! magic/version, zero-length or oversized frames, invalid flag bytes,
 //! trailing bytes and corrupt payloads all come back as typed errors.
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::unreachable
+    )
+)]
+
 use std::io::{self, Read, Write};
 
 use adcast_ads::AdId;
@@ -107,49 +119,114 @@ impl From<TraceError> for NetError {
     }
 }
 
-// Request body kinds. `pub(crate)` so the server's flight-recorder
-// events can tag admissions/sheds with the wire kind code.
-pub(crate) const K_INGEST: u8 = 1;
-pub(crate) const K_RECOMMEND: u8 = 2;
-pub(crate) const K_SUBMIT: u8 = 3;
-pub(crate) const K_PAUSE: u8 = 4;
-pub(crate) const K_STATS: u8 = 5;
-pub(crate) const K_SHUTDOWN: u8 = 6;
-pub(crate) const K_IMPRESSION: u8 = 7;
-pub(crate) const K_CHECKPOINT: u8 = 8;
-pub(crate) const K_OBS_DUMP: u8 = 9;
-pub(crate) const K_MAINTAIN: u8 = 10;
-pub(crate) const K_ROUTED: u8 = 11;
-pub(crate) const K_REPL_APPEND: u8 = 12;
-pub(crate) const K_PROMOTE: u8 = 13;
-pub(crate) const K_INSTALL_SNAPSHOT: u8 = 14;
-pub(crate) const K_CLUSTER_STATUS: u8 = 15;
-// Response body kinds.
-const K_INGESTED: u8 = 0x81;
-const K_RECOMMENDATIONS: u8 = 0x82;
-const K_ACCEPTED: u8 = 0x83;
-const K_PAUSED: u8 = 0x84;
-const K_STATS_REPLY: u8 = 0x85;
-const K_SHUTDOWN_ACK: u8 = 0x86;
-const K_IMPRESSION_ACK: u8 = 0x87;
-const K_CHECKPOINTED: u8 = 0x88;
-const K_OBS_DUMPED: u8 = 0x89;
-const K_MAINTAINED: u8 = 0x8A;
-const K_REPL_ACK: u8 = 0x8B;
-const K_PROMOTED: u8 = 0x8C;
-const K_SNAPSHOT_INSTALLED: u8 = 0x8D;
-const K_CLUSTER_STATUS_REPLY: u8 = 0x8E;
-const K_ERROR: u8 = 0xFF;
-// Error codes inside K_ERROR.
-const E_OVERLOADED: u8 = 1;
-const E_UNAVAILABLE: u8 = 2;
-const E_SHUTTING_DOWN: u8 = 3;
-const E_BAD_REQUEST: u8 = 4;
-const E_UNKNOWN_CAMPAIGN: u8 = 5;
-const E_STALE_EPOCH: u8 = 6;
-const E_WRONG_PARTITION: u8 = 7;
-const E_LSN_GAP: u8 = 8;
-const E_NOT_PRIMARY: u8 = 9;
+/// Declare one wire kind table: a `#[repr(u8)]` enum whose discriminants
+/// are the wire bytes, its `ALL` list in declaration order, the
+/// `TryFrom<u8>` that is the only way a byte off the wire becomes a kind
+/// (an unknown byte comes back as `Err(byte)`), and the message type's
+/// `kind()`. Each row names a message variant with its shape, so `kind()`
+/// is a wildcard-free `match` and the decoders that `match` on the kind
+/// are too: the compiler refuses a variant that misses either direction.
+macro_rules! kind_table {
+    (
+        $(#[$meta:meta])*
+        $name:ident for $msg:ident {
+            $($variant:ident $(($($tuple:tt)*))? $({$($fields:tt)*})? = $code:literal,)+
+        }
+    ) => {
+        $(#[$meta])*
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        #[repr(u8)]
+        pub enum $name {
+            $(
+                #[doc = concat!("[`", stringify!($msg), "::", stringify!($variant), "`].")]
+                $variant = $code,
+            )+
+        }
+
+        impl $name {
+            /// Every kind, in the message enum's declaration order.
+            pub const ALL: &'static [$name] = &[$($name::$variant),+];
+        }
+
+        impl TryFrom<u8> for $name {
+            type Error = u8;
+
+            fn try_from(byte: u8) -> Result<Self, u8> {
+                match byte {
+                    $($code => Ok($name::$variant),)+
+                    unknown => Err(unknown),
+                }
+            }
+        }
+
+        impl $msg {
+            /// This message's wire kind.
+            pub fn kind(&self) -> $name {
+                match self {
+                    $($msg::$variant $(($($tuple)*))? $({$($fields)*})? => $name::$variant,)+
+                }
+            }
+        }
+    };
+}
+
+kind_table! {
+    /// The kind byte of each [`Request`]; the flight recorder tags
+    /// admissions and sheds with the same code.
+    RequestKind for Request {
+        Ingest { .. } = 1,
+        Recommend { .. } = 2,
+        SubmitCampaign(_) = 3,
+        PauseCampaign { .. } = 4,
+        Impression { .. } = 7,
+        Maintain { .. } = 10,
+        Checkpoint = 8,
+        ObsDump = 9,
+        Stats = 5,
+        Shutdown = 6,
+        Routed { .. } = 11,
+        ReplAppend { .. } = 12,
+        InstallSnapshot { .. } = 14,
+        Promote { .. } = 13,
+        ClusterStatus = 15,
+    }
+}
+
+kind_table! {
+    /// The kind byte of each [`Response`].
+    ResponseKind for Response {
+        Ingested { .. } = 0x81,
+        Recommendations(_) = 0x82,
+        CampaignAccepted { .. } = 0x83,
+        CampaignPaused { .. } = 0x84,
+        ImpressionRecorded { .. } = 0x87,
+        Maintained { .. } = 0x8A,
+        Checkpointed { .. } = 0x88,
+        ObsDumped { .. } = 0x89,
+        Stats(_) = 0x85,
+        ShutdownAck = 0x86,
+        ReplAck { .. } = 0x8B,
+        SnapshotInstalled { .. } = 0x8D,
+        Promoted { .. } = 0x8C,
+        ClusterStatusReply { .. } = 0x8E,
+        Error(_) = 0xFF,
+    }
+}
+
+kind_table! {
+    /// The code byte of each [`WireError`] inside a [`Response::Error`].
+    WireErrorKind for WireError {
+        Overloaded = 1,
+        Unavailable = 2,
+        ShuttingDown = 3,
+        BadRequest(_) = 4,
+        UnknownCampaign(_) = 5,
+        StaleEpoch { .. } = 6,
+        WrongPartition { .. } = 7,
+        LsnGap { .. } = 8,
+        NotPrimary = 9,
+    }
+}
 
 /// The 16 trace-context bytes (wire v6): trace id, then parent span id.
 fn put_trace(body: &mut BytesMut, trace: &TraceContext) {
@@ -181,63 +258,54 @@ pub fn encode_request(id: u64, req: &Request) -> Bytes {
 /// Write `kind | id | payload` for one request (recursing once for the
 /// inner request of a [`Request::Routed`] envelope).
 fn put_request(body: &mut BytesMut, id: u64, req: &Request) {
+    put_head(body, req.kind() as u8, id);
     match req {
-        Request::Ingest { deltas } => {
-            put_head(body, K_INGEST, id);
-            put_batch(body, deltas);
-        }
+        Request::Ingest { deltas } => put_batch(body, deltas),
         Request::Recommend {
             user,
             now,
             location,
             k,
         } => {
-            put_head(body, K_RECOMMEND, id);
             body.put_u32_le(user.0);
             body.put_u64_le(now.micros());
             body.put_u16_le(location.0);
             body.put_u16_le(*k);
         }
         Request::SubmitCampaign(spec) => {
-            put_head(body, K_SUBMIT, id);
             put_vector(body, &spec.vector);
             body.put_f32_le(spec.bid);
             put_targeting(body, &spec.locations, &spec.slots);
             put_opt(body, spec.budget, BytesMut::put_f64_le);
             put_opt(body, spec.topic_hint, BytesMut::put_u32_le);
         }
-        Request::PauseCampaign { ad } => {
-            put_head(body, K_PAUSE, id);
-            body.put_u32_le(ad.0);
-        }
+        Request::PauseCampaign { ad } => body.put_u32_le(ad.0),
         Request::Impression {
             ad,
             cost,
             clicked,
             now,
         } => {
-            put_head(body, K_IMPRESSION, id);
             body.put_u32_le(ad.0);
             body.put_f64_le(*cost);
             body.put_u8(u8::from(*clicked));
             body.put_u64_le(now.micros());
         }
         Request::Maintain { now, idle_for } => {
-            put_head(body, K_MAINTAIN, id);
             body.put_u64_le(now.micros());
             body.put_u64_le(idle_for.micros());
         }
-        Request::Checkpoint => put_head(body, K_CHECKPOINT, id),
-        Request::ObsDump => put_head(body, K_OBS_DUMP, id),
-        Request::Stats => put_head(body, K_STATS, id),
-        Request::Shutdown => put_head(body, K_SHUTDOWN, id),
+        Request::Checkpoint
+        | Request::ObsDump
+        | Request::Stats
+        | Request::Shutdown
+        | Request::ClusterStatus => {}
         Request::Routed {
             partition,
             epoch,
             trace,
             inner,
         } => {
-            put_head(body, K_ROUTED, id);
             body.put_u16_le(*partition);
             body.put_u64_le(*epoch);
             put_trace(body, trace);
@@ -249,7 +317,6 @@ fn put_request(body: &mut BytesMut, id: u64, req: &Request) {
             trace,
             entries,
         } => {
-            put_head(body, K_REPL_APPEND, id);
             body.put_u16_le(*partition);
             body.put_u64_le(*epoch);
             put_trace(body, trace);
@@ -265,18 +332,15 @@ fn put_request(body: &mut BytesMut, id: u64, req: &Request) {
             epoch,
             snapshot,
         } => {
-            put_head(body, K_INSTALL_SNAPSHOT, id);
             body.put_u16_le(*partition);
             body.put_u64_le(*epoch);
             put_len32(body, snapshot.len());
             body.put_slice(snapshot);
         }
         Request::Promote { partition, epoch } => {
-            put_head(body, K_PROMOTE, id);
             body.put_u16_le(*partition);
             body.put_u64_le(*epoch);
         }
-        Request::ClusterStatus => put_head(body, K_CLUSTER_STATUS, id),
     }
 }
 
@@ -284,13 +348,10 @@ fn put_request(body: &mut BytesMut, id: u64, req: &Request) {
 pub fn encode_response(id: u64, resp: &Response) -> Bytes {
     let mut body = BytesMut::with_capacity(64);
     put_stream_header(&mut body, MAGIC, VERSION);
+    put_head(&mut body, resp.kind() as u8, id);
     match resp {
-        Response::Ingested { accepted } => {
-            put_head(&mut body, K_INGESTED, id);
-            body.put_u32_le(*accepted);
-        }
+        Response::Ingested { accepted } => body.put_u32_le(*accepted),
         Response::Recommendations(recs) => {
-            put_head(&mut body, K_RECOMMENDATIONS, id);
             put_len16(&mut body, recs.len());
             for r in recs {
                 body.put_u32_le(r.ad.0);
@@ -298,16 +359,9 @@ pub fn encode_response(id: u64, resp: &Response) -> Bytes {
                 body.put_f32_le(r.relevance);
             }
         }
-        Response::CampaignAccepted { ad } => {
-            put_head(&mut body, K_ACCEPTED, id);
-            body.put_u32_le(ad.0);
-        }
-        Response::CampaignPaused { ad } => {
-            put_head(&mut body, K_PAUSED, id);
-            body.put_u32_le(ad.0);
-        }
+        Response::CampaignAccepted { ad } => body.put_u32_le(ad.0),
+        Response::CampaignPaused { ad } => body.put_u32_le(ad.0),
         Response::ImpressionRecorded { ad, exhausted } => {
-            put_head(&mut body, K_IMPRESSION_ACK, id);
             body.put_u32_le(ad.0);
             body.put_u8(u8::from(*exhausted));
         }
@@ -316,21 +370,13 @@ pub fn encode_response(id: u64, resp: &Response) -> Bytes {
             decayed,
             pruned,
         } => {
-            put_head(&mut body, K_MAINTAINED, id);
             body.put_u64_le(*scanned);
             body.put_u64_le(*decayed);
             body.put_u64_le(*pruned);
         }
-        Response::Checkpointed { lsn } => {
-            put_head(&mut body, K_CHECKPOINTED, id);
-            body.put_u64_le(*lsn);
-        }
-        Response::ObsDumped { events } => {
-            put_head(&mut body, K_OBS_DUMPED, id);
-            body.put_u64_le(*events);
-        }
+        Response::Checkpointed { lsn } => body.put_u64_le(*lsn),
+        Response::ObsDumped { events } => body.put_u64_le(*events),
         Response::Stats(s) => {
-            put_head(&mut body, K_STATS_REPLY, id);
             for v in [
                 s.deltas,
                 s.recommends,
@@ -353,17 +399,10 @@ pub fn encode_response(id: u64, resp: &Response) -> Bytes {
                 body.put_u64_le(v);
             }
         }
-        Response::ShutdownAck => put_head(&mut body, K_SHUTDOWN_ACK, id),
-        Response::ReplAck { durable_lsn } => {
-            put_head(&mut body, K_REPL_ACK, id);
-            body.put_u64_le(*durable_lsn);
-        }
-        Response::SnapshotInstalled { next_lsn } => {
-            put_head(&mut body, K_SNAPSHOT_INSTALLED, id);
-            body.put_u64_le(*next_lsn);
-        }
+        Response::ShutdownAck => {}
+        Response::ReplAck { durable_lsn } => body.put_u64_le(*durable_lsn),
+        Response::SnapshotInstalled { next_lsn } => body.put_u64_le(*next_lsn),
         Response::Promoted { epoch, next_lsn } => {
-            put_head(&mut body, K_PROMOTED, id);
             body.put_u64_le(*epoch);
             body.put_u64_le(*next_lsn);
         }
@@ -375,7 +414,6 @@ pub fn encode_response(id: u64, resp: &Response) -> Bytes {
             fenced,
             degraded,
         } => {
-            put_head(&mut body, K_CLUSTER_STATUS_REPLY, id);
             body.put_u8(match role {
                 NodeRole::Standalone => 0,
                 NodeRole::Primary => 1,
@@ -387,35 +425,22 @@ pub fn encode_response(id: u64, resp: &Response) -> Bytes {
             body.put_u8(u8::from(*fenced) | (u8::from(*degraded) << 1));
         }
         Response::Error(e) => {
-            put_head(&mut body, K_ERROR, id);
+            body.put_u8(e.kind() as u8);
             match e {
-                WireError::Overloaded => body.put_u8(E_OVERLOADED),
-                WireError::Unavailable => body.put_u8(E_UNAVAILABLE),
-                WireError::ShuttingDown => body.put_u8(E_SHUTTING_DOWN),
+                WireError::Overloaded
+                | WireError::Unavailable
+                | WireError::ShuttingDown
+                | WireError::NotPrimary => {}
                 WireError::BadRequest(why) => {
-                    body.put_u8(E_BAD_REQUEST);
                     let bytes = why.as_bytes();
                     let n = bytes.len().min(u16::MAX as usize);
                     put_len16(&mut body, n);
                     body.put_slice(&bytes[..n]);
                 }
-                WireError::UnknownCampaign(ad) => {
-                    body.put_u8(E_UNKNOWN_CAMPAIGN);
-                    body.put_u32_le(ad.0);
-                }
-                WireError::StaleEpoch { current } => {
-                    body.put_u8(E_STALE_EPOCH);
-                    body.put_u64_le(*current);
-                }
-                WireError::WrongPartition { expected } => {
-                    body.put_u8(E_WRONG_PARTITION);
-                    body.put_u16_le(*expected);
-                }
-                WireError::LsnGap { expected } => {
-                    body.put_u8(E_LSN_GAP);
-                    body.put_u64_le(*expected);
-                }
-                WireError::NotPrimary => body.put_u8(E_NOT_PRIMARY),
+                WireError::UnknownCampaign(ad) => body.put_u32_le(ad.0),
+                WireError::StaleEpoch { current } => body.put_u64_le(*current),
+                WireError::WrongPartition { expected } => body.put_u16_le(*expected),
+                WireError::LsnGap { expected } => body.put_u64_le(*expected),
             }
         }
     }
@@ -449,17 +474,19 @@ pub fn decode_request(data: Bytes) -> Result<(u64, Request), NetError> {
 fn take_request(cur: &mut Cursor, allow_routed: bool) -> Result<(u64, Request), TraceError> {
     let kind = cur.u8()?;
     let id = cur.u64()?;
+    let kind =
+        RequestKind::try_from(kind).map_err(|_| TraceError::Corrupt("unknown request kind"))?;
     let req = match kind {
-        K_INGEST => Request::Ingest {
+        RequestKind::Ingest => Request::Ingest {
             deltas: get_batch(cur)?,
         },
-        K_RECOMMEND => Request::Recommend {
+        RequestKind::Recommend => Request::Recommend {
             user: UserId(cur.u32()?),
             now: Timestamp(cur.u64()?),
             location: LocationId(cur.u16()?),
             k: cur.u16()?,
         },
-        K_SUBMIT => {
+        RequestKind::SubmitCampaign => {
             let vector = get_vector(cur)?;
             let bid = cur.f32()?;
             let (locations, slots) = get_targeting(cur)?;
@@ -472,10 +499,10 @@ fn take_request(cur: &mut Cursor, allow_routed: bool) -> Result<(u64, Request), 
                 topic_hint: cur.opt("bad topic flag", Cursor::u32)?,
             })
         }
-        K_PAUSE => Request::PauseCampaign {
+        RequestKind::PauseCampaign => Request::PauseCampaign {
             ad: AdId(cur.u32()?),
         },
-        K_IMPRESSION => {
+        RequestKind::Impression => {
             let ad = AdId(cur.u32()?);
             let cost = cur.f64()?;
             if !cost.is_finite() || cost < 0.0 {
@@ -490,15 +517,15 @@ fn take_request(cur: &mut Cursor, allow_routed: bool) -> Result<(u64, Request), 
                 now: Timestamp(cur.u64()?),
             }
         }
-        K_MAINTAIN => Request::Maintain {
+        RequestKind::Maintain => Request::Maintain {
             now: Timestamp(cur.u64()?),
             idle_for: Duration(cur.u64()?),
         },
-        K_CHECKPOINT => Request::Checkpoint,
-        K_OBS_DUMP => Request::ObsDump,
-        K_STATS => Request::Stats,
-        K_SHUTDOWN => Request::Shutdown,
-        K_ROUTED => {
+        RequestKind::Checkpoint => Request::Checkpoint,
+        RequestKind::ObsDump => Request::ObsDump,
+        RequestKind::Stats => Request::Stats,
+        RequestKind::Shutdown => Request::Shutdown,
+        RequestKind::Routed => {
             if !allow_routed {
                 return Err(TraceError::Corrupt("nested routed envelope"));
             }
@@ -516,7 +543,7 @@ fn take_request(cur: &mut Cursor, allow_routed: bool) -> Result<(u64, Request), 
                 inner: Box::new(inner),
             }
         }
-        K_REPL_APPEND => {
+        RequestKind::ReplAppend => {
             let partition = cur.u16()?;
             let epoch = cur.u64()?;
             let trace = get_trace(cur)?;
@@ -533,7 +560,7 @@ fn take_request(cur: &mut Cursor, allow_routed: bool) -> Result<(u64, Request), 
                 entries,
             }
         }
-        K_INSTALL_SNAPSHOT => {
+        RequestKind::InstallSnapshot => {
             let partition = cur.u16()?;
             let epoch = cur.u64()?;
             let len = cur.len32()?;
@@ -543,12 +570,11 @@ fn take_request(cur: &mut Cursor, allow_routed: bool) -> Result<(u64, Request), 
                 snapshot: cur.split_to(len)?,
             }
         }
-        K_PROMOTE => Request::Promote {
+        RequestKind::Promote => Request::Promote {
             partition: cur.u16()?,
             epoch: cur.u64()?,
         },
-        K_CLUSTER_STATUS => Request::ClusterStatus,
-        _ => return Err(TraceError::Corrupt("unknown request kind")),
+        RequestKind::ClusterStatus => Request::ClusterStatus,
     };
     Ok((id, req))
 }
@@ -564,11 +590,13 @@ pub fn decode_response(data: Bytes) -> Result<(u64, Response), NetError> {
     cur.check_header(MAGIC, VERSION)?;
     let kind = cur.u8()?;
     let id = cur.u64()?;
+    let kind =
+        ResponseKind::try_from(kind).map_err(|_| TraceError::Corrupt("unknown response kind"))?;
     let resp = match kind {
-        K_INGESTED => Response::Ingested {
+        ResponseKind::Ingested => Response::Ingested {
             accepted: cur.u32()?,
         },
-        K_RECOMMENDATIONS => {
+        ResponseKind::Recommendations => {
             let n = cur.len16()?;
             let (words, _) = cur.take(n.saturating_mul(12))?.as_chunks::<4>();
             let recs = words
@@ -581,24 +609,24 @@ pub fn decode_response(data: Bytes) -> Result<(u64, Response), NetError> {
                 .collect();
             Response::Recommendations(recs)
         }
-        K_ACCEPTED => Response::CampaignAccepted {
+        ResponseKind::CampaignAccepted => Response::CampaignAccepted {
             ad: AdId(cur.u32()?),
         },
-        K_PAUSED => Response::CampaignPaused {
+        ResponseKind::CampaignPaused => Response::CampaignPaused {
             ad: AdId(cur.u32()?),
         },
-        K_IMPRESSION_ACK => Response::ImpressionRecorded {
+        ResponseKind::ImpressionRecorded => Response::ImpressionRecorded {
             ad: AdId(cur.u32()?),
             exhausted: cur.flag("bad exhausted flag")?,
         },
-        K_MAINTAINED => Response::Maintained {
+        ResponseKind::Maintained => Response::Maintained {
             scanned: cur.u64()?,
             decayed: cur.u64()?,
             pruned: cur.u64()?,
         },
-        K_CHECKPOINTED => Response::Checkpointed { lsn: cur.u64()? },
-        K_OBS_DUMPED => Response::ObsDumped { events: cur.u64()? },
-        K_STATS_REPLY => Response::Stats(ServerStats {
+        ResponseKind::Checkpointed => Response::Checkpointed { lsn: cur.u64()? },
+        ResponseKind::ObsDumped => Response::ObsDumped { events: cur.u64()? },
+        ResponseKind::Stats => Response::Stats(ServerStats {
             deltas: cur.u64()?,
             recommends: cur.u64()?,
             active_campaigns: cur.u64()?,
@@ -617,18 +645,18 @@ pub fn decode_response(data: Bytes) -> Result<(u64, Response), NetError> {
             recovered_records: cur.u64()?,
             recovered_truncated_bytes: cur.u64()?,
         }),
-        K_SHUTDOWN_ACK => Response::ShutdownAck,
-        K_REPL_ACK => Response::ReplAck {
+        ResponseKind::ShutdownAck => Response::ShutdownAck,
+        ResponseKind::ReplAck => Response::ReplAck {
             durable_lsn: cur.u64()?,
         },
-        K_SNAPSHOT_INSTALLED => Response::SnapshotInstalled {
+        ResponseKind::SnapshotInstalled => Response::SnapshotInstalled {
             next_lsn: cur.u64()?,
         },
-        K_PROMOTED => Response::Promoted {
+        ResponseKind::Promoted => Response::Promoted {
             epoch: cur.u64()?,
             next_lsn: cur.u64()?,
         },
-        K_CLUSTER_STATUS_REPLY => {
+        ResponseKind::ClusterStatusReply => {
             let role = match cur.u8()? {
                 0 => NodeRole::Standalone,
                 1 => NodeRole::Primary,
@@ -651,28 +679,30 @@ pub fn decode_response(data: Bytes) -> Result<(u64, Response), NetError> {
                 degraded: flags & 2 != 0,
             }
         }
-        K_ERROR => Response::Error(match cur.u8()? {
-            E_OVERLOADED => WireError::Overloaded,
-            E_UNAVAILABLE => WireError::Unavailable,
-            E_SHUTTING_DOWN => WireError::ShuttingDown,
-            E_BAD_REQUEST => {
-                let n = cur.len16()?;
-                WireError::BadRequest(String::from_utf8_lossy(cur.take(n)?).into_owned())
-            }
-            E_UNKNOWN_CAMPAIGN => WireError::UnknownCampaign(AdId(cur.u32()?)),
-            E_STALE_EPOCH => WireError::StaleEpoch {
-                current: cur.u64()?,
-            },
-            E_WRONG_PARTITION => WireError::WrongPartition {
-                expected: cur.u16()?,
-            },
-            E_LSN_GAP => WireError::LsnGap {
-                expected: cur.u64()?,
-            },
-            E_NOT_PRIMARY => WireError::NotPrimary,
-            _ => return Err(TraceError::Corrupt("unknown error code").into()),
-        }),
-        _ => return Err(TraceError::Corrupt("unknown response kind").into()),
+        ResponseKind::Error => {
+            let code = WireErrorKind::try_from(cur.u8()?)
+                .map_err(|_| TraceError::Corrupt("unknown error code"))?;
+            Response::Error(match code {
+                WireErrorKind::Overloaded => WireError::Overloaded,
+                WireErrorKind::Unavailable => WireError::Unavailable,
+                WireErrorKind::ShuttingDown => WireError::ShuttingDown,
+                WireErrorKind::BadRequest => {
+                    let n = cur.len16()?;
+                    WireError::BadRequest(String::from_utf8_lossy(cur.take(n)?).into_owned())
+                }
+                WireErrorKind::UnknownCampaign => WireError::UnknownCampaign(AdId(cur.u32()?)),
+                WireErrorKind::StaleEpoch => WireError::StaleEpoch {
+                    current: cur.u64()?,
+                },
+                WireErrorKind::WrongPartition => WireError::WrongPartition {
+                    expected: cur.u16()?,
+                },
+                WireErrorKind::LsnGap => WireError::LsnGap {
+                    expected: cur.u64()?,
+                },
+                WireErrorKind::NotPrimary => WireError::NotPrimary,
+            })
+        }
     };
     cur.finish("trailing bytes after response")?;
     Ok((id, resp))
@@ -1145,7 +1175,7 @@ mod tests {
         for bad in [f64::NAN, f64::INFINITY, -0.5] {
             let mut body = BytesMut::new();
             put_stream_header(&mut body, MAGIC, VERSION);
-            body.put_u8(K_IMPRESSION);
+            body.put_u8(RequestKind::Impression as u8);
             body.put_u64_le(1);
             body.put_u32_le(3);
             body.put_f64_le(bad);
@@ -1190,7 +1220,7 @@ mod tests {
         // re-associate the response stream.
         let mut body = BytesMut::new();
         put_stream_header(&mut body, MAGIC, VERSION);
-        body.put_u8(K_ROUTED);
+        body.put_u8(RequestKind::Routed as u8);
         body.put_u64_le(1);
         body.put_u16_le(0);
         body.put_u64_le(1);

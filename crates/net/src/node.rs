@@ -17,6 +17,19 @@
 //! [`tracestore`], and admissions, checkpoints and slow ingests land in
 //! the [`flightrec`] ring.
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::unreachable,
+        clippy::indexing_slicing
+    )
+)]
+
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -33,7 +46,6 @@ use adcast_obs::{UNREADY_CATCHING_UP, UNREADY_DEGRADED};
 use adcast_stream::clock::now_ns;
 use bytes::Bytes;
 
-use crate::codec;
 use crate::protocol::{NodeRole, Request, Response, ServerStats, WireError};
 use crate::replication::{
     install_snapshot_on, promote, replica_append, ClusterState, ReplObs, ReplicaSetup,
@@ -127,27 +139,6 @@ impl NetObs {
             ),
         }
     }
-}
-
-/// The wire kind code of a request, for flight-recorder payloads.
-pub(crate) fn req_kind_code(req: &Request) -> u64 {
-    u64::from(match req {
-        Request::Ingest { .. } => codec::K_INGEST,
-        Request::Recommend { .. } => codec::K_RECOMMEND,
-        Request::SubmitCampaign(_) => codec::K_SUBMIT,
-        Request::PauseCampaign { .. } => codec::K_PAUSE,
-        Request::Stats => codec::K_STATS,
-        Request::Shutdown => codec::K_SHUTDOWN,
-        Request::Impression { .. } => codec::K_IMPRESSION,
-        Request::Checkpoint => codec::K_CHECKPOINT,
-        Request::ObsDump => codec::K_OBS_DUMP,
-        Request::Maintain { .. } => codec::K_MAINTAIN,
-        Request::Routed { .. } => codec::K_ROUTED,
-        Request::ReplAppend { .. } => codec::K_REPL_APPEND,
-        Request::Promote { .. } => codec::K_PROMOTE,
-        Request::InstallSnapshot { .. } => codec::K_INSTALL_SNAPSHOT,
-        Request::ClusterStatus => codec::K_CLUSTER_STATUS,
-    })
 }
 
 /// One serving node: the single owner of its store and driver, plus the
@@ -254,7 +245,7 @@ impl Node {
         self.obs.queue_wait_ns.record(queue_wait_ns);
         flightrec().record(
             EventKind::Admission,
-            req_kind_code(&req),
+            req.kind() as u64,
             queue_wait_ns / 1_000,
             0,
         );

@@ -31,6 +31,18 @@
 //! the ladder on it, the TCP sink lives in `adcast-cluster`, and the
 //! simulation harness ships between `Node`s in-process.
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::unreachable
+    )
+)]
+
 use std::sync::Arc;
 
 use adcast_ads::AdStore;

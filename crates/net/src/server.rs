@@ -39,6 +39,19 @@
 //! Readers observe the flag on their next read-timeout tick and exit; the
 //! accept thread joins them; [`Server::join`] joins everything.
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::unreachable,
+        clippy::indexing_slicing
+    )
+)]
+
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
@@ -52,7 +65,7 @@ use adcast_obs::{flightrec, EventKind};
 use adcast_stream::clock::now_ns;
 
 use crate::codec::{decode_request, encode_response, read_frame, write_frame, NetError};
-use crate::node::{req_kind_code, NetObs, Node, Transport};
+use crate::node::{NetObs, Node, Transport};
 use crate::protocol::{Request, Response, WireError};
 
 /// Serving-layer knobs.
@@ -346,7 +359,7 @@ fn connection_loop(
             Err(TrySendError::Full(cmd)) => {
                 shared.shed.fetch_add(1, Ordering::Relaxed);
                 obs.shed_total.inc();
-                flightrec().record(EventKind::Shed, req_kind_code(&cmd.req), 0, 0);
+                flightrec().record(EventKind::Shed, cmd.req.kind() as u64, 0, 0);
                 Response::Error(WireError::Overloaded)
             }
             Err(TrySendError::Disconnected(_)) => Response::Error(WireError::ShuttingDown),

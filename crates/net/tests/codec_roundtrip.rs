@@ -1,18 +1,20 @@
-//! Exhaustive wire round-trip: exactly one constructed value per
-//! `Request` and `Response` variant (and per `WireError` variant inside
-//! `Response::Error`), encoded and decoded through the public codec API.
+//! Exhaustive wire round-trip: one constructed value per kind of each
+//! codec kind table (`RequestKind`, `ResponseKind`, and `WireErrorKind`
+//! inside `Response::Error`), encoded and decoded through the public codec
+//! API.
 //!
-//! The total `kind` matches — no wildcard arms — are the compile-time
-//! pressure: adding a protocol variant fails this file until the sample
-//! sets grow with it, which is the dynamic twin of the `rpc-exhaustive`
-//! lint's static site check.
+//! The samples come from total matches over the kind enums and are keyed
+//! by each table's `ALL`, and each sample must report the kind it was
+//! built for. With the codec's own total `kind()` matches, a new protocol
+//! variant fails this file until it has a sample that round-trips.
 
 use adcast_ads::AdId;
 use adcast_core::Recommendation;
 use adcast_feed::FeedDelta;
 use adcast_graph::UserId;
 use adcast_net::codec::{
-    decode_request, decode_response, encode_request, encode_response, NetError,
+    decode_request, decode_response, encode_request, encode_response, NetError, RequestKind,
+    ResponseKind, WireErrorKind,
 };
 use adcast_net::{CampaignSpec, NodeRole, Request, Response, ServerStats, TraceContext, WireError};
 use adcast_stream::clock::{Duration, Timestamp};
@@ -21,99 +23,7 @@ use adcast_stream::event::{LocationId, Message, MessageId, TimeSlot};
 use adcast_text::dictionary::TermId;
 use adcast_text::SparseVector;
 use bytes::Bytes;
-use std::collections::BTreeSet;
 use std::sync::Arc;
-
-const REQUEST_KINDS: &[&str] = &[
-    "Ingest",
-    "Recommend",
-    "SubmitCampaign",
-    "PauseCampaign",
-    "Impression",
-    "Maintain",
-    "Checkpoint",
-    "ObsDump",
-    "Stats",
-    "Shutdown",
-    "Routed",
-    "ReplAppend",
-    "InstallSnapshot",
-    "Promote",
-    "ClusterStatus",
-];
-
-const RESPONSE_KINDS: &[&str] = &[
-    "Ingested",
-    "Recommendations",
-    "CampaignAccepted",
-    "CampaignPaused",
-    "ImpressionRecorded",
-    "Maintained",
-    "Checkpointed",
-    "ObsDumped",
-    "Stats",
-    "ShutdownAck",
-    "ReplAck",
-    "SnapshotInstalled",
-    "Promoted",
-    "ClusterStatusReply",
-    "Error",
-];
-
-fn request_kind(r: &Request) -> &'static str {
-    match r {
-        Request::Ingest { .. } => "Ingest",
-        Request::Recommend { .. } => "Recommend",
-        Request::SubmitCampaign(_) => "SubmitCampaign",
-        Request::PauseCampaign { .. } => "PauseCampaign",
-        Request::Impression { .. } => "Impression",
-        Request::Maintain { .. } => "Maintain",
-        Request::Checkpoint => "Checkpoint",
-        Request::ObsDump => "ObsDump",
-        Request::Stats => "Stats",
-        Request::Shutdown => "Shutdown",
-        Request::Routed { .. } => "Routed",
-        Request::ReplAppend { .. } => "ReplAppend",
-        Request::InstallSnapshot { .. } => "InstallSnapshot",
-        Request::Promote { .. } => "Promote",
-        Request::ClusterStatus => "ClusterStatus",
-    }
-}
-
-fn response_kind(r: &Response) -> &'static str {
-    match r {
-        Response::Ingested { .. } => "Ingested",
-        Response::Recommendations(_) => "Recommendations",
-        Response::CampaignAccepted { .. } => "CampaignAccepted",
-        Response::CampaignPaused { .. } => "CampaignPaused",
-        Response::ImpressionRecorded { .. } => "ImpressionRecorded",
-        Response::Maintained { .. } => "Maintained",
-        Response::Checkpointed { .. } => "Checkpointed",
-        Response::ObsDumped { .. } => "ObsDumped",
-        Response::Stats(_) => "Stats",
-        Response::ShutdownAck => "ShutdownAck",
-        Response::ReplAck { .. } => "ReplAck",
-        Response::SnapshotInstalled { .. } => "SnapshotInstalled",
-        Response::Promoted { .. } => "Promoted",
-        Response::ClusterStatusReply { .. } => "ClusterStatusReply",
-        Response::Error(_) => "Error",
-    }
-}
-
-fn wire_error_kind(e: &WireError) -> &'static str {
-    match e {
-        WireError::Overloaded => "Overloaded",
-        WireError::Unavailable => "Unavailable",
-        WireError::ShuttingDown => "ShuttingDown",
-        WireError::BadRequest(_) => "BadRequest",
-        WireError::UnknownCampaign(_) => "UnknownCampaign",
-        WireError::StaleEpoch { .. } => "StaleEpoch",
-        WireError::WrongPartition { .. } => "WrongPartition",
-        WireError::LsnGap { .. } => "LsnGap",
-        // Keep this match total: new wire errors must join `all_errors`.
-        _ => "NotPrimary",
-    }
-}
 
 /// Frames carry a 4-byte length prefix; the decoders take what follows.
 fn body_of(frame: &Bytes) -> Bytes {
@@ -134,10 +44,10 @@ fn message(i: u64) -> Arc<Message> {
     })
 }
 
-/// Exactly one sample per `Request` variant.
-fn one_request_per_variant() -> Vec<Request> {
-    vec![
-        Request::Ingest {
+/// The sample of one request kind.
+fn request_sample(kind: RequestKind) -> Request {
+    match kind {
+        RequestKind::Ingest => Request::Ingest {
             deltas: vec![(
                 UserId(1),
                 FeedDelta {
@@ -146,13 +56,13 @@ fn one_request_per_variant() -> Vec<Request> {
                 },
             )],
         },
-        Request::Recommend {
+        RequestKind::Recommend => Request::Recommend {
             user: UserId(9),
             now: Timestamp::from_secs(55),
             location: LocationId(4),
             k: 10,
         },
-        Request::SubmitCampaign(CampaignSpec {
+        RequestKind::SubmitCampaign => Request::SubmitCampaign(CampaignSpec {
             vector: vector(&[(0, 1.0), (5, 0.5)]),
             bid: 2.5,
             locations: vec![LocationId(1)],
@@ -160,22 +70,22 @@ fn one_request_per_variant() -> Vec<Request> {
             budget: Some(99.5),
             topic_hint: Some(3),
         }),
-        Request::PauseCampaign { ad: AdId(12) },
-        Request::Impression {
+        RequestKind::PauseCampaign => Request::PauseCampaign { ad: AdId(12) },
+        RequestKind::Impression => Request::Impression {
             ad: AdId(4),
             cost: 0.25,
             clicked: true,
             now: Timestamp::from_secs(91),
         },
-        Request::Maintain {
+        RequestKind::Maintain => Request::Maintain {
             now: Timestamp::from_secs(3600),
             idle_for: Duration::from_secs(1800),
         },
-        Request::Checkpoint,
-        Request::ObsDump,
-        Request::Stats,
-        Request::Shutdown,
-        Request::Routed {
+        RequestKind::Checkpoint => Request::Checkpoint,
+        RequestKind::ObsDump => Request::ObsDump,
+        RequestKind::Stats => Request::Stats,
+        RequestKind::Shutdown => Request::Shutdown,
+        RequestKind::Routed => Request::Routed {
             partition: 3,
             epoch: 7,
             trace: TraceContext {
@@ -184,76 +94,76 @@ fn one_request_per_variant() -> Vec<Request> {
             },
             inner: Box::new(Request::Stats),
         },
-        Request::ReplAppend {
+        RequestKind::ReplAppend => Request::ReplAppend {
             partition: 1,
             epoch: 2,
             trace: TraceContext::NONE,
             entries: vec![(7, Bytes::from_static(&[1, 2, 3, 4]))],
         },
-        Request::InstallSnapshot {
+        RequestKind::InstallSnapshot => Request::InstallSnapshot {
             partition: 2,
             epoch: 4,
             snapshot: Bytes::from_static(b"ADSSxxxx"),
         },
-        Request::Promote {
+        RequestKind::Promote => Request::Promote {
             partition: 1,
             epoch: 3,
         },
-        Request::ClusterStatus,
-    ]
+        RequestKind::ClusterStatus => Request::ClusterStatus,
+    }
 }
 
-/// One sample per `WireError` variant (each rides in `Response::Error`).
-fn all_errors() -> Vec<WireError> {
-    vec![
-        WireError::Overloaded,
-        WireError::Unavailable,
-        WireError::ShuttingDown,
-        WireError::BadRequest("k out of range".to_string()),
-        WireError::UnknownCampaign(AdId(7)),
-        WireError::StaleEpoch { current: 9 },
-        WireError::WrongPartition { expected: 2 },
-        WireError::LsnGap { expected: 31 },
-        WireError::NotPrimary,
-    ]
+/// The sample of one wire error kind (each rides in `Response::Error`).
+fn error_sample(kind: WireErrorKind) -> WireError {
+    match kind {
+        WireErrorKind::Overloaded => WireError::Overloaded,
+        WireErrorKind::Unavailable => WireError::Unavailable,
+        WireErrorKind::ShuttingDown => WireError::ShuttingDown,
+        WireErrorKind::BadRequest => WireError::BadRequest("k out of range".to_string()),
+        WireErrorKind::UnknownCampaign => WireError::UnknownCampaign(AdId(7)),
+        WireErrorKind::StaleEpoch => WireError::StaleEpoch { current: 9 },
+        WireErrorKind::WrongPartition => WireError::WrongPartition { expected: 2 },
+        WireErrorKind::LsnGap => WireError::LsnGap { expected: 31 },
+        WireErrorKind::NotPrimary => WireError::NotPrimary,
+    }
 }
 
-/// Exactly one sample per `Response` variant.
-fn one_response_per_variant() -> Vec<Response> {
-    vec![
-        Response::Ingested { accepted: 7 },
-        Response::Recommendations(vec![Recommendation {
+/// The sample of one response kind.
+fn response_sample(kind: ResponseKind) -> Response {
+    match kind {
+        ResponseKind::Ingested => Response::Ingested { accepted: 7 },
+        ResponseKind::Recommendations => Response::Recommendations(vec![Recommendation {
             ad: AdId(4),
             score: 0.75,
             relevance: 0.5,
         }]),
-        Response::CampaignAccepted { ad: AdId(3) },
-        Response::CampaignPaused { ad: AdId(3) },
-        Response::ImpressionRecorded {
+        ResponseKind::CampaignAccepted => Response::CampaignAccepted { ad: AdId(3) },
+        ResponseKind::CampaignPaused => Response::CampaignPaused { ad: AdId(3) },
+        ResponseKind::ImpressionRecorded => Response::ImpressionRecorded {
             ad: AdId(5),
             exhausted: true,
         },
-        Response::Maintained {
+        ResponseKind::Maintained => Response::Maintained {
             scanned: 100,
             decayed: 4,
             pruned: 2,
         },
-        Response::Checkpointed { lsn: 42 },
-        Response::ObsDumped { events: 512 },
-        Response::Stats(ServerStats {
+        ResponseKind::Checkpointed => Response::Checkpointed { lsn: 42 },
+        ResponseKind::ObsDumped => Response::ObsDumped { events: 512 },
+        ResponseKind::Stats => Response::Stats(ServerStats {
             deltas: 1,
             recommends: 2,
             rpcs: 3,
             ..Default::default()
         }),
-        Response::ShutdownAck,
-        Response::ReplAck { durable_lsn: 77 },
-        Response::SnapshotInstalled { next_lsn: 11 },
-        Response::Promoted {
+        ResponseKind::ShutdownAck => Response::ShutdownAck,
+        ResponseKind::ReplAck => Response::ReplAck { durable_lsn: 77 },
+        ResponseKind::SnapshotInstalled => Response::SnapshotInstalled { next_lsn: 11 },
+        ResponseKind::Promoted => Response::Promoted {
             epoch: 5,
             next_lsn: 12,
         },
-        Response::ClusterStatusReply {
+        ResponseKind::ClusterStatusReply => Response::ClusterStatusReply {
             role: NodeRole::Follower,
             partition: 1,
             epoch: 5,
@@ -261,56 +171,91 @@ fn one_response_per_variant() -> Vec<Response> {
             fenced: false,
             degraded: true,
         },
-        Response::Error(WireError::Overloaded),
-    ]
+        ResponseKind::Error => Response::Error(WireError::Overloaded),
+    }
+}
+
+/// One sample per `RequestKind::ALL` entry, in table order.
+fn one_request_per_variant() -> Vec<Request> {
+    RequestKind::ALL
+        .iter()
+        .map(|&kind| {
+            let req = request_sample(kind);
+            assert_eq!(req.kind(), kind, "sample built for {kind:?}");
+            req
+        })
+        .collect()
+}
+
+/// One sample per `WireErrorKind::ALL` entry, in table order.
+fn all_errors() -> Vec<WireError> {
+    WireErrorKind::ALL
+        .iter()
+        .map(|&kind| {
+            let err = error_sample(kind);
+            assert_eq!(err.kind(), kind, "sample built for {kind:?}");
+            err
+        })
+        .collect()
+}
+
+/// One sample per `ResponseKind::ALL` entry, in table order.
+fn one_response_per_variant() -> Vec<Response> {
+    ResponseKind::ALL
+        .iter()
+        .map(|&kind| {
+            let resp = response_sample(kind);
+            assert_eq!(resp.kind(), kind, "sample built for {kind:?}");
+            resp
+        })
+        .collect()
+}
+
+#[test]
+fn kind_bytes_map_back_to_their_kinds() {
+    // Each table's `TryFrom<u8>` accepts exactly its own codes.
+    for byte in 0..=u8::MAX {
+        let req = RequestKind::ALL.iter().find(|&&k| k as u8 == byte);
+        assert_eq!(RequestKind::try_from(byte).ok().as_ref(), req, "{byte}");
+        let resp = ResponseKind::ALL.iter().find(|&&k| k as u8 == byte);
+        assert_eq!(ResponseKind::try_from(byte).ok().as_ref(), resp, "{byte}");
+        let err = WireErrorKind::ALL.iter().find(|&&k| k as u8 == byte);
+        assert_eq!(WireErrorKind::try_from(byte).ok().as_ref(), err, "{byte}");
+    }
 }
 
 #[test]
 fn every_request_variant_round_trips() {
-    let samples = one_request_per_variant();
-    let kinds: BTreeSet<&str> = samples.iter().map(request_kind).collect();
-    let expected: BTreeSet<&str> = REQUEST_KINDS.iter().copied().collect();
-    assert_eq!(kinds, expected, "sample set must cover every Request kind");
-
-    for (i, req) in samples.into_iter().enumerate() {
+    for (i, req) in one_request_per_variant().into_iter().enumerate() {
         let id = 1000 + i as u64;
         let frame = encode_request(id, &req);
-        let (got_id, got) = decode_request(body_of(&frame))
-            .unwrap_or_else(|e| panic!("{}: {e}", request_kind(&req)));
-        assert_eq!(got_id, id, "{}", request_kind(&req));
-        assert_eq!(got, req, "{}", request_kind(&req));
+        let (got_id, got) =
+            decode_request(body_of(&frame)).unwrap_or_else(|e| panic!("{:?}: {e}", req.kind()));
+        assert_eq!(got_id, id, "{:?}", req.kind());
+        assert_eq!(got, req, "{:?}", req.kind());
     }
 }
 
 #[test]
 fn every_response_variant_round_trips() {
-    let samples = one_response_per_variant();
-    let kinds: BTreeSet<&str> = samples.iter().map(response_kind).collect();
-    let expected: BTreeSet<&str> = RESPONSE_KINDS.iter().copied().collect();
-    assert_eq!(kinds, expected, "sample set must cover every Response kind");
-
-    for (i, resp) in samples.into_iter().enumerate() {
+    for (i, resp) in one_response_per_variant().into_iter().enumerate() {
         let id = 2000 + i as u64;
         let frame = encode_response(id, &resp);
-        let (got_id, got) = decode_response(body_of(&frame))
-            .unwrap_or_else(|e| panic!("{}: {e}", response_kind(&resp)));
-        assert_eq!(got_id, id, "{}", response_kind(&resp));
-        assert_eq!(got, resp, "{}", response_kind(&resp));
+        let (got_id, got) =
+            decode_response(body_of(&frame)).unwrap_or_else(|e| panic!("{:?}: {e}", resp.kind()));
+        assert_eq!(got_id, id, "{:?}", resp.kind());
+        assert_eq!(got, resp, "{:?}", resp.kind());
     }
 }
 
 #[test]
 fn every_wire_error_round_trips_inside_response_error() {
-    let errors = all_errors();
-    let kinds: BTreeSet<&str> = errors.iter().map(wire_error_kind).collect();
-    assert_eq!(kinds.len(), errors.len(), "duplicate WireError sample");
-
-    for (i, err) in errors.into_iter().enumerate() {
+    for (i, err) in all_errors().into_iter().enumerate() {
         let id = 3000 + i as u64;
         let resp = Response::Error(err);
         let frame = encode_response(id, &resp);
-        let (got_id, got) = decode_response(body_of(&frame))
-            .unwrap_or_else(|e| panic!("{}: {e}", response_kind(&resp)));
+        let (got_id, got) =
+            decode_response(body_of(&frame)).unwrap_or_else(|e| panic!("{:?}: {e}", resp.kind()));
         assert_eq!(got_id, id);
         assert_eq!(got, resp);
     }
@@ -329,7 +274,7 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 fn labelled_encodings() -> Vec<(String, Bytes)> {
     let mut out = Vec::new();
     for (i, req) in one_request_per_variant().iter().enumerate() {
-        let label = format!("Request::{}", request_kind(req));
+        let label = format!("Request::{:?}", req.kind());
         out.push((label, encode_request(1000 + i as u64, req)));
     }
     let bare = Request::SubmitCampaign(CampaignSpec::unrestricted(vector(&[(2, 0.7)]), 1.0));
@@ -338,11 +283,11 @@ fn labelled_encodings() -> Vec<(String, Bytes)> {
         encode_request(1, &bare),
     ));
     for (i, resp) in one_response_per_variant().iter().enumerate() {
-        let label = format!("Response::{}", response_kind(resp));
+        let label = format!("Response::{:?}", resp.kind());
         out.push((label, encode_response(2000 + i as u64, resp)));
     }
     for (i, err) in all_errors().into_iter().enumerate() {
-        let label = format!("WireError::{}", wire_error_kind(&err));
+        let label = format!("WireError::{:?}", err.kind());
         out.push((
             label,
             encode_response(3000 + i as u64, &Response::Error(err)),
@@ -421,8 +366,8 @@ fn trailing_bytes_are_rejected() {
         let err = decode_request(Bytes::from(body)).unwrap_err();
         assert!(
             matches!(err, NetError::Decode(TraceError::Corrupt(_))),
-            "{}: {err}",
-            request_kind(req)
+            "{:?}: {err}",
+            req.kind()
         );
     }
     let responses = one_response_per_variant()
@@ -434,8 +379,8 @@ fn trailing_bytes_are_rejected() {
         let err = decode_response(Bytes::from(body)).unwrap_err();
         assert!(
             matches!(err, NetError::Decode(TraceError::Corrupt(_))),
-            "{}: {err}",
-            response_kind(&resp)
+            "{:?}: {err}",
+            resp.kind()
         );
     }
 }

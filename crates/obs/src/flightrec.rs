@@ -23,6 +23,18 @@
 //! | `Shutdown`     | drained    | –               | – |
 //! | `Maintenance`  | scanned    | decayed         | pruned |
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::unreachable
+    )
+)]
+
 use std::io::{self, Write};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};

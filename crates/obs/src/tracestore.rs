@@ -20,6 +20,18 @@
 //! through their own seam (`adcast_stream::clock::now_ns()` on serving
 //! paths), which is what keeps sim traces byte-identical across runs.
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::unreachable
+    )
+)]
+
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 

@@ -24,6 +24,18 @@
 //! [`put_len16`] and [`put_len32`] are the one place where a count can
 //! overflow its prefix.
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::unreachable
+    )
+)]
+
 use bytes::{BufMut, Bytes, BytesMut};
 
 /// Most elements [`Cursor::many`] reserves before it has read them.
@@ -100,9 +112,12 @@ fn put_len(buf: &mut BytesMut, n: usize, width: usize) {
     let fits = u32::try_from(n)
         .ok()
         .filter(|&v| width == 4 || v < 1 << (8 * width));
-    // adcast-lint: allow(no-panic-hot-path) -- each count is bounded by its
-    // type (u16 location ids, three time slots, u16 k) or by a format limit
-    // far below u32::MAX; overflowing one is an encoder bug, not input.
+    #[expect(
+        clippy::expect_used,
+        reason = "each count is bounded by its type (u16 location ids, three time slots, u16 k) \
+                  or by a format limit far below u32::MAX; overflowing one is an encoder bug, \
+                  not input"
+    )]
     let v = fits.expect("count overflows its length prefix");
     buf.put_slice(&v.to_le_bytes()[..width]);
 }

@@ -16,6 +16,18 @@
 //!        | nterms u16 | nterms × (term u32, weight f32)
 //! ```
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::unreachable
+    )
+)]
+
 use std::sync::Arc;
 
 use adcast_graph::UserId;

@@ -14,6 +14,18 @@
 //! hot-path inputs (length mismatches are debug assertions — callers pass
 //! slices cut from the same block).
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::unreachable
+    )
+)]
+
 /// Chunk width for the vectorized loops. Eight `f32` lanes is one AVX2
 /// register and two NEON registers; wider chunks stop paying once the
 /// loop is memory-bound.

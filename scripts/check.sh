@@ -7,8 +7,18 @@ cd "$(dirname "$0")/.."
 echo "== cargo fmt --check =="
 cargo fmt --check
 
-echo "== cargo clippy (deny warnings) =="
-cargo clippy --workspace --all-targets -- -D warnings
+# --all-features: `debug-stats` gates the counting allocator, the only
+# `unsafe impl`; without it clippy never sees that code. The workspace
+# `[lints]` table, the hot-path files' panic-freedom headers and the
+# per-crate clippy.toml bans all ride on this step.
+echo "== cargo clippy (deny warnings, all features) =="
+cargo clippy --workspace --all-targets --all-features -- -D warnings
+
+# adbench is its own Cargo workspace outside the `[lints]` table; check
+# its `unsafe` the same way without gating on its other warnings.
+echo "== cargo clippy (adbench: documented unsafe) =="
+cargo clippy -q --manifest-path adbench/Cargo.toml --all-targets -- -A warnings \
+  -D clippy::undocumented_unsafe_blocks
 
 echo "== adcast-lint (workspace invariants) =="
 cargo run -q -p adcast-lint -- --workspace-root .
