@@ -1,6 +1,8 @@
 //! Criterion micro-benchmarks for the telemetry hot paths: what one
 //! `Counter::inc`, `Hist::record`, and `FlightRecorder::record` cost the
-//! serving threads that call them. The obs layer's contract is that
+//! serving threads that call them. `FlightRecorder::record` is one push
+//! into the seq-claim ring that `TraceStore::record` shares, so it prices
+//! span recording too. The obs layer's contract is that
 //! instrumentation is invisible at engine speeds — DESIGN.md §11 budgets
 //! each at under 100 ns; `perf_summary` re-measures `record()` into
 //! `results/bench_summary.json` so drift shows up per PR.

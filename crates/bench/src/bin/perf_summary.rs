@@ -408,13 +408,13 @@ fn main() {
             report.diagnostics.len(),
             report.files_scanned
         );
-        // Acceptance gates: the engine registers its 7 rules plus the
+        // Acceptance gates: the engine registers its 6 rules plus the
         // `suppression` meta-rule, and every pragma carries a non-empty
         // reason (a reasonless allow() is a `suppression` diagnostic, so
         // any such diagnostic fails here).
         assert!(
-            report.rule_count() >= 8,
-            "lint engine regressed to {} rule(s); expected at least 8",
+            report.rule_count() >= 7,
+            "lint engine regressed to {} rule(s); expected at least 7",
             report.rule_count()
         );
         let pragma_rot: Vec<_> = report

@@ -198,3 +198,28 @@ fn counter_is_wired_through_the_trait() {
     engine.on_feed_delta(&s, UserId(0), &deltas[0]);
     assert!(engine.stats().hot_path_allocs > 0);
 }
+
+#[test]
+fn obs_record_paths_do_not_allocate() {
+    use adcast_core::allocmeter::allocation_count;
+    use adcast_obs::flightrec::EventKind;
+    use adcast_obs::tracestore::{SpanKind, TraceContext};
+    use adcast_obs::{flightrec, tracestore};
+
+    // The first touch builds each process-wide ring.
+    let (rec, spans) = (flightrec(), tracestore());
+    let ctx = TraceContext {
+        trace_id: 7,
+        parent_span_id: 0,
+    };
+    let before = allocation_count();
+    for i in 0..10_000u64 {
+        rec.record(EventKind::Admission, i, 250, 0);
+        spans.record(ctx, SpanKind::QueueWait, i, i, 40);
+    }
+    assert_eq!(
+        allocation_count() - before,
+        0,
+        "flight-recorder and span records allocated"
+    );
+}

@@ -20,7 +20,7 @@ pub const ERROR_HYGIENE_PREFIXES: &[&str] = &["crates/net/src/", "crates/durabil
 /// Files where mutation handlers must order WAL commit before store apply.
 pub const WAL_ORDERING_FILES: &[&str] = &["crates/net/src/node.rs", "crates/net/src/server.rs"];
 
-/// Obs record paths: metric handles and the flight-recorder ring are called
+/// Obs record paths: metric handles and the event/span ring are called
 /// from every serving thread, including inside the zero-alloc engine kernel,
 /// so `no-lock-in-record` bans lock types and `.lock()` calls here. The
 /// registry (register/expose only — both off the hot path) is deliberately
@@ -28,59 +28,8 @@ pub const WAL_ORDERING_FILES: &[&str] = &["crates/net/src/node.rs", "crates/net/
 pub const NO_LOCK_FILES: &[&str] = &[
     "crates/obs/src/metrics.rs",
     "crates/obs/src/flightrec.rs",
+    "crates/obs/src/ring.rs",
     "crates/obs/src/tracestore.rs",
-];
-
-/// One trace-context plumbing site for `trace-propagation`: within the
-/// named fn's body, every token in `must_mention` has to appear. The
-/// tokens anchor the plumbing a site is responsible for (encoding the
-/// envelope, deriving a child context, capturing the wire context), so a
-/// refactor that drops the context on the floor — forwarding a request
-/// without its trace, shipping a batch with `TraceContext::NONE` — is a
-/// diagnostic, not a silent hole in every cross-node trace.
-pub struct TraceSite {
-    pub file: &'static str,
-    pub func: &'static str,
-    pub must_mention: &'static [&'static str],
-    /// The invariant in words, for diagnostics.
-    pub doc: &'static str,
-}
-
-/// Every trace-propagation site. The codec entries pin the v6 trace
-/// envelope itself (16 bytes after the epoch in `Routed`/`ReplAppend`);
-/// the router/node/replication entries pin the handoff at each process
-/// boundary of the routed ack ladder (DESIGN §15).
-pub const TRACE_SITES: &[TraceSite] = &[
-    TraceSite {
-        file: "crates/net/src/codec.rs",
-        func: "put_request",
-        must_mention: &["put_trace"],
-        doc: "request encode writes the 16-byte trace envelope after the epoch",
-    },
-    TraceSite {
-        file: "crates/net/src/codec.rs",
-        func: "take_request",
-        must_mention: &["get_trace"],
-        doc: "request decode reads the trace envelope back off the wire",
-    },
-    TraceSite {
-        file: "crates/cluster/src/router.rs",
-        func: "forward",
-        must_mention: &["trace", "child"],
-        doc: "router forwarding derives a child context and puts it in the Routed envelope",
-    },
-    TraceSite {
-        file: "crates/net/src/node.rs",
-        func: "handle",
-        must_mention: &["cur_trace"],
-        doc: "the node captures the wire context before handling the request",
-    },
-    TraceSite {
-        file: "crates/net/src/node.rs",
-        func: "replicate",
-        must_mention: &["trace", "child"],
-        doc: "primary->follower shipment carries a child of the request's context",
-    },
 ];
 
 /// A token-order state machine for `ack-ladder`: within the named fn's

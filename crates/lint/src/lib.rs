@@ -7,9 +7,9 @@
 //! wall-clock reads and unbounded channels, and exhaustive `match`es over
 //! the wire kind tables (DESIGN §10). This crate checks the rest — a
 //! zero-allocation steady state, the WAL's validate→log→commit→apply→ack
-//! order, typed errors, lock-free record paths, lock discipline and trace
-//! propagation — on every `scripts/check.sh` run, with a lexer small
-//! enough to stay std-only and offline (no `syn`).
+//! order, typed errors, lock-free record paths and lock discipline — on
+//! every `scripts/check.sh` run, with a lexer small enough to stay
+//! std-only and offline (no `syn`).
 //!
 //! Suppressions are inline and per-site:
 //!
@@ -42,7 +42,6 @@ pub const RULES: &[&str] = &[
     rules::ERROR_HYGIENE,
     rules::NO_LOCK_IN_RECORD,
     rules::ACK_LADDER,
-    rules::TRACE_PROPAGATION,
     rules::LOCK_DISCIPLINE,
 ];
 
@@ -109,9 +108,6 @@ fn file_rules(fa: &FileAnalysis, only_rule: Option<&str>) -> Vec<Diagnostic> {
     }
     if run(rules::ACK_LADDER) {
         raw.extend(rules::ack_ladder(fa));
-    }
-    if run(rules::TRACE_PROPAGATION) {
-        raw.extend(rules::trace_propagation(fa));
     }
     if run(rules::LOCK_DISCIPLINE) {
         raw.extend(rules::lock_discipline(fa));

@@ -13,7 +13,6 @@ pub const WAL_ORDERING: &str = "wal-ordering";
 pub const ERROR_HYGIENE: &str = "error-hygiene";
 pub const NO_LOCK_IN_RECORD: &str = "no-lock-in-record";
 pub const ACK_LADDER: &str = "ack-ladder";
-pub const TRACE_PROPAGATION: &str = "trace-propagation";
 pub const LOCK_DISCIPLINE: &str = "lock-discipline";
 
 /// One-line documentation per rule, in [`crate::RULES`] order plus the
@@ -39,10 +38,6 @@ pub const RULE_DOCS: &[(&str, &str)] = &[
     (
         ACK_LADDER,
         "replication-path fns keep their configured token order (commit -> apply -> replicate -> ack)",
-    ),
-    (
-        TRACE_PROPAGATION,
-        "trace-context plumbing sites (codec envelope, router forward, server dispatch, replication) keep the context flowing",
     ),
     (
         LOCK_DISCIPLINE,
@@ -514,70 +509,6 @@ pub fn ack_ladder(fa: &FileAnalysis) -> Vec<Diagnostic> {
     out
 }
 
-/// Rule 6: `trace-propagation` — each [`config::TraceSite`] fn must
-/// mention every anchor token of the trace plumbing it owns. Membership,
-/// not order (`ack-ladder` owns ordering); a missing token means the
-/// refactored site dropped the context and every cross-node trace now
-/// stops at that hop. Like `ack-ladder`, test fns are skipped and a
-/// configured fn that no longer exists is itself a diagnostic — a moved
-/// site with a stale config entry silently checks nothing.
-pub fn trace_propagation(fa: &FileAnalysis) -> Vec<Diagnostic> {
-    let mut out = Vec::new();
-    // The rule engages only for files that handle the trace envelope at
-    // all (they name `TraceContext` somewhere outside tests). This keeps
-    // fixtures and pre-tracing snapshots of a site file inert while still
-    // catching the real failure mode: a refactor that keeps the plumbing
-    // imports but drops the handoff at one site.
-    let handles_traces = fa
-        .tokens
-        .iter()
-        .enumerate()
-        .any(|(i, t)| !fa.in_test[i] && t.is_ident("TraceContext"));
-    if !handles_traces {
-        return out;
-    }
-    for site in config::TRACE_SITES {
-        if site.file != fa.rel_path {
-            continue;
-        }
-        let mut found = false;
-        for f in fa.fns.iter().filter(|f| f.name == site.func) {
-            let (Some(open), Some(close)) = (f.body_open, f.body_close) else {
-                continue;
-            };
-            if fa.in_test[f.fn_idx] {
-                continue;
-            }
-            found = true;
-            for token in site.must_mention {
-                let mentioned =
-                    (open + 1..close).any(|i| !fa.in_test[i] && fa.tokens[i].is_ident(token));
-                if !mentioned {
-                    out.push(diag(
-                        fa,
-                        f.line,
-                        TRACE_PROPAGATION,
-                        format!("`{}` never mentions `{token}`; {}", site.func, site.doc),
-                    ));
-                }
-            }
-        }
-        if !found {
-            out.push(diag(
-                fa,
-                1,
-                TRACE_PROPAGATION,
-                format!(
-                    "trace-propagation fn `{}` not found; update config::TRACE_SITES if the \
-                     site moved",
-                    site.func
-                ),
-            ));
-        }
-    }
-    out
-}
-
 /// A lock acquisition and the token region its guard is live over.
 struct LiveGuard {
     /// Token index of the `lock`/`read`/`write` ident.
@@ -592,7 +523,7 @@ struct LiveGuard {
     line: u32,
 }
 
-/// Rule 7 (scope-aware): while a lock guard is live — from a `.lock()` /
+/// Rule 6 (scope-aware): while a lock guard is live — from a `.lock()` /
 /// RwLock `.read()`/`.write()` acquisition to the end of its enclosing
 /// block or an explicit `drop(guard)` — ban calls that can block the
 /// thread (socket read/write, channel `recv`, `join`, fsync, sleeps) and

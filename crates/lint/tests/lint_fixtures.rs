@@ -4,7 +4,7 @@
 //! live under `tests/fixtures/` (never compiled; the lint's own workspace
 //! walk skips that directory too).
 
-use adcast_lint::{lint_source, rules, Diagnostic, SUPPRESSION_RULE};
+use adcast_lint::{config, lint_source, rules, Diagnostic, SUPPRESSION_RULE};
 
 /// The transport identity: `wal-ordering` applies here.
 const SERVER: &str = "crates/net/src/server.rs";
@@ -126,14 +126,16 @@ fn typed_non_exhaustive_error_passes() {
 
 #[test]
 fn lock_in_record_path_fails() {
-    let (diags, _) = lint(RECORD, include_str!("fixtures/no_lock_fail.rs"));
-    assert_eq!(
-        rules_of(&diags),
-        vec![rules::NO_LOCK_IN_RECORD, rules::NO_LOCK_IN_RECORD],
-        "{diags:?}"
-    );
-    assert!(diags.iter().any(|d| d.message.contains("Mutex")));
-    assert!(diags.iter().any(|d| d.message.contains(".lock()")));
+    for &record in config::NO_LOCK_FILES {
+        let (diags, _) = lint(record, include_str!("fixtures/no_lock_fail.rs"));
+        assert_eq!(
+            rules_of(&diags),
+            vec![rules::NO_LOCK_IN_RECORD, rules::NO_LOCK_IN_RECORD],
+            "{record}: {diags:?}"
+        );
+        assert!(diags.iter().any(|d| d.message.contains("Mutex")));
+        assert!(diags.iter().any(|d| d.message.contains(".lock()")));
+    }
 }
 
 #[test]
@@ -201,66 +203,6 @@ fn moved_ladder_site_is_diagnosed() {
 fn ladder_fn_outside_its_configured_file_is_not_checked() {
     let (diags, _) = lint(NEUTRAL, include_str!("fixtures/ack_ladder_fail.rs"));
     assert!(diags.is_empty(), "{diags:?}");
-}
-
-// ---- trace-propagation --------------------------------------------------
-
-/// The router-forwarding identity: `trace-propagation` has a site for
-/// `forward` here.
-const ROUTER: &str = "crates/cluster/src/router.rs";
-
-#[test]
-fn forwarder_dropping_trace_context_fails() {
-    let (diags, _) = lint(ROUTER, include_str!("fixtures/trace_fail.rs"));
-    assert_eq!(
-        rules_of(&diags),
-        vec![rules::TRACE_PROPAGATION],
-        "{diags:?}"
-    );
-    assert!(diags[0].message.contains("`child`"), "{}", diags[0].message);
-}
-
-#[test]
-fn dropped_context_with_pragma_is_allowed() {
-    let (diags, sup) = lint(ROUTER, include_str!("fixtures/trace_allow.rs"));
-    assert!(diags.is_empty(), "{diags:?}");
-    assert_eq!(sup, 1);
-}
-
-#[test]
-fn forwarder_deriving_child_context_passes() {
-    let (diags, sup) = lint(ROUTER, include_str!("fixtures/trace_ok.rs"));
-    assert!(diags.is_empty(), "{diags:?}");
-    assert_eq!(sup, 0);
-}
-
-#[test]
-fn trace_rule_is_inert_without_trace_context_in_the_file() {
-    // The codec identity has two trace sites, but a file that never names
-    // `TraceContext` (a pre-tracing snapshot, or any non-trace fixture) is
-    // out of the rule's scope entirely.
-    let src = "fn put_request(body: &mut BytesMut, req: &Request) { put_head(body, req); }\n";
-    let (diags, _) = lint("crates/net/src/codec.rs", src);
-    assert!(diags.is_empty(), "{diags:?}");
-}
-
-#[test]
-fn moved_trace_site_is_diagnosed() {
-    // The file handles traces (names `TraceContext`) but the configured
-    // `forward` fn is gone — a stale config entry checks nothing, so the
-    // rule says so.
-    let src = "fn route(ctx: TraceContext) -> TraceContext { ctx }\n";
-    let (diags, _) = lint(ROUTER, src);
-    assert_eq!(
-        rules_of(&diags),
-        vec![rules::TRACE_PROPAGATION],
-        "{diags:?}"
-    );
-    assert!(
-        diags[0].message.contains("not found"),
-        "{}",
-        diags[0].message
-    );
 }
 
 // ---- lock-discipline ----------------------------------------------------

@@ -2,13 +2,12 @@
 //! events, dumped as JSON-lines when the process panics, shuts down, or
 //! is asked via the `ObsDump` RPC.
 //!
-//! The ring answers "what was the server doing just before it died": each
-//! slot is a handful of plain `AtomicU64` fields, so recording is
-//! store-only (no locks, no allocation, no panics) and safe to call from
-//! any serving thread. Readers validate each slot's sequence number
-//! before and after copying its fields and skip slots a concurrent writer
-//! is mid-flight on — the dump is best-effort by design (a crash dump
-//! missing the single newest event is still a crash dump).
+//! The ring answers "what was the server doing just before it died". It
+//! is a `ring::SeqRing` of five words per event, so recording
+//! takes no lock, makes no allocation and cannot panic, and is safe to
+//! call from any serving thread. Readers skip slots a concurrent writer is
+//! mid-flight on — the dump is best-effort by design (a crash dump missing
+//! the single newest event is still a crash dump).
 //!
 //! Event payloads are three `u64`s whose meaning depends on the kind:
 //!
@@ -37,9 +36,10 @@
 
 use std::io::{self, Write};
 use std::path::Path;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 use std::time::Instant;
+
+use crate::ring::SeqRing;
 
 /// What happened. Codes are stable (they appear in dumps).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -125,35 +125,11 @@ pub struct Event {
     pub c: u64,
 }
 
-/// `seq` 0 marks a never-written slot; live sequence numbers start at 1.
-struct Slot {
-    seq: AtomicU64,
-    kind: AtomicU64,
-    t_us: AtomicU64,
-    a: AtomicU64,
-    b: AtomicU64,
-    c: AtomicU64,
-}
-
-impl Slot {
-    fn empty() -> Slot {
-        Slot {
-            seq: AtomicU64::new(0),
-            kind: AtomicU64::new(0),
-            t_us: AtomicU64::new(0),
-            a: AtomicU64::new(0),
-            b: AtomicU64::new(0),
-            c: AtomicU64::new(0),
-        }
-    }
-}
-
 /// The ring buffer. Most code records through the process-wide
 /// [`flightrec`]; standalone instances exist for tests.
 pub struct FlightRecorder {
-    slots: Box<[Slot]>,
-    /// Next sequence number to claim (starts at 1).
-    head: AtomicU64,
+    /// Words per event: kind, t_us, a, b, c.
+    ring: SeqRing<5>,
     epoch: Instant,
 }
 
@@ -166,75 +142,37 @@ impl FlightRecorder {
     /// A recorder holding the most recent `capacity.max(1)` events.
     #[must_use]
     pub fn new(capacity: usize) -> FlightRecorder {
-        let capacity = capacity.max(1);
-        let mut slots = Vec::with_capacity(capacity);
-        for _ in 0..capacity {
-            slots.push(Slot::empty());
-        }
         FlightRecorder {
-            slots: slots.into_boxed_slice(),
-            head: AtomicU64::new(1),
+            ring: SeqRing::new(capacity),
             epoch: Instant::now(),
         }
     }
 
-    /// Record one event. Lock-free and allocation-free: one relaxed RMW
-    /// to claim a sequence number, then plain stores into the claimed
-    /// slot, publishing with a release store of the sequence.
+    /// Record one event. Lock-free and allocation-free (see `ring.rs`).
     #[inline]
     pub fn record(&self, kind: EventKind, a: u64, b: u64, c: u64) {
-        let seq = self.head.fetch_add(1, Ordering::Relaxed);
-        let slot = &self.slots[(seq as usize) % self.slots.len()];
-        let t_us = self.epoch.elapsed().as_micros();
-        let t_us = if t_us > u64::MAX as u128 {
-            u64::MAX
-        } else {
-            t_us as u64
-        };
-        // Invalidate first so a reader that catches us mid-write sees the
-        // seq change across its two loads and discards the slot.
-        slot.seq.store(0, Ordering::Release);
-        slot.kind.store(kind as u64, Ordering::Relaxed);
-        slot.t_us.store(t_us, Ordering::Relaxed);
-        slot.a.store(a, Ordering::Relaxed);
-        slot.b.store(b, Ordering::Relaxed);
-        slot.c.store(c, Ordering::Relaxed);
-        slot.seq.store(seq, Ordering::Release);
+        let t_us = u64::try_from(self.epoch.elapsed().as_micros()).unwrap_or(u64::MAX);
+        self.ring.push([kind as u64, t_us, a, b, c]);
     }
 
     /// Snapshot the ring's stable contents, oldest first. Slots being
     /// concurrently overwritten are skipped.
     #[must_use]
     pub fn events(&self) -> Vec<Event> {
-        let mut out = Vec::with_capacity(self.slots.len());
-        for slot in self.slots.iter() {
-            let before = slot.seq.load(Ordering::Acquire);
-            if before == 0 {
-                continue;
-            }
-            let kind = slot.kind.load(Ordering::Relaxed);
-            let t_us = slot.t_us.load(Ordering::Relaxed);
-            let a = slot.a.load(Ordering::Relaxed);
-            let b = slot.b.load(Ordering::Relaxed);
-            let c = slot.c.load(Ordering::Relaxed);
-            let after = slot.seq.load(Ordering::Acquire);
-            if before != after {
-                continue; // torn: a writer got between our two loads
-            }
-            let Some(kind) = EventKind::from_code(kind) else {
-                continue;
-            };
-            out.push(Event {
-                seq: before,
-                kind,
-                t_us,
-                a,
-                b,
-                c,
-            });
-        }
-        out.sort_by_key(|e| e.seq);
-        out
+        self.ring
+            .snapshot()
+            .into_iter()
+            .filter_map(|(seq, [kind, t_us, a, b, c])| {
+                Some(Event {
+                    seq,
+                    kind: EventKind::from_code(kind)?,
+                    t_us,
+                    a,
+                    b,
+                    c,
+                })
+            })
+            .collect()
     }
 
     /// Write the ring as JSON-lines; returns the number of events written.

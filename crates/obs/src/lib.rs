@@ -17,6 +17,8 @@
 //!   events, dumped as JSON-lines on panic, shutdown, or `ObsDump`,
 //! * [`tracestore`] — the distributed-tracing span ring plus the 16-byte
 //!   [`TraceContext`] the v6 wire envelopes carry across hops,
+//! * `ring` (crate-private) — the one lock-free seq-claim ring both of
+//!   the above record into,
 //! * [`ready`] — the `/readyz` bitmask replication flips while degraded
 //!   or mid-catch-up,
 //! * [`federate`] — the router-side federation of member `/metrics`,
@@ -33,6 +35,7 @@ pub mod http;
 pub mod metrics;
 pub mod ready;
 pub mod registry;
+mod ring;
 pub mod tracestore;
 
 pub use expo::{

@@ -178,29 +178,6 @@ impl Hist {
             .map(|b| b.load(Ordering::Relaxed))
             .collect()
     }
-
-    /// Approximate quantile (`q ∈ [0,1]`) over the current buckets, with
-    /// the same ~4.5% relative precision as `LatencyHistogram`. Returns 0
-    /// when empty or when `q` is out of range.
-    #[must_use]
-    pub fn quantile(&self, q: f64) -> u64 {
-        if !(0.0..=1.0).contains(&q) {
-            return 0;
-        }
-        let count = self.count();
-        if count == 0 {
-            return 0;
-        }
-        let target = ((q * count as f64).ceil() as u64).clamp(1, count);
-        let mut seen = 0u64;
-        for (b, bucket) in self.inner.buckets.iter().enumerate() {
-            seen += bucket.load(Ordering::Relaxed);
-            if seen >= target {
-                return adcast_metrics::histogram::bucket_floor(b);
-            }
-        }
-        adcast_metrics::histogram::bucket_floor(NUM_BUCKETS - 1)
-    }
 }
 
 #[cfg(test)]
@@ -253,19 +230,19 @@ mod tests {
 
     #[test]
     fn hist_quantiles_on_uniform_data() {
-        let h = Hist::detached();
+        // Quantiles of a `Hist` are read through its exposition.
+        let reg = crate::Registry::new();
+        let h = reg.hist("adcast_test_uniform_ns", "Uniform data.");
         for v in 1..=1000u64 {
             h.record(v * 1000);
         }
-        let p50 = h.quantile(0.5);
-        assert!((450_000..=550_000).contains(&p50), "p50 {p50}");
-        let p99 = h.quantile(0.99);
-        assert!((900_000..=1_000_000).contains(&p99), "p99 {p99}");
-        assert_eq!(
-            h.quantile(1.5),
-            0,
-            "out-of-range quantile is 0, not a panic"
-        );
+        let families = crate::parse_exposition(&reg.expose()).unwrap();
+        let family = crate::find_family(&families, "adcast_test_uniform_ns").unwrap();
+        // Within the shared layout's precision: 16 sub-buckets per power.
+        for (q, want) in [(0.5, 500_000.0), (0.99, 990_000.0)] {
+            let got = crate::histogram_quantile(family, q).unwrap();
+            assert!((got - want).abs() <= want / 16.0, "q{q}: {got}");
+        }
     }
 
     #[test]

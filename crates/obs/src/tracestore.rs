@@ -10,11 +10,10 @@
 //! in the `ReplAppend` it is still timing) and the same seed reproduces
 //! the same ids under the sim harness's virtual clock.
 //!
-//! Recording follows the flight recorder's seq-claim/Release-publish
-//! discipline exactly — one relaxed RMW to claim a sequence, plain stores
-//! into the claimed slot, a release store of the sequence to publish —
-//! so it stays inside the same ≤100 ns budget and is safe from any
-//! serving thread. Readers double-load the sequence and skip torn slots.
+//! Spans live in the same `ring::SeqRing` as the flight
+//! recorder's events, six words per span, so recording stays inside the
+//! same ≤100 ns budget and is safe from any serving thread. Readers skip
+//! torn slots.
 //!
 //! The store never reads a clock: callers pass `start_ns`/`dur_ns` read
 //! through their own seam (`adcast_stream::clock::now_ns()` on serving
@@ -32,8 +31,9 @@
     )
 )]
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
+
+use crate::ring::SeqRing;
 
 /// The 16-byte trace context carried on the wire: `trace_id` then
 /// `parent_span_id`, both little-endian `u64`s. An all-zero context means
@@ -190,31 +190,6 @@ pub struct Span {
     pub dur_ns: u64,
 }
 
-/// `seq` 0 marks a never-written slot; live sequence numbers start at 1.
-struct Slot {
-    seq: AtomicU64,
-    trace_id: AtomicU64,
-    span_id: AtomicU64,
-    parent_span_id: AtomicU64,
-    kind: AtomicU64,
-    start_ns: AtomicU64,
-    dur_ns: AtomicU64,
-}
-
-impl Slot {
-    fn empty() -> Slot {
-        Slot {
-            seq: AtomicU64::new(0),
-            trace_id: AtomicU64::new(0),
-            span_id: AtomicU64::new(0),
-            parent_span_id: AtomicU64::new(0),
-            kind: AtomicU64::new(0),
-            start_ns: AtomicU64::new(0),
-            dur_ns: AtomicU64::new(0),
-        }
-    }
-}
-
 /// Ring capacity of the process-wide store: at 7×8 bytes per slot this is
 /// ~224 KiB — a few hundred sampled requests of history, enough for an
 /// end-of-run stitch at smoke sampling rates, irrelevant to the memory
@@ -224,104 +199,63 @@ pub const TRACE_CAPACITY: usize = 4096;
 /// The span ring. Most code records through the process-wide
 /// [`tracestore`]; standalone instances exist for tests and benches.
 pub struct TraceStore {
-    slots: Box<[Slot]>,
-    /// Next sequence number to claim (starts at 1).
-    head: AtomicU64,
-    /// Spans recorded since process start (sampling telemetry).
-    recorded: AtomicU64,
+    /// Words per span: trace_id, span_id, parent, kind, start_ns, dur_ns.
+    ring: SeqRing<6>,
 }
 
 impl TraceStore {
     /// A store holding the most recent `capacity.max(1)` spans.
     #[must_use]
     pub fn new(capacity: usize) -> TraceStore {
-        let capacity = capacity.max(1);
-        let mut slots = Vec::with_capacity(capacity);
-        for _ in 0..capacity {
-            slots.push(Slot::empty());
-        }
         TraceStore {
-            slots: slots.into_boxed_slice(),
-            head: AtomicU64::new(1),
-            recorded: AtomicU64::new(0),
+            ring: SeqRing::new(capacity),
         }
     }
 
-    /// Record one span. Lock-free and allocation-free: one relaxed RMW to
-    /// claim a sequence number, then plain stores into the claimed slot,
-    /// publishing with a release store of the sequence — the same ≤100 ns
-    /// discipline as the flight recorder's `record()`.
+    /// Record one span of a sampled context; unsampled contexts record
+    /// nothing. Lock-free and allocation-free (see `ring.rs`).
     #[inline]
     pub fn record(&self, ctx: TraceContext, kind: SpanKind, salt: u64, start_ns: u64, dur_ns: u64) {
         if !ctx.sampled() {
             return;
         }
-        let seq = self.head.fetch_add(1, Ordering::Relaxed);
-        let slot = &self.slots[(seq as usize) % self.slots.len()];
-        // Invalidate first so a reader that catches us mid-write sees the
-        // seq change across its two loads and discards the slot.
-        slot.seq.store(0, Ordering::Release);
-        slot.trace_id.store(ctx.trace_id, Ordering::Relaxed);
-        slot.span_id.store(
+        self.ring.push([
+            ctx.trace_id,
             span_id(ctx.trace_id, kind, ctx.parent_span_id, salt),
-            Ordering::Relaxed,
-        );
-        slot.parent_span_id
-            .store(ctx.parent_span_id, Ordering::Relaxed);
-        slot.kind.store(kind as u64, Ordering::Relaxed);
-        slot.start_ns.store(start_ns, Ordering::Relaxed);
-        slot.dur_ns.store(dur_ns, Ordering::Relaxed);
-        slot.seq.store(seq, Ordering::Release);
-        self.recorded.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Spans recorded since creation (ring wraparound included).
-    #[must_use]
-    pub fn recorded(&self) -> u64 {
-        self.recorded.load(Ordering::Relaxed)
+            ctx.parent_span_id,
+            kind as u64,
+            start_ns,
+            dur_ns,
+        ]);
     }
 
     /// Bytes resident in the ring (capacity × slot size).
     #[must_use]
     pub fn store_bytes(&self) -> usize {
-        self.slots.len() * std::mem::size_of::<Slot>()
+        self.ring.bytes()
     }
 
     /// Snapshot the ring's stable contents, oldest first. Slots being
     /// concurrently overwritten are skipped.
     #[must_use]
     pub fn spans(&self) -> Vec<Span> {
-        let mut out = Vec::with_capacity(self.slots.len());
-        for slot in self.slots.iter() {
-            let before = slot.seq.load(Ordering::Acquire);
-            if before == 0 {
-                continue;
-            }
-            let trace_id = slot.trace_id.load(Ordering::Relaxed);
-            let span_id = slot.span_id.load(Ordering::Relaxed);
-            let parent_span_id = slot.parent_span_id.load(Ordering::Relaxed);
-            let kind = slot.kind.load(Ordering::Relaxed);
-            let start_ns = slot.start_ns.load(Ordering::Relaxed);
-            let dur_ns = slot.dur_ns.load(Ordering::Relaxed);
-            let after = slot.seq.load(Ordering::Acquire);
-            if before != after {
-                continue; // torn: a writer got between our two loads
-            }
-            let Some(kind) = SpanKind::from_code(kind) else {
-                continue;
-            };
-            out.push(Span {
-                seq: before,
-                trace_id,
-                span_id,
-                parent_span_id,
-                kind,
-                start_ns,
-                dur_ns,
-            });
-        }
-        out.sort_by_key(|s| s.seq);
-        out
+        self.ring
+            .snapshot()
+            .into_iter()
+            .filter_map(
+                |(seq, [trace_id, span_id, parent_span_id, kind, start_ns, dur_ns])| {
+                    Some(Span {
+                        seq,
+                        trace_id,
+                        span_id,
+                        parent_span_id,
+                        kind: SpanKind::from_code(kind)?,
+                        start_ns,
+                        dur_ns,
+                    })
+                },
+            )
+            .collect()
     }
 
     /// The spans of one trace, oldest first.
@@ -498,12 +432,13 @@ pub fn parse_trace_list_json(body: &str) -> Vec<(u64, usize)> {
 mod tests {
     use super::*;
 
+    type Slot = crate::ring::Slot<6>;
+
     #[test]
     fn unsampled_contexts_record_nothing() {
         let store = TraceStore::new(8);
         store.record(TraceContext::NONE, SpanKind::QueueWait, 0, 1, 2);
         assert!(store.spans().is_empty());
-        assert_eq!(store.recorded(), 0);
     }
 
     #[test]
@@ -549,7 +484,6 @@ mod tests {
         assert_eq!(store.trace(11).len(), 5);
         let ids = store.trace_ids();
         assert_eq!(ids, vec![(11, 5), (22, 3)]);
-        assert_eq!(store.recorded(), 9);
         assert_eq!(store.store_bytes(), 8 * std::mem::size_of::<Slot>());
     }
 
