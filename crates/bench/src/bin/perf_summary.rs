@@ -90,6 +90,20 @@ fn time_per_iter(iters: u64, mut f: impl FnMut()) -> f64 {
     started.elapsed().as_secs_f64() / iters as f64
 }
 
+/// Wall seconds of the fastest of three calls; what a call returns is
+/// dropped outside its timing.
+fn best_of_3<T>(mut f: impl FnMut() -> T) -> f64 {
+    (0..3)
+        .map(|_| {
+            let started = Instant::now();
+            let out = f();
+            let secs = started.elapsed().as_secs_f64();
+            drop(out);
+            secs
+        })
+        .fold(f64::MAX, f64::min)
+}
+
 fn main() {
     let scale = Scale::from_env();
     let num_users = scale.pick(2_000u32, 10_000);
@@ -294,6 +308,111 @@ fn main() {
             );
             let _ = std::fs::remove_dir_all(&dir);
         }
+    }
+
+    // --- Restart from a snapshot: the CRC kernel, then what a
+    // snapshot-based recovery spends at a fixed scale close to the
+    // benchmark's — 4 000 users × 2 000 campaigns, 30 000 messages
+    // (~343k deltas) from `net::synth` seed 7, one shard — after a
+    // checkpoint at the end of the log, as `adbench` restarts.
+    // `snapshot_decode_ms` is CRC + parse of the image, `snapshot_restore_ms`
+    // moves it into a fresh store and driver, and `recover_snapshot_ms` is
+    // the whole `recover`: both of those plus reading and checking the
+    // WAL segment the checkpoint could not prune. Each is the best of 3;
+    // the scale does not follow `ADCAST_SCALE`. ---
+    {
+        use adcast_core::snapshot::RelevanceSnapshot;
+        use adcast_durability::crc::crc32;
+        use adcast_durability::snapshot::snapshot_file_name;
+        use adcast_durability::{
+            apply_record, recover, Durability, DurabilityOptions, EngineSetSnapshot, FsyncPolicy,
+            WalOptions, WalRecord,
+        };
+        use adcast_net::synth::{self, SynthConfig};
+
+        let buf: Vec<u8> = (0..16u32 << 20)
+            .map(|i| (i.wrapping_mul(31) >> 3) as u8)
+            .collect();
+        let crc_secs = best_of_3(|| std::hint::black_box(crc32(std::hint::black_box(&buf))));
+        let crc_ns_per_byte = crc_secs * 1e9 / buf.len() as f64;
+        summary.metric("durability", "crc_ns_per_byte", crc_ns_per_byte);
+        println!("durability crc32: {crc_ns_per_byte:.2} ns/B");
+
+        let workload = synth::build(&SynthConfig {
+            num_users: 4_000,
+            num_ads: 2_000,
+            messages: 30_000,
+            batch_size: 60,
+            msgs_per_sec: 200.0,
+            seed: 7,
+        });
+        let num_users = workload.num_users;
+        let dir = std::env::temp_dir().join(format!("adcast-perf-restart-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let wal = WalOptions {
+            fsync: FsyncPolicy::Off,
+            ..WalOptions::default()
+        };
+        let recovered = recover(&dir, num_users, 1, EngineConfig::default(), wal).expect("cold");
+        let mut durability = Durability::new(
+            &dir,
+            recovered.wal,
+            DurabilityOptions {
+                wal,
+                ..DurabilityOptions::default()
+            },
+            recovered.report,
+        );
+        let (mut store, mut driver) = (recovered.store, recovered.driver);
+        let submits = workload
+            .campaigns
+            .into_iter()
+            .map(|spec| WalRecord::Submit(spec.try_into_submission().expect("valid campaign")));
+        for record in submits.chain(workload.batches.into_iter().map(WalRecord::IngestBatch)) {
+            durability.log(&record).expect("log");
+            durability.commit().expect("commit");
+            apply_record(&mut store, &mut driver, record).expect("apply");
+        }
+        let checkpoint = durability.checkpoint(&store, &driver).expect("checkpoint");
+        drop((durability, store, driver));
+
+        let recover_secs = best_of_3(|| {
+            let r = recover(&dir, num_users, 1, EngineConfig::default(), wal).expect("recover");
+            assert_eq!(r.report.snapshot_lsn, Some(checkpoint));
+            r
+        });
+        let raw = std::fs::read(dir.join(snapshot_file_name(checkpoint))).expect("read image");
+        let image = bytes::Bytes::from(raw);
+        let decode_secs = best_of_3(|| EngineSetSnapshot::decode(image.clone()).expect("decode"));
+        let decoded = EngineSetSnapshot::decode(image.clone()).expect("decode");
+        let exact_users = decoded
+            .engines
+            .iter()
+            .flat_map(|e| &e.users)
+            .filter(|u| matches!(u.relevance, RelevanceSnapshot::Exact { .. }))
+            .count();
+        let mut copies = vec![decoded.clone(), decoded.clone(), decoded];
+        let restore_secs = best_of_3(|| {
+            let snap = copies.pop().expect("one copy per call");
+            let store = AdStore::from_snapshot(snap.store).expect("store");
+            let mut driver = ShardedDriver::new(num_users, 1, EngineConfig::default());
+            driver.restore_snapshots(snap.engines).expect("restore");
+            (store, driver)
+        });
+        let snapshot_mb = image.len() as f64 / 1e6;
+        summary.metric("durability", "snapshot_mb", snapshot_mb);
+        summary.metric("durability", "snapshot_exact_users", exact_users as f64);
+        summary.metric("durability", "snapshot_decode_ms", decode_secs * 1e3);
+        summary.metric("durability", "snapshot_restore_ms", restore_secs * 1e3);
+        summary.metric("durability", "recover_snapshot_ms", recover_secs * 1e3);
+        println!(
+            "durability restart: {snapshot_mb:.1} MB snapshot ({exact_users} of {num_users} users \
+             on exact lanes), decode {:.1} ms, restore {:.1} ms, recover {:.1} ms",
+            decode_secs * 1e3,
+            restore_secs * 1e3,
+            recover_secs * 1e3
+        );
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     // --- Cluster: the same loadgen through a 2-partition router fleet,

@@ -411,8 +411,9 @@ impl ShardedDriver {
     }
 
     /// Restore shard engine states captured by
-    /// [`export_snapshots`](Self::export_snapshots). Shard count and
-    /// per-shard user counts must match this driver's layout.
+    /// [`export_snapshots`](Self::export_snapshots), moving each shard's
+    /// state in. Shard count and per-shard user counts must match this
+    /// driver's layout.
     ///
     /// # Errors
     ///
@@ -420,7 +421,7 @@ impl ShardedDriver {
     /// restored and should be discarded on error.
     pub fn restore_snapshots(
         &mut self,
-        snapshots: &[crate::snapshot::EngineSnapshot],
+        snapshots: Vec<crate::snapshot::EngineSnapshot>,
     ) -> Result<(), String> {
         if snapshots.len() != self.engines.len() {
             return Err(format!(
@@ -429,7 +430,7 @@ impl ShardedDriver {
                 self.engines.len()
             ));
         }
-        for (s, snap) in snapshots.iter().enumerate() {
+        for (s, snap) in snapshots.into_iter().enumerate() {
             self.lock_engine(s)
                 .restore_snapshot(snap)
                 .map_err(|e| format!("shard {s}: {e}"))?;

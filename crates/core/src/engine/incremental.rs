@@ -394,7 +394,8 @@ impl IncrementalEngine {
     /// Restore state captured by [`export_snapshot`](Self::export_snapshot)
     /// into this engine. The engine must have been built with the same
     /// user count and a configuration whose buffer/cache capacities can
-    /// hold the snapshot's entries. An exact lane is restored by copy.
+    /// hold the snapshot's entries. The snapshot is consumed: contexts and
+    /// exact lanes move into the engine without a copy.
     ///
     /// Work counters are reset and then set to the snapshot's totals, so a
     /// recovery that replays a WAL tail on top counts each replayed delta
@@ -404,7 +405,7 @@ impl IncrementalEngine {
     ///
     /// A description of the mismatch; the engine may be partially
     /// restored and should be discarded on error.
-    pub fn restore_snapshot(&mut self, snapshot: &EngineSnapshot) -> Result<(), String> {
+    pub fn restore_snapshot(&mut self, snapshot: EngineSnapshot) -> Result<(), String> {
         if snapshot.users.len() != self.users.len() {
             return Err(format!(
                 "snapshot holds {} users, engine has {}",
@@ -412,11 +413,11 @@ impl IncrementalEngine {
                 self.users.len()
             ));
         }
-        for (i, (st, snap)) in self.users.iter_mut().zip(&snapshot.users).enumerate() {
+        for (i, (st, snap)) in self.users.iter_mut().zip(snapshot.users).enumerate() {
             st.ctx
-                .restore_parts(snap.landmark, snap.last_ts, snap.context.clone());
+                .restore_parts(snap.landmark, snap.last_ts, snap.context);
             st.index_epoch = snap.index_epoch;
-            st.relevance = match &snap.relevance {
+            st.relevance = match snap.relevance {
                 RelevanceSnapshot::Bounded {
                     buffer,
                     cache,
@@ -438,21 +439,21 @@ impl IncrementalEngine {
                             self.config.cache_capacity
                         ));
                     }
-                    for &(ad, rel) in buffer {
+                    for (ad, rel) in buffer {
                         // len ≤ capacity, so insert never evicts and the
                         // rank closure is never consulted.
                         b.buffer.insert(ad, rel, |_, r| r);
                     }
-                    for &(ad, bound) in cache {
+                    for (ad, bound) in cache {
                         b.cache.insert(ad, bound);
                     }
-                    b.ceiling = *ceiling;
-                    b.outside_bound = *outside_bound;
+                    b.ceiling = ceiling;
+                    b.outside_bound = outside_bound;
                     Relevance::Bounded(b)
                 }
                 RelevanceSnapshot::Exact { lane, since_anchor } => Relevance::Exact(ExactLane {
-                    rel: lane.clone(),
-                    since_anchor: *since_anchor,
+                    rel: lane,
+                    since_anchor,
                 }),
             };
         }
@@ -1911,7 +1912,7 @@ mod tests {
                     "the cut must fall between re-anchors: {mid:?}"
                 );
                 let mut e = IncrementalEngine::new(USERS, config.clone());
-                e.restore_snapshot(&whole.export_snapshot()).unwrap();
+                e.restore_snapshot(whole.export_snapshot()).unwrap();
                 assert_eq!(e.export_snapshot(), whole.export_snapshot());
                 restored = Some(e);
             }

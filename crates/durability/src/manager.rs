@@ -194,6 +194,8 @@ impl Durability {
                         let started = now_ns();
                         let outcome = write_snapshot_atomic_on(&*backend, job.next_lsn, &job.bytes);
                         snapshot_write_ns.record(now_ns().saturating_sub(started));
+                        // The write read the file back, so pruning runs
+                        // only behind a snapshot that decodes as encoded.
                         if outcome.is_ok() {
                             written.fetch_add(1, Ordering::Relaxed);
                             // Pruning failures are not fatal: the snapshot
@@ -229,6 +231,25 @@ impl Durability {
         let lsn = self.wal.append(record)?;
         self.records_since_snapshot += 1;
         Ok(lsn)
+    }
+
+    /// Append a record body exactly as another node encoded and logged it
+    /// (a follower taking its primary's shipment), so both logs hold the
+    /// same bytes at every LSN. The caller must have decoded `body`.
+    ///
+    /// # Errors
+    ///
+    /// As [`Self::log`].
+    pub fn log_encoded(&mut self, body: &[u8]) -> Result<u64, DurabilityError> {
+        let lsn = self.wal.append_encoded(body)?;
+        self.records_since_snapshot += 1;
+        Ok(lsn)
+    }
+
+    /// The body of the record last logged, byte for byte as the WAL holds
+    /// it: what a primary ships instead of encoding the record again.
+    pub fn last_logged(&self) -> &[u8] {
+        self.wal.last_body()
     }
 
     /// Group-commit everything logged since the last commit (one fsync
@@ -436,6 +457,134 @@ mod tests {
         let snapshots = list_snapshots(&dir).unwrap();
         assert_eq!(snapshots.len(), 2, "pruned to keep_snapshots");
         assert_eq!(snapshots.last().unwrap().next_lsn, 20);
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A disk that flips one byte of the next snapshot renamed into
+    /// place once armed.
+    struct CorruptingBackend {
+        inner: crate::backend::FsBackend,
+        armed: std::sync::atomic::AtomicBool,
+    }
+
+    impl StorageBackend for CorruptingBackend {
+        fn create(&self, name: &str) -> std::io::Result<Box<dyn crate::backend::StorageFile>> {
+            self.inner.create(name)
+        }
+        fn read(&self, name: &str) -> std::io::Result<Vec<u8>> {
+            self.inner.read(name)
+        }
+        fn list(&self) -> std::io::Result<Vec<String>> {
+            self.inner.list()
+        }
+        fn remove(&self, name: &str) -> std::io::Result<()> {
+            self.inner.remove(name)
+        }
+        fn rename(&self, from: &str, to: &str) -> std::io::Result<()> {
+            self.inner.rename(from, to)?;
+            if crate::snapshot::parse_snapshot_name(to).is_some()
+                && self.armed.swap(false, Ordering::Relaxed)
+            {
+                let path = self.inner.dir().join(to);
+                let mut raw = fs::read(&path)?;
+                let mid = raw.len() / 2;
+                raw[mid] ^= 0x10;
+                fs::write(&path, raw)?;
+            }
+            Ok(())
+        }
+        fn truncate(&self, name: &str, len: u64) -> std::io::Result<()> {
+            self.inner.truncate(name, len)
+        }
+        fn sync_dir(&self) -> std::io::Result<()> {
+            self.inner.sync_dir()
+        }
+    }
+
+    fn log_and_apply(
+        durability: &mut Durability,
+        store: &mut AdStore,
+        driver: &mut ShardedDriver,
+        record: WalRecord,
+    ) {
+        durability.log(&record).unwrap();
+        durability.commit().unwrap();
+        apply_record(store, driver, record).unwrap();
+    }
+
+    #[test]
+    fn a_snapshot_that_does_not_read_back_prunes_nothing() {
+        use crate::recovery::recover_on;
+        use crate::snapshot::{list_snapshot_lsns_on, SnapshotError};
+        use crate::wal::list_segment_lsns_on;
+
+        let dir = temp_dir("readback");
+        let backend = StdArc::new(CorruptingBackend {
+            inner: crate::backend::FsBackend::new(&dir),
+            armed: std::sync::atomic::AtomicBool::new(false),
+        });
+        let wal_options = WalOptions {
+            fsync: FsyncPolicy::Off,
+            segment_bytes: 256,
+        };
+        let wal = WalWriter::create_on(backend.clone(), wal_options, 0).unwrap();
+        let options = DurabilityOptions {
+            wal: wal_options,
+            snapshot_every: 0,
+            keep_snapshots: 1,
+        };
+        let mut durability =
+            Durability::new_on(backend.clone(), wal, options, RecoveryReport::default());
+        let (mut store, mut driver) = (AdStore::new(), ShardedDriver::new(4, 1, config()));
+        let submit = WalRecord::Submit(AdSubmission {
+            vector: v(&[(0, 1.0)]),
+            bid: 1.0,
+            targeting: Targeting::everywhere(),
+            budget: Budget::unlimited(),
+            topic_hint: None,
+        });
+        log_and_apply(&mut durability, &mut store, &mut driver, submit);
+        let ingest =
+            |i: u64| WalRecord::IngestBatch(vec![(UserId((i % 4) as u32), delta(0, i + 1))]);
+        for i in 0..12 {
+            log_and_apply(&mut durability, &mut store, &mut driver, ingest(i));
+        }
+        let good = durability.checkpoint(&store, &driver).unwrap();
+        for i in 12..24 {
+            log_and_apply(&mut durability, &mut store, &mut driver, ingest(i));
+        }
+        let segments = list_segment_lsns_on(&*backend).unwrap();
+        assert!(
+            segments.len() > 2,
+            "the log must span segments: {segments:?}"
+        );
+
+        // The disk corrupts the next snapshot: the checkpoint fails, the
+        // bad file is gone, and not one snapshot or segment was pruned.
+        backend.armed.store(true, Ordering::Relaxed);
+        let Err(DurabilityError::Snapshot(SnapshotError::ReadBack(_))) =
+            durability.checkpoint(&store, &driver)
+        else {
+            panic!("a snapshot that does not read back must fail the checkpoint");
+        };
+        assert_eq!(list_segment_lsns_on(&*backend).unwrap(), segments);
+        assert_eq!(list_snapshot_lsns_on(&*backend).unwrap(), vec![good]);
+        assert_eq!(durability.counters().snapshots_written, 1);
+        for i in 24..30 {
+            log_and_apply(&mut durability, &mut store, &mut driver, ingest(i));
+        }
+        let tip = durability.next_lsn();
+        drop(durability);
+
+        // Recovery falls back to the older snapshot plus the WAL and
+        // lands on the live state byte for byte.
+        let recovered = recover_on(backend, 4, 1, config(), wal_options).unwrap();
+        assert_eq!(recovered.report.snapshot_lsn, Some(good));
+        assert_eq!(recovered.report.replayed_records, tip - good);
+        assert_eq!(
+            EngineSetSnapshot::capture(tip, &recovered.store, &recovered.driver).encode(),
+            EngineSetSnapshot::capture(tip, &store, &driver).encode()
+        );
         fs::remove_dir_all(&dir).ok();
     }
 

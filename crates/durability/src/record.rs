@@ -106,20 +106,26 @@ impl WalRecord {
     /// Encode the record payload (no WAL framing).
     pub fn encode(&self) -> Bytes {
         let mut buf = BytesMut::with_capacity(64);
+        self.encode_into(&mut buf);
+        buf.freeze()
+    }
+
+    /// Append the record payload (no WAL framing) to `buf`.
+    pub fn encode_into(&self, buf: &mut BytesMut) {
         match self {
             WalRecord::IngestBatch(deltas) => {
                 buf.put_u8(T_INGEST);
-                put_batch(&mut buf, deltas);
+                put_batch(buf, deltas);
             }
             WalRecord::Submit(sub) => {
                 buf.put_u8(T_SUBMIT);
-                put_vector(&mut buf, &sub.vector);
+                put_vector(buf, &sub.vector);
                 buf.put_f32_le(sub.bid);
                 let (total, spent) = sub.budget.to_micros();
                 buf.put_u64_le(total);
                 buf.put_u64_le(spent);
-                put_targeting(&mut buf, sub.targeting.locations(), sub.targeting.slots());
-                put_opt(&mut buf, sub.topic_hint, |b, t| b.put_u64_le(t as u64));
+                put_targeting(buf, sub.targeting.locations(), sub.targeting.slots());
+                put_opt(buf, sub.topic_hint, |b, t| b.put_u64_le(t as u64));
             }
             WalRecord::Pause(ad) => {
                 buf.put_u8(T_PAUSE);
@@ -163,7 +169,6 @@ impl WalRecord {
                 buf.put_u64_le(idle_for.micros());
             }
         }
-        buf.freeze()
     }
 
     /// Decode one record payload, consuming `data` entirely.

@@ -123,6 +123,9 @@ impl From<crate::snapshot::SnapshotError> for RecoveryError {
         match e {
             crate::snapshot::SnapshotError::Io(io) => RecoveryError::Io(io),
             crate::snapshot::SnapshotError::Wal(w) => RecoveryError::Wal(w),
+            e @ crate::snapshot::SnapshotError::ReadBack(_) => {
+                RecoveryError::Snapshot(e.to_string())
+            }
         }
     }
 }
@@ -200,7 +203,7 @@ pub fn recover_on(
             let store = AdStore::from_snapshot(snapshot.store).map_err(RecoveryError::Snapshot)?;
             let mut driver = ShardedDriver::new(num_users, num_shards, config);
             driver
-                .restore_snapshots(&snapshot.engines)
+                .restore_snapshots(snapshot.engines)
                 .map_err(RecoveryError::Snapshot)?;
             (store, driver, snapshot.next_lsn)
         }

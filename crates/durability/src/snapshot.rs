@@ -68,6 +68,9 @@ pub const SNAPSHOT_VERSION: u16 = 2;
 /// Upper bound on one snapshot payload (1 GiB) — declared lengths above
 /// this are rejected before allocation.
 pub const MAX_SNAPSHOT: usize = 1 << 30;
+/// Bytes of file header before the payload: stream header, then
+/// `payload_len u32 | crc32 u32`.
+const FILE_HEADER: usize = 16;
 
 /// Snapshot subsystem failure.
 #[derive(Debug)]
@@ -77,6 +80,9 @@ pub enum SnapshotError {
     Io(io::Error),
     /// WAL-side failure while pruning segments a snapshot made redundant.
     Wal(wal::WalError),
+    /// The named file did not read back as the bytes just written to it
+    /// (a failing or lying disk). It was removed, and nothing was pruned.
+    ReadBack(String),
 }
 
 impl std::fmt::Display for SnapshotError {
@@ -84,6 +90,9 @@ impl std::fmt::Display for SnapshotError {
         match self {
             SnapshotError::Io(e) => write!(f, "snapshot io: {e}"),
             SnapshotError::Wal(e) => write!(f, "snapshot prune: {e}"),
+            SnapshotError::ReadBack(name) => {
+                write!(f, "snapshot {name} did not read back as written")
+            }
         }
     }
 }
@@ -133,21 +142,28 @@ impl EngineSetSnapshot {
     /// Serialize to the full file byte image (header + CRC + payload).
     /// `next_lsn` lives inside the CRC-covered payload, so a bit flip in
     /// the replay position is caught like any other corruption.
+    ///
+    /// The image is built in one buffer: the header with a zeroed
+    /// `payload_len | crc32` slot, then the payload, then the slot is
+    /// patched in place — the payload is never copied a second time.
     pub fn encode(&self) -> Bytes {
-        let mut payload = BytesMut::with_capacity(4096);
-        payload.put_u64_le(self.next_lsn);
-        payload.put_u32_le(self.num_users);
-        payload.put_u32_le(self.num_shards);
-        put_store(&mut payload, &self.store);
-        for engine in &self.engines {
-            put_engine(&mut payload, engine);
-        }
-        let payload = payload.freeze();
-        let mut file = BytesMut::with_capacity(16 + payload.len());
+        let mut file = BytesMut::new();
         put_stream_header(&mut file, SNAPSHOT_MAGIC, SNAPSHOT_VERSION);
-        put_len32(&mut file, payload.len());
-        file.put_u32_le(crc32(&payload));
-        file.put_slice(&payload);
+        file.put_u64_le(0);
+        file.put_u64_le(self.next_lsn);
+        file.put_u32_le(self.num_users);
+        file.put_u32_le(self.num_shards);
+        put_store(&mut file, &self.store);
+        for engine in &self.engines {
+            put_engine(&mut file, engine);
+        }
+        let payload = file.get(FILE_HEADER..).unwrap_or_default();
+        let mut slot = BytesMut::with_capacity(8);
+        put_len32(&mut slot, payload.len());
+        slot.put_u32_le(crc32(payload));
+        if let Some(dst) = file.get_mut(FILE_HEADER - 8..FILE_HEADER) {
+            dst.copy_from_slice(&slot);
+        }
         file.freeze()
     }
 
@@ -314,9 +330,11 @@ fn get_stats(cur: &mut Cursor) -> Result<EngineStats, TraceError> {
 
 fn put_scored_list(buf: &mut BytesMut, entries: &[(AdId, f32)]) {
     put_len32(buf, entries.len());
-    for &(ad, v) in entries {
-        buf.put_u32_le(ad.0);
-        buf.put_f32_le(v);
+    let start = buf.len();
+    buf.resize(start + 8 * entries.len(), 0);
+    let (dst, _) = buf[start..].as_chunks_mut::<8>();
+    for (d, &(ad, v)) in dst.iter_mut().zip(entries) {
+        *d = (u64::from(ad.0) | u64::from(v.to_bits()) << 32).to_le_bytes();
     }
 }
 
@@ -348,10 +366,14 @@ fn get_finite(cur: &mut Cursor, what: &'static str) -> Result<f32, TraceError> {
     }
 }
 
+/// Write a lane in bulk: one resize, then a straight copy loop.
 fn put_lane(buf: &mut BytesMut, lane: &[f32]) {
     put_len32(buf, lane.len());
-    for &v in lane {
-        buf.put_f32_le(v);
+    let start = buf.len();
+    buf.resize(start + 4 * lane.len(), 0);
+    let (dst, _) = buf[start..].as_chunks_mut::<4>();
+    for (d, v) in dst.iter_mut().zip(lane) {
+        *d = v.to_le_bytes();
     }
 }
 
@@ -491,11 +513,14 @@ pub fn list_snapshot_lsns_on(backend: &dyn StorageBackend) -> Result<Vec<u64>, S
 /// goes to a `.tmp` file, is fsynced, renamed into place, and the
 /// directory is fsynced. A crash at any point leaves either the old
 /// snapshot set or the complete new file — never a torn snapshot under
-/// the real name.
+/// the real name. The file is then read back and compared with `bytes`;
+/// one that differs is removed, so callers prune only behind a snapshot
+/// that reads back.
 ///
 /// # Errors
 ///
-/// [`SnapshotError::Io`] on filesystem failures.
+/// [`SnapshotError::Io`] on filesystem failures,
+/// [`SnapshotError::ReadBack`] when the file does not read back.
 pub fn write_snapshot_atomic(
     dir: &Path,
     next_lsn: u64,
@@ -511,7 +536,7 @@ pub fn write_snapshot_atomic(
 ///
 /// # Errors
 ///
-/// [`SnapshotError::Io`] on backend failures.
+/// As [`write_snapshot_atomic`].
 pub fn write_snapshot_atomic_on(
     backend: &dyn StorageBackend,
     next_lsn: u64,
@@ -526,6 +551,13 @@ pub fn write_snapshot_atomic_on(
     drop(tmp);
     backend.rename(&tmp_name, &final_name)?;
     backend.sync_dir()?;
+    if backend.read(&final_name)? != bytes {
+        // Best effort: a file that does not read back must not count
+        // toward the retained set the next prune keeps.
+        let _ = backend.remove(&final_name);
+        let _ = backend.sync_dir();
+        return Err(SnapshotError::ReadBack(final_name));
+    }
     Ok(final_name)
 }
 
@@ -908,7 +940,7 @@ mod tests {
 
         let restored_store = AdStore::from_snapshot(decoded.store).unwrap();
         let mut restored = ShardedDriver::new(8, 2, EngineConfig::default());
-        restored.restore_snapshots(&decoded.engines).unwrap();
+        restored.restore_snapshots(decoded.engines).unwrap();
 
         assert_eq!(restored_store.export_snapshot(), store.export_snapshot());
         assert_eq!(restored_store.index_epoch(), store.index_epoch());

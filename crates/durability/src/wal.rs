@@ -40,7 +40,7 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use adcast_stream::clock::now_ns;
-use adcast_stream::cursor::{put_len32, put_stream_header, Cursor, TraceError};
+use adcast_stream::cursor::{put_stream_header, Cursor, TraceError};
 use bytes::{BufMut, Bytes, BytesMut};
 
 use crate::backend::{fs_backend, StorageBackend, StorageFile};
@@ -57,6 +57,10 @@ pub const SEGMENT_HEADER: u64 = 8 + 8;
 /// Upper bound on one record payload; larger declared lengths are
 /// rejected before allocation, mirroring the wire codec's `MAX_FRAME`.
 pub const MAX_RECORD: usize = 64 << 20;
+/// Bytes of `len u32 | crc32 u32` framing before a record's payload.
+const RECORD_PREFIX: usize = 8;
+/// Offset of the record body within a frame (`len | crc | lsn`).
+const BODY_OFFSET: usize = RECORD_PREFIX + 8;
 
 /// When to fsync committed records.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -371,6 +375,9 @@ pub struct WalWriter {
     fsync_ns: adcast_obs::Hist,
     /// Span timing: segment rotation (final fsync + new segment) time.
     rotate_ns: adcast_obs::Hist,
+    /// The last appended frame, reused for the next one, so an append
+    /// encodes straight into its frame and allocates nothing once warm.
+    frame: BytesMut,
 }
 
 impl WalWriter {
@@ -418,6 +425,7 @@ impl WalWriter {
                 "adcast_durability_rotate_ns",
                 "WAL segment rotation time (closing fsync plus new segment).",
             ),
+            frame: BytesMut::new(),
         })
     }
 
@@ -430,23 +438,53 @@ impl WalWriter {
     /// [`MAX_RECORD`] (it could never be read back), [`WalError::Io`] on
     /// filesystem failures.
     pub fn append(&mut self, record: &WalRecord) -> Result<u64, WalError> {
+        self.append_with(|frame| record.encode_into(frame))
+    }
+
+    /// Append a record body that is already encoded — a follower logging
+    /// what its primary shipped — verbatim, so both logs hold the same
+    /// bytes at the same LSN. The caller vouches that `body` decodes.
+    ///
+    /// # Errors
+    ///
+    /// As [`WalWriter::append`].
+    pub fn append_encoded(&mut self, body: &[u8]) -> Result<u64, WalError> {
+        self.append_with(|frame| frame.put_slice(body))
+    }
+
+    /// The body of the most recently appended record, byte for byte as
+    /// it was logged (empty before the first append).
+    pub fn last_body(&self) -> &[u8] {
+        self.frame.get(BODY_OFFSET..).unwrap_or_default()
+    }
+
+    /// Frame one record in the reused buffer: a zeroed `len | crc`
+    /// prefix, the LSN, then the body from `encode`; the prefix is
+    /// patched in place once the payload is complete.
+    fn append_with(&mut self, encode: impl FnOnce(&mut BytesMut)) -> Result<u64, WalError> {
         let lsn = self.next_lsn;
-        let body = record.encode();
-        let mut payload = BytesMut::with_capacity(8 + body.len());
-        payload.put_u64_le(lsn);
-        payload.put_slice(&body);
-        if payload.len() > MAX_RECORD {
-            return Err(WalError::RecordTooLarge { len: payload.len() });
+        self.frame.clear();
+        self.frame.put_u64_le(0);
+        self.frame.put_u64_le(lsn);
+        encode(&mut self.frame);
+        let payload = self.frame.get(RECORD_PREFIX..).unwrap_or_default();
+        let len = payload.len();
+        let Some(len32) = u32::try_from(len).ok().filter(|_| len <= MAX_RECORD) else {
+            // Release the oversized buffer rather than keep it for reuse.
+            self.frame = BytesMut::new();
+            return Err(WalError::RecordTooLarge { len });
+        };
+        // `len u32 | crc u32`, both little-endian, is one LE u64.
+        let prefix = u64::from(len32) | u64::from(crc32(payload)) << 32;
+        if let Some(head) = self.frame.first_chunk_mut() {
+            *head = prefix.to_le_bytes();
         }
-        let mut frame = BytesMut::with_capacity(8 + payload.len());
-        put_len32(&mut frame, payload.len());
-        frame.put_u32_le(crc32(&payload));
-        frame.put_slice(&payload);
-        self.file.write_all(&frame)?;
+        self.file.write_all(&self.frame)?;
+        let framed = self.frame.len() as u64;
         self.next_lsn += 1;
-        self.segment_written += frame.len() as u64;
+        self.segment_written += framed;
         self.records += 1;
-        self.bytes += frame.len() as u64;
+        self.bytes += framed;
         Ok(lsn)
     }
 
@@ -629,6 +667,40 @@ mod tests {
             }
         }
         assert_eq!(lsn, 40);
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn segment_framing_is_golden() {
+        // A fixed record sequence (Submit, IngestBatch, Pause, Impression)
+        // across a rotation: the digest of every segment's name and bytes
+        // pins the header, the `len | crc | lsn | body` framing and the
+        // rotation point byte for byte.
+        let dir = temp_dir("golden");
+        let options = WalOptions {
+            fsync: FsyncPolicy::Off,
+            segment_bytes: 128,
+        };
+        let samples = sample_records();
+        let sequence = [&samples[2], &samples[0], &samples[4], &samples[8]];
+        let mut w = WalWriter::create(&dir, options, 7).unwrap();
+        for record in sequence {
+            w.append(record).unwrap();
+            w.commit().unwrap();
+        }
+        drop(w);
+        let segments = list_segments(&dir).unwrap();
+        assert_eq!(segments.len(), 2, "the sequence must rotate");
+        let mut all = Vec::new();
+        for seg in &segments {
+            all.extend_from_slice(segment_file_name(seg.base_lsn).as_bytes());
+            all.extend_from_slice(&fs::read(&seg.path).unwrap());
+        }
+        assert_eq!(
+            crate::record::tests::fnv1a(&all),
+            0x028c_208f_8e7c_354f,
+            "wal framing changed"
+        );
         fs::remove_dir_all(&dir).ok();
     }
 

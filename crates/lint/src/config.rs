@@ -63,7 +63,7 @@ pub const ACK_LADDERS: &[Ladder] = &[
     Ladder {
         file: "crates/net/src/replication.rs",
         func: "replica_append",
-        steps: &["log", "commit", "apply_record"],
+        steps: &["log_encoded", "commit", "apply_record"],
         doc: "the follower logs and commits the whole batch before applying it",
     },
 ];

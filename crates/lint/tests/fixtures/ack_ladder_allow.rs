@@ -3,7 +3,7 @@
 // adcast-lint: allow(ack-ladder) -- fixture: this replay path applies from an already-durable snapshot, so commit order is moot
 fn replica_append(d: &mut Wal, entries: &[Record]) -> Result<u64, WalError> {
     for r in entries {
-        d.log(r)?;
+        d.log_encoded(r)?;
     }
     for r in entries {
         apply_record(d, r)?;

@@ -5,7 +5,7 @@
 
 fn append_batch(d: &mut Wal, entries: &[Record]) -> Result<u64, WalError> {
     for r in entries {
-        d.log(r)?;
+        d.log_encoded(r)?;
     }
     d.commit()?;
     for r in entries {

@@ -3,7 +3,7 @@
 
 fn replica_append(d: &mut Wal, entries: &[Record]) -> Result<u64, WalError> {
     for r in entries {
-        d.log(r)?;
+        d.log_encoded(r)?;
     }
     d.commit()?;
     for r in entries {

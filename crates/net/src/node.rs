@@ -339,7 +339,7 @@ impl Node {
             }
             if self.sink.is_some() {
                 if let Ok(lsn) = logged {
-                    shipment = Some((lsn, record.encode()));
+                    shipment = Some((lsn, Bytes::copy_from_slice(d.last_logged())));
                 }
             }
         }

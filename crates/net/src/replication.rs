@@ -235,11 +235,12 @@ impl ReplicaError {
     }
 }
 
-/// Follower side of `ReplAppend`: check LSN continuity, decode, log,
-/// group-commit (one fsync for the batch), then apply every record
-/// through the shared [`apply_record`] path — the hot-standby discipline
-/// that makes promotion instant. Returns the new highest durable LSN
-/// count (`next_lsn` after the batch).
+/// Follower side of `ReplAppend`: check LSN continuity, decode, log the
+/// shipped bodies verbatim (so the follower's WAL is byte-identical to
+/// the primary's), group-commit (one fsync for the batch), then apply
+/// every decoded record through the shared [`apply_record`] path — the
+/// hot-standby discipline that makes promotion instant. Returns the new
+/// highest durable LSN count (`next_lsn` after the batch).
 ///
 /// All-or-nothing: continuity and decode are checked for the whole batch
 /// before the first byte is logged, so a refused batch leaves no partial
@@ -271,8 +272,10 @@ pub fn replica_append(
     }
     let salt = 0;
     let commit_started = now_ns();
-    for record in &records {
-        durability.log(record).map_err(ReplicaError::Durability)?;
+    for (_, body) in entries {
+        durability
+            .log_encoded(body)
+            .map_err(ReplicaError::Durability)?;
     }
     durability.commit().map_err(ReplicaError::Durability)?;
     tracestore().record(
@@ -333,7 +336,7 @@ pub fn install_snapshot_on(
         setup.engine.clone(),
     );
     driver
-        .restore_snapshots(&decoded.engines)
+        .restore_snapshots(decoded.engines)
         .map_err(ReplicaError::State)?;
     write_snapshot_atomic_on(&*setup.backend, next_lsn, &snapshot)
         .map_err(|e| ReplicaError::State(e.to_string()))?;

@@ -32,9 +32,11 @@
 //! Same config ⇒ byte-identical transcript and summary, like the
 //! single-node runner.
 
+use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex, MutexGuard, Weak};
 
 use adcast_core::EngineConfig;
+use adcast_durability::wal::{list_segment_lsns_on, read_segment_on};
 use adcast_durability::{Durability, DurabilityOptions, StorageBackend, WalOptions, WalRecord};
 use adcast_graph::UserId;
 use adcast_net::protocol::{Request, Response, WireError};
@@ -417,6 +419,18 @@ pub fn run_cluster(config: ClusterSimConfig) -> Result<ClusterOutcome, String> {
     runner.execute(workload)
 }
 
+/// Every `(lsn, record body)` in the WAL on `backend`, in log order.
+fn wal_records(backend: &dyn StorageBackend) -> Result<Vec<(u64, Bytes)>, String> {
+    let segments = list_segment_lsns_on(backend).map_err(|e| e.to_string())?;
+    let mut records = Vec::new();
+    for (i, &base) in segments.iter().enumerate() {
+        let is_last = i + 1 == segments.len();
+        let segment = read_segment_on(backend, base, is_last).map_err(|e| e.to_string())?;
+        records.extend(segment.records);
+    }
+    Ok(records)
+}
+
 /// Start (or restart) a node on `backend` in `state`: recover whatever
 /// is on disk, and ship to slot `peer` of `link`.
 fn boot(
@@ -518,6 +532,7 @@ impl ClusterRunner {
                     ));
                 }
                 self.check_twin(p, f)?;
+                self.check_logs(p, f)?;
             }
             let part = &self.parts[p];
             if part.acked_log.len() as u64 != primary_lsn {
@@ -803,6 +818,30 @@ impl ClusterRunner {
             ));
         }
         self.c.twin_checks += 1;
+        Ok(())
+    }
+
+    /// Follower `f`'s WAL must hold the primary's record bytes at every
+    /// LSN both logs still have: the follower logs what was shipped
+    /// verbatim, and the primary ships what it logged.
+    fn check_logs(&mut self, p: usize, f: usize) -> Result<(), String> {
+        let part = &self.parts[p];
+        let primary: BTreeMap<u64, Bytes> = wal_records(&*part.backends[part.serving])?
+            .into_iter()
+            .collect();
+        let mut shared = 0u64;
+        for (lsn, body) in wal_records(&*part.backends[f])? {
+            match primary.get(&lsn) {
+                Some(ours) if *ours != body => {
+                    return Err(format!(
+                        "partition {p}: follower wal record {lsn} differs from the primary's"
+                    ));
+                }
+                Some(_) => shared += 1,
+                None => {}
+            }
+        }
+        self.line(format!("wal_identical partition={p} records={shared}"));
         Ok(())
     }
 

@@ -13,7 +13,8 @@
 //! 4. same config ⇒ byte-identical transcript and summary, faults
 //!    included,
 //! 5. a sampled write leaves the production ack ladder's spans — the
-//!    simulator drives the same `Node` the TCP server does.
+//!    simulator drives the same `Node` the TCP server does,
+//! 6. primary and follower WALs hold the same record bytes at every LSN.
 
 use adcast_obs::tracestore::{trace_id_for, tracestore, Span, SpanKind};
 use adcast_sim::{run_cluster, ClusterFault, ClusterFaultAt, ClusterSimConfig};
@@ -61,6 +62,29 @@ fn isolated_follower_catches_up_by_snapshot_transfer() {
     assert!(outcome
         .transcript
         .contains("readyz partition=1 state=ready"));
+}
+
+#[test]
+fn replicated_wal_records_are_byte_identical_at_every_lsn() {
+    // The follower logs the primary's shipped bytes verbatim, so at the
+    // end of a replicated run both logs agree record for record; the
+    // harness errors on the first differing LSN.
+    let outcome = run_cluster(ClusterSimConfig::smoke(19, 2)).unwrap();
+    for p in 0..2 {
+        let line = format!("wal_identical partition={p} records=");
+        let records: u64 = outcome
+            .transcript
+            .lines()
+            .find_map(|l| l.split_once(&line).map(|(_, n)| n.parse().unwrap()))
+            .unwrap_or_else(|| panic!("no log comparison for partition {p}"));
+        assert!(records > 0, "partition {p} compared no records");
+    }
+    assert_eq!(
+        outcome.transcript.matches("wal_identical").count(),
+        2,
+        "{}",
+        outcome.transcript
+    );
 }
 
 #[test]
