@@ -150,7 +150,7 @@ fn main() {
     report.row(vec![
         num_users.to_string(),
         c.campaigns.to_string(),
-        c.deltas.to_string(),
+        c.acked_deltas.to_string(),
         c.maint_passes.to_string(),
         c.maint_decayed.to_string(),
         c.maint_pruned.to_string(),

@@ -10,7 +10,9 @@
 //! must refuse the ack (and not apply). Snapshots are taken at batch
 //! boundaries: the engine thread serializes a consistent cut (cheap —
 //! memory traversal only) and a background persister thread does the
-//! slow part: atomic file write, fsync, pruning. [`Durability::checkpoint`]
+//! slow part: atomic file write, fsync, pruning. Each cut also starts a
+//! new WAL segment, so the segment the snapshot covers can be pruned
+//! instead of being read again at every restart. [`Durability::checkpoint`]
 //! is the synchronous variant behind the `Checkpoint` RPC; periodic
 //! snapshots via [`Durability::maybe_snapshot`] are fire-and-forget.
 
@@ -138,6 +140,9 @@ pub struct Durability {
     wal: WalWriter,
     options: DurabilityOptions,
     records_since_snapshot: u64,
+    /// A WAL fault met by a caller that cannot fail (a periodic cut's
+    /// rotation), held for the next [`Durability::commit`] to return.
+    wal_fault: Option<WalError>,
     snapshots_written: Arc<AtomicU64>,
     report: RecoveryReport,
     job_tx: Option<Sender<SnapshotJob>>,
@@ -213,6 +218,7 @@ impl Durability {
             wal,
             options,
             records_since_snapshot: 0,
+            wal_fault: None,
             snapshots_written,
             report,
             job_tx: Some(job_tx),
@@ -257,29 +263,41 @@ impl Durability {
     ///
     /// # Errors
     ///
-    /// [`DurabilityError::Wal`] on commit failures — the caller must treat
-    /// the logged records as not durable and refuse the ack.
+    /// [`DurabilityError::Wal`] on commit failures, or on a fault a
+    /// snapshot cut's rotation met since the last commit — the caller
+    /// must treat the logged records as not durable and refuse the ack.
     pub fn commit(&mut self) -> Result<(), DurabilityError> {
+        if let Some(fault) = self.wal_fault.take() {
+            return Err(DurabilityError::Wal(fault));
+        }
         self.wal.commit().map_err(DurabilityError::Wal)
     }
 
     /// Fire-and-forget a periodic snapshot when `snapshot_every` records
-    /// have accumulated since the last one. Returns whether a snapshot
-    /// was enqueued. Call between batches — the capture walks live
-    /// engine state.
+    /// have accumulated since the last one, starting a new WAL segment at
+    /// the cut. Returns whether a snapshot was enqueued. Call between
+    /// batches — the capture walks live engine state.
     pub fn maybe_snapshot(&mut self, store: &AdStore, driver: &ShardedDriver) -> bool {
         if self.options.snapshot_every == 0
             || self.records_since_snapshot < self.options.snapshot_every
         {
             return false;
         }
+        // A failed rotation keeps the covered records in the live
+        // segment, which pruning then keeps too, so the snapshot still
+        // lands. The fault itself (a failed fsync of the outgoing
+        // segment, say) is not dropped: the next commit returns it, and
+        // the write it would have acked is refused.
+        if let Err(fault) = self.wal.rotate_if_nonempty() {
+            self.wal_fault = Some(fault);
+        }
         self.enqueue(store, driver, None);
         true
     }
 
     /// Synchronously snapshot (the `Checkpoint` RPC): commit the WAL,
-    /// capture a cut, and block until the persister reports the file
-    /// durable. Returns the snapshot's `next_lsn`.
+    /// start a new segment, capture a cut, and block until the persister
+    /// reports the file durable. Returns the snapshot's `next_lsn`.
     ///
     /// # Errors
     ///
@@ -291,7 +309,8 @@ impl Durability {
         store: &AdStore,
         driver: &ShardedDriver,
     ) -> Result<u64, DurabilityError> {
-        self.wal.commit()?;
+        self.commit()?;
+        self.wal.rotate_if_nonempty()?;
         let (ack_tx, ack_rx) = mpsc::channel();
         let next_lsn = self.enqueue(store, driver, Some(ack_tx));
         match ack_rx.recv() {
@@ -341,16 +360,27 @@ impl Durability {
     pub fn next_lsn(&self) -> u64 {
         self.wal.next_lsn()
     }
-}
 
-impl Drop for Durability {
-    fn drop(&mut self) {
+    /// Shut down as dropping does, and return the counters as they stand
+    /// once every queued snapshot has been persisted.
+    pub fn close(mut self) -> DurabilityCounters {
+        self.stop_persister();
+        self.counters()
+    }
+
+    fn stop_persister(&mut self) {
         // Closing the channel lets the persister drain pending jobs and
         // exit; joining bounds shutdown on the last in-flight snapshot.
         drop(self.job_tx.take());
         if let Some(join) = self.persister.take() {
             let _ = join.join();
         }
+    }
+}
+
+impl Drop for Durability {
+    fn drop(&mut self) {
+        self.stop_persister();
     }
 }
 
@@ -628,6 +658,153 @@ mod tests {
         assert_eq!(recovered.report.replayed_records, 0);
         assert!(recovered.store.campaign(AdId(0)).is_some());
         assert_eq!(recovered.wal.next_lsn(), 1);
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_checkpoint_starts_a_segment_and_prunes_the_covered_one() {
+        use crate::wal::list_segment_lsns_on;
+
+        let dir = temp_dir("cut");
+        let backend = fs_backend(&dir);
+        let wal_options = WalOptions {
+            fsync: FsyncPolicy::Off,
+            ..WalOptions::default()
+        };
+        let wal = WalWriter::create_on(Arc::clone(&backend), wal_options, 0).unwrap();
+        let options = DurabilityOptions {
+            wal: wal_options,
+            ..DurabilityOptions::default()
+        };
+        let mut durability = Durability::new_on(
+            Arc::clone(&backend),
+            wal,
+            options,
+            RecoveryReport::default(),
+        );
+        let (mut store, mut driver) = (AdStore::new(), ShardedDriver::new(4, 1, config()));
+        let submit = WalRecord::Submit(AdSubmission {
+            vector: v(&[(0, 1.0)]),
+            bid: 1.0,
+            targeting: Targeting::everywhere(),
+            budget: Budget::unlimited(),
+            topic_hint: None,
+        });
+        log_and_apply(&mut durability, &mut store, &mut driver, submit);
+        for i in 0..8u64 {
+            let record = WalRecord::IngestBatch(vec![(UserId((i % 4) as u32), delta(0, i + 1))]);
+            log_and_apply(&mut durability, &mut store, &mut driver, record);
+        }
+        let cut = durability.checkpoint(&store, &driver).unwrap();
+        assert_eq!(cut, 9);
+        drop(durability);
+
+        // The snapshot covers the whole log, so the one segment left is
+        // the empty one the cut started.
+        assert_eq!(list_segment_lsns_on(&*backend).unwrap(), vec![cut]);
+        let recovered = crate::recovery::recover_on(backend, 4, 1, config(), wal_options).unwrap();
+        assert_eq!(recovered.report.snapshot_lsn, Some(cut));
+        assert_eq!(recovered.report.replayed_records, 0);
+        assert_eq!(
+            EngineSetSnapshot::capture(cut, &recovered.store, &recovered.driver).encode(),
+            EngineSetSnapshot::capture(cut, &store, &driver).encode()
+        );
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A disk whose next fsync fails once armed.
+    struct FailingSyncBackend {
+        inner: crate::backend::FsBackend,
+        armed: StdArc<std::sync::atomic::AtomicBool>,
+    }
+
+    struct FailingSyncFile {
+        inner: Box<dyn crate::backend::StorageFile>,
+        armed: StdArc<std::sync::atomic::AtomicBool>,
+    }
+
+    impl std::io::Write for FailingSyncFile {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.inner.write(buf)
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            self.inner.flush()
+        }
+    }
+
+    impl crate::backend::StorageFile for FailingSyncFile {
+        fn sync_data(&mut self) -> std::io::Result<()> {
+            if self.armed.swap(false, Ordering::Relaxed) {
+                return Err(std::io::Error::other("injected fsync failure"));
+            }
+            self.inner.sync_data()
+        }
+    }
+
+    impl StorageBackend for FailingSyncBackend {
+        fn create(&self, name: &str) -> std::io::Result<Box<dyn crate::backend::StorageFile>> {
+            let inner = self.inner.create(name)?;
+            let armed = StdArc::clone(&self.armed);
+            Ok(Box::new(FailingSyncFile { inner, armed }))
+        }
+        fn read(&self, name: &str) -> std::io::Result<Vec<u8>> {
+            self.inner.read(name)
+        }
+        fn list(&self) -> std::io::Result<Vec<String>> {
+            self.inner.list()
+        }
+        fn remove(&self, name: &str) -> std::io::Result<()> {
+            self.inner.remove(name)
+        }
+        fn rename(&self, from: &str, to: &str) -> std::io::Result<()> {
+            self.inner.rename(from, to)
+        }
+        fn truncate(&self, name: &str, len: u64) -> std::io::Result<()> {
+            self.inner.truncate(name, len)
+        }
+        fn sync_dir(&self) -> std::io::Result<()> {
+            self.inner.sync_dir()
+        }
+    }
+
+    #[test]
+    fn a_failed_fsync_at_a_periodic_cut_fails_the_next_commit() {
+        let dir = temp_dir("cutfault");
+        let armed = StdArc::new(std::sync::atomic::AtomicBool::new(false));
+        let backend = StdArc::new(FailingSyncBackend {
+            inner: crate::backend::FsBackend::new(&dir),
+            armed: StdArc::clone(&armed),
+        });
+        let wal_options = WalOptions {
+            fsync: FsyncPolicy::Off,
+            ..WalOptions::default()
+        };
+        let wal = WalWriter::create_on(backend.clone(), wal_options, 0).unwrap();
+        let options = DurabilityOptions {
+            wal: wal_options,
+            snapshot_every: 2,
+            keep_snapshots: 1,
+        };
+        let mut durability =
+            Durability::new_on(backend.clone(), wal, options, RecoveryReport::default());
+        let (mut store, mut driver) = (AdStore::new(), ShardedDriver::new(4, 1, config()));
+        for i in 0..2u64 {
+            let record = WalRecord::IngestBatch(vec![(UserId((i % 4) as u32), delta(0, i + 1))]);
+            log_and_apply(&mut durability, &mut store, &mut driver, record);
+        }
+        // Under `Off` no commit has synced yet, so the cut's rotation
+        // issues the first fsync, and it fails.
+        armed.store(true, Ordering::Relaxed);
+        assert!(durability.maybe_snapshot(&store, &driver));
+        assert!(!armed.load(Ordering::Relaxed), "the rotation synced");
+        let record = WalRecord::IngestBatch(vec![(UserId(0), delta(0, 9))]);
+        durability.log(&record).unwrap();
+        assert!(
+            matches!(durability.commit(), Err(DurabilityError::Wal(_))),
+            "the cut's fsync failure reaches the next commit"
+        );
+        durability.commit().unwrap();
+        drop(durability);
         fs::remove_dir_all(&dir).ok();
     }
 }

@@ -522,6 +522,22 @@ impl WalWriter {
         Ok(())
     }
 
+    /// Start a new segment at the current LSN unless the current one
+    /// holds no records. A snapshot cut calls this, so the segment its
+    /// snapshot covers is no longer the newest and pruning can drop it.
+    ///
+    /// # Errors
+    ///
+    /// [`WalError::Io`] when the outgoing segment's fsync or the new
+    /// segment's creation fails; the writer then keeps the current
+    /// segment.
+    pub fn rotate_if_nonempty(&mut self) -> Result<(), WalError> {
+        if self.next_lsn > self.segment_base {
+            self.rotate()?;
+        }
+        Ok(())
+    }
+
     /// Close the current segment durably and start the next one. Always
     /// fsyncs the outgoing segment (whatever the policy), so only the
     /// newest segment can ever be torn.

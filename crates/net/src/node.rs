@@ -665,6 +665,12 @@ impl Node {
                 let setup = self.replica.as_ref().ok_or_else(|| {
                     WireError::BadRequest("follower is running without replica setup".into())
                 })?;
+                // The install rewrites the data dir, so the old handle
+                // goes first: dropping it joins its snapshot persister,
+                // and no queued snapshot of the old state can land or
+                // prune mid-install. Until an install succeeds the node
+                // refuses appends for want of a data directory.
+                drop(self.durability.take());
                 // The node's state lags the primary until the install
                 // completes: `/readyz` says so.
                 readiness().set(UNREADY_CATCHING_UP, true);

@@ -1,11 +1,14 @@
 //! # adcast-sim — deterministic simulation harness
 //!
 //! FoundationDB-style simulation testing for the adcast stack: the
-//! production engine, durability, and admission logic run unmodified
-//! against **virtual time** and a **simulated disk**, driven by seeded
-//! scenario scripts with fault injection. Same seed ⇒ byte-identical
-//! transcript and summary; a crash fault additionally proves the
-//! recovered state is a bit-identical twin of a clean replay.
+//! production engine, durability, admission and replication logic run
+//! unmodified against **virtual time** and a **simulated disk**, driven
+//! by seeded scenario scripts with fault injection. Same seed ⇒
+//! byte-identical transcript and summary, and every run — one standalone
+//! node or N replicated partitions — passes the same oracles: recovered
+//! and promoted state is a bit-identical twin of a clean replay of the
+//! acked log, each primary's LSN is its acked log's length, and each
+//! follower's WAL holds its primary's bytes.
 //!
 //! The pieces:
 //!
@@ -13,15 +16,14 @@
 //!   [`adcast_durability::StorageBackend`] with per-file durability
 //!   horizons, injectable fsync latency/stalls, and deterministic
 //!   torn-write-on-crash,
-//! * [`scenario`] — [`SimConfig`]: workload shape, engine topology,
-//!   durability knobs, maintenance cadence, and the [`Fault`] script,
+//! * [`scenario`] — [`SimConfig`]: workload, node shape (partitions,
+//!   followers), engine topology, durability knobs, maintenance and
+//!   pacing cadences, and the [`Fault`] script,
 //! * [`runner`] — [`run`]: executes the scenario single-threaded against
-//!   a production [`adcast_net::Node`], the request handler the live
-//!   server's engine thread runs, producing a [`SimOutcome`] (transcript
-//!   + summary + counters),
-//! * [`cluster`] — [`run_cluster`]: primary/follower pairs of the same
-//!   `Node`s replicating through an in-process sink, under replication
-//!   faults.
+//!   production [`adcast_net::Node`]s, the request handler the live
+//!   server's engine thread runs, replicating through an in-process
+//!   link, and returns a [`SimOutcome`] (transcript, summary,
+//!   [`SimCounters`]).
 //!
 //! What this buys over the loopback tests: no sockets, no real fsync, no
 //! wall-clock sleeps — a simulated day at simulated-million scale runs in
@@ -30,21 +32,26 @@
 //! ```
 //! use adcast_sim::{run, Fault, FaultAt, SimConfig};
 //!
+//! // A standalone node that loses power before batch 3.
 //! let mut config = SimConfig::smoke(7);
 //! config.faults.push(FaultAt { at_batch: 3, fault: Fault::Crash });
 //! let outcome = run(config).unwrap();
 //! assert_eq!(outcome.counters.crashes, 1);
 //! assert_eq!(outcome.counters.twin_checks, 1);
+//!
+//! // Two replicated partitions; partition 1's primary dies.
+//! let mut config = SimConfig { partitions: 2, followers: true, ..SimConfig::smoke(7) };
+//! config.faults.push(FaultAt { at_batch: 3, fault: Fault::KillPrimary { partition: 1 } });
+//! let outcome = run(config).unwrap();
+//! assert_eq!(outcome.counters.promotions, 1);
+//! assert!(outcome.transcript.contains("twin partition=1"));
 //! ```
 
 pub mod backend;
-pub mod cluster;
+mod link;
 pub mod runner;
 pub mod scenario;
 
 pub use backend::{CrashReport, MemBackend};
-pub use cluster::{
-    run_cluster, ClusterCounters, ClusterFault, ClusterFaultAt, ClusterOutcome, ClusterSimConfig,
-};
 pub use runner::{run, SimCounters, SimOutcome};
 pub use scenario::{Fault, FaultAt, SimConfig};

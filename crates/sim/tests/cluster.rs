@@ -17,16 +17,27 @@
 //! 6. primary and follower WALs hold the same record bytes at every LSN.
 
 use adcast_obs::tracestore::{trace_id_for, tracestore, Span, SpanKind};
-use adcast_sim::{run_cluster, ClusterFault, ClusterFaultAt, ClusterSimConfig};
+use adcast_sim::{run, Fault, FaultAt, SimConfig};
+
+/// The smoke scenario on `partitions` primary/follower pairs, tracing
+/// every 4th acked record.
+fn smoke(seed: u64, partitions: usize) -> SimConfig {
+    SimConfig {
+        partitions,
+        followers: true,
+        trace_sample: 4,
+        ..SimConfig::smoke(seed)
+    }
+}
 
 #[test]
 fn kill_primary_promotes_with_zero_acked_loss() {
-    let mut config = ClusterSimConfig::smoke(7, 2);
-    config.faults.push(ClusterFaultAt {
+    let mut config = smoke(7, 2);
+    config.faults.push(FaultAt {
         at_batch: 3,
-        fault: ClusterFault::KillPrimary { partition: 0 },
+        fault: Fault::KillPrimary { partition: 0 },
     });
-    let outcome = run_cluster(config).unwrap();
+    let outcome = run(config).unwrap();
     assert_eq!(outcome.counters.kills, 1);
     assert_eq!(outcome.counters.promotions, 1);
     // The promotion twin check ran (zero acked loss + byte-identical
@@ -39,15 +50,15 @@ fn kill_primary_promotes_with_zero_acked_loss() {
 
 #[test]
 fn isolated_follower_catches_up_by_snapshot_transfer() {
-    let mut config = ClusterSimConfig::smoke(11, 2);
-    config.faults.push(ClusterFaultAt {
+    let mut config = smoke(11, 2);
+    config.faults.push(FaultAt {
         at_batch: 1,
-        fault: ClusterFault::IsolateFollower {
+        fault: Fault::IsolateFollower {
             partition: 1,
             batches: 2,
         },
     });
-    let outcome = run_cluster(config).unwrap();
+    let outcome = run(config).unwrap();
     assert!(outcome.counters.dropped_shipments >= 2);
     assert_eq!(outcome.counters.lsn_gap_refusals, 1);
     assert_eq!(outcome.counters.catch_up_snapshots, 1);
@@ -68,8 +79,14 @@ fn isolated_follower_catches_up_by_snapshot_transfer() {
 fn replicated_wal_records_are_byte_identical_at_every_lsn() {
     // The follower logs the primary's shipped bytes verbatim, so at the
     // end of a replicated run both logs agree record for record; the
-    // harness errors on the first differing LSN.
-    let outcome = run_cluster(ClusterSimConfig::smoke(19, 2)).unwrap();
+    // harness errors on the first differing LSN. Without snapshots
+    // nothing is pruned, so the comparison covers every acked record.
+    let config = SimConfig {
+        snapshot_every: 0,
+        ..smoke(19, 2)
+    };
+    let outcome = run(config).unwrap();
+    let mut compared = 0;
     for p in 0..2 {
         let line = format!("wal_identical partition={p} records=");
         let records: u64 = outcome
@@ -78,7 +95,10 @@ fn replicated_wal_records_are_byte_identical_at_every_lsn() {
             .find_map(|l| l.split_once(&line).map(|(_, n)| n.parse().unwrap()))
             .unwrap_or_else(|| panic!("no log comparison for partition {p}"));
         assert!(records > 0, "partition {p} compared no records");
+        compared += records;
     }
+    // No partition compares more than it acked, so the sum pins each.
+    assert_eq!(compared, outcome.counters.acked_records);
     assert_eq!(
         outcome.transcript.matches("wal_identical").count(),
         2,
@@ -92,7 +112,7 @@ fn sampled_traces_land_in_the_transcript() {
     // smoke() samples every 4th acked record; the trace lines are pure
     // functions of the config (id from the synth seed + ordinal, hop
     // list from the ladder actually run), so they byte-reproduce.
-    let outcome = run_cluster(ClusterSimConfig::smoke(17, 2)).unwrap();
+    let outcome = run(smoke(17, 2)).unwrap();
     assert!(outcome.transcript.contains("trace partition="));
     assert!(outcome
         .transcript
@@ -101,12 +121,12 @@ fn sampled_traces_land_in_the_transcript() {
 
 #[test]
 fn split_promotion_fences_the_stale_primary() {
-    let mut config = ClusterSimConfig::smoke(13, 2);
-    config.faults.push(ClusterFaultAt {
+    let mut config = smoke(13, 2);
+    config.faults.push(FaultAt {
         at_batch: 2,
-        fault: ClusterFault::SplitPromote { partition: 0 },
+        fault: Fault::SplitPromote { partition: 0 },
     });
-    let outcome = run_cluster(config).unwrap();
+    let outcome = run(config).unwrap();
     assert_eq!(outcome.counters.promotions, 1);
     assert_eq!(outcome.counters.fenced_writes, 1);
     // The fenced ex-primary rejoined as a follower via snapshot.
@@ -157,9 +177,9 @@ fn sampled_write_leaves_the_production_span_chain() {
     // A seed no other test in this binary uses: the span ring is
     // process-wide, and trace ids derive from (seed, ordinal).
     const SEED: u64 = 0x5EED_C4A1;
-    let mut config = ClusterSimConfig::smoke(SEED, 2);
+    let mut config = smoke(SEED, 2);
     config.trace_sample = 1;
-    let outcome = run_cluster(config).unwrap();
+    let outcome = run(config).unwrap();
     // Every write was sampled; the last acked one is the freshest in the
     // ring.
     let id = trace_id_for(SEED, outcome.counters.acked_records - 1);
@@ -179,23 +199,23 @@ fn sampled_write_leaves_the_production_span_chain() {
 }
 
 /// A scenario exercising every cluster fault type across 3 partitions.
-fn faulted(seed: u64) -> ClusterSimConfig {
-    let mut config = ClusterSimConfig::smoke(seed, 3);
+fn faulted(seed: u64) -> SimConfig {
+    let mut config = smoke(seed, 3);
     config.faults = vec![
-        ClusterFaultAt {
+        FaultAt {
             at_batch: 1,
-            fault: ClusterFault::IsolateFollower {
+            fault: Fault::IsolateFollower {
                 partition: 2,
                 batches: 1,
             },
         },
-        ClusterFaultAt {
+        FaultAt {
             at_batch: 2,
-            fault: ClusterFault::SplitPromote { partition: 1 },
+            fault: Fault::SplitPromote { partition: 1 },
         },
-        ClusterFaultAt {
+        FaultAt {
             at_batch: 4,
-            fault: ClusterFault::KillPrimary { partition: 0 },
+            fault: Fault::KillPrimary { partition: 0 },
         },
     ];
     config
@@ -203,8 +223,8 @@ fn faulted(seed: u64) -> ClusterSimConfig {
 
 #[test]
 fn same_config_is_byte_identical() {
-    let a = run_cluster(faulted(21)).unwrap();
-    let b = run_cluster(faulted(21)).unwrap();
+    let a = run(faulted(21)).unwrap();
+    let b = run(faulted(21)).unwrap();
     assert_eq!(a.transcript, b.transcript);
     assert_eq!(a.summary, b.summary);
     assert_eq!(a.counters, b.counters);
@@ -215,7 +235,7 @@ fn same_config_is_byte_identical() {
 
 #[test]
 fn different_seeds_diverge() {
-    let a = run_cluster(faulted(21)).unwrap();
-    let b = run_cluster(faulted(22)).unwrap();
+    let a = run(faulted(21)).unwrap();
+    let b = run(faulted(22)).unwrap();
     assert_ne!(a.transcript, b.transcript);
 }
