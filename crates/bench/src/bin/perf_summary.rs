@@ -290,7 +290,11 @@ fn main() {
         let outcome = run(cfg).expect("sim smoke scenario");
         let secs = started.elapsed().as_secs_f64().max(1e-9);
         let c = &outcome.counters;
-        assert_eq!(c.crashes, c.twin_checks, "every crash must twin-check");
+        assert_eq!(
+            c.crashes + 1,
+            c.twin_checks,
+            "every crash and the node at the end must twin-check"
+        );
         assert!(c.maint_decayed > 0, "smoke scenario must decay idle users");
         assert!(
             c.maint_pruned > 0,

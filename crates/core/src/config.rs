@@ -132,16 +132,6 @@ pub struct DriverConfig {
 }
 
 impl DriverConfig {
-    /// One shard per available core (the E10 sweet spot: per-user state is
-    /// embarrassingly partitionable, so speedup is near-linear up to the
-    /// core count).
-    pub fn auto(engine: EngineConfig) -> Self {
-        let num_shards = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        DriverConfig { num_shards, engine }
-    }
-
     /// Validate invariants; the driver calls this on construction.
     pub fn validate(&self) -> Result<(), String> {
         if self.num_shards == 0 {
@@ -158,13 +148,6 @@ mod tests {
     #[test]
     fn default_is_valid() {
         assert!(EngineConfig::default().validate().is_ok());
-    }
-
-    #[test]
-    fn driver_config_auto_has_shards() {
-        let cfg = DriverConfig::auto(EngineConfig::default());
-        assert!(cfg.num_shards >= 1);
-        assert!(cfg.validate().is_ok());
     }
 
     #[test]

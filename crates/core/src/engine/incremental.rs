@@ -56,10 +56,15 @@
 //! and is rebuilt on resume (which bumps the epoch). `maintain` returns an
 //! idle user to a fresh bounded state.
 //!
-//! A recommend never changes a lane (a lane older than the index epoch is
-//! answered by a fallback walk until the user's next delta re-anchors it),
-//! so an engine that served reads and a WAL replay that never saw them
-//! hold the same lanes.
+//! ## Reads are pure
+//!
+//! A recommend never changes user state in either regime. Whatever the
+//! user's state cannot answer exactly — a buffer or lane older than the
+//! index epoch, a buffer that cannot certify the requested `k`, or a
+//! filtered buffer that cannot certify what survives the filter — is
+//! answered by a fallback walk, and the user's next delta refreshes or
+//! re-anchors it. So an engine that served reads and a WAL replay that
+//! never saw them hold the same state; only the work counters differ.
 
 #![cfg_attr(
     not(test),
@@ -385,10 +390,7 @@ impl IncrementalEngine {
                 }
             })
             .collect();
-        EngineSnapshot {
-            users,
-            stats: self.stats.clone(),
-        }
+        EngineSnapshot { users }
     }
 
     /// Restore state captured by [`export_snapshot`](Self::export_snapshot)
@@ -397,9 +399,8 @@ impl IncrementalEngine {
     /// hold the snapshot's entries. The snapshot is consumed: contexts and
     /// exact lanes move into the engine without a copy.
     ///
-    /// Work counters are reset and then set to the snapshot's totals, so a
-    /// recovery that replays a WAL tail on top counts each replayed delta
-    /// exactly once.
+    /// Work counters are left alone: they count this process's work
+    /// (a recovery counts the WAL tail it replays), not the log's.
     ///
     /// # Errors
     ///
@@ -457,8 +458,6 @@ impl IncrementalEngine {
                 }),
             };
         }
-        self.stats.reset();
-        self.stats += &snapshot.stats;
         Ok(())
     }
 
@@ -555,17 +554,7 @@ impl IncrementalEngine {
         let capacity = self.config.buffer_capacity();
         let cache_capacity = self.config.cache_capacity;
         let st = &mut self.users[user.index()];
-        // An empty context certifies nothing the user's next delta will
-        // not. While the user may still turn dense, leave its epoch stale:
-        // a read before its first delta would otherwise spare that delta
-        // the refresh a WAL replay (which never saw the read) runs, and the
-        // two would move the user onto its exact lane at different deltas.
-        let may_turn_dense = st
-            .bounded()
-            .is_some_and(|b| b.cache.can_be_dense(store.num_total()));
-        if !(st.ctx.is_empty() && may_turn_dense) {
-            st.index_epoch = store.index_epoch();
-        }
+        st.index_epoch = store.index_epoch();
         if let Some(st) = st.bounded_mut() {
             st.buffer.clear();
             st.cache.clear();
@@ -705,8 +694,9 @@ impl IncrementalEngine {
     }
 
     /// The bounded regime's serve path: certify the buffer for the
-    /// request (refreshing if needed), filter it, and fall back to an
-    /// exact targeted walk when filtering leaves the top-k uncertified.
+    /// request, filter it, and answer by an exact targeted walk whenever
+    /// the buffer cannot certify the top-k (stale epoch, `k` beyond what
+    /// it certifies, or filtering). A pure read, like the exact regime's.
     fn recommend_bounded(
         &mut self,
         store: &AdStore,
@@ -716,9 +706,11 @@ impl IncrementalEngine {
         k: usize,
     ) -> Vec<Recommendation> {
         if self.users[user.index()].index_epoch != store.index_epoch() {
-            self.refresh(store, user);
+            // Ads were admitted since the buffer was certified; the
+            // user's next delta refreshes it.
+            return self.fallback_query(store, user, now, location, k);
         }
-        // Re-certify at serve time (covers the k > config.k case too).
+        // Certify at serve time (covers the k > config.k case too).
         let serving_k = k.max(self.config.k);
         let mut ranks = std::mem::take(&mut self.scratch.ranks);
         let (kth, outside) = match self.users[user.index()].bounded() {
@@ -737,7 +729,8 @@ impl IncrementalEngine {
             Some(kth) => self.config.refresh.should_refresh(kth, outside),
         };
         if uncertified {
-            self.refresh(store, user);
+            self.scratch.ranks = ranks;
+            return self.fallback_query(store, user, now, location, k);
         }
 
         // Collect eligible buffered candidates into the reusable buffer.
@@ -1946,7 +1939,7 @@ mod tests {
         assert_eq!(whole.maintain(later, SimDuration::from_secs(100)), (3, 3));
         assert_eq!(whole.lane_users(), 0);
         let fresh = IncrementalEngine::new(USERS, config);
-        assert_eq!(whole.export_snapshot().users, fresh.export_snapshot().users);
+        assert_eq!(whole.export_snapshot(), fresh.export_snapshot());
         let bytes = |st: &UserState| {
             st.bounded()
                 .map(|b| b.buffer.memory_bytes() + b.cache.memory_bytes())
@@ -1956,51 +1949,79 @@ mod tests {
         }
     }
 
-    /// A WAL replay never sees reads, so reads must not change anything
-    /// that decides a user's lane: an engine serving `k = config.k` reads
-    /// before the users' first deltas, between deltas and right after a
-    /// submission ends bit-identical to one that only applied the deltas.
+    /// A WAL replay never sees reads, so no read may change engine state
+    /// on any serve path. Every read below must leave the export as it
+    /// found it: reads before the users' first deltas, between deltas, at
+    /// `k > config.k`, right after a submission (stale epoch) and with
+    /// each user's top ad paused (filtered). The served engine then ends
+    /// bit-identical to one that only applied the deltas, having run no
+    /// refresh the replay did not. The default cache moves every user
+    /// onto an exact lane; a 24-entry cache, below the lane floor, keeps
+    /// every user bounded.
     #[test]
     fn reads_leave_lanes_and_conversions_unchanged() {
         const USERS: u32 = 8;
-        let (mut store, stream) = dense_workload(0, USERS, 120);
-        let mut served = IncrementalEngine::new(USERS, EngineConfig::default());
-        let mut replay = IncrementalEngine::new(USERS, EngineConfig::default());
-        let read_all = |e: &mut IncrementalEngine, store: &AdStore, at: u64| {
-            for u in (0..USERS).map(UserId) {
-                e.recommend(store, u, Timestamp::from_secs(at), LocationId(0), 10);
-            }
+        let bounded = EngineConfig {
+            cache_capacity: 24,
+            ..EngineConfig::default()
         };
-        read_all(&mut served, &store, 0);
-        for (i, (user, d)) in stream.iter().enumerate() {
-            served.on_feed_delta(&store, *user, d);
-            replay.on_feed_delta(&store, *user, d);
-            if i == 500 {
-                // The submission re-anchors every lane, so compare first.
-                assert_eq!(
-                    served.export_snapshot().users,
-                    replay.export_snapshot().users
-                );
-                store
-                    .submit(AdSubmission {
-                        vector: v(&[(3, 0.5), (20, 0.25)]),
-                        bid: 1.0,
-                        targeting: Targeting::everywhere(),
-                        budget: Budget::unlimited(),
-                        topic_hint: None,
-                    })
-                    .unwrap();
-                read_all(&mut served, &store, i as u64 + 1);
+        for (config, lanes) in [(EngineConfig::default(), USERS as usize), (bounded, 0)] {
+            let (mut store, stream) = dense_workload(0, USERS, 120);
+            let mut served = IncrementalEngine::new(USERS, config.clone());
+            let mut replay = IncrementalEngine::new(USERS, config.clone());
+            // Serve every user at `k`, checking each read is pure;
+            // returns each user's top ad.
+            let read_all = |e: &mut IncrementalEngine, store: &AdStore, at: u64, k: usize| {
+                let mut tops = Vec::new();
+                for u in (0..USERS).map(UserId) {
+                    let before = e.export_snapshot();
+                    let recs = e.recommend(store, u, Timestamp::from_secs(at), LocationId(0), k);
+                    assert_eq!(e.export_snapshot(), before, "user {} read at k={k}", u.0);
+                    tops.extend(recs.first().map(|r| r.ad));
+                }
+                tops
+            };
+            read_all(&mut served, &store, 0, config.k);
+            for (i, (user, d)) in stream.iter().enumerate() {
+                served.on_feed_delta(&store, *user, d);
+                replay.on_feed_delta(&store, *user, d);
+                let at = i as u64 + 1;
+                if i == 500 {
+                    // The submission re-anchors every lane, so compare first.
+                    assert_eq!(served.export_snapshot(), replay.export_snapshot());
+                    store
+                        .submit(AdSubmission {
+                            vector: v(&[(3, 0.5), (20, 0.25)]),
+                            bid: 1.0,
+                            targeting: Targeting::everywhere(),
+                            budget: Budget::unlimited(),
+                            topic_hint: None,
+                        })
+                        .unwrap();
+                    let before = served.stats().fallbacks;
+                    read_all(&mut served, &store, at, config.k);
+                    assert_eq!(
+                        served.stats().fallbacks - before,
+                        u64::from(USERS),
+                        "a stale read is a fallback walk"
+                    );
+                }
+                if i == 700 {
+                    for ad in read_all(&mut served, &store, at, config.k) {
+                        store.pause(ad);
+                    }
+                    read_all(&mut served, &store, at, config.k);
+                }
+                if i % 7 == 0 {
+                    read_all(&mut served, &store, at, config.k);
+                    read_all(&mut served, &store, at, 3 * config.k);
+                    read_all(&mut served, &store, at, 5 * config.k);
+                }
             }
-            if i % 7 == 0 {
-                read_all(&mut served, &store, i as u64 + 1);
-            }
+            assert_eq!(replay.lane_users(), lanes);
+            assert_eq!(served.export_snapshot(), replay.export_snapshot());
+            assert_eq!(served.stats().refreshes, replay.stats().refreshes);
         }
-        assert_eq!(replay.lane_users(), USERS as usize);
-        assert_eq!(
-            served.export_snapshot().users,
-            replay.export_snapshot().users
-        );
     }
 
     #[test]

@@ -37,7 +37,10 @@ pub struct Recommendation {
     pub relevance: f32,
 }
 
-/// Work counters common to every engine. All counters are cumulative.
+/// Work counters common to every engine. All counters are cumulative
+/// over the engine's process lifetime: they are not part of its
+/// snapshot, so a restarted engine counts from zero (plus whatever WAL
+/// tail its recovery replays).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct EngineStats {
     /// Feed deltas processed.
@@ -65,15 +68,6 @@ pub struct EngineStats {
     /// always 0 otherwise. The zero-allocation steady-state test asserts
     /// this stays flat once scratch capacities have warmed up.
     pub hot_path_allocs: u64,
-}
-
-impl EngineStats {
-    /// Zero every counter (mirroring `ThroughputMeter::reset`). Recovery
-    /// uses this before replay so replayed work is not double-counted on
-    /// top of a restored snapshot's totals.
-    pub fn reset(&mut self) {
-        *self = EngineStats::default();
-    }
 }
 
 impl std::ops::AddAssign<&EngineStats> for EngineStats {

@@ -334,10 +334,6 @@ const LANE_FLOOR: usize = 64;
 /// onto an exact relevance lane.
 const LANE_SLOTS_PER_ENTRY: usize = 4;
 
-fn meets_density_cut(entries: usize, span: usize) -> bool {
-    entries >= LANE_FLOOR && entries * LANE_SLOTS_PER_ENTRY >= span
-}
-
 /// The incremental engine's per-user **score cache**: a bounded memo of
 /// upper-bound relevances for candidates that did not make the buffer.
 ///
@@ -383,13 +379,8 @@ impl ScoreCache {
     /// contents and the catalogue only, so a restored snapshot makes the
     /// same call as the engine it was taken from.
     pub(crate) fn is_dense(&self, span: usize) -> bool {
-        meets_density_cut(self.map.len(), span)
-    }
-
-    /// Could this cache ever be [dense](Self::is_dense) over `span` ids,
-    /// i.e. does its capacity reach the cut?
-    pub(crate) fn can_be_dense(&self, span: usize) -> bool {
-        meets_density_cut(self.capacity, span)
+        let entries = self.map.len();
+        entries >= LANE_FLOOR && entries * LANE_SLOTS_PER_ENTRY >= span
     }
 
     /// The cached upper bound for `ad`, if present.
@@ -524,11 +515,6 @@ mod cache_tests {
         assert!(!c.is_dense(257), "64 entries over 257 ids");
         c.remove(AdId(0));
         assert!(!c.is_dense(100), "back below the floor");
-        assert!(c.can_be_dense(32_768) && !c.can_be_dense(32_769));
-        assert!(
-            !ScoreCache::new(63).can_be_dense(1),
-            "capacity below the floor"
-        );
     }
 
     #[test]

@@ -9,6 +9,10 @@
 //! bounds; an exact-lane user carries one relevance per ad id and how many
 //! deltas it has applied since its last re-anchor.
 //!
+//! Every field is a function of the records the engine applied: reads
+//! never change it, so a snapshot of a serving engine and one of a
+//! replay of the same log are equal.
+//!
 //! They are deliberately dumb data — serialization lives in
 //! `adcast-durability`, which encodes them with the same length-prefixed,
 //! CRC-checked framing as the WAL. Buffer and cache entries are exported
@@ -18,8 +22,6 @@
 use adcast_ads::AdId;
 use adcast_stream::clock::Timestamp;
 use adcast_text::SparseVector;
-
-use crate::engine::EngineStats;
 
 /// One user's incremental state, ready for serialization.
 #[derive(Debug, Clone, PartialEq)]
@@ -60,11 +62,11 @@ pub enum RelevanceSnapshot {
     },
 }
 
-/// One engine's full state: every user plus the work counters.
+/// One engine's full state: every user's. Work counters are
+/// process-lifetime and stay out of it, so a snapshot equals a replay of
+/// the log it was cut from.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EngineSnapshot {
     /// Per-user state in user order.
     pub users: Vec<UserStateSnapshot>,
-    /// Cumulative work counters at the snapshot cut.
-    pub stats: EngineStats,
 }

@@ -235,12 +235,12 @@ fn pure_relevance_work_is_golden() {
     assert_eq!(
         work,
         (
-            2315715,
-            840983,
-            13114,
-            17419,
-            1595,
-            58,
+            2317760,
+            842139,
+            13088,
+            17249,
+            1591,
+            67,
             64,
             397495071141004763
         )
@@ -259,14 +259,14 @@ fn blended_small_cache_work_is_golden() {
     assert_eq!(
         got,
         (
-            5211520,
-            2560508,
-            103865,
-            103742,
-            4449,
-            104,
+            5133933,
+            2522888,
+            104035,
+            103741,
+            4313,
+            169,
             64,
-            7453372370702716091
+            12741014846207403697
         )
     );
 }

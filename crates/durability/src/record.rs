@@ -2,10 +2,10 @@
 //!
 //! One [`WalRecord`] per externally-visible mutation of the serving
 //! state: feed ingestion, campaign lifecycle, budget debits, pacing
-//! attachment. Recommends are deliberately *not* logged — under the
-//! default eager refresh policy serve-time certification makes
-//! recommendation output a pure function of the mutation history, so
-//! replaying mutations alone reproduces bit-identical answers.
+//! attachment. Recommends are deliberately *not* logged — a recommend
+//! changes no engine state, so the state, and with it every answer, is
+//! a pure function of the mutation history, and replaying mutations
+//! alone reproduces bit-identical answers.
 //!
 //! Record payload layout (all little-endian), after the per-record WAL
 //! framing ([`crate::wal`]):

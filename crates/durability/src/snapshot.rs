@@ -2,8 +2,10 @@
 //!
 //! A snapshot captures the complete serving state at one WAL position:
 //! the [`AdStore`] (campaigns, budgets, pacing, CTR) and every shard
-//! engine's per-user state. Recovery loads the newest valid snapshot and
-//! replays only the WAL records with `lsn >= next_lsn`.
+//! engine's per-user state. All of it is log-derived — reads change
+//! none of it, and work counters stay out — so a snapshot equals a
+//! replay of the log up to `next_lsn`. Recovery loads the newest valid
+//! snapshot and replays only the WAL records with `lsn >= next_lsn`.
 //!
 //! On-disk layout of `snap-{next_lsn:016x}.snap`:
 //!
@@ -11,7 +13,7 @@
 //! header:  magic "ADSS" | version u16 | reserved u16
 //!          next_lsn u64 | payload_len u32 | crc32 u32
 //! payload: num_users u32 | num_shards u32 | store | num_shards × engine
-//! engine:  stats | num_users u32 | users
+//! engine:  num_users u32 | users
 //! user:    landmark u64 | last_ts u64 | context | regime u8 | state
 //!          | index_epoch u64
 //! state:   0 (bounded): buffer | cache | ceiling f32 | outside_bound f32
@@ -48,7 +50,7 @@ use std::path::{Path, PathBuf};
 use adcast_ads::{Ad, AdId, AdStore, CampaignState};
 use adcast_ads::{CampaignSnapshot, PacingSnapshot, StoreSnapshot};
 use adcast_core::snapshot::{EngineSnapshot, RelevanceSnapshot, UserStateSnapshot};
-use adcast_core::{EngineStats, ShardedDriver};
+use adcast_core::ShardedDriver;
 use adcast_stream::clock::Timestamp;
 use adcast_stream::cursor::{put_len32, put_opt, put_stream_header, Cursor, TraceError};
 use bytes::{BufMut, Bytes, BytesMut};
@@ -63,8 +65,9 @@ use crate::wal;
 /// Snapshot file magic (traces use `ADCT`, wire frames `ADCN`, WAL
 /// segments `ADWL`).
 pub const SNAPSHOT_MAGIC: &[u8; 4] = b"ADSS";
-/// Snapshot format version (2: per-user regime flag and exact lanes).
-pub const SNAPSHOT_VERSION: u16 = 2;
+/// Snapshot format version (2: per-user regime flag and exact lanes;
+/// 3: no work counters, so the payload is exactly log-derived state).
+pub const SNAPSHOT_VERSION: u16 = 3;
 /// Upper bound on one snapshot payload (1 GiB) — declared lengths above
 /// this are rejected before allocation.
 pub const MAX_SNAPSHOT: usize = 1 << 30;
@@ -296,38 +299,6 @@ fn get_campaign(cur: &mut Cursor) -> Result<CampaignSnapshot, TraceError> {
     })
 }
 
-fn put_stats(buf: &mut BytesMut, stats: &EngineStats) {
-    for v in [
-        stats.deltas,
-        stats.postings_scanned,
-        stats.ads_scored,
-        stats.screened_out,
-        stats.promotions,
-        stats.refreshes,
-        stats.fallbacks,
-        stats.recommends,
-        stats.rebases,
-        stats.hot_path_allocs,
-    ] {
-        buf.put_u64_le(v);
-    }
-}
-
-fn get_stats(cur: &mut Cursor) -> Result<EngineStats, TraceError> {
-    Ok(EngineStats {
-        deltas: cur.u64()?,
-        postings_scanned: cur.u64()?,
-        ads_scored: cur.u64()?,
-        screened_out: cur.u64()?,
-        promotions: cur.u64()?,
-        refreshes: cur.u64()?,
-        fallbacks: cur.u64()?,
-        recommends: cur.u64()?,
-        rebases: cur.u64()?,
-        hot_path_allocs: cur.u64()?,
-    })
-}
-
 fn put_scored_list(buf: &mut BytesMut, entries: &[(AdId, f32)]) {
     put_len32(buf, entries.len());
     let start = buf.len();
@@ -441,7 +412,6 @@ fn get_user(cur: &mut Cursor) -> Result<UserStateSnapshot, TraceError> {
 }
 
 fn put_engine(buf: &mut BytesMut, engine: &EngineSnapshot) {
-    put_stats(buf, &engine.stats);
     put_len32(buf, engine.users.len());
     for user in &engine.users {
         put_user(buf, user);
@@ -449,10 +419,9 @@ fn put_engine(buf: &mut BytesMut, engine: &EngineSnapshot) {
 }
 
 fn get_engine(cur: &mut Cursor) -> Result<EngineSnapshot, TraceError> {
-    let stats = get_stats(cur)?;
     let n = cur.len32()?;
     let users = cur.many(n, get_user)?;
-    Ok(EngineSnapshot { stats, users })
+    Ok(EngineSnapshot { users })
 }
 
 /// The file name of the snapshot covering WAL positions below `next_lsn`.
@@ -688,7 +657,7 @@ pub fn prune_on(
 mod tests {
     use super::*;
     use adcast_ads::{AdSubmission, Budget, PacingController, Targeting};
-    use adcast_core::EngineConfig;
+    use adcast_core::{EngineConfig, EngineStats};
     use adcast_feed::FeedDelta;
     use adcast_graph::UserId;
     use adcast_stream::event::{LocationId, Message, MessageId};
@@ -821,12 +790,6 @@ mod tests {
                 index_epoch: 6,
             },
             engines: vec![EngineSnapshot {
-                stats: EngineStats {
-                    deltas: 40,
-                    ads_scored: 7,
-                    recommends: 2,
-                    ..EngineStats::default()
-                },
                 users: vec![
                     UserStateSnapshot {
                         landmark: Timestamp::from_secs(2),
@@ -928,8 +891,8 @@ mod tests {
     fn encoding_matches_recorded_bytes() {
         let bytes = small_snapshot().encode();
         let digest = crate::record::tests::fnv1a(&bytes);
-        assert_eq!(bytes.len(), 488);
-        assert_eq!(digest, 0x4f2c_e77f_94dd_52d4);
+        assert_eq!(bytes.len(), 408);
+        assert_eq!(digest, 0xee55_58f2_1aa6_ba5e);
     }
 
     #[test]
@@ -944,7 +907,9 @@ mod tests {
 
         assert_eq!(restored_store.export_snapshot(), store.export_snapshot());
         assert_eq!(restored_store.index_epoch(), store.index_epoch());
-        assert_eq!(restored.stats(), driver.stats());
+        // Counters are process-lifetime, not snapshot state: a restore
+        // starts them from zero.
+        assert_eq!(restored.stats(), EngineStats::default());
         let now = Timestamp::from_secs(100);
         for u in 0..8u32 {
             let a = driver.recommend(&store, UserId(u), now, LocationId(0), 3);

@@ -2,7 +2,9 @@
 //! record, possibly a torn final WAL record) and recovers must be
 //! **bit-identical** to an uninterrupted twin that applied the same
 //! acked mutations — same recommendations, same budgets, same pacing
-//! throttles, same CTR priors, same engine counters.
+//! throttles, same CTR priors, same per-user engine state. Work counters
+//! are process-lifetime, so the recovered engine counts exactly the
+//! deltas of the WAL tail it replayed.
 //!
 //! The durable runs use `fsync = Always`, matching the guarantee the
 //! serving layer advertises: an acked mutation survives `kill -9`.
@@ -177,9 +179,21 @@ fn run_durable(dir: &Path, records: &[WalRecord], snapshot_every: u64) {
     // already hit disk before the kill.)
 }
 
-/// Assert the recovered pair is bit-identical to the twin, and that the
-/// twin holds users in both engine regimes, so both were recovered.
-fn assert_twins(recovered: &mut (AdStore, ShardedDriver), twin: &mut (AdStore, ShardedDriver)) {
+/// The records recovery replayed on top of its snapshot (all of them
+/// when it loaded none).
+fn replayed_tail(records: &[WalRecord], snapshot_lsn: Option<u64>) -> &[WalRecord] {
+    &records[snapshot_lsn.unwrap_or(0) as usize..]
+}
+
+/// Assert the recovered pair is bit-identical to the twin, that its
+/// engine counted exactly the feed deltas of the replayed `tail`, and
+/// that the twin holds users in both engine regimes, so both were
+/// recovered.
+fn assert_twins(
+    recovered: &mut (AdStore, ShardedDriver),
+    twin: &mut (AdStore, ShardedDriver),
+    tail: &[WalRecord],
+) {
     let users: Vec<_> = twin
         .1
         .export_snapshots()
@@ -192,8 +206,19 @@ fn assert_twins(recovered: &mut (AdStore, ShardedDriver), twin: &mut (AdStore, S
         users.iter().any(|u| !exact(&u) && !u.context.is_empty()),
         "no bounded user with state"
     );
-    // Engine counters first (recommend() below bumps them on both sides).
-    assert_eq!(recovered.1.stats(), twin.1.stats(), "engine counters");
+    // Engine counters first (recommend() below bumps them).
+    let tail_deltas: usize = tail
+        .iter()
+        .map(|r| match r {
+            WalRecord::IngestBatch(batch) => batch.len(),
+            _ => 0,
+        })
+        .sum();
+    assert_eq!(
+        recovered.1.stats().deltas,
+        tail_deltas as u64,
+        "recovery counts the replayed tail's deltas, once"
+    );
     // Full state: campaigns, budgets, pacing, CTR, per-user engine state.
     assert_eq!(
         recovered.0.export_snapshot(),
@@ -228,9 +253,10 @@ fn kill_without_snapshot_replays_whole_log() {
     assert_eq!(state.report.truncated_bytes, 0);
     assert_eq!(state.wal.next_lsn(), records.len() as u64);
 
+    let tail = replayed_tail(&records, state.report.snapshot_lsn);
     let mut recovered = (state.store, state.driver);
     let mut twin = run_uninterrupted(&records);
-    assert_twins(&mut recovered, &mut twin);
+    assert_twins(&mut recovered, &mut twin, tail);
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -249,9 +275,10 @@ fn kill_with_snapshot_replays_only_the_tail() {
         "only the tail replays"
     );
 
+    let tail = replayed_tail(&records, state.report.snapshot_lsn);
     let mut recovered = (state.store, state.driver);
     let mut twin = run_uninterrupted(&records);
-    assert_twins(&mut recovered, &mut twin);
+    assert_twins(&mut recovered, &mut twin, tail);
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -288,9 +315,10 @@ fn torn_final_record_is_truncated_and_state_matches_acked_prefix() {
     // The heal is physical: the segment shrank back to its valid prefix.
     assert_eq!(std::fs::metadata(&last).unwrap().len(), clean_len);
 
+    let tail = replayed_tail(&records, state.report.snapshot_lsn);
     let mut recovered = (state.store, state.driver);
     let mut twin = run_uninterrupted(&records);
-    assert_twins(&mut recovered, &mut twin);
+    assert_twins(&mut recovered, &mut twin, tail);
 
     // A second recovery (restart after the restart) sees a clean log.
     drop(recovered);
@@ -344,9 +372,10 @@ fn recovery_then_more_traffic_then_recovery_again() {
     drop(durability);
 
     let state = recover(&dir, NUM_USERS, NUM_SHARDS, config(), WalOptions::default()).unwrap();
+    let tail = replayed_tail(&records, state.report.snapshot_lsn);
     let mut recovered = (state.store, state.driver);
     let mut twin = run_uninterrupted(&records);
-    assert_twins(&mut recovered, &mut twin);
+    assert_twins(&mut recovered, &mut twin, tail);
     std::fs::remove_dir_all(&dir).ok();
 }
 

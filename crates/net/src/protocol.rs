@@ -383,12 +383,15 @@ impl std::fmt::Display for WireError {
 impl std::error::Error for WireError {}
 
 /// Server-side counters and latency percentiles, served by
-/// [`Request::Stats`].
+/// [`Request::Stats`]. Every counter is process-lifetime: none is
+/// persisted in a snapshot, so a restarted server starts them afresh.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ServerStats {
-    /// Feed deltas applied by the engine (cumulative).
+    /// Feed deltas applied by the engine since this process started,
+    /// WAL records its recovery replayed included. Snapshots hold no
+    /// counters, so a restart counts from zero plus the replayed tail.
     pub deltas: u64,
-    /// Recommendations served by the engine (cumulative).
+    /// Recommendations served by the engine since this process started.
     pub recommends: u64,
     /// Active campaigns right now.
     pub active_campaigns: u64,

@@ -6,9 +6,10 @@
 //! by seeded scenario scripts with fault injection. Same seed ⇒
 //! byte-identical transcript and summary, and every run — one standalone
 //! node or N replicated partitions — passes the same oracles: recovered
-//! and promoted state is a bit-identical twin of a clean replay of the
-//! acked log, each primary's LSN is its acked log's length, and each
-//! follower's WAL holds its primary's bytes.
+//! and promoted state, and every live node's state at the end, is a
+//! bit-identical twin of a clean replay of the acked log, each primary's
+//! LSN is its acked log's length, and each follower's WAL holds its
+//! primary's bytes.
 //!
 //! The pieces:
 //!
@@ -37,7 +38,8 @@
 //! config.faults.push(FaultAt { at_batch: 3, fault: Fault::Crash });
 //! let outcome = run(config).unwrap();
 //! assert_eq!(outcome.counters.crashes, 1);
-//! assert_eq!(outcome.counters.twin_checks, 1);
+//! // The recovered node, then the live node at the end of the run.
+//! assert_eq!(outcome.counters.twin_checks, 2);
 //!
 //! // Two replicated partitions; partition 1's primary dies.
 //! let mut config = SimConfig { partitions: 2, followers: true, ..SimConfig::smoke(7) };

@@ -106,7 +106,8 @@ pub struct SimOutcome {
     /// One line per event, stamped with virtual event time.
     pub transcript: String,
     /// Fixed-order `key=value` lines: the node shape, [`SimCounters`],
-    /// and engine work counters summed over the serving nodes.
+    /// and engine work counters summed over the serving nodes (each
+    /// since its last boot, like `snapshots_written`).
     pub summary: String,
     /// The counters behind the summary.
     pub counters: SimCounters,
@@ -125,10 +126,6 @@ struct Partition {
     follower: Option<usize>,
     /// The router's epoch for this partition.
     epoch: u64,
-    /// Whether a live-primary snapshot (catch-up, rejoin) seeded the
-    /// standby: it carries serve-time engine state (score caches, work
-    /// counters), so only LSN accounting, not a replay twin, applies.
-    snapshot_seeded: bool,
     /// Every record acked to a client, in ack order — the loss oracle.
     acked_log: Vec<WalRecord>,
 }
@@ -214,7 +211,6 @@ impl Runner {
                 serving: 0,
                 follower: runner.config.followers.then_some(1),
                 epoch: 0,
-                snapshot_seeded: false,
                 acked_log: Vec::new(),
             });
         }
@@ -331,21 +327,24 @@ impl Runner {
     /// End-of-run oracles, then settle every live node and read disk.
     fn finish(mut self) -> Result<SimOutcome, String> {
         // Every live follower that isn't mid-gap must be at its primary's
-        // LSN and hold exactly a replay of the acked log (hot standby,
-        // not a cold log copy); every primary must hold exactly the
-        // acked log.
+        // LSN; every primary must hold exactly the acked log; and every
+        // live node, primaries that served reads included, must hold
+        // exactly a replay of the acked log up to its LSN (a hot
+        // standby, not a cold log copy).
         for p in 0..self.parts.len() {
-            let part = &self.parts[p];
-            if let Some(f) = part.follower {
-                let (primary_lsn, follower_lsn) = (self.lsn(p, part.serving), self.lsn(p, f));
-                if lock(&part.link).isolated == 0 && follower_lsn != primary_lsn {
+            let (serving, follower) = (self.parts[p].serving, self.parts[p].follower);
+            if let Some(f) = follower {
+                let (primary_lsn, follower_lsn) = (self.lsn(p, serving), self.lsn(p, f));
+                if lock(&self.parts[p].link).isolated == 0 && follower_lsn != primary_lsn {
                     return Err(format!(
                         "partition {p}: follower at lsn {follower_lsn}, primary at {primary_lsn}"
                     ));
                 }
-                self.check_twin(p, f)?;
             }
             self.check_acked(p)?;
+            for n in std::iter::once(serving).chain(follower) {
+                self.check_twin(p, n)?;
+            }
         }
 
         // Settle: every live node's process exits — its WAL buffer
@@ -606,7 +605,6 @@ impl Runner {
                 "partition {p}: installed snapshot recaptures differently"
             ));
         }
-        self.parts[p].snapshot_seeded = true;
         self.c.twin_checks += 1;
         self.line(format!("catch_up partition={p} lsn={}", self.lsn(p, f)));
         Ok(())
@@ -749,15 +747,11 @@ impl Runner {
     }
 
     /// Node `n` must hold exactly a clean replay of the acked log up to
-    /// its LSN. Serve-time engine state (score caches, work counters)
-    /// lives only on the node that served, so the comparison is against
-    /// a replay twin, not a live peer's bytes; a pair whose standby was
-    /// seeded by a live snapshot is checked by LSN accounting alone.
+    /// its LSN. Reads are pure and a snapshot holds only log-derived
+    /// state, so this holds for every node: one that served reads, one
+    /// recovered from its own snapshot, one seeded by a peer's.
     fn check_twin(&mut self, p: usize, n: usize) -> Result<(), String> {
         let part = &self.parts[p];
-        if part.snapshot_seeded {
-            return Ok(());
-        }
         let lsn = self.lsn(p, n);
         let records = part
             .acked_log

@@ -4,8 +4,9 @@
 //!    included,
 //! 2. different seeds ⇒ different runs (the equality in (1) is not
 //!    vacuous),
-//! 3. crash faults recover to a bit-identical twin of a clean replay
-//!    (checked inside the runner; asserted on its counters here),
+//! 3. crash faults recover to a bit-identical twin of a clean replay,
+//!    and the node that served on holds one at the end (checked inside
+//!    the runner; asserted on its counters here),
 //! 4. a long run's simulated data directory stays bounded — snapshot
 //!    pruning retires WAL segments, so disk does not grow with history.
 
@@ -70,8 +71,8 @@ fn crashes_recover_to_bit_identical_twins() {
     let outcome = run(faulted(0xC4A5)).unwrap();
     assert_eq!(outcome.counters.crashes, 2);
     assert_eq!(
-        outcome.counters.twin_checks, 2,
-        "every crash must pass the replay-twin comparison"
+        outcome.counters.twin_checks, 3,
+        "every crash and the end-of-run node must pass the replay-twin comparison"
     );
     assert_eq!(
         outcome.counters.lost_records, 2,
@@ -80,6 +81,23 @@ fn crashes_recover_to_bit_identical_twins() {
     assert!(outcome.transcript.contains("twin=ok"));
     // Recovery replayed the tail (or loaded a snapshot and replayed less).
     assert!(outcome.counters.replayed_records > 0 || outcome.transcript.contains("snapshot_lsn="));
+
+    // A crash at batch 9 recovers from a snapshot cut after a recommend
+    // wave. While snapshots carried the serving node's work counters,
+    // which count reads a replay never sees, this node diverged from its
+    // replay twin.
+    let mut config = SimConfig::smoke(0xC4A5);
+    config.faults = vec![FaultAt {
+        at_batch: 9,
+        fault: Fault::Crash,
+    }];
+    let outcome = run(config).unwrap();
+    assert!(outcome.counters.recommends > 0, "a wave served first");
+    assert!(!outcome.transcript.contains("snapshot_lsn=none"));
+    assert_eq!(
+        (outcome.counters.crashes, outcome.counters.twin_checks),
+        (1, 2)
+    );
 }
 
 #[test]

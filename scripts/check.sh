@@ -4,6 +4,27 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# Address polls for the smokes: each server prints its bound addresses
+# once it listens; poll its log for up to 10 s.
+wait_addr() { # logfile → the "listening on" address, or empty on timeout
+  local addr=""
+  for _ in $(seq 1 100); do
+    addr=$(awk '/^listening on /{print $3; exit}' "$1")
+    [ -n "$addr" ] && break
+    sleep 0.1
+  done
+  echo "$addr"
+}
+wait_obs() { # logfile → the "obs listening on" address, or empty on timeout
+  local addr=""
+  for _ in $(seq 1 100); do
+    addr=$(awk '/^obs listening on /{print $4; exit}' "$1")
+    [ -n "$addr" ] && break
+    sleep 0.1
+  done
+  echo "$addr"
+}
+
 echo "== cargo fmt --check =="
 cargo fmt --check
 
@@ -46,12 +67,7 @@ serve_log=$(mktemp)
 ./target/release/adcast-serve --users 400 --shards 2 --obs-addr 127.0.0.1:0 \
   >"$serve_log" 2>&1 &
 serve_pid=$!
-addr=""
-for _ in $(seq 1 100); do
-  addr=$(awk '/^listening on /{print $3; exit}' "$serve_log")
-  [ -n "$addr" ] && break
-  sleep 0.1
-done
+addr=$(wait_addr "$serve_log")
 if [ -z "$addr" ]; then
   echo "adcast-serve never reported its address:" >&2
   cat "$serve_log" >&2
@@ -88,12 +104,7 @@ serve_log=$(mktemp)
 ./target/release/adcast-serve --users 400 --shards 2 --data-dir "$data_dir" \
   --fsync always --snapshot-every 2000 >"$serve_log" 2>&1 &
 serve_pid=$!
-addr=""
-for _ in $(seq 1 100); do
-  addr=$(awk '/^listening on /{print $3; exit}' "$serve_log")
-  [ -n "$addr" ] && break
-  sleep 0.1
-done
+addr=$(wait_addr "$serve_log")
 if [ -z "$addr" ]; then
   echo "durable adcast-serve never reported its address:" >&2
   cat "$serve_log" >&2
@@ -118,12 +129,7 @@ wait "$loadgen_pid" 2>/dev/null || true
 ./target/release/adcast-serve --users 400 --shards 2 --data-dir "$data_dir" \
   --fsync always --snapshot-every 2000 >"$serve_log" 2>&1 &
 serve_pid=$!
-addr=""
-for _ in $(seq 1 100); do
-  addr=$(awk '/^listening on /{print $3; exit}' "$serve_log")
-  [ -n "$addr" ] && break
-  sleep 0.1
-done
+addr=$(wait_addr "$serve_log")
 if [ -z "$addr" ]; then
   echo "restarted adcast-serve never reported its address:" >&2
   cat "$serve_log" >&2
@@ -174,24 +180,6 @@ grep -q 'twin=ok' <<<"$e16_out" || {
 
 echo "== cluster smoke (2 partitions + followers, router, kill -9 a primary mid-load) =="
 cluster_dir=$(mktemp -d)
-wait_addr() { # logfile → the "listening on" address, or empty on timeout
-  local addr=""
-  for _ in $(seq 1 100); do
-    addr=$(awk '/^listening on /{print $3; exit}' "$1")
-    [ -n "$addr" ] && break
-    sleep 0.1
-  done
-  echo "$addr"
-}
-wait_obs() { # logfile → the "obs listening on" address, or empty on timeout
-  local addr=""
-  for _ in $(seq 1 100); do
-    addr=$(awk '/^obs listening on /{print $4; exit}' "$1")
-    [ -n "$addr" ] && break
-    sleep 0.1
-  done
-  echo "$addr"
-}
 http_fetch() { # host:port path → status line + headers + body, via /dev/tcp
   local hp=$1 path=$2
   exec 3<>"/dev/tcp/${hp%:*}/${hp##*:}"
