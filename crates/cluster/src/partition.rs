@@ -1,14 +1,13 @@
 //! The partition map: which node serves which slice of the user space.
 //!
-//! Users are partitioned by `user.index() % num_partitions` — the same
-//! modulo every layer (router, loadgen twin feeding, sim scenarios)
-//! computes independently, so there is no map-distribution protocol to
-//! get wrong. Campaign state is *not* partitioned: every control-plane
-//! mutation (submit/pause/impression/maintain) is broadcast to all
-//! partitions in one serialized order, so each node holds the full ad
-//! store and recommendations depend only on the node's own users.
-
-use adcast_graph::UserId;
+//! Users are partitioned by [`crate::route::partition_of`], a static
+//! function of the user id and the partition count, so there is no
+//! map-distribution protocol to get wrong; the router and the simulator
+//! both place users through it. Campaign state is *not* partitioned:
+//! every control-plane mutation (submit/pause/impression/maintain) is
+//! broadcast to all partitions in one serialized order, so each node
+//! holds the full ad store and recommendations depend only on the node's
+//! own users.
 
 /// One partition's serving pair.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -85,13 +84,6 @@ impl PartitionMap {
         false
     }
 
-    /// The partition that owns `user`.
-    #[must_use]
-    pub fn partition_of(&self, user: UserId) -> u16 {
-        // len() <= u16::MAX is a construction invariant.
-        (user.index() % self.partitions.len()) as u16
-    }
-
     /// The serving pair for `partition` (None when out of range).
     #[must_use]
     pub fn nodes(&self, partition: u16) -> Option<&PartitionNodes> {
@@ -132,14 +124,5 @@ mod tests {
         assert!(PartitionMap::parse(&[]).is_err());
         assert!(PartitionMap::parse(&[String::new()]).is_err());
         assert!(PartitionMap::parse(&["a,b,c".to_string()]).is_err());
-    }
-
-    #[test]
-    fn partitioning_is_modulo_user_index() {
-        let map =
-            PartitionMap::parse(&["a".to_string(), "b".to_string(), "c".to_string()]).unwrap();
-        assert_eq!(map.partition_of(UserId(0)), 0);
-        assert_eq!(map.partition_of(UserId(4)), 1);
-        assert_eq!(map.partition_of(UserId(11)), 2);
     }
 }

@@ -4,17 +4,19 @@
 //!
 //! ```text
 //! client ──► router connection thread ──► per-partition forwarder threads
-//!                  │ split Ingest by user partition        │ owns one Client
-//!                  │ route Recommend by user               │ to the partition
-//!                  │ broadcast control RPCs (serialized)   │ primary
-//!                  ◄───────────── merged reply ────────────┘
+//!                  │ route::plan: the request's legs       │ owns one Client
+//!                  │ (Ingest split, Recommend to owner,    │ to the partition
+//!                  │ control RPCs to all, serialized)      │ primary
+//!                  ◄──────── route::Merge of the replies ──┘
 //! ```
 //!
-//! Each accepted connection gets its own forwarder thread per partition,
-//! so a mixed ingest batch fans out to all partitions **concurrently**
-//! and the reply returns when the slowest sub-batch acks — wall-clock
-//! per batch is the max partition latency, not the sum. Client RPCs are
-//! wrapped in `Routed{partition, epoch}` envelopes; the epoch makes a
+//! What to send where, and how replies merge, is decided by the
+//! transport-free [`crate::route`] module, which the simulator runs too;
+//! this module only executes it. Each accepted connection gets its own
+//! forwarder thread per partition, so a mixed ingest batch fans out to
+//! all partitions **concurrently** and the reply returns when the slowest
+//! sub-batch acks — wall-clock per batch is the max partition latency,
+//! not the sum. Legs travel in [`route::envelope`]s; the epoch makes a
 //! deposed primary refuse with a typed error instead of serving stale.
 //!
 //! ## Broadcast ordering
@@ -30,41 +32,29 @@
 //!
 //! A forwarder that cannot reach its primary (dead connection, refused
 //! dial, stale-epoch refusal) triggers promotion: under the partition
-//! lock it dials the follower, bumps the epoch, and `Promote`s it. The
+//! lock it dials the follower and sends it [`route::promotion`], adopting
+//! the [`route::adopted_epoch`] of the answer. The
 //! generation counter tells every other forwarder to re-dial. A
 //! partition with no promotable follower sheds with typed
 //! [`WireError::Overloaded`] rather than blocking the connection.
 
-#![cfg_attr(
-    not(test),
-    deny(
-        clippy::unwrap_used,
-        clippy::expect_used,
-        clippy::panic,
-        clippy::todo,
-        clippy::unimplemented,
-        clippy::unreachable
-    )
-)]
-
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use adcast_feed::FeedDelta;
-use adcast_graph::UserId;
 use adcast_net::client::{Client, ClientConfig};
 use adcast_net::codec::{encode_response, write_frame, NetError};
-use adcast_net::protocol::{Request, Response, ServerStats, TraceContext, WireError};
+use adcast_net::protocol::{Request, Response, TraceContext, WireError};
 use adcast_net::server::{accept_loop, read_request};
 use adcast_obs::tracestore::{head_sample, tracestore, SpanKind};
 use adcast_obs::{flightrec, Counter, EventKind, Gauge, Hist};
 use adcast_stream::clock::now_ns;
 
 use crate::partition::PartitionMap;
+use crate::route::{self, Merge};
 
 /// Router knobs.
 #[derive(Debug, Clone)]
@@ -192,15 +182,12 @@ struct Forwarder {
 
 impl Forwarder {
     fn view(&self) -> (u64, String, u64) {
-        match self.shared.partitions[usize::from(self.partition)].lock() {
-            Ok(rt) => (rt.epoch, rt.primary.clone(), rt.generation),
-            // A poisoned partition lock means a failover panicked; treat
-            // the partition as unavailable rather than propagating.
-            Err(poisoned) => {
-                let rt = poisoned.into_inner();
-                (rt.epoch, rt.primary.clone(), rt.generation)
-            }
-        }
+        // A poisoned partition lock means a failover panicked; read the
+        // view it left rather than propagating.
+        let rt = self.shared.partitions[usize::from(self.partition)]
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        (rt.epoch, rt.primary.clone(), rt.generation)
     }
 
     /// Forward one client RPC to this partition, riding through at most
@@ -208,7 +195,7 @@ impl Forwarder {
     /// A sampled `trace` roots the cross-node trace here: the envelope
     /// carries this forward span's derived id as the downstream parent,
     /// and the span itself is recorded when the reply lands.
-    fn forward(&mut self, inner: &Request, trace: TraceContext) -> Response {
+    fn forward(&mut self, mut leg: Request, trace: TraceContext) -> Response {
         let started = now_ns();
         let salt = u64::from(self.partition);
         for _ in 0..3 {
@@ -230,17 +217,13 @@ impl Forwarder {
             let Some(client) = self.client.as_mut() else {
                 break;
             };
-            // Shutdown travels bare: it is role- and epoch-independent
-            // (draining a fenced or deposed node is still wanted).
-            let outcome = if matches!(inner, Request::Shutdown) {
-                client.call(&Request::Shutdown)
-            } else {
-                client.call(&Request::Routed {
-                    partition: self.partition,
-                    epoch,
-                    trace: trace.child(SpanKind::RouterForward, salt),
-                    inner: Box::new(inner.clone()),
-                })
+            let child = trace.child(SpanKind::RouterForward, salt);
+            let sent = route::envelope(self.partition, epoch, child, leg);
+            let outcome = client.call(&sent);
+            // Take the leg back out for a retry: it is moved, never copied.
+            leg = match sent {
+                Request::Routed { inner, .. } => *inner,
+                bare => bare,
             };
             match outcome {
                 Ok(Response::Error(WireError::StaleEpoch { .. } | WireError::NotPrimary)) => {
@@ -280,10 +263,9 @@ impl Forwarder {
     // can make progress on it) and racing failovers must serialize on
     // exactly this lock so only one epoch bump wins.
     fn failover(&mut self, observed_generation: u64) -> bool {
-        let mut rt = match self.shared.partitions[usize::from(self.partition)].lock() {
-            Ok(rt) => rt,
-            Err(poisoned) => poisoned.into_inner(),
-        };
+        let mut rt = self.shared.partitions[usize::from(self.partition)]
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
         if rt.generation != observed_generation {
             return true;
         }
@@ -293,12 +275,11 @@ impl Forwarder {
         let Ok(mut client) = Client::connect(follower.clone(), &self.shared.config.client) else {
             return false;
         };
-        let adopted = match client.promote(self.partition, rt.epoch + 1) {
-            Ok((epoch, _next_lsn)) => epoch,
-            // The node already holds a higher epoch — promoted during a
-            // previous router life. Adopt its view instead of fighting.
-            Err(NetError::Remote(WireError::StaleEpoch { current })) => current,
-            Err(_) => return false,
+        let Ok(reply) = client.call(&route::promotion(self.partition, rt.epoch)) else {
+            return false;
+        };
+        let Some(adopted) = route::adopted_epoch(&reply) else {
+            return false;
         };
         rt.epoch = adopted;
         rt.primary = follower;
@@ -318,7 +299,7 @@ impl Forwarder {
 
 /// One forwarding job for a partition forwarder thread.
 struct Job {
-    inner: Request,
+    leg: Request,
     /// The sampled (or `NONE`) root context this RPC traces under; the
     /// fan-out legs of one broadcast share it and are told apart by the
     /// partition salt in their span ids.
@@ -339,10 +320,15 @@ struct Pool {
 }
 
 impl Pool {
-    fn spawn(shared: &Arc<RouterShared>) -> Pool {
+    /// One forwarder per partition, slot `p` serving partition `p`; `None`
+    /// when any fails to start, since a missing slot would shift every
+    /// later partition's legs onto its neighbour's forwarder.
+    fn spawn(shared: &Arc<RouterShared>) -> Option<Pool> {
         let n = shared.partitions.len();
-        let mut senders = Vec::with_capacity(n);
-        let mut joins = Vec::with_capacity(n);
+        let mut pool = Pool {
+            senders: Vec::with_capacity(n),
+            joins: Vec::with_capacity(n),
+        };
         for partition in 0..n {
             let (tx, rx) = mpsc::sync_channel::<Job>(1);
             let mut forwarder = Forwarder {
@@ -356,45 +342,37 @@ impl Pool {
                 .name(format!("adcast-fwd-{partition}"))
                 .spawn(move || {
                     while let Ok(job) = rx.recv() {
-                        let resp = forwarder.forward(&job.inner, job.trace);
+                        let resp = forwarder.forward(job.leg, job.trace);
                         // A connection thread that gave up mid-collect
                         // cannot receive; fine.
                         let _ = job.reply.send(resp);
                     }
                 });
             match join {
-                Ok(j) => joins.push(j),
-                Err(_) => continue,
+                Ok(j) => pool.joins.push(j),
+                Err(_) => {
+                    pool.join();
+                    return None;
+                }
             }
-            senders.push(tx);
+            pool.senders.push(tx);
         }
-        Pool { senders, joins }
+        Some(pool)
     }
 
-    /// Dispatch `inner` to one partition; returns the reply receiver.
-    fn dispatch(
-        &self,
-        partition: u16,
-        inner: Request,
-        trace: TraceContext,
-    ) -> mpsc::Receiver<Response> {
-        let (tx, rx) = mpsc::sync_channel(1);
-        if let Some(sender) = self.senders.get(usize::from(partition)) {
-            let _ = sender.send(Job {
-                inner,
-                trace,
-                reply: tx,
-            });
-        }
-        rx
-    }
-
-    /// Dispatch `inner` to every partition concurrently and collect the
-    /// replies in partition order (missing replies — a dead forwarder —
-    /// come back as `Overloaded`).
-    fn broadcast(&self, inner: &Request, trace: TraceContext) -> Vec<Response> {
-        let pending: Vec<_> = (0..self.senders.len())
-            .map(|p| self.dispatch(p as u16, inner.clone(), trace))
+    /// Dispatch every leg to its partition's forwarder at once and
+    /// collect the replies in leg order (missing replies — a dead
+    /// forwarder — come back as `Overloaded`).
+    fn run(&self, legs: Vec<(u16, Request)>, trace: TraceContext) -> Vec<Response> {
+        let pending: Vec<_> = legs
+            .into_iter()
+            .map(|(p, leg)| {
+                let (reply, rx) = mpsc::sync_channel(1);
+                if let Some(sender) = self.senders.get(usize::from(p)) {
+                    let _ = sender.send(Job { leg, trace, reply });
+                }
+                rx
+            })
             .collect();
         pending
             .into_iter()
@@ -408,33 +386,6 @@ impl Pool {
             let _ = j.join();
         }
     }
-}
-
-/// Merge per-partition stats into the cluster view the router reports:
-/// traffic counters sum; campaign state is replicated so the max is the
-/// truth; latency percentiles report the worst partition.
-fn merge_stats(replies: &[ServerStats]) -> ServerStats {
-    let mut out = ServerStats::default();
-    for s in replies {
-        out.deltas += s.deltas;
-        out.recommends += s.recommends;
-        out.active_campaigns = out.active_campaigns.max(s.active_campaigns);
-        out.rpcs += s.rpcs;
-        out.shed += s.shed;
-        out.connections += s.connections;
-        out.queue_capacity += s.queue_capacity;
-        out.ingest_p50_ns = out.ingest_p50_ns.max(s.ingest_p50_ns);
-        out.ingest_p99_ns = out.ingest_p99_ns.max(s.ingest_p99_ns);
-        out.recommend_p50_ns = out.recommend_p50_ns.max(s.recommend_p50_ns);
-        out.recommend_p99_ns = out.recommend_p99_ns.max(s.recommend_p99_ns);
-        out.wal_records += s.wal_records;
-        out.wal_bytes += s.wal_bytes;
-        out.wal_fsyncs += s.wal_fsyncs;
-        out.snapshots_written += s.snapshots_written;
-        out.recovered_records += s.recovered_records;
-        out.recovered_truncated_bytes += s.recovered_truncated_bytes;
-    }
-    out
 }
 
 /// A running router; like the node server, send `Shutdown` (or call
@@ -520,7 +471,11 @@ impl Router {
 }
 
 fn connection_loop(mut stream: TcpStream, shared: &Arc<RouterShared>) {
-    let pool = Pool::spawn(shared);
+    // A connection without a forwarder for every partition is refused:
+    // dropping the stream closes it.
+    let Some(pool) = Pool::spawn(shared) else {
+        return;
+    };
     while let Some((id, req)) = read_request(&mut stream, &shared.shutdown) {
         let is_shutdown = matches!(req, Request::Shutdown);
         let resp = route_one(shared, &pool, req);
@@ -535,393 +490,27 @@ fn connection_loop(mut stream: TcpStream, shared: &Arc<RouterShared>) {
     pool.join();
 }
 
-/// The partition a single-target request belongs to, or `None` for
-/// broadcast/refused kinds.
+/// Serve one client RPC: plan it with [`route::plan`], run its legs on
+/// the connection's forwarders, and merge their replies.
 fn route_one(shared: &Arc<RouterShared>, pool: &Pool, req: Request) -> Response {
-    let num_partitions = shared.partitions.len();
+    let plan = match route::plan(req, shared.partitions.len()) {
+        Ok(plan) => plan,
+        Err(refusal) => return Response::Error(refusal),
+    };
     // One sampling decision per client RPC, taken before any fan-out, so
     // every partition leg of this request shares one trace id.
-    let trace = match &req {
-        Request::Ingest { .. }
-        | Request::Recommend { .. }
-        | Request::SubmitCampaign(_)
-        | Request::PauseCampaign { .. }
-        | Request::Impression { .. }
-        | Request::Maintain { .. }
-        | Request::Checkpoint
-        | Request::ObsDump
-        | Request::Stats
-        | Request::Shutdown => shared.sample_trace(),
-        Request::Routed { .. }
-        | Request::ReplAppend { .. }
-        | Request::InstallSnapshot { .. }
-        | Request::Promote { .. }
-        | Request::ClusterStatus => TraceContext::NONE,
-    };
-    match req {
-        Request::Ingest { deltas } => {
-            // Split the batch by owning partition and fan out; the reply
-            // arrives when the slowest partition acks.
-            let mut parts: Vec<Vec<(UserId, FeedDelta)>> = vec![Vec::new(); num_partitions];
-            for (user, delta) in deltas {
-                parts[user.index() % num_partitions].push((user, delta));
-            }
-            let pending: Vec<_> = parts
-                .into_iter()
-                .enumerate()
-                .filter(|(_, sub)| !sub.is_empty())
-                .map(|(p, sub)| pool.dispatch(p as u16, Request::Ingest { deltas: sub }, trace))
-                .collect();
-            let mut accepted = 0u32;
-            for rx in pending {
-                match rx.recv() {
-                    Ok(Response::Ingested { accepted: n }) => accepted += n,
-                    Ok(Response::Error(err)) => return Response::Error(err),
-                    Ok(_) | Err(_) => return Response::Error(WireError::Overloaded),
-                }
-            }
-            Response::Ingested { accepted }
-        }
-        Request::Recommend { user, .. } => {
-            let partition = (user.index() % num_partitions) as u16;
-            let rx = pool.dispatch(partition, req, trace);
-            rx.recv().unwrap_or(Response::Error(WireError::Overloaded))
-        }
-        Request::SubmitCampaign(_)
-        | Request::PauseCampaign { .. }
-        | Request::Impression { .. }
-        | Request::Maintain { .. }
-        | Request::Checkpoint
-        | Request::ObsDump
-        | Request::Stats
-        | Request::Shutdown => broadcast(shared, pool, &req, trace),
-        // The router is a gateway, not a cluster member: partition-
-        // addressed envelopes and replication RPCs stop here.
-        Request::Routed { .. } => Response::Error(WireError::BadRequest(
-            "router does not accept pre-routed frames".into(),
-        )),
-        Request::ReplAppend { .. } | Request::InstallSnapshot { .. } | Request::Promote { .. } => {
-            Response::Error(WireError::BadRequest(
-                "replication RPCs go directly to nodes, not through the router".into(),
-            ))
-        }
-        Request::ClusterStatus => Response::Error(WireError::BadRequest(
-            "the router has no cluster status; ask a node".into(),
-        )),
+    let trace = shared.sample_trace();
+    if !matches!(plan.merge, Merge::Broadcast(_)) {
+        return plan.merge.merge(pool.run(plan.legs, trace));
     }
-}
-
-/// Broadcast a control RPC to every partition under the global broadcast
-/// lock (identical delivery order on every partition — replayed campaign
-/// ids match), then merge the per-partition replies.
-fn broadcast(
-    shared: &Arc<RouterShared>,
-    pool: &Pool,
-    req: &Request,
-    trace: TraceContext,
-) -> Response {
+    // A broadcast runs under the global broadcast lock: identical
+    // delivery order on every partition, so replayed campaign ids match.
     let started = now_ns();
     let guard = shared.broadcast.lock();
-    let replies = pool.broadcast(req, trace);
+    let replies = pool.run(plan.legs, trace);
     drop(guard);
     shared.obs.broadcasts_total.inc();
-    shared
-        .obs
-        .broadcast_ns
-        .record(now_ns().saturating_sub(started));
-    merge_broadcast(req, replies)
-}
-
-fn merge_broadcast(req: &Request, replies: Vec<Response>) -> Response {
-    // Any typed error wins over a merged success: broadcast mutations
-    // are all-or-error so partitions cannot silently diverge.
-    if let Some(err) = replies.iter().find_map(|r| match r {
-        Response::Error(e) => Some(e.clone()),
-        _ => None,
-    }) {
-        return Response::Error(err);
-    }
-    match req {
-        Request::SubmitCampaign(_) => {
-            let mut ids = replies.iter().filter_map(|r| match r {
-                Response::CampaignAccepted { ad } => Some(*ad),
-                _ => None,
-            });
-            match ids.next() {
-                Some(first) if ids.all(|ad| ad == first) => {
-                    Response::CampaignAccepted { ad: first }
-                }
-                // Divergent ids mean the partitions saw different
-                // submission histories — surface loudly.
-                _ => Response::Error(WireError::Unavailable),
-            }
-        }
-        Request::PauseCampaign { ad } => Response::CampaignPaused { ad: *ad },
-        Request::Impression { ad, .. } => Response::ImpressionRecorded {
-            ad: *ad,
-            exhausted: replies.iter().any(|r| {
-                matches!(
-                    r,
-                    Response::ImpressionRecorded {
-                        exhausted: true,
-                        ..
-                    }
-                )
-            }),
-        },
-        Request::Maintain { .. } => {
-            let (mut scanned, mut decayed, mut pruned) = (0u64, 0u64, 0u64);
-            for r in &replies {
-                if let Response::Maintained {
-                    scanned: s,
-                    decayed: d,
-                    pruned: p,
-                } = r
-                {
-                    scanned += s;
-                    decayed += d;
-                    pruned += p;
-                }
-            }
-            Response::Maintained {
-                scanned,
-                decayed,
-                pruned,
-            }
-        }
-        Request::Checkpoint => Response::Checkpointed {
-            lsn: replies
-                .iter()
-                .filter_map(|r| match r {
-                    Response::Checkpointed { lsn } => Some(*lsn),
-                    _ => None,
-                })
-                .max()
-                .unwrap_or(0),
-        },
-        Request::ObsDump => Response::ObsDumped {
-            events: replies
-                .iter()
-                .filter_map(|r| match r {
-                    Response::ObsDumped { events } => Some(*events),
-                    _ => None,
-                })
-                .sum(),
-        },
-        Request::Stats => {
-            let stats: Vec<ServerStats> = replies
-                .into_iter()
-                .filter_map(|r| match r {
-                    Response::Stats(s) => Some(s),
-                    _ => None,
-                })
-                .collect();
-            Response::Stats(merge_stats(&stats))
-        }
-        Request::Shutdown => Response::ShutdownAck,
-        // `route_one` never broadcasts these kinds.
-        Request::Ingest { .. }
-        | Request::Recommend { .. }
-        | Request::Routed { .. }
-        | Request::ReplAppend { .. }
-        | Request::InstallSnapshot { .. }
-        | Request::Promote { .. }
-        | Request::ClusterStatus => Response::Error(WireError::Unavailable),
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use adcast_ads::AdId;
-    use adcast_net::protocol::CampaignSpec;
-    use adcast_stream::clock::Timestamp;
-    use adcast_text::dictionary::TermId;
-    use adcast_text::SparseVector;
-
-    fn submit() -> Request {
-        Request::SubmitCampaign(CampaignSpec::unrestricted(
-            SparseVector::from_pairs([(TermId(1), 1.0)]),
-            1.0,
-        ))
-    }
-
-    fn stats(deltas: u64, p99: u64) -> ServerStats {
-        ServerStats {
-            deltas,
-            ingest_p99_ns: p99,
-            ..ServerStats::default()
-        }
-    }
-
-    #[test]
-    fn each_broadcast_kind_gets_its_merged_reply() {
-        let ad = AdId(7);
-        let now = Timestamp::from_secs(5);
-        let cases = [
-            (
-                submit(),
-                vec![
-                    Response::CampaignAccepted { ad },
-                    Response::CampaignAccepted { ad },
-                ],
-                Response::CampaignAccepted { ad },
-            ),
-            (
-                Request::PauseCampaign { ad },
-                vec![
-                    Response::CampaignPaused { ad },
-                    Response::CampaignPaused { ad },
-                ],
-                Response::CampaignPaused { ad },
-            ),
-            (
-                Request::Impression {
-                    ad,
-                    cost: 0.5,
-                    clicked: false,
-                    now,
-                },
-                vec![
-                    Response::ImpressionRecorded {
-                        ad,
-                        exhausted: false,
-                    },
-                    Response::ImpressionRecorded {
-                        ad,
-                        exhausted: true,
-                    },
-                ],
-                Response::ImpressionRecorded {
-                    ad,
-                    exhausted: true,
-                },
-            ),
-            (
-                Request::Maintain {
-                    now,
-                    idle_for: adcast_stream::clock::Duration::from_secs(60),
-                },
-                vec![
-                    Response::Maintained {
-                        scanned: 10,
-                        decayed: 1,
-                        pruned: 2,
-                    },
-                    Response::Maintained {
-                        scanned: 5,
-                        decayed: 3,
-                        pruned: 2,
-                    },
-                ],
-                Response::Maintained {
-                    scanned: 15,
-                    decayed: 4,
-                    pruned: 4,
-                },
-            ),
-            (
-                Request::Checkpoint,
-                vec![
-                    Response::Checkpointed { lsn: 4 },
-                    Response::Checkpointed { lsn: 9 },
-                ],
-                Response::Checkpointed { lsn: 9 },
-            ),
-            (
-                Request::ObsDump,
-                vec![
-                    Response::ObsDumped { events: 3 },
-                    Response::ObsDumped { events: 4 },
-                ],
-                Response::ObsDumped { events: 7 },
-            ),
-            (
-                Request::Stats,
-                vec![Response::Stats(stats(2, 50)), Response::Stats(stats(3, 80))],
-                Response::Stats(merge_stats(&[stats(2, 50), stats(3, 80)])),
-            ),
-            (
-                Request::Shutdown,
-                vec![Response::ShutdownAck, Response::ShutdownAck],
-                Response::ShutdownAck,
-            ),
-        ];
-        for (req, replies, want) in cases {
-            assert_eq!(merge_broadcast(&req, replies), want, "{:?}", req.kind());
-        }
-        assert_eq!(
-            merge_stats(&[stats(2, 50), stats(3, 80)]),
-            stats(5, 80),
-            "counters add, latency percentiles take the max"
-        );
-    }
-
-    #[test]
-    fn any_error_reply_wins() {
-        let replies = vec![
-            Response::Checkpointed { lsn: 4 },
-            Response::Error(WireError::ShuttingDown),
-            Response::Checkpointed { lsn: 9 },
-        ];
-        assert_eq!(
-            merge_broadcast(&Request::Checkpoint, replies),
-            Response::Error(WireError::ShuttingDown)
-        );
-    }
-
-    #[test]
-    fn divergent_campaign_ids_are_unavailable() {
-        let replies = vec![
-            Response::CampaignAccepted { ad: AdId(1) },
-            Response::CampaignAccepted { ad: AdId(2) },
-        ];
-        assert_eq!(
-            merge_broadcast(&submit(), replies),
-            Response::Error(WireError::Unavailable)
-        );
-    }
-
-    #[test]
-    fn a_non_broadcast_kind_is_unavailable() {
-        let routed = Request::Routed {
-            partition: 0,
-            epoch: 1,
-            trace: TraceContext::NONE,
-            inner: Box::new(Request::Stats),
-        };
-        for req in [
-            Request::Ingest { deltas: Vec::new() },
-            Request::Recommend {
-                user: UserId(1),
-                now: Timestamp::from_secs(1),
-                location: adcast_stream::event::LocationId(0),
-                k: 5,
-            },
-            routed,
-            Request::ReplAppend {
-                partition: 0,
-                epoch: 1,
-                trace: TraceContext::NONE,
-                entries: Vec::new(),
-            },
-            Request::InstallSnapshot {
-                partition: 0,
-                epoch: 1,
-                snapshot: bytes::Bytes::new(),
-            },
-            Request::Promote {
-                partition: 0,
-                epoch: 2,
-            },
-            Request::ClusterStatus,
-        ] {
-            assert_eq!(
-                merge_broadcast(&req, vec![Response::ShutdownAck]),
-                Response::Error(WireError::Unavailable),
-                "{:?}",
-                req.kind()
-            );
-        }
-    }
+    let broadcast_ns = now_ns().saturating_sub(started);
+    shared.obs.broadcast_ns.record(broadcast_ns);
+    plan.merge.merge(replies)
 }

@@ -395,20 +395,6 @@ impl Client {
         }
     }
 
-    /// Promote a follower to primary of `partition` under `epoch`;
-    /// returns `(epoch, next_lsn)` it now serves at.
-    ///
-    /// # Errors
-    ///
-    /// [`NetError::Remote`] with [`crate::WireError::StaleEpoch`] when
-    /// the node already holds an equal-or-higher epoch.
-    pub fn promote(&mut self, partition: u16, epoch: u64) -> Result<(u64, u64), NetError> {
-        match self.call(&Request::Promote { partition, epoch })? {
-            Response::Promoted { epoch, next_lsn } => Ok((epoch, next_lsn)),
-            other => Err(unexpected(other)),
-        }
-    }
-
     /// A node's cluster identity and replication position (served by
     /// every role, including fenced nodes — it's how the router and the
     /// smoke scripts observe failover).

@@ -24,7 +24,10 @@
 //!   production [`adcast_net::Node`]s, the request handler the live
 //!   server's engine thread runs, replicating through an in-process
 //!   link, and returns a [`SimOutcome`] (transcript, summary,
-//!   [`SimCounters`]).
+//!   [`SimCounters`]). Partitioned shapes are routed by the router's own
+//!   code, [`adcast_cluster::route`]: its partition rule, request legs,
+//!   envelopes, reply merges and failover epoch rule, with the legs run
+//!   one after another instead of over sockets.
 //!
 //! What this buys over the loopback tests: no sockets, no real fsync, no
 //! wall-clock sleeps — a simulated day at simulated-million scale runs in

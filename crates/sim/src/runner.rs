@@ -4,11 +4,14 @@
 //! served by a production [`Node`] on its own [`MemBackend`], with or
 //! without a follower. One partition without a follower is a standalone
 //! node taking plain requests, as `adcast-serve` without `--partition`
-//! serves them. Every other shape is cluster-mode primaries, and the
-//! runner plays the router: it splits ingest batches by owning
-//! partition, broadcasts campaigns, pacing, impressions and maintenance
-//! to every partition in one order, and wraps requests in `Routed`
-//! envelopes. Followers replicate through the in-process `link`.
+//! serves them. Every other shape is cluster-mode primaries behind the
+//! router's own decisions ([`adcast_cluster::route`]): each client
+//! request is planned into legs, the legs run one after another in
+//! partition order in the router's envelopes, and their replies merge as
+//! the router merges them; a failover asks for and adopts the router's
+//! epoch. Pacing is the exception: it has no RPC, so the runner hands it
+//! to every primary's ack ladder directly. Followers replicate through
+//! the in-process `link`.
 //!
 //! Determinism: the transcript and summary derive only from the seeded
 //! workload, the runner's seeded RNG, and counters kept on this thread.
@@ -23,6 +26,7 @@ use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex, Weak};
 
 use adcast_ads::AdStore;
+use adcast_cluster::route;
 use adcast_core::{EngineStats, ShardedDriver};
 use adcast_durability::recovery::recover_on;
 use adcast_durability::snapshot::EngineSetSnapshot;
@@ -286,29 +290,23 @@ impl Runner {
             }
 
             self.now = event_time(self.now, &batch);
-            // The router's split: one sub-batch per owning partition.
-            let mut subs = vec![Vec::new(); self.parts.len()];
-            for (user, delta) in batch {
-                subs[user.index() % self.parts.len()].push((user, delta));
-            }
+            let ingest = Request::Ingest { deltas: batch };
             if crash {
-                for (p, pending) in subs.into_iter().enumerate() {
-                    self.crash_and_recover(p, pending)?;
+                // Every primary goes down with its leg of the batch.
+                let mut legs = self.plan(ingest)?.legs.into_iter().peekable();
+                for p in 0..self.parts.len() {
+                    let leg = legs.next_if(|(q, _)| usize::from(*q) == p);
+                    self.crash_and_recover(p, leg.map(|(_, leg)| leg))?;
                 }
                 continue;
             }
 
             self.admission_step();
-            let mut routed = 0u64;
-            for (p, deltas) in subs.into_iter().enumerate() {
-                if deltas.is_empty() {
-                    continue;
-                }
-                routed += deltas.len() as u64;
-                self.write(p, Request::Ingest { deltas })?;
-                let mut link = lock(&self.parts[p].link);
-                link.isolated = link.isolated.saturating_sub(1);
-            }
+            let reply = self.serve(ingest)?;
+            let Response::Ingested { accepted } = reply else {
+                return Err(format!("batch {i} answered {reply:?}"));
+            };
+            let routed = u64::from(accepted);
             self.c.batches += 1;
             self.c.acked_deltas += routed;
             self.line(format!(
@@ -399,18 +397,10 @@ impl Runner {
     fn submit_campaigns(&mut self, campaigns: Vec<CampaignSpec>) -> Result<(), String> {
         let total = campaigns.len();
         for (i, spec) in campaigns.into_iter().enumerate() {
-            let replies = self.broadcast(&Request::SubmitCampaign(spec))?;
-            let mut ads = replies.into_iter().map(|reply| match reply {
-                Response::CampaignAccepted { ad } => Some(ad),
-                _ => None,
-            });
-            let ad = ads
-                .next()
-                .flatten()
-                .ok_or("submit produced a non-submit reply")?;
-            if !ads.all(|other| other == Some(ad)) {
-                return Err(format!("partitions disagree on campaign id {}", ad.0));
-            }
+            let reply = self.serve(Request::SubmitCampaign(spec))?;
+            let Response::CampaignAccepted { ad } = reply else {
+                return Err(format!("campaign {i} answered {reply:?}"));
+            };
             self.c.campaigns += 1;
             if self.config.paced_every > 0 && i % self.config.paced_every == 0 {
                 let record = WalRecord::SetPacing {
@@ -512,9 +502,9 @@ impl Runner {
         self.deliver(p, n, |node| node.handle(req, now_ns()))
     }
 
-    /// The router's forward: `req` to node `n` of partition `p` under
-    /// `epoch` (the serving node's, unless given), in a `Routed` envelope
-    /// unless the node is standalone.
+    /// The router's forward: leg `req` to node `n` of partition `p` under
+    /// `epoch` (the serving node's, unless given), in the router's
+    /// envelope unless the node is standalone.
     fn route(
         &self,
         p: usize,
@@ -527,13 +517,29 @@ impl Runner {
         if self.standalone() {
             return self.send(p, n, req);
         }
-        let routed = Request::Routed {
-            partition: p as u16,
-            epoch,
-            trace,
-            inner: Box::new(req),
-        };
-        self.send(p, n, routed)
+        self.send(p, n, route::envelope(p as u16, epoch, trace, req))
+    }
+
+    /// The router's plan for `req` over this run's partitions.
+    fn plan(&self, req: Request) -> Result<route::Plan, String> {
+        route::plan(req, self.parts.len()).map_err(|e| e.to_string())
+    }
+
+    /// One client request as the router serves it: planned, its legs
+    /// run one after another in partition order (a read routed, a
+    /// mutation written), and their replies merged.
+    fn serve(&mut self, req: Request) -> Result<Response, String> {
+        let route::Plan { legs, merge } = self.plan(req)?;
+        let mut replies = Vec::with_capacity(legs.len());
+        for (p, leg) in legs {
+            let p = usize::from(p);
+            replies.push(if matches!(leg, Request::Recommend { .. }) {
+                self.route(p, None, TraceContext::NONE, leg)?
+            } else {
+                self.write(p, leg)?
+            });
+        }
+        Ok(merge.merge(replies))
     }
 
     /// Partition `p`'s replication counts (shipments, snapshot installs).
@@ -547,6 +553,8 @@ impl Runner {
     /// the record the node logged joins the loss oracle.
     fn write(&mut self, p: usize, req: Request) -> Result<Response, String> {
         let record = logged_record(&req)?;
+        // An isolated link stays down for its partition's next ingests.
+        let ingest = matches!(record, WalRecord::IngestBatch(_));
         // Head sampling exactly like the live router's: the id is a pure
         // function of (synth seed, acked-record ordinal).
         let every = self.config.trace_sample;
@@ -579,15 +587,11 @@ impl Runner {
                 trace.trace_id
             ));
         }
+        if ingest {
+            let mut link = lock(&self.parts[p].link);
+            link.isolated = link.isolated.saturating_sub(1);
+        }
         Ok(reply)
-    }
-
-    /// A control-plane write to every partition in order, as the router
-    /// broadcasts it.
-    fn broadcast(&mut self, req: &Request) -> Result<Vec<Response>, String> {
-        (0..self.parts.len())
-            .map(|p| self.write(p, req.clone()))
-            .collect()
     }
 
     /// The write's shipment met an LSN gap and the primary rebuilt its
@@ -623,19 +627,18 @@ impl Runner {
         EngineSetSnapshot::capture(next_lsn, node.store(), node.driver()).encode()
     }
 
-    /// The router's failover: bump the epoch and promote the follower.
+    /// The router's failover: promote the follower under the router's
+    /// epoch rule.
     fn promote_follower(&mut self, p: usize) -> Result<(), String> {
         let Some(f) = self.parts[p].follower else {
             return Err(format!("partition {p}: no follower to promote"));
         };
-        let epoch = self.parts[p].epoch + 1;
-        let promote = Request::Promote {
-            partition: p as u16,
-            epoch,
+        let promote = route::promotion(p as u16, self.parts[p].epoch);
+        let reply = self.send(p, f, promote)?;
+        let Some(epoch) = route::adopted_epoch(&reply) else {
+            return Err(format!("partition {p}: promotion answered {reply:?}"));
         };
-        let Response::Promoted { next_lsn, .. } = self.send(p, f, promote)? else {
-            return Err(format!("partition {p}: promotion refused"));
-        };
+        let next_lsn = self.lsn(p, f);
         let part = &mut self.parts[p];
         part.epoch = epoch;
         part.serving = f;
@@ -700,22 +703,19 @@ impl Runner {
         Ok(())
     }
 
-    /// Power loss on partition `p`'s primary with its share of the batch
-    /// logged but never committed, then recovery in place and the
-    /// bit-identical twin check.
-    fn crash_and_recover(
-        &mut self,
-        p: usize,
-        pending: Vec<(UserId, FeedDelta)>,
-    ) -> Result<(), String> {
+    /// Power loss on partition `p`'s primary with its leg of the batch,
+    /// if it has one, logged but never committed, then recovery in place
+    /// and the bit-identical twin check.
+    fn crash_and_recover(&mut self, p: usize, leg: Option<Request>) -> Result<(), String> {
         let part = &self.parts[p];
         let n = part.serving;
         let mut node = lock(&part.nodes[n]);
         let mut durability = node.take_durability().ok_or("durability live")?;
-        let lost = !pending.is_empty();
-        if lost {
-            let record = WalRecord::IngestBatch(pending);
-            durability.log(&record).map_err(|e| e.to_string())?;
+        let lost = leg.is_some();
+        if let Some(leg) = leg {
+            durability
+                .log(&logged_record(&leg)?)
+                .map_err(|e| e.to_string())?;
         }
         // Dropping flushes the writer's buffer (unsynced bytes) and joins
         // the snapshot persister — anything it finished is on "disk".
@@ -831,16 +831,15 @@ impl Runner {
         let mut charges = Vec::with_capacity(self.config.wave_users);
         for _ in 0..self.config.wave_users {
             let user = UserId(self.rng.gen_range(0..self.config.synth.num_users));
-            let p = user.index() % self.parts.len();
             let recommend = Request::Recommend {
                 user,
                 now: self.now,
                 location: self.homes[user.index()],
                 k: u16::try_from(self.config.engine.k).unwrap_or(u16::MAX),
             };
-            let reply = self.route(p, None, TraceContext::NONE, recommend)?;
+            let reply = self.serve(recommend)?;
             let Response::Recommendations(recs) = reply else {
-                return Err(format!("partition {p}: recommend answered {reply:?}"));
+                return Err(format!("user {}: recommend answered {reply:?}", user.0));
             };
             served += recs.len() as u64;
             if let Some(top) = recs.first() {
@@ -857,13 +856,13 @@ impl Runner {
                 clicked,
                 now: self.now,
             };
-            let replies = self.broadcast(&impression)?;
+            let reply = self.serve(impression)?;
             self.c.impressions += 1;
             let exhausted = Response::ImpressionRecorded {
                 ad,
                 exhausted: true,
             };
-            self.c.exhausted += u64::from(replies.contains(&exhausted));
+            self.c.exhausted += u64::from(reply == exhausted);
         }
         self.line(format!(
             "wave users={} served={served} impressions={}",
@@ -883,18 +882,15 @@ impl Runner {
             now: self.now,
             idle_for: self.config.idle_for,
         };
-        let (mut scanned, mut decayed, mut pruned) = (0, 0, 0);
-        for reply in self.broadcast(&maintain)? {
-            let Response::Maintained {
-                scanned: s,
-                decayed: d,
-                pruned: p,
-            } = reply
-            else {
-                return Err("maintenance produced a non-maintenance reply".to_string());
-            };
-            (scanned, decayed, pruned) = (scanned + s, decayed + d, pruned + p);
-        }
+        let reply = self.serve(maintain)?;
+        let Response::Maintained {
+            scanned,
+            decayed,
+            pruned,
+        } = reply
+        else {
+            return Err(format!("maintenance answered {reply:?}"));
+        };
         self.c.maint_passes += 1;
         self.c.maint_scanned += scanned;
         self.c.maint_decayed += decayed;
@@ -996,7 +992,7 @@ mod tests {
         // Swap campaigns 1 and 2 (campaign 0 is followed by its pacing
         // record): same length, different replay.
         runner.parts[0].acked_log.swap(2, 3);
-        let err = runner.crash_and_recover(0, Vec::new()).unwrap_err();
+        let err = runner.crash_and_recover(0, None).unwrap_err();
         assert!(err.contains("diverges from acked-log replay"), "{err}");
     }
 

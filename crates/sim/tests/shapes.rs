@@ -106,6 +106,10 @@ fn replicated_partitions_take_every_fault_and_oracle() {
     let c = &a.counters;
     assert!(c.campaigns > 0 && c.acked_deltas > 0 && c.impressions > 0);
     assert!(c.maint_passes > 0, "maintenance cadence crossed");
+    // Every pass scans every user slot on every partition, so the merged
+    // count sums both partitions' replies.
+    let users = u64::from(everything(0xA11).synth.num_users);
+    assert_eq!(c.maint_scanned, c.partitions * users * c.maint_passes);
     assert!(c.maint_pruned > 0, "paced flights ended and were pruned");
     assert!(c.sheds > 0, "storm overflowed the admission queue");
     assert_eq!((c.kills, c.promotions), (1, 1));
@@ -161,6 +165,8 @@ fn routed_partitions_without_followers_crash_into_twins() {
     assert_eq!((c.crashes, c.twin_checks), (2, 4));
     assert_eq!((c.lost_records, c.lost_acked), (2, 0));
     assert!(c.snapshots_written > 0 && c.maint_passes > 0);
+    let users = u64::from(SimConfig::smoke(0xC2).synth.num_users);
+    assert_eq!(c.maint_scanned, c.partitions * users * c.maint_passes);
     let t = &a.transcript;
     for p in 0..2 {
         assert!(

@@ -74,7 +74,7 @@ if [ -z "$addr" ]; then
   kill "$serve_pid" 2>/dev/null || true
   exit 1
 fi
-obs_addr=$(awk '/^obs listening on /{print $4; exit}' "$serve_log")
+obs_addr=$(wait_obs "$serve_log")
 if [ -z "$obs_addr" ]; then
   echo "adcast-serve never reported its obs address:" >&2
   cat "$serve_log" >&2
