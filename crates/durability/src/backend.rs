@@ -33,13 +33,24 @@ pub trait StorageFile: Write + Send {
     }
 }
 
+/// A file opened for reading: its length when it was opened, and a
+/// reader over its contents from the start.
+pub struct OpenFile {
+    /// The file's length in bytes.
+    pub len: u64,
+    /// The contents, read front to back.
+    pub reader: Box<dyn Read + Send>,
+}
+
 /// One data directory's worth of named files.
 pub trait StorageBackend: Send + Sync {
     /// Create (truncating) a file and return a write handle.
     fn create(&self, name: &str) -> io::Result<Box<dyn StorageFile>>;
 
-    /// Read a file's full contents.
-    fn read(&self, name: &str) -> io::Result<Vec<u8>>;
+    /// Open a file for reading. Callers stream it ([`OpenFile::reader`])
+    /// instead of holding all of it, unless they keep it whole (a WAL
+    /// segment).
+    fn open(&self, name: &str) -> io::Result<OpenFile>;
 
     /// List file names (unsorted; empty when the directory is missing).
     fn list(&self) -> io::Result<Vec<String>>;
@@ -111,10 +122,12 @@ impl StorageBackend for FsBackend {
         Ok(Box::new(FsFile(file)))
     }
 
-    fn read(&self, name: &str) -> io::Result<Vec<u8>> {
-        let mut raw = Vec::new();
-        File::open(self.dir.join(name))?.read_to_end(&mut raw)?;
-        Ok(raw)
+    fn open(&self, name: &str) -> io::Result<OpenFile> {
+        let file = File::open(self.dir.join(name))?;
+        Ok(OpenFile {
+            len: file.metadata()?.len(),
+            reader: Box::new(file),
+        })
     }
 
     fn list(&self) -> io::Result<Vec<String>> {
@@ -155,6 +168,19 @@ impl StorageBackend for FsBackend {
     }
 }
 
+/// Read a whole file into one buffer (a WAL segment, whose records are
+/// kept as views of it), sized once from the file's length.
+///
+/// # Errors
+///
+/// Whatever opening or reading the file returns.
+pub(crate) fn read_all(backend: &dyn StorageBackend, name: &str) -> io::Result<Vec<u8>> {
+    let file = backend.open(name)?;
+    let mut raw = Vec::with_capacity(usize::try_from(file.len).unwrap_or(0));
+    file.reader.take(file.len).read_to_end(&mut raw)?;
+    Ok(raw)
+}
+
 /// Convenience: the production backend for `dir`, boxed for the
 /// `*_on` durability entry points.
 pub fn fs_backend(dir: &Path) -> Arc<dyn StorageBackend> {
@@ -185,14 +211,14 @@ mod tests {
         f.flush().unwrap();
         f.sync_data().unwrap();
         drop(f);
-        assert_eq!(b.read("a.log").unwrap(), b"hello");
+        assert_eq!(read_all(&b, "a.log").unwrap(), b"hello");
         b.rename("a.log", "b.log").unwrap();
         b.truncate("b.log", 2).unwrap();
-        assert_eq!(b.read("b.log").unwrap(), b"he");
+        assert_eq!(read_all(&b, "b.log").unwrap(), b"he");
         assert_eq!(b.list().unwrap(), vec!["b.log".to_string()]);
         b.remove("b.log").unwrap();
         b.sync_dir().unwrap();
-        assert!(b.read("b.log").is_err());
+        assert!(read_all(&b, "b.log").is_err());
         fs::remove_dir_all(&dir).ok();
     }
 }

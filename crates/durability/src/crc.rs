@@ -1,20 +1,36 @@
-//! CRC-32 (ISO-HDLC / zlib polynomial), slice-by-16.
+//! CRC-32 (ISO-HDLC / zlib polynomial): a carry-less-multiply fold
+//! where the CPU has one, slice-by-16 everywhere else.
 //!
 //! No checksum crate is available offline, so the WAL and snapshot
 //! formats carry a hand-rolled CRC-32 with the reflected polynomial
 //! `0xEDB88320` — the same algorithm as zlib's `crc32()`, chosen so the
 //! on-disk format stays verifiable by standard tools.
 //!
-//! The kernel is slice-by-16 in safe code: sixteen 256-entry tables,
-//! built at compile time, let one step fold 16 input bytes with 16
-//! independent lookups instead of a serial chain of 16 dependent ones.
-//! Table `k` advances a byte's contribution past `k` further zero bytes,
-//! so the result is the bytewise CRC exactly — same polynomial, init and
-//! final xor as the bytewise table loop, so every WAL and snapshot
-//! checksum is the same. It runs at ~0.7 ns/B where the bytewise loop
-//! takes ~3.8 ns/B — on a 40 MB snapshot, ~28 ms against ~150 ms of a
-//! restart. The tests check it against a bitwise reference. There is no
-//! runtime CPU dispatch and no `unsafe`.
+//! Two kernels compute the same function. Both take and return the
+//! finished (post-xor) CRC, zlib style, so [`crc32_update`] can carry a
+//! checksum across chunks, as a snapshot load does while it streams.
+//!
+//! * **Slice-by-16**, in safe code: sixteen 256-entry tables, built at
+//!   compile time, let one step fold 16 input bytes with 16 independent
+//!   lookups instead of a serial chain of 16 dependent ones. Table `k`
+//!   advances a byte's contribution past `k` further zero bytes. It serves
+//!   short inputs, the sub-16-byte tail of long ones, and CPUs without
+//!   the instruction below.
+//! * **Carry-less multiply** (x86_64 with `pclmulqdq`, detected at run
+//!   time; `std` caches the answer): four 128-bit accumulators each fold
+//!   16 bytes per step by multiplying by `x^512 mod P` (the method of
+//!   Intel's "Fast CRC Computation for Generic Polynomials Using
+//!   PCLMULQDQ"), then merge into one, fold any 16-byte blocks left, and
+//!   reduce 128 → 64 → 32 bits, the last step by Barrett reduction. The
+//!   `unsafe` here is the call into it, guarded by the feature check, and
+//!   its unaligned 16-byte loads.
+//!
+//! On a 16 MiB buffer on a 2-vCPU Xeon VM (`perf_summary`) the fold runs
+//! at 0.06–0.08 ns/B and slice-by-16 at 0.5–0.7 ns/B.
+//!
+//! The tests check both kernels against a bitwise reference at every
+//! length 0–1100 and start offset 0–15 and on a 3 MiB buffer, so every
+//! WAL and snapshot checksum is the bytewise CRC exactly.
 
 /// Slice-by-16 lookup tables for the reflected polynomial `0xEDB88320`.
 /// `TABLES[0]` is the classic bytewise table; `TABLES[k][i]` is the CRC
@@ -59,7 +75,36 @@ fn t(k: usize, b: u8) -> u32 {
 
 /// CRC-32/ISO-HDLC of `data` (init `!0`, final xor `!0`).
 pub fn crc32(data: &[u8]) -> u32 {
-    let mut crc = !0u32;
+    crc32_update(0, data)
+}
+
+/// Continue a CRC-32 over `data`: `crc32_update(crc32(a), b)` is
+/// `crc32` of `a` followed by `b`, and `crc32_update(0, a)` is
+/// `crc32(a)`.
+pub fn crc32_update(crc: u32, data: &[u8]) -> u32 {
+    #[cfg(target_arch = "x86_64")]
+    if data.len() >= clmul::MIN_LEN && clmul::available() {
+        // SAFETY: `available` has just confirmed that this CPU supports
+        // `pclmulqdq`, the one target feature `update` enables beyond the
+        // x86_64 baseline.
+        return unsafe { clmul::update(crc, data) };
+    }
+    slice16(crc, data)
+}
+
+/// The kernel [`crc32_update`] runs on inputs long enough to fold on
+/// this CPU.
+pub fn kernel() -> &'static str {
+    #[cfg(target_arch = "x86_64")]
+    if clmul::available() {
+        return "pclmulqdq";
+    }
+    "slice-by-16"
+}
+
+/// The slice-by-16 kernel: continue the finished CRC `crc` over `data`.
+fn slice16(crc: u32, data: &[u8]) -> u32 {
+    let mut crc = !crc;
     let (blocks, tail) = data.as_chunks::<16>();
     for b in blocks {
         // The running CRC folds into the first four bytes; those bytes
@@ -86,6 +131,101 @@ pub fn crc32(data: &[u8]) -> u32 {
         crc = (crc >> 8) ^ t(0, crc.to_le_bytes()[0] ^ byte);
     }
     !crc
+}
+
+/// The carry-less-multiply kernel (x86_64 with `pclmulqdq`).
+#[cfg(target_arch = "x86_64")]
+mod clmul {
+    use std::arch::x86_64::{
+        __m128i, _mm_and_si128, _mm_clmulepi64_si128, _mm_cvtsi128_si32, _mm_cvtsi32_si128,
+        _mm_loadu_si128, _mm_set_epi32, _mm_set_epi64x, _mm_srli_si128, _mm_xor_si128,
+    };
+
+    /// Shortest input the fold takes; below it slice-by-16 is as fast,
+    /// and the fold needs at least its four 16-byte accumulators.
+    pub(super) const MIN_LEN: usize = 128;
+
+    // Fold constants for the reflected polynomial: each `x^n mod P(x)`
+    // bit-reflected and shifted left one, as in Intel's paper.
+    /// `x^(4·128+32) mod P`: folds an accumulator 64 bytes forward (low half).
+    const K1: i64 = 0x1_5444_2bd4;
+    /// `x^(4·128-32) mod P`: the same fold's high half.
+    const K2: i64 = 0x1_c6e4_1596;
+    /// `x^(128+32) mod P`: folds 16 bytes forward (low half).
+    const K3: i64 = 0x1_7519_97d0;
+    /// `x^(128-32) mod P`: the same fold's high half.
+    const K4: i64 = 0x0_ccaa_009e;
+    /// `x^64 mod P`: the 96 → 64-bit step.
+    const K5: i64 = 0x1_63cd_6124;
+    /// `P(x)` itself, reflected, for the Barrett step.
+    const P: i64 = 0x1_db71_0641;
+    /// `⌊x^64 / P(x)⌋`, reflected, for the Barrett step.
+    const MU: i64 = 0x1_f701_1641;
+
+    pub(super) fn available() -> bool {
+        std::arch::is_x86_feature_detected!("pclmulqdq")
+    }
+
+    #[inline(always)]
+    fn load(block: &[u8; 16]) -> __m128i {
+        // SAFETY: `block` is 16 readable bytes, and `_mm_loadu_si128`
+        // reads exactly 16 bytes with no alignment requirement.
+        unsafe { _mm_loadu_si128(block.as_ptr().cast()) }
+    }
+
+    /// Carry `acc` forward by the distance `keys` encodes and add `next`.
+    #[inline]
+    #[target_feature(enable = "pclmulqdq")]
+    fn fold(acc: __m128i, next: __m128i, keys: __m128i) -> __m128i {
+        let lo = _mm_clmulepi64_si128::<0x00>(acc, keys);
+        let hi = _mm_clmulepi64_si128::<0x11>(acc, keys);
+        _mm_xor_si128(_mm_xor_si128(next, lo), hi)
+    }
+
+    /// Continue the finished CRC `crc` over `data` (at least
+    /// [`MIN_LEN`] bytes; shorter input goes to slice-by-16 whole).
+    #[target_feature(enable = "pclmulqdq")]
+    pub(super) fn update(crc: u32, data: &[u8]) -> u32 {
+        let (blocks, tail) = data.as_chunks::<16>();
+        let [b0, b1, b2, b3, rest @ ..] = blocks else {
+            return super::slice16(crc, data);
+        };
+        // The running state enters as an xor into the first 32 bits.
+        let state = _mm_cvtsi32_si128(!crc as i32);
+        let mut acc = [_mm_xor_si128(load(b0), state), load(b1), load(b2), load(b3)];
+        let k1k2 = _mm_set_epi64x(K2, K1);
+        let (groups, left) = rest.as_chunks::<4>();
+        for group in groups {
+            for (a, b) in acc.iter_mut().zip(group) {
+                *a = fold(*a, load(b), k1k2);
+            }
+        }
+        // Merge the four accumulators, oldest first, then fold the
+        // 16-byte blocks a 64-byte group left over.
+        let k3k4 = _mm_set_epi64x(K4, K3);
+        let [a0, a1, a2, a3] = acc;
+        let mut x = fold(fold(fold(a0, a1, k3k4), a2, k3k4), a3, k3k4);
+        for b in left {
+            x = fold(x, load(b), k3k4);
+        }
+        // 128 → 96 → 64 bits.
+        let mask32 = _mm_set_epi32(0, 0, 0, -1);
+        x = _mm_xor_si128(
+            _mm_clmulepi64_si128::<0x10>(x, k3k4),
+            _mm_srli_si128::<8>(x),
+        );
+        x = _mm_xor_si128(
+            _mm_clmulepi64_si128::<0x00>(_mm_and_si128(x, mask32), _mm_set_epi64x(0, K5)),
+            _mm_srli_si128::<4>(x),
+        );
+        // Barrett: 64 → 32 bits. The reflected result is the second
+        // 32-bit word of `x ^ t2`.
+        let pu = _mm_set_epi64x(MU, P);
+        let t1 = _mm_clmulepi64_si128::<0x10>(_mm_and_si128(x, mask32), pu);
+        let t2 = _mm_clmulepi64_si128::<0x00>(_mm_and_si128(t1, mask32), pu);
+        let raw = _mm_cvtsi128_si32(_mm_srli_si128::<4>(_mm_xor_si128(x, t2))) as u32;
+        super::slice16(!raw, tail)
+    }
 }
 
 #[cfg(test)]
@@ -131,17 +271,59 @@ mod tests {
         assert_eq!(crc32(b"a"), 0xE8B7_BE43);
     }
 
+    /// A kernel: continue a finished CRC over some bytes.
+    type Kernel = fn(u32, &[u8]) -> u32;
+
+    /// Every kernel this CPU can run, called directly, beside the
+    /// dispatched entry point.
+    fn kernels() -> Vec<(&'static str, Kernel)> {
+        let mut kernels: Vec<(&'static str, Kernel)> =
+            vec![("dispatched", crc32_update), ("slice-by-16", slice16)];
+        #[cfg(target_arch = "x86_64")]
+        if clmul::available() {
+            // SAFETY: `available` confirmed `pclmulqdq` on this CPU.
+            kernels.push(("pclmulqdq", |crc, data| unsafe { clmul::update(crc, data) }));
+        }
+        kernels
+    }
+
     #[test]
-    fn matches_bytewise_reference_at_every_length_and_offset() {
-        let buf = seeded_bytes(16 + 300, 0xC3C3);
+    fn every_kernel_matches_the_bitwise_reference() {
+        let buf = seeded_bytes(16 + 1100, 0xC3C3);
+        let big = seeded_bytes(3 << 20, 0x5EED);
+        let big_crc = crc32_bytewise(&big);
+        let kernels = kernels();
         for start in 0..16 {
-            for len in 0..=300 {
+            for len in 0..=1100 {
                 let data = &buf[start..start + len];
-                assert_eq!(crc32(data), crc32_bytewise(data), "start {start} len {len}");
+                let want = crc32_bytewise(data);
+                for (name, kernel) in &kernels {
+                    assert_eq!(kernel(0, data), want, "{name}: start {start} len {len}");
+                }
             }
         }
-        let big = seeded_bytes(3 << 20, 0x5EED);
-        assert_eq!(crc32(&big), crc32_bytewise(&big), "multi-MB buffer");
+        for (name, kernel) in &kernels {
+            assert_eq!(kernel(0, &big), big_crc, "{name}: multi-MB buffer");
+        }
+        assert_eq!(crc32(&big), big_crc);
+    }
+
+    #[test]
+    fn updates_chain_at_every_split() {
+        let data = seeded_bytes(300, 0xF00D);
+        let whole = crc32(&data);
+        for (name, kernel) in kernels() {
+            for split in 0..=data.len() {
+                let (a, b) = data.split_at(split);
+                assert_eq!(kernel(kernel(0, a), b), whole, "{name}: split {split}");
+            }
+        }
+    }
+
+    #[test]
+    fn the_kernel_is_named_for_this_cpu() {
+        let folds = kernels().iter().any(|(name, _)| *name == "pclmulqdq");
+        assert_eq!(kernel(), if folds { "pclmulqdq" } else { "slice-by-16" });
     }
 
     #[test]

@@ -35,7 +35,7 @@ pub mod snapshot;
 pub mod wal;
 
 pub use apply::{apply_record, ApplyEffect};
-pub use backend::{fs_backend, FsBackend, StorageBackend, StorageFile};
+pub use backend::{fs_backend, FsBackend, OpenFile, StorageBackend, StorageFile};
 pub use manager::{Durability, DurabilityCounters, DurabilityOptions};
 pub use record::WalRecord;
 pub use recovery::{recover, recover_on, RecoveredState, RecoveryError, RecoveryReport};

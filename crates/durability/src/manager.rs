@@ -8,9 +8,10 @@
 //!
 //! `commit` failing means the records are **not durable** and the caller
 //! must refuse the ack (and not apply). Snapshots are taken at batch
-//! boundaries: the engine thread serializes a consistent cut (cheap —
-//! memory traversal only) and a background persister thread does the
-//! slow part: atomic file write, fsync, pruning. Each cut also starts a
+//! boundaries: the engine thread captures a consistent cut (a copy of
+//! the state, timed by `adcast_durability_snapshot_capture_ns`) and a
+//! background persister thread does the slow part: encoding, atomic
+//! file write, fsync, read-back, pruning. Each cut also starts a
 //! new WAL segment, so the segment the snapshot covers can be pruned
 //! instead of being read again at every restart. [`Durability::checkpoint`]
 //! is the synchronous variant behind the `Checkpoint` RPC; periodic
@@ -38,7 +39,6 @@ use std::thread::JoinHandle;
 use adcast_ads::AdStore;
 use adcast_core::ShardedDriver;
 use adcast_stream::clock::now_ns;
-use bytes::Bytes;
 
 use crate::backend::{fs_backend, StorageBackend};
 use crate::record::WalRecord;
@@ -125,8 +125,8 @@ pub struct DurabilityCounters {
 }
 
 struct SnapshotJob {
-    bytes: Bytes,
-    next_lsn: u64,
+    /// The captured cut; the persister encodes it.
+    snapshot: EngineSetSnapshot,
     /// `Some` for a synchronous checkpoint; the persister reports the
     /// outcome (the final file name). `None` for fire-and-forget
     /// periodic snapshots.
@@ -145,6 +145,8 @@ pub struct Durability {
     wal_fault: Option<WalError>,
     snapshots_written: Arc<AtomicU64>,
     report: RecoveryReport,
+    /// Span timing: the engine thread's stall per snapshot cut.
+    capture_ns: adcast_obs::Hist,
     job_tx: Option<Sender<SnapshotJob>>,
     persister: Option<JoinHandle<()>>,
 }
@@ -182,7 +184,11 @@ impl Durability {
         let (job_tx, job_rx) = mpsc::channel::<SnapshotJob>();
         let snapshot_write_ns = adcast_obs::registry().hist(
             "adcast_durability_snapshot_write_ns",
-            "Background persister time per snapshot (atomic write + fsync).",
+            "Background persister time per snapshot (encode + atomic write + fsync + read-back).",
+        );
+        let capture_ns = adcast_obs::registry().hist(
+            "adcast_durability_snapshot_capture_ns",
+            "Engine-thread time per snapshot cut (capture only; the persister encodes).",
         );
         let persister = {
             let written = Arc::clone(&snapshots_written);
@@ -195,9 +201,14 @@ impl Durability {
             std::thread::Builder::new()
                 .name("adcast-persister".to_owned())
                 .spawn(move || {
-                    while let Ok(job) = job_rx.recv() {
+                    while let Ok(SnapshotJob { snapshot, ack }) = job_rx.recv() {
                         let started = now_ns();
-                        let outcome = write_snapshot_atomic_on(&*backend, job.next_lsn, &job.bytes);
+                        let next_lsn = snapshot.next_lsn;
+                        let bytes = snapshot.encode();
+                        // The capture goes before the write, so the write
+                        // and its read-back hold only the image.
+                        drop(snapshot);
+                        let outcome = write_snapshot_atomic_on(&*backend, next_lsn, &bytes);
                         snapshot_write_ns.record(now_ns().saturating_sub(started));
                         // The write read the file back, so pruning runs
                         // only behind a snapshot that decodes as encoded.
@@ -205,9 +216,9 @@ impl Durability {
                             written.fetch_add(1, Ordering::Relaxed);
                             // Pruning failures are not fatal: the snapshot
                             // itself is durable, stale files only waste disk.
-                            let _ = prune_on(&*backend, job.next_lsn, keep);
+                            let _ = prune_on(&*backend, next_lsn, keep);
                         }
-                        if let Some(ack) = job.ack {
+                        if let Some(ack) = ack {
                             let _ = ack.send(outcome);
                         }
                     }
@@ -221,6 +232,7 @@ impl Durability {
             wal_fault: None,
             snapshots_written,
             report,
+            capture_ns,
             job_tx: Some(job_tx),
             persister: Some(persister),
         }
@@ -326,13 +338,11 @@ impl Durability {
         ack: Option<Sender<Result<String, SnapshotError>>>,
     ) -> u64 {
         let next_lsn = self.wal.next_lsn();
-        let bytes = EngineSetSnapshot::capture(next_lsn, store, driver).encode();
+        let started = now_ns();
+        let snapshot = EngineSetSnapshot::capture(next_lsn, store, driver);
+        self.capture_ns.record(now_ns().saturating_sub(started));
         self.records_since_snapshot = 0;
-        let job = SnapshotJob {
-            bytes,
-            next_lsn,
-            ack,
-        };
+        let job = SnapshotJob { snapshot, ack };
         if let Some(tx) = &self.job_tx {
             let _ = tx.send(job);
         }
@@ -501,8 +511,8 @@ mod tests {
         fn create(&self, name: &str) -> std::io::Result<Box<dyn crate::backend::StorageFile>> {
             self.inner.create(name)
         }
-        fn read(&self, name: &str) -> std::io::Result<Vec<u8>> {
-            self.inner.read(name)
+        fn open(&self, name: &str) -> std::io::Result<crate::backend::OpenFile> {
+            self.inner.open(name)
         }
         fn list(&self) -> std::io::Result<Vec<String>> {
             self.inner.list()
@@ -747,8 +757,8 @@ mod tests {
             let armed = StdArc::clone(&self.armed);
             Ok(Box::new(FailingSyncFile { inner, armed }))
         }
-        fn read(&self, name: &str) -> std::io::Result<Vec<u8>> {
-            self.inner.read(name)
+        fn open(&self, name: &str) -> std::io::Result<crate::backend::OpenFile> {
+            self.inner.open(name)
         }
         fn list(&self) -> std::io::Result<Vec<String>> {
             self.inner.list()

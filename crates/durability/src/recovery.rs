@@ -41,7 +41,7 @@ use adcast_core::{EngineConfig, ShardedDriver};
 use adcast_stream::cursor::TraceError;
 
 use crate::apply::apply_record;
-use crate::backend::{fs_backend, StorageBackend};
+use crate::backend::{fs_backend, read_all, StorageBackend};
 use crate::record::WalRecord;
 use crate::snapshot::load_latest_on;
 use crate::wal::{self, WalError, WalOptions, WalWriter};
@@ -229,7 +229,7 @@ pub fn recover_on(
     for (i, &base_lsn) in segments.iter().enumerate() {
         let is_last = i + 1 == segments.len();
         let name = wal::segment_file_name(base_lsn);
-        let raw = backend.read(&name).map_err(WalError::Io)?;
+        let raw = read_all(&*backend, &name).map_err(WalError::Io)?;
         let raw_len = raw.len() as u64;
         let contents = match wal::parse_segment(raw, base_lsn, is_last) {
             Ok(contents) => contents,

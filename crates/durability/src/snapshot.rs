@@ -26,7 +26,14 @@
 //!
 //! The CRC covers the payload; decoding consumes it entirely, so a
 //! truncated or bit-flipped file yields a typed [`TraceError`] and the
-//! loader falls back to the next-older snapshot. Files are written
+//! loader falls back to the next-older snapshot. A file loads in one
+//! streaming pass ([`EngineSetSnapshot::read_from`]): the payload comes
+//! through one reused buffer, each chunk is folded into the CRC while
+//! it is still in cache, and the decoded state is returned only once
+//! the whole payload has passed and the CRC matches. Every count is
+//! checked against the bytes left before anything is reserved for it,
+//! so unverified bytes cannot make the decode allocate past what the
+//! file holds. Files are written
 //! atomically — serialized to `*.tmp`, fsynced, renamed into place, then
 //! the directory is fsynced — so a crash mid-write can never leave a
 //! half-snapshot under the real name.
@@ -52,14 +59,16 @@ use adcast_ads::{CampaignSnapshot, PacingSnapshot, StoreSnapshot};
 use adcast_core::snapshot::{EngineSnapshot, RelevanceSnapshot, UserStateSnapshot};
 use adcast_core::ShardedDriver;
 use adcast_stream::clock::Timestamp;
-use adcast_stream::cursor::{put_len32, put_opt, put_stream_header, Cursor, TraceError};
+use adcast_stream::cursor::{
+    put_len32, put_opt, put_stream_header, Cursor, TraceError, STREAM_CHUNK,
+};
 use bytes::{BufMut, Bytes, BytesMut};
 
-use crate::backend::{fs_backend, StorageBackend};
+use crate::backend::{fs_backend, OpenFile, StorageBackend};
 use crate::codec::{
     get_context_vector, get_targeting, get_vector, put_context_vector, put_targeting, put_vector,
 };
-use crate::crc::crc32;
+use crate::crc::{crc32, crc32_update};
 use crate::wal;
 
 /// Snapshot file magic (traces use `ADCT`, wire frames `ADCN`, WAL
@@ -170,35 +179,56 @@ impl EngineSetSnapshot {
         file.freeze()
     }
 
-    /// Decode a full file byte image.
+    /// Decode a full file byte image held in memory.
     ///
     /// # Errors
     ///
     /// Typed [`TraceError`] on any malformation (bad header, CRC
     /// mismatch, truncation, trailing bytes); never panics.
     pub fn decode(data: Bytes) -> Result<EngineSetSnapshot, TraceError> {
-        let mut file = Cursor::new(data);
-        file.check_header(SNAPSHOT_MAGIC, SNAPSHOT_VERSION)?;
-        let len = file.u32()? as usize;
+        Self::decode_from(Cursor::new(data))
+    }
+
+    /// Decode a snapshot file as it is read, in one pass (see the
+    /// module docs); the file is never held whole.
+    ///
+    /// # Errors
+    ///
+    /// As [`EngineSetSnapshot::decode`]; a reader that fails or ends
+    /// early is [`TraceError::Truncated`].
+    pub fn read_from(file: OpenFile) -> Result<EngineSetSnapshot, TraceError> {
+        Self::decode_from(Cursor::stream(file.reader, file.len))
+    }
+
+    /// The one decoder behind both entry points. Each campaign and each
+    /// user is read [`Cursor::whole`], so a streamed file refills between
+    /// records and the field reads never check for a refill.
+    fn decode_from(mut cur: Cursor) -> Result<EngineSetSnapshot, TraceError> {
+        let (len, crc) = cur.whole(|c| {
+            c.check_header(SNAPSHOT_MAGIC, SNAPSHOT_VERSION)?;
+            Ok((c.u32()? as usize, c.u32()?))
+        })?;
         if len > MAX_SNAPSHOT {
             return Err(TraceError::Corrupt("impossible snapshot length"));
         }
-        let crc = file.u32()?;
-        let payload = file.split_to(len)?;
-        file.finish("trailing bytes after snapshot")?;
-        if crc32(&payload) != crc {
-            return Err(TraceError::Corrupt("snapshot crc mismatch"));
+        if len > cur.len() {
+            return Err(TraceError::Truncated);
         }
-        let mut cur = Cursor::new(payload);
-        let next_lsn = cur.u64()?;
-        let num_users = cur.u32()?;
-        let num_shards = cur.u32()?;
+        if len < cur.len() {
+            return Err(TraceError::Corrupt("trailing bytes after snapshot"));
+        }
+        cur.digest_rest(crc32_update);
+        let (next_lsn, num_users, num_shards) =
+            cur.whole(|c| Ok((c.u64()?, c.u32()?, c.u32()?)))?;
         if num_shards == 0 || num_shards > 4096 {
             return Err(TraceError::Corrupt("impossible shard count"));
         }
         let store = get_store(&mut cur)?;
         let engines = cur.many(num_shards as usize, get_engine)?;
         cur.finish("trailing bytes in snapshot payload")?;
+        if cur.digest() != crc {
+            return Err(TraceError::Corrupt("snapshot crc mismatch"));
+        }
         Ok(EngineSetSnapshot {
             next_lsn,
             num_users,
@@ -261,9 +291,8 @@ fn put_store(buf: &mut BytesMut, store: &StoreSnapshot) {
 }
 
 fn get_store(cur: &mut Cursor) -> Result<StoreSnapshot, TraceError> {
-    let index_epoch = cur.u64()?;
-    let n = cur.len32()?;
-    let campaigns = cur.many(n, get_campaign)?;
+    let (index_epoch, n) = cur.whole(|c| Ok((c.u64()?, c.len32()?)))?;
+    let campaigns = cur.many(n, |c| c.whole(get_campaign))?;
     Ok(StoreSnapshot {
         campaigns,
         index_epoch,
@@ -419,8 +448,8 @@ fn put_engine(buf: &mut BytesMut, engine: &EngineSnapshot) {
 }
 
 fn get_engine(cur: &mut Cursor) -> Result<EngineSnapshot, TraceError> {
-    let n = cur.len32()?;
-    let users = cur.many(n, get_user)?;
+    let n = cur.whole(Cursor::len32)?;
+    let users = cur.many(n, |c| c.whole(get_user))?;
     Ok(EngineSnapshot { users })
 }
 
@@ -482,9 +511,9 @@ pub fn list_snapshot_lsns_on(backend: &dyn StorageBackend) -> Result<Vec<u64>, S
 /// goes to a `.tmp` file, is fsynced, renamed into place, and the
 /// directory is fsynced. A crash at any point leaves either the old
 /// snapshot set or the complete new file — never a torn snapshot under
-/// the real name. The file is then read back and compared with `bytes`;
-/// one that differs is removed, so callers prune only behind a snapshot
-/// that reads back.
+/// the real name. The file is then read back, [`STREAM_CHUNK`] bytes at
+/// a time, and compared with `bytes`; one that differs is removed, so
+/// callers prune only behind a snapshot that reads back.
 ///
 /// # Errors
 ///
@@ -520,7 +549,7 @@ pub fn write_snapshot_atomic_on(
     drop(tmp);
     backend.rename(&tmp_name, &final_name)?;
     backend.sync_dir()?;
-    if backend.read(&final_name)? != bytes {
+    if !reads_back(backend.open(&final_name)?, bytes) {
         // Best effort: a file that does not read back must not count
         // toward the retained set the next prune keeps.
         let _ = backend.remove(&final_name);
@@ -528,6 +557,19 @@ pub fn write_snapshot_atomic_on(
         return Err(SnapshotError::ReadBack(final_name));
     }
     Ok(final_name)
+}
+
+/// Does `file` hold exactly `bytes`? Compared through a streaming
+/// cursor, so the check holds one chunk of the file at a time, never a
+/// second copy of the image. A read error is a mismatch.
+fn reads_back(file: OpenFile, bytes: &[u8]) -> bool {
+    if file.len != bytes.len() as u64 {
+        return false;
+    }
+    let mut cur = Cursor::stream(file.reader, file.len);
+    bytes
+        .chunks(STREAM_CHUNK)
+        .all(|chunk| cur.whole(|c| Ok(c.take(chunk.len())? == chunk)) == Ok(true))
 }
 
 /// A successfully loaded snapshot.
@@ -573,17 +615,16 @@ pub fn load_latest_on(
 ) -> Result<Option<(EngineSetSnapshot, u32)>, SnapshotError> {
     let mut skipped = 0u32;
     for next_lsn in list_snapshot_lsns_on(backend)?.into_iter().rev() {
-        if let Ok(raw) = backend.read(&snapshot_file_name(next_lsn)) {
-            match EngineSetSnapshot::decode(Bytes::from(raw)) {
-                // The file name is the lookup key; a content/name mismatch
-                // means the file was tampered with or misplaced.
-                Ok(snapshot) if snapshot.next_lsn == next_lsn => {
-                    return Ok(Some((snapshot, skipped)))
-                }
-                _ => skipped += 1,
+        let loaded = backend
+            .open(&snapshot_file_name(next_lsn))
+            .map(EngineSetSnapshot::read_from);
+        match loaded {
+            // The file name is the lookup key; a content/name mismatch
+            // means the file was tampered with or misplaced.
+            Ok(Ok(snapshot)) if snapshot.next_lsn == next_lsn => {
+                return Ok(Some((snapshot, skipped)))
             }
-        } else {
-            skipped += 1;
+            _ => skipped += 1,
         }
     }
     Ok(None)
@@ -918,6 +959,15 @@ mod tests {
         }
     }
 
+    /// Load `bytes` the way a file loads: streamed from a reader that
+    /// says the file is `len` bytes long.
+    fn stream(bytes: &[u8], len: usize) -> Result<EngineSetSnapshot, TraceError> {
+        EngineSetSnapshot::read_from(OpenFile {
+            len: len as u64,
+            reader: Box::new(io::Cursor::new(bytes.to_vec())),
+        })
+    }
+
     #[test]
     fn every_byte_flip_is_detected() {
         let (store, driver) = populated();
@@ -929,16 +979,187 @@ mod tests {
             let mut bad = clean.to_vec();
             bad[offset] ^= 0x10;
             assert!(
+                stream(&bad, bad.len()).is_err(),
+                "flip at {offset} undetected on the file path"
+            );
+            assert!(
                 EngineSetSnapshot::decode(Bytes::from(bad)).is_err(),
                 "flip at {offset} undetected"
             );
         }
-        // Truncation at every length is detected too.
+        // Truncation at every length is detected too, whether the file is
+        // short or its reader ends before the length it was opened at.
         for cut in 0..clean.len() {
             assert!(
                 EngineSetSnapshot::decode(clean.slice(0..cut)).is_err(),
                 "cut at {cut} undetected"
             );
+            assert!(stream(&clean[..cut], cut).is_err(), "short file {cut}");
+            assert_eq!(
+                stream(&clean[..cut], clean.len()).err(),
+                Some(TraceError::Truncated),
+                "reader ending at {cut}"
+            );
+        }
+    }
+
+    /// `users` exact-lane users of `lane_len` seeded values each, in one
+    /// shard, with no campaigns: an image that is nearly all lane bytes.
+    fn lane_heavy(users: u32, lane_len: usize) -> EngineSetSnapshot {
+        let user = |u: u32| UserStateSnapshot {
+            landmark: Timestamp::from_secs(1),
+            last_ts: Timestamp::from_secs(u64::from(u) + 2),
+            context: SparseVector::from_sorted(vec![(TermId(u), 0.5)]),
+            relevance: RelevanceSnapshot::Exact {
+                lane: (0..lane_len)
+                    .map(|i| ((i as u32).wrapping_mul(2_654_435_761) ^ u) as f32 * 1e-9)
+                    .collect(),
+                since_anchor: u % 200,
+            },
+            index_epoch: 3,
+        };
+        EngineSetSnapshot {
+            next_lsn: 99,
+            num_users: users,
+            num_shards: 1,
+            store: StoreSnapshot {
+                campaigns: Vec::new(),
+                index_epoch: 3,
+            },
+            engines: vec![EngineSnapshot {
+                users: (0..users).map(user).collect(),
+            }],
+        }
+    }
+
+    /// Where each user's lane values sit in `lane_heavy(users, lane_len)`'s
+    /// image: `(first value byte, one past the last)`. Every user record
+    /// has the same size, and only `since_anchor u32 | index_epoch u64`
+    /// follow the lane.
+    fn lane_extents(users: u32, lane_len: usize) -> Vec<(usize, usize)> {
+        let base = lane_heavy(0, lane_len).encode().len();
+        let record = lane_heavy(1, lane_len).encode().len() - base;
+        let lane_bytes = 4 * lane_len;
+        (0..users as usize)
+            .map(|u| {
+                let end = base + (u + 1) * record - 12;
+                (end - lane_bytes, end)
+            })
+            .collect()
+    }
+
+    const LANE_USERS: u32 = 300;
+    const LANE_LEN: usize = 1100;
+
+    /// The file offsets where a streaming load refills: every chunk is
+    /// read whole, so they are the chunk multiples inside the file.
+    fn refill_boundaries(len: usize) -> Vec<usize> {
+        (1..)
+            .map(|k| k * STREAM_CHUNK)
+            .take_while(|&b| b < len)
+            .collect()
+    }
+
+    #[test]
+    fn an_image_spanning_refills_streams_from_a_file() {
+        let snap = lane_heavy(LANE_USERS, LANE_LEN);
+        let image = snap.encode();
+        let boundaries = refill_boundaries(image.len());
+        assert!(boundaries.len() >= 4, "{} bytes", image.len());
+        let straddled = lane_extents(LANE_USERS, LANE_LEN)
+            .iter()
+            .filter(|&&(start, end)| boundaries.iter().any(|&b| start < b && b < end))
+            .count();
+        assert!(straddled > 0, "no lane straddles a refill");
+
+        // The write streams its read-back; the load streams the file.
+        let dir = temp_dir("stream");
+        write_snapshot_atomic(&dir, snap.next_lsn, &image).unwrap();
+        let loaded = load_latest(&dir).unwrap().expect("the snapshot loads");
+        assert_eq!(loaded.skipped_corrupt, 0);
+        assert_eq!(loaded.snapshot.engines, snap.engines);
+        assert_eq!(loaded.snapshot.store, snap.store);
+        assert_eq!(loaded.snapshot.next_lsn, snap.next_lsn);
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_damaged_streamed_file_is_refused_and_the_older_one_loads() {
+        let older = small_snapshot();
+        let snap = lane_heavy(LANE_USERS, LANE_LEN);
+        let image = snap.encode().to_vec();
+        let lanes = lane_extents(LANE_USERS, LANE_LEN);
+        let header_cuts = 1..FILE_HEADER + 4;
+        let refill_cuts = refill_boundaries(image.len())
+            .into_iter()
+            .flat_map(|b| [b - 1, b, b + 1]);
+        let cuts: Vec<usize> = header_cuts.chain(refill_cuts).collect();
+        for &cut in &cuts {
+            // A reader that ends early, where the file said it was whole.
+            assert_eq!(
+                stream(&image[..cut], image.len()).err(),
+                Some(TraceError::Truncated),
+                "reader ending at {cut}"
+            );
+        }
+        let mut damaged: Vec<(String, Vec<u8>, Option<TraceError>)> = cuts
+            .into_iter()
+            .map(|cut| (format!("cut at {cut}"), image[..cut].to_vec(), None))
+            .collect();
+        // Lowest mantissa bit of a lane value in the middle of the image:
+        // the value stays finite, so only the CRC can tell.
+        let (mid_lane, _) = lanes[lanes.len() / 2];
+        let mut flipped = image.clone();
+        flipped[mid_lane + 40] ^= 1;
+        let crc = TraceError::Corrupt("snapshot crc mismatch");
+        damaged.push(("lane flip".into(), flipped, Some(crc)));
+        let mut trailing = image.clone();
+        trailing.extend_from_slice(&[0; 3]);
+        let trailing_err = TraceError::Corrupt("trailing bytes after snapshot");
+        damaged.push(("trailing bytes".into(), trailing, Some(trailing_err)));
+        // A payload length past the end of the file, and an impossible one.
+        for (what, len, err) in [
+            (
+                "length past the end",
+                image.len() - FILE_HEADER + 1,
+                TraceError::Truncated,
+            ),
+            (
+                "impossible length",
+                u32::MAX as usize,
+                TraceError::Corrupt("impossible snapshot length"),
+            ),
+        ] {
+            let mut bad = image.clone();
+            bad[8..12].copy_from_slice(&(len as u32).to_le_bytes());
+            damaged.push((what.into(), bad, Some(err)));
+        }
+        // A lane's own length field past the end, under a matching CRC:
+        // the count check refuses it before anything is reserved.
+        let (last_lane, _) = lanes[lanes.len() - 1];
+        let mut bad = image.clone();
+        bad[last_lane - 4..last_lane].copy_from_slice(&0x7FFF_FFFFu32.to_le_bytes());
+        let crc = crc32(&bad[FILE_HEADER..]);
+        bad[12..16].copy_from_slice(&crc.to_le_bytes());
+        damaged.push((
+            "lane length past the end".into(),
+            bad,
+            Some(TraceError::Truncated),
+        ));
+
+        for (what, bytes, want) in damaged {
+            let got = stream(&bytes, bytes.len()).err();
+            assert!(got.is_some(), "{what}: loaded");
+            if let Some(want) = want {
+                assert_eq!(got, Some(want), "{what}");
+            }
+            let dir = temp_dir("damaged");
+            write_snapshot_atomic(&dir, older.next_lsn, &older.encode()).unwrap();
+            fs::write(dir.join(snapshot_file_name(snap.next_lsn)), &bytes).unwrap();
+            let loaded = load_latest(&dir).unwrap().expect("the older snapshot");
+            assert_eq!(loaded.snapshot.next_lsn, older.next_lsn, "{what}");
+            assert_eq!(loaded.skipped_corrupt, 1, "{what}");
+            fs::remove_dir_all(&dir).ok();
         }
     }
 

@@ -43,7 +43,7 @@ use adcast_stream::clock::now_ns;
 use adcast_stream::cursor::{put_stream_header, Cursor, TraceError};
 use bytes::{BufMut, Bytes, BytesMut};
 
-use crate::backend::{fs_backend, StorageBackend, StorageFile};
+use crate::backend::{fs_backend, read_all, StorageBackend, StorageFile};
 use crate::crc::crc32;
 use crate::record::WalRecord;
 
@@ -279,7 +279,7 @@ pub fn read_segment_on(
     is_last: bool,
 ) -> Result<SegmentRecords, WalError> {
     parse_segment(
-        backend.read(&segment_file_name(expect_base))?,
+        read_all(backend, &segment_file_name(expect_base))?,
         expect_base,
         is_last,
     )

@@ -15,14 +15,20 @@ use std::sync::Arc;
 
 use adcast_ads::{AdId, AdStore, AdSubmission, Budget, Targeting};
 use adcast_core::{EngineConfig, RelevanceSnapshot, ShardedDriver, UserStateSnapshot};
+use adcast_durability::snapshot::{list_snapshots, snapshot_file_name};
 use adcast_durability::wal::{FsyncPolicy, WalOptions, WalWriter};
-use adcast_durability::{apply_record, recover, Durability, DurabilityOptions, WalRecord};
+use adcast_durability::{
+    apply_record, recover, Durability, DurabilityOptions, EngineSetSnapshot, FsBackend,
+    StorageBackend, WalRecord,
+};
 use adcast_feed::FeedDelta;
 use adcast_graph::UserId;
 use adcast_stream::clock::{Duration, Timestamp};
+use adcast_stream::cursor::TraceError;
 use adcast_stream::event::{LocationId, Message, MessageId};
 use adcast_text::dictionary::TermId;
 use adcast_text::SparseVector;
+use bytes::Bytes;
 
 const NUM_USERS: u32 = 8;
 const NUM_SHARDS: usize = 2;
@@ -275,6 +281,60 @@ fn kill_with_snapshot_replays_only_the_tail() {
         "only the tail replays"
     );
 
+    let tail = replayed_tail(&records, state.report.snapshot_lsn);
+    let mut recovered = (state.store, state.driver);
+    let mut twin = run_uninterrupted(&records);
+    assert_twins(&mut recovered, &mut twin, tail);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A flipped bit inside an exact lane of the newest snapshot leaves every
+/// value finite, so the file parses; only its CRC, checked as the load
+/// streams, refuses it, and recovery falls back to the older snapshot as
+/// it does for a snapshot that does not read back.
+#[test]
+fn a_flipped_lane_byte_fails_the_crc_and_recovery_falls_back() {
+    let dir = temp_dir("laneflip");
+    let records = workload();
+    run_durable(&dir, &records, 7);
+    let snapshots = list_snapshots(&dir).unwrap();
+    let [older, newest] = &snapshots[..] else {
+        panic!("two snapshots retained: {snapshots:?}");
+    };
+    let mut raw = std::fs::read(&newest.path).unwrap();
+    let image = EngineSetSnapshot::decode(Bytes::from(raw.clone())).unwrap();
+    let lane = image
+        .engines
+        .iter()
+        .flat_map(|e| &e.users)
+        .find_map(|u| match &u.relevance {
+            RelevanceSnapshot::Exact { lane, .. } => Some(lane),
+            RelevanceSnapshot::Bounded { .. } => None,
+        })
+        .expect("an exact lane in the newest snapshot");
+    let lane_bytes: Vec<u8> = lane.iter().flat_map(|v| v.to_le_bytes()).collect();
+    let at = raw
+        .windows(lane_bytes.len())
+        .position(|w| w == lane_bytes)
+        .expect("the lane's bytes in the image");
+    // The lowest mantissa byte of a value in the middle of the lane.
+    raw[at + lane_bytes.len() / 8 * 4] ^= 1;
+    std::fs::write(&newest.path, &raw).unwrap();
+    let file = FsBackend::new(&dir)
+        .open(&snapshot_file_name(newest.next_lsn))
+        .unwrap();
+    assert_eq!(
+        EngineSetSnapshot::read_from(file).err(),
+        Some(TraceError::Corrupt("snapshot crc mismatch"))
+    );
+
+    let state = recover(&dir, NUM_USERS, NUM_SHARDS, config(), WalOptions::default()).unwrap();
+    assert_eq!(state.report.snapshot_lsn, Some(older.next_lsn));
+    assert_eq!(state.report.snapshots_skipped, 1);
+    assert_eq!(
+        state.report.replayed_records,
+        records.len() as u64 - older.next_lsn
+    );
     let tail = replayed_tail(&records, state.report.snapshot_lsn);
     let mut recovered = (state.store, state.driver);
     let mut twin = run_uninterrupted(&records);

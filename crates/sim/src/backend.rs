@@ -28,7 +28,7 @@ use std::io::{self, Write};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
-use adcast_durability::{StorageBackend, StorageFile};
+use adcast_durability::{OpenFile, StorageBackend, StorageFile};
 use adcast_stream::clock::SimClock;
 
 /// One simulated file: contents plus the durability horizon.
@@ -181,9 +181,17 @@ impl StorageBackend for MemBackend {
         }))
     }
 
-    fn read(&self, name: &str) -> io::Result<Vec<u8>> {
+    fn open(&self, name: &str) -> io::Result<OpenFile> {
         match self.lock().get(name) {
-            Some(file) => Ok(lock_file(file).data.clone()),
+            Some(file) => {
+                // The reader gets the contents as they stand at open, as a
+                // real file's would be if nothing wrote to it meanwhile.
+                let data = lock_file(file).data.clone();
+                Ok(OpenFile {
+                    len: data.len() as u64,
+                    reader: Box::new(io::Cursor::new(data)),
+                })
+            }
             None => Err(io::Error::new(io::ErrorKind::NotFound, name.to_string())),
         }
     }
@@ -232,6 +240,14 @@ impl StorageBackend for MemBackend {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::io::Read;
+
+    /// A file's contents, read through the backend.
+    fn read_all(b: &MemBackend, name: &str) -> io::Result<Vec<u8>> {
+        let mut raw = Vec::new();
+        b.open(name)?.reader.read_to_end(&mut raw)?;
+        Ok(raw)
+    }
 
     fn backend() -> (Arc<SimClock>, Arc<MemBackend>) {
         let clock = Arc::new(SimClock::new());
@@ -250,7 +266,7 @@ mod tests {
         assert_eq!(report.files_torn, 1);
         assert_eq!(report.bytes_lost, 4);
         // Synced prefix intact, deterministic half of the tail survives.
-        assert_eq!(b.read("wal.log").unwrap(), b"durable!infl");
+        assert_eq!(read_all(&b, "wal.log").unwrap(), b"durable!infl");
         // A second crash with nothing unsynced is a no-op.
         assert_eq!(b.crash(), CrashReport::default());
     }
@@ -280,8 +296,8 @@ mod tests {
         // Inode semantics: the old handle still appends to the same file.
         f.write_all(b"shot").unwrap();
         f.sync_data().unwrap();
-        assert_eq!(b.read("final").unwrap(), b"snapshot");
-        assert!(b.read("tmp").is_err());
+        assert_eq!(read_all(&b, "final").unwrap(), b"snapshot");
+        assert!(read_all(&b, "tmp").is_err());
         assert_eq!(b.list().unwrap(), vec!["final".to_string()]);
     }
 
@@ -292,10 +308,10 @@ mod tests {
         f.write_all(b"0123456789").unwrap();
         f.sync_data().unwrap();
         b.truncate("seg", 4).unwrap();
-        assert_eq!(b.read("seg").unwrap(), b"0123");
+        assert_eq!(read_all(&b, "seg").unwrap(), b"0123");
         // Nothing reappears after a crash: synced_len was clamped too.
         b.crash();
-        assert_eq!(b.read("seg").unwrap(), b"0123");
+        assert_eq!(read_all(&b, "seg").unwrap(), b"0123");
         assert_eq!(b.total_bytes(), 4);
         assert_eq!(b.file_count(), 1);
     }

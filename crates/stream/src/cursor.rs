@@ -20,6 +20,16 @@
 //! * a decoder that must consume its whole input ends with
 //!   [`Cursor::finish`], which makes leftover bytes `Corrupt`.
 //!
+//! A cursor reads either one buffer already in memory ([`Cursor::new`])
+//! or a reader it pulls through one reused buffer ([`Cursor::stream`],
+//! how a snapshot file loads). The field reads see only the bytes in
+//! memory and stay as cheap as over a plain buffer; a streamed decoder
+//! reads each top-level element through [`Cursor::whole`], which pulls
+//! more input and reads the element again when it ran past the buffer.
+//! A pull can fold each chunk into a running digest as it lands
+//! ([`Cursor::digest_rest`]), so a checksum costs no second pass over
+//! memory.
+//!
 //! Encoding writes straight into a `BytesMut`; [`put_len8`],
 //! [`put_len16`] and [`put_len32`] are the one place where a count can
 //! overflow its prefix.
@@ -36,10 +46,18 @@
     )
 )]
 
-use bytes::{BufMut, Bytes, BytesMut};
+use std::io::Read;
+
+use bytes::{Buf, BufMut, Bytes, BytesMut};
 
 /// Most elements [`Cursor::many`] reserves before it has read them.
 const MAX_PREALLOC: usize = 1 << 16;
+
+/// Bytes a streaming cursor pulls from its reader at a time. Small
+/// enough to stay in a core's L2 cache, so the digest and the decode
+/// that follow a pull both read it from cache; large enough that the
+/// read calls cost little.
+pub const STREAM_CHUNK: usize = 256 << 10;
 
 /// Decode failure, shared by every format.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -133,24 +151,68 @@ pub fn put_opt<T>(buf: &mut BytesMut, value: Option<T>, put: impl FnOnce(&mut By
     }
 }
 
-/// A bounds-checked read position over one encoded buffer.
-#[derive(Debug, Clone)]
+/// A running digest over a cursor's input: the fold and its value.
+#[derive(Clone, Copy)]
+struct Digest {
+    fold: fn(u32, &[u8]) -> u32,
+    value: u32,
+}
+
+/// A bounds-checked read position over one encoded input.
 pub struct Cursor {
+    /// The input in memory: all of it, or a stream's current window.
     data: Bytes,
-    /// Bytes already read; never past `data.len()`.
+    /// Bytes of `data` already read; never past `data.len()`.
     pos: usize,
+    /// Input bytes not yet pulled into `data` (0 without a reader).
+    pending: usize,
+    /// Where a stream's `pending` bytes come from.
+    reader: Option<Box<dyn Read + Send>>,
+    /// Folded over the input from [`Cursor::digest_rest`] on.
+    digest: Option<Digest>,
+}
+
+impl std::fmt::Debug for Cursor {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Cursor")
+            .field("pos", &self.pos)
+            .field("buffered", &self.data.len())
+            .field("pending", &self.pending)
+            .finish_non_exhaustive()
+    }
 }
 
 impl Cursor {
     /// Start reading at the front of `data`.
     pub fn new(data: Bytes) -> Cursor {
-        Cursor { data, pos: 0 }
+        Cursor {
+            data,
+            pos: 0,
+            pending: 0,
+            reader: None,
+            digest: None,
+        }
+    }
+
+    /// Read `len` bytes from `reader` as [`Cursor::whole`] asks for
+    /// them, through one reused buffer: the unread tail of the last pull
+    /// plus [`STREAM_CHUNK`] bytes. An element longer than that grows the
+    /// buffer to hold it, never past the `len` bytes the input has. A
+    /// reader that fails or ends before `len` bytes ends the input there.
+    pub fn stream(reader: Box<dyn Read + Send>, len: u64) -> Cursor {
+        Cursor {
+            data: Bytes::new(),
+            pos: 0,
+            pending: usize::try_from(len).unwrap_or(usize::MAX),
+            reader: Some(reader),
+            digest: None,
+        }
     }
 
     /// Bytes left to read.
     #[inline]
     pub fn len(&self) -> usize {
-        self.data.len() - self.pos
+        (self.data.len() - self.pos).saturating_add(self.pending)
     }
 
     /// Nothing left to read?
@@ -159,10 +221,93 @@ impl Cursor {
         self.len() == 0
     }
 
-    /// The unread bytes (zero-copy).
+    /// The unread bytes in memory (zero-copy).
     #[inline]
     pub fn into_rest(self) -> Bytes {
         self.data.slice(self.pos..)
+    }
+
+    /// Read one element with `read`. Over a stream, an element that runs
+    /// past the bytes in memory (`Truncated` while input is pending) is
+    /// read again from its start after a pull of [`STREAM_CHUNK`] more
+    /// bytes, twice that on the next retry, and so on to the end of the
+    /// input. `read` must only read from the cursor. Over an in-memory
+    /// buffer this is `read(self)`.
+    ///
+    /// # Errors
+    ///
+    /// Whatever `read` returns once it has all the input it can get.
+    pub fn whole<T>(
+        &mut self,
+        mut read: impl FnMut(&mut Cursor) -> Result<T, TraceError>,
+    ) -> Result<T, TraceError> {
+        let mut start = self.pos;
+        let mut pull = STREAM_CHUNK;
+        loop {
+            match read(self) {
+                Err(TraceError::Truncated) if self.pending > 0 => {
+                    self.pos = start;
+                    self.pull(pull.min(self.pending))?;
+                    // The pull moved the element's start to the front.
+                    start = self.pos;
+                    pull = pull.saturating_mul(2);
+                }
+                done => return done,
+            }
+        }
+    }
+
+    /// Start a running digest at the current position: from here to the
+    /// end of the input, `fold(value, bytes)` sees every byte once and in
+    /// order, starting from `value = 0` — the bytes already in memory
+    /// now, the rest as each pull lands, while they are still in cache.
+    pub fn digest_rest(&mut self, fold: fn(u32, &[u8]) -> u32) {
+        let buffered = self.data.get(self.pos..).unwrap_or_default();
+        self.digest = Some(Digest {
+            fold,
+            value: fold(0, buffered),
+        });
+    }
+
+    /// The digest from [`Cursor::digest_rest`]'s position to the last
+    /// byte in memory: to the end of the input once [`Cursor::finish`]
+    /// has passed. 0 when no digest was started.
+    pub fn digest(&self) -> u32 {
+        self.digest.map_or(0, |d| d.value)
+    }
+
+    /// Append `n` more input bytes (at most `pending`) to the unread
+    /// tail, which moves to the front of the buffer first. A reader that
+    /// fails keeps the tail and ends the input.
+    fn pull(&mut self, n: usize) -> Result<(), TraceError> {
+        let have = self.data.len() - self.pos;
+        let Some(reader) = self.reader.as_mut() else {
+            return Err(TraceError::Truncated);
+        };
+        let mut window = std::mem::take(&mut self.data);
+        window.advance(self.pos);
+        self.pos = 0;
+        // The window's handle is the only one unless a split-off payload
+        // still shares it; then the tail is copied to a new buffer.
+        let mut buf = window.try_into_mut().unwrap_or_else(|shared| {
+            let mut fresh = BytesMut::with_capacity(have + n);
+            fresh.put_slice(&shared);
+            fresh
+        });
+        buf.resize(have + n, 0);
+        let fresh = &mut buf[have..];
+        if reader.read_exact(fresh).is_err() {
+            buf.resize(have, 0);
+            self.data = buf.freeze();
+            self.pending = 0;
+            return Err(TraceError::Truncated);
+        }
+        if let Some(d) = &mut self.digest {
+            d.value = (d.fold)(d.value, fresh);
+        }
+        self.pending -= n;
+        self.data = buf.freeze();
+        Ok(())
     }
 
     /// Validate and consume a header written by [`put_stream_header`].
@@ -337,7 +482,9 @@ impl Cursor {
     /// [`TraceError::Truncated`] when fewer than `n` bytes remain.
     #[inline]
     pub fn split_to(&mut self, n: usize) -> Result<Bytes, TraceError> {
-        self.count(n)?;
+        if n > self.data.len() - self.pos {
+            return Err(TraceError::Truncated);
+        }
         self.pos += n;
         Ok(self.data.slice(self.pos - n..self.pos))
     }
@@ -419,6 +566,77 @@ mod tests {
         assert_eq!(c.len32(), Err(TraceError::Truncated));
         let mut c = cursor(&[0xFF, 0xFF, 0xFF, 0xFF, 1]);
         assert_eq!(c.len32(), Err(TraceError::Truncated));
+    }
+
+    /// A sequential fold, so folding chunks in order equals folding the
+    /// whole input at once.
+    fn fold(acc: u32, bytes: &[u8]) -> u32 {
+        bytes
+            .iter()
+            .fold(acc, |a, &b| a.rotate_left(5) ^ u32::from(b))
+    }
+
+    fn input(n: usize) -> Vec<u8> {
+        (0..n).map(|i| (i * 7 + i / 251) as u8).collect()
+    }
+
+    fn streamed(data: &[u8], len: usize) -> Cursor {
+        Cursor::stream(Box::new(std::io::Cursor::new(data.to_vec())), len as u64)
+    }
+
+    /// Read an element of `n` bytes (a `u8`, then `n - 1` bytes) whole,
+    /// as a streamed decoder reads its records.
+    fn element(c: &mut Cursor, n: usize) -> Result<Vec<u8>, TraceError> {
+        c.whole(|c| {
+            let first = c.u8()?;
+            let mut out = c.take(n - 1)?.to_vec();
+            out.insert(0, first);
+            Ok(out)
+        })
+    }
+
+    #[test]
+    fn a_stream_reads_and_digests_as_one_buffer_would() {
+        let data = input(3 * STREAM_CHUNK + STREAM_CHUNK / 2 + 7);
+        let mut mem = Cursor::new(Bytes::from(data.clone()));
+        let mut st = streamed(&data, data.len());
+        assert_eq!(st.len(), data.len());
+        assert_eq!(mem.whole(Cursor::u32), st.whole(Cursor::u32));
+        st.digest_rest(fold);
+        // Elements of every small size cross each pull at a different
+        // offset; an element longer than two chunks grows the buffer.
+        let mut n = 0;
+        while mem.len() > 2 * STREAM_CHUNK + 64 {
+            n = n % 37 + 1;
+            assert_eq!(element(&mut mem, n), element(&mut st, n));
+        }
+        let long = 2 * STREAM_CHUNK + 5;
+        assert_eq!(element(&mut mem, long), element(&mut st, long));
+        assert_eq!(mem.len(), st.len());
+        while !mem.is_empty() {
+            assert_eq!(mem.whole(Cursor::u8), st.whole(Cursor::u8));
+        }
+        assert_eq!(st.whole(Cursor::u8), Err(TraceError::Truncated));
+        assert_eq!(st.finish("left"), Ok(()));
+        assert_eq!(st.digest(), fold(0, &data[4..]));
+    }
+
+    #[test]
+    fn a_stream_that_ends_early_ends_its_input_there() {
+        let data = input(STREAM_CHUNK + 10);
+        let mut st = streamed(&data[..STREAM_CHUNK + 2], data.len());
+        assert!(element(&mut st, STREAM_CHUNK - 1).is_ok());
+        assert_eq!(element(&mut st, 4), Err(TraceError::Truncated));
+        // The pull failed, so the input ends at the byte already in
+        // memory: it still reads, nothing after it does.
+        assert_eq!(st.len(), 1);
+        assert_eq!(st.whole(Cursor::u8), Ok(data[STREAM_CHUNK - 1]));
+        assert_eq!(st.whole(Cursor::u8), Err(TraceError::Truncated));
+        // Field reads see only the bytes in memory.
+        let mut st = streamed(&data, data.len());
+        assert_eq!(st.u8(), Err(TraceError::Truncated));
+        assert_eq!(st.split_to(1), Err(TraceError::Truncated));
+        assert_eq!(st.len(), data.len());
     }
 
     #[test]

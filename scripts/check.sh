@@ -102,7 +102,7 @@ echo "== crash-recovery smoke (kill -9 mid-load, restart, verify recovered state
 data_dir=$(mktemp -d)
 serve_log=$(mktemp)
 ./target/release/adcast-serve --users 400 --shards 2 --data-dir "$data_dir" \
-  --fsync always --snapshot-every 2000 >"$serve_log" 2>&1 &
+  --fsync always --snapshot-every 1000 >"$serve_log" 2>&1 &
 serve_pid=$!
 addr=$(wait_addr "$serve_log")
 if [ -z "$addr" ]; then
@@ -123,11 +123,20 @@ wait "$serve_pid" 2>/dev/null || true
 # not the check — the recovered server's counters are.
 kill -9 "$loadgen_pid" 2>/dev/null || true
 wait "$loadgen_pid" 2>/dev/null || true
+# A snapshot is renamed into place only once it is complete and fsynced,
+# so one on disk now must be what the restart loads. The replay check
+# below alone would pass a loader that skipped it, whenever the WAL that
+# covers it survives. The smoke workload logs ~1 090 records, so the
+# 1000-record cadence cuts one snapshot once the load has run through.
+had_snapshot=0
+if compgen -G "$data_dir/snap-*.snap" >/dev/null; then
+  had_snapshot=1
+fi
 # Restart from the same data directory (fresh ephemeral port) and verify
 # the pre-crash state came back: recovered_records counts the WAL tail
 # replayed on top of the last periodic snapshot.
 ./target/release/adcast-serve --users 400 --shards 2 --data-dir "$data_dir" \
-  --fsync always --snapshot-every 2000 >"$serve_log" 2>&1 &
+  --fsync always --snapshot-every 1000 >"$serve_log" 2>&1 &
 serve_pid=$!
 addr=$(wait_addr "$serve_log")
 if [ -z "$addr" ]; then
@@ -148,6 +157,13 @@ grep -q 'recovered_records=[1-9]' <<<"$loadgen_out" || {
   cat "$serve_log" >&2
   exit 1
 }
+if [ "$had_snapshot" = 1 ]; then
+  if ! grep -q '^recovered from snapshot at lsn .* 0 corrupt snapshot(s) skipped' "$serve_log"; then
+    echo "a complete snapshot was on disk, but the restart did not load it cleanly:" >&2
+    cat "$serve_log" >&2
+    exit 1
+  fi
+fi
 # Graceful shutdown dumps the flight recorder next to the WAL; after a crash
 # plus a recovered run it must exist and be non-empty.
 if ! [ -s "$data_dir/flightrec.jsonl" ]; then
