@@ -520,5 +520,42 @@ fn main() {
         merge_ns / gallop_ns.max(1e-9)
     );
 
+    // --- Sparse kernels: a context update's merge (a ~16-term delta
+    // added into a ~256-term context), linear merge against the
+    // galloping run copy `axpy_in` dispatches to for this skew. Each
+    // iteration adds the delta and then subtracts it again, so the
+    // context keeps its shape; the timing covers both merges. ---
+    let mut ctx = random_vector(&mut rng, 256, 5_000);
+    let delta = random_vector(&mut rng, 16, 5_000);
+    let mut scratch = adcast_text::ScratchSpace::new();
+    let axpy_iters = scale.pick(100_000u64, 500_000);
+    let merge_ns = time_per_iter(axpy_iters, || {
+        ctx.axpy_merge_in(1.0, &delta, &mut scratch);
+        ctx.axpy_merge_in(-1.0, &delta, &mut scratch);
+        std::hint::black_box(&ctx);
+    }) * 1e9
+        / 2.0;
+    let gallop_ns = time_per_iter(axpy_iters, || {
+        ctx.axpy_gallop_in(1.0, &delta, &mut scratch);
+        ctx.axpy_gallop_in(-1.0, &delta, &mut scratch);
+        std::hint::black_box(&ctx);
+    }) * 1e9
+        / 2.0;
+    summary.metric("sparse_axpy", "context_terms", ctx.len() as f64);
+    summary.metric("sparse_axpy", "delta_terms", delta.len() as f64);
+    summary.metric("sparse_axpy", "merge_ns", merge_ns);
+    summary.metric("sparse_axpy", "gallop_ns", gallop_ns);
+    summary.metric(
+        "sparse_axpy",
+        "gallop_speedup",
+        merge_ns / gallop_ns.max(1e-9),
+    );
+    println!(
+        "sparse axpy {}+={}: merge {merge_ns:.0} ns, gallop {gallop_ns:.0} ns ({:.1}x)",
+        ctx.len(),
+        delta.len(),
+        merge_ns / gallop_ns.max(1e-9)
+    );
+
     summary.write();
 }

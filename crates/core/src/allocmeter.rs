@@ -40,6 +40,10 @@ impl CountingAllocator {
     }
 }
 
+#[expect(
+    unsafe_code,
+    reason = "`GlobalAlloc` is an unsafe trait; the `debug-stats` counting allocator"
+)]
 // SAFETY: every method delegates verbatim to `System`, which upholds the
 // `GlobalAlloc` contract; the only addition is a thread-local counter bump,
 // which itself never allocates (`Cell<u64>` write) and so cannot re-enter

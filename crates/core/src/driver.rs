@@ -10,8 +10,10 @@
 //! shard (for `num_shards > 1`) and `process_batch` never spawns or joins
 //! anything. Each batch is pre-partitioned into per-shard slabs
 //! (`Vec<(UserId, FeedDelta)>`) and handed over with **one** channel send
-//! per shard; the worker drains the slab through its engine and returns
-//! the emptied slab on a per-worker ack channel. `process_batch` blocks
+//! per shard, users already mapped to their shard-local ids; the worker
+//! applies the slab with one [`IncrementalEngine::apply_batch`] call (the
+//! entry the single-shard inline path uses too) and returns the emptied
+//! slab on a per-worker ack channel. `process_batch` blocks
 //! until every shard has acked — that barrier is what makes the raw
 //! `*const AdStore` handed to the workers sound (the borrow outlives all
 //! uses) and it recycles the slabs, so a steady batch loop performs no
@@ -51,7 +53,8 @@ use std::thread::JoinHandle;
 use crate::config::{DriverConfig, EngineConfig};
 use crate::engine::{EngineStats, IncrementalEngine, Recommendation, RecommendationEngine};
 
-/// A batch slab: one shard's share of a `process_batch` call.
+/// A batch slab: one shard's share of a `process_batch` call, keyed by
+/// shard-local user ids.
 type Slab = Vec<(UserId, FeedDelta)>;
 
 /// Why a batch could not be processed.
@@ -96,6 +99,10 @@ impl std::error::Error for DriverError {}
 /// one batch. Soundness: `process_batch` does not return until every
 /// worker has acked the batch, so the pointee outlives every dereference.
 struct StorePtr(*const AdStore);
+#[expect(
+    unsafe_code,
+    reason = "the pointer crosses to the shard threads; the ack barrier bounds its lifetime"
+)]
 // SAFETY: AdStore is Sync (machine-checked below, so this impl breaks the
 // build instead of silently racing if AdStore ever gains interior
 // mutability) and the barrier in `process_batch` bounds the pointer's
@@ -181,10 +188,9 @@ impl ShardedDriver {
                     let engine = Arc::clone(engine);
                     let (tx, rx) = mpsc::sync_channel::<WorkerMsg>(1);
                     let (ack_tx, ack_rx) = mpsc::sync_channel::<Slab>(1);
-                    let shards = num_shards as u32;
                     let join = std::thread::Builder::new()
                         .name(format!("adcast-shard-{s}"))
-                        .spawn(move || worker_loop(&engine, shards, &rx, &ack_tx))
+                        .spawn(move || worker_loop(&engine, &rx, &ack_tx))
                         .expect("spawn shard worker");
                     Worker {
                         tx,
@@ -274,11 +280,8 @@ impl ShardedDriver {
     ) -> Result<(), DriverError> {
         let num_shards = self.engines.len();
         if self.workers.is_empty() {
-            let local_shards = num_shards; // 1
-            let mut engine = self.lock_engine(0);
-            for (user, delta) in &deltas {
-                engine.on_feed_delta(store, UserId((user.index() / local_shards) as u32), delta);
-            }
+            // One shard: every user's local id is its global id.
+            self.lock_engine(0).apply_batch(store, &deltas);
             return Ok(());
         }
         if self.dead {
@@ -294,7 +297,8 @@ impl ShardedDriver {
             slab.clear();
         }
         for (user, delta) in deltas {
-            slabs[user.index() % num_shards].push((user, delta));
+            let local = self.local(user);
+            slabs[self.shard_of(user)].push((local, delta));
         }
         // Empty slabs are sent too: the ack protocol stays uniform (one
         // ack per worker per batch) and the slab keeps its capacity.
@@ -484,24 +488,22 @@ impl Drop for ShardedDriver {
 
 fn worker_loop(
     engine: &Mutex<IncrementalEngine>,
-    num_shards: u32,
     rx: &Receiver<WorkerMsg>,
     ack_tx: &SyncSender<Slab>,
 ) {
     while let Ok(msg) = rx.recv() {
         match msg {
             WorkerMsg::Batch { store, mut items } => {
+                #[expect(unsafe_code, reason = "the one dereference of the `StorePtr` hand-off")]
                 // SAFETY: the driver blocks on this batch's ack before
                 // `process_batch` returns, so the caller's `&AdStore`
                 // borrow is still live for every dereference here.
                 let store: &AdStore = unsafe { &*store.0 };
-                {
-                    let mut engine = engine.lock().expect("engine mutex poisoned");
-                    for (user, delta) in items.drain(..) {
-                        let local = UserId(user.index() as u32 / num_shards);
-                        engine.on_feed_delta(store, local, &delta);
-                    }
-                }
+                engine
+                    .lock()
+                    .expect("engine mutex poisoned")
+                    .apply_batch(store, &items);
+                items.clear();
                 if ack_tx.send(items).is_err() {
                     return; // driver dropped mid-batch
                 }

@@ -91,6 +91,7 @@ use adcast_text::ScratchSpace;
 use crate::config::EngineConfig;
 use crate::context::{ContextUpdate, UserContext};
 use crate::engine::blockmax::{taat_blocked, IndexObs, TaatAccumulator};
+use crate::engine::prefetch::prefetch;
 use crate::engine::scatter::ContextScatter;
 use crate::engine::{EngineStats, Recommendation, RecommendationEngine};
 use crate::score::ScoringPolicy;
@@ -104,6 +105,19 @@ use crate::topk::{insert_bounded, top_k, Scored};
 /// allows, while a re-anchor walks the whole context's postings once — a
 /// few deltas' worth, a few percent of the scatter once spread over 256.
 const REANCHOR_EVERY: u32 = 256;
+
+/// How far ahead of the applying delta [`IncrementalEngine::apply_batch`]
+/// prefetches a user's `UserState` slot. The slot has to arrive before
+/// the loop reads it one delta later to find that user's arrays, and one
+/// delta (2–4 µs) is far longer than a miss.
+const SLOT_AHEAD: usize = 2;
+
+/// How far ahead [`IncrementalEngine::apply_batch`] prefetches a user's
+/// context lanes and exact lane, read from the slot fetched
+/// [`SLOT_AHEAD`]` − 1` deltas earlier. One delta ahead keeps what is
+/// fetched (~10 KB per lane user) inside L1/L2 until it is used; further
+/// ahead buys no more overlap and risks eviction.
+const STATE_AHEAD: usize = 1;
 
 #[derive(Debug)]
 struct UserState {
@@ -136,6 +150,19 @@ impl UserState {
         match &mut self.relevance {
             Relevance::Bounded(b) => Some(b),
             Relevance::Exact(_) => None,
+        }
+    }
+
+    /// Prefetch the arrays a delta for this user reads: the context's
+    /// term and weight lanes (merged by the context update) and, for a
+    /// dense user, the whole exact lane (the scatter touches most of its
+    /// lines). A bounded user's maps are left alone: they are a small
+    /// share of deltas at the benchmark's scale.
+    fn prefetch_arrays(&self) {
+        prefetch(self.ctx.raw().terms());
+        prefetch(self.ctx.raw().weights());
+        if let Relevance::Exact(lane) = &self.relevance {
+            prefetch(&lane.rel);
         }
     }
 }
@@ -1178,6 +1205,48 @@ impl IncrementalEngine {
         self.obs
             .certify_ns
             .record(now_ns().saturating_sub(certify_started));
+    }
+
+    /// Apply `batch` in order, each item as one
+    /// [`on_feed_delta`](RecommendationEngine::on_feed_delta) (with the
+    /// same state, work counters and `debug-stats` allocation accounting),
+    /// software-pipelined: while delta *i* applies, the `UserState` slot of
+    /// delta *i* + [`SLOT_AHEAD`] and the arrays of delta *i* +
+    /// [`STATE_AHEAD`] (whose slot is cached by now) are prefetched. Users
+    /// are engine-local ids; an out-of-range id panics when its delta
+    /// applies, as `on_feed_delta` does.
+    // adcast-lint: zero-alloc
+    pub fn apply_batch(&mut self, store: &AdStore, batch: &[(UserId, FeedDelta)]) {
+        for (user, _) in batch.iter().take(SLOT_AHEAD) {
+            self.prefetch_slot(*user);
+        }
+        if let Some((user, _)) = batch.first() {
+            self.prefetch_arrays(*user);
+        }
+        for (i, (user, delta)) in batch.iter().enumerate() {
+            if let Some((next, _)) = batch.get(i + SLOT_AHEAD) {
+                self.prefetch_slot(*next);
+            }
+            if let Some((next, _)) = batch.get(i + STATE_AHEAD) {
+                self.prefetch_arrays(*next);
+            }
+            self.on_feed_delta(store, *user, delta);
+        }
+    }
+
+    /// Prefetch `user`'s `UserState` slot (nothing for an unknown user).
+    fn prefetch_slot(&self, user: UserId) {
+        if let Some(st) = self.users.get(user.index()) {
+            prefetch(std::slice::from_ref(st));
+        }
+    }
+
+    /// Prefetch the arrays `user`'s next delta reads (see
+    /// [`UserState::prefetch_arrays`]).
+    fn prefetch_arrays(&self, user: UserId) {
+        if let Some(st) = self.users.get(user.index()) {
+            st.prefetch_arrays();
+        }
     }
 }
 

@@ -13,6 +13,7 @@ mod blockmax;
 mod full_scan;
 mod incremental;
 mod index_scan;
+mod prefetch;
 mod scatter;
 
 pub use full_scan::FullScanEngine;

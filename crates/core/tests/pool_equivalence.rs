@@ -178,3 +178,128 @@ fn equivalence_more_shards_than_some_residents() {
     };
     assert_equivalent(0x5EED, config, 7);
 }
+
+/// The pipelined batch entry against one `on_feed_delta` at a time. A
+/// catalogue of 400 ads over the 64-term vocabulary makes caches dense,
+/// so users convert to exact lanes mid-run; 32 users in 60-delta batches
+/// repeat users inside a batch (a prefetched user applied twice); a 5 s
+/// half-life over ~12 minutes of stream time forces landmark rebases.
+/// Four engines see the same stream: per-delta calls, `apply_batch`, and
+/// 1- and `shards`-shard drivers. Recommendations, exported snapshots and
+/// `EngineStats` must agree bit for bit.
+fn assert_batch_matches_per_delta(seed: u64, shards: usize) {
+    const LANE_ADS: u32 = 400;
+    const LANE_USERS: u32 = 32;
+    let mut rng = SmallRng::seed_from_u64(seed);
+    let mut store = AdStore::new();
+    for _ in 0..LANE_ADS {
+        store
+            .submit(AdSubmission {
+                vector: random_vector(&mut rng, 4),
+                bid: rng.gen_range(0.5f32..2.0),
+                targeting: Targeting::everywhere(),
+                budget: Budget::unlimited(),
+                topic_hint: None,
+            })
+            .unwrap();
+    }
+    let mut workload = random_workload(&mut rng, 3_000);
+    for (user, _) in &mut workload {
+        *user = UserId(user.0 % LANE_USERS);
+    }
+    let config = EngineConfig {
+        k: 3,
+        half_life: Some(adcast_stream::clock::Duration::from_secs(5)),
+        ..Default::default()
+    };
+    let mut reference = IncrementalEngine::new(LANE_USERS, config.clone());
+    let mut batched = IncrementalEngine::new(LANE_USERS, config.clone());
+    let mut one = ShardedDriver::new(LANE_USERS, 1, config.clone());
+    let mut many = ShardedDriver::new(LANE_USERS, shards, config);
+    let bits = |recs: &[Recommendation]| format!("{recs:?}");
+    let mut lanes_seen = Vec::new();
+
+    for (round, batch) in workload.chunks(60).enumerate() {
+        assert!(
+            batch.len() > LANE_USERS as usize,
+            "every batch repeats a user"
+        );
+        if round == 20 {
+            let ad = adcast_ads::AdId(rng.gen_range(0..LANE_ADS));
+            assert!(store.remove(ad));
+            reference.on_campaign_removed(ad);
+            batched.on_campaign_removed(ad);
+            one.on_campaign_removed(ad);
+            many.on_campaign_removed(ad);
+        }
+        for (u, d) in batch {
+            reference.on_feed_delta(&store, *u, d);
+        }
+        batched.apply_batch(&store, batch);
+        one.process_batch(&store, batch.to_vec()).unwrap();
+        many.process_batch(&store, batch.to_vec()).unwrap();
+        lanes_seen.push(reference.lane_users());
+
+        let now = batch.last().unwrap().1.entered.as_ref().unwrap().ts;
+        for _ in 0..4 {
+            let u = UserId(rng.gen_range(0..LANE_USERS));
+            let k = rng.gen_range(1..=4usize);
+            let want = bits(&reference.recommend(&store, u, now, LocationId(0), k));
+            let got = [
+                bits(&batched.recommend(&store, u, now, LocationId(0), k)),
+                bits(&one.recommend(&store, u, now, LocationId(0), k)),
+                bits(&many.recommend(&store, u, now, LocationId(0), k)),
+            ];
+            for (name, got) in ["apply_batch", "1-shard", "N-shard"].iter().zip(got) {
+                assert_eq!(got, want, "{name}: user {u:?} round {round}");
+            }
+        }
+    }
+
+    // The workload reached every case it is meant to cover.
+    let stats = reference.stats().clone();
+    assert_eq!(lanes_seen.first(), Some(&0), "users start bounded");
+    assert!(
+        lanes_seen.windows(2).any(|w| w[0] < w[1] && w[0] > 0),
+        "users convert to exact lanes mid-run: {lanes_seen:?}"
+    );
+    assert!(stats.rebases > 0, "no landmark rebase fired");
+
+    assert_eq!(&stats, batched.stats(), "apply_batch stats");
+    assert_eq!(stats, one.stats(), "1-shard stats");
+    assert_eq!(stats, many.stats(), "{shards}-shard stats");
+
+    // Snapshots, with f32s compared through `Debug` (which tells -0.0
+    // from 0.0), user by user in global order.
+    let want: Vec<String> = reference
+        .export_snapshot()
+        .users
+        .iter()
+        .map(|u| format!("{u:?}"))
+        .collect();
+    let batched_users: Vec<String> = batched
+        .export_snapshot()
+        .users
+        .iter()
+        .map(|u| format!("{u:?}"))
+        .collect();
+    assert_eq!(batched_users, want, "apply_batch snapshot");
+    for (name, driver) in [("1-shard", &one), ("N-shard", &many)] {
+        let snaps = driver.export_snapshots();
+        let n = snaps.len();
+        let users: Vec<String> = (0..LANE_USERS as usize)
+            .map(|u| format!("{:?}", snaps[u % n].users[u / n]))
+            .collect();
+        assert_eq!(users, want, "{name} snapshot");
+    }
+}
+
+#[test]
+fn batch_apply_matches_per_delta_one_shard_and_pool() {
+    assert_batch_matches_per_delta(0xBA7C4, 3);
+}
+
+#[test]
+fn batch_apply_matches_per_delta_more_shards() {
+    assert_batch_matches_per_delta(0xFE7C4, 5);
+}

@@ -140,6 +140,59 @@ fn steady_state_deltas_on_a_dense_lane_do_not_allocate() {
 }
 
 #[test]
+fn steady_state_batches_do_not_allocate() {
+    // The driver's entry: `apply_batch` over 60-delta batches that repeat
+    // each of three users 20 times, over the 300-ad store, so all three
+    // convert to exact lanes during warm-up and every measured batch
+    // prefetches and scatters into them (re-anchors included). Neither
+    // the per-delta accounting nor the thread's raw count may move.
+    use adcast_core::allocmeter::allocation_count;
+
+    let s = store(300);
+    let config = EngineConfig {
+        k: 2,
+        half_life: None,
+        ..Default::default()
+    };
+    let mut engine = IncrementalEngine::new(3, config);
+    let items: Vec<(UserId, FeedDelta)> = stream(2_000)
+        .into_iter()
+        .flat_map(|d| (0..3u32).map(move |u| (UserId(u), d.clone())))
+        .collect();
+    let (warmup, measured) = items.split_at(3_000);
+    for batch in warmup.chunks(60) {
+        engine.apply_batch(&s, batch);
+    }
+    assert_eq!(
+        engine.lane_users(),
+        3,
+        "every user must be on an exact lane"
+    );
+    let (allocs_before, refreshes_before) =
+        (engine.stats().hot_path_allocs, engine.stats().refreshes);
+    assert!(
+        allocs_before > 0,
+        "the batch entry must count warm-up allocations in hot_path_allocs"
+    );
+    let raw_before = allocation_count();
+    for batch in measured.chunks(60) {
+        engine.apply_batch(&s, batch);
+    }
+    let raw = allocation_count() - raw_before;
+    assert_eq!(engine.stats().deltas, 6_000);
+    assert!(
+        engine.stats().refreshes - refreshes_before >= 9,
+        "the measured batches must re-anchor every lane"
+    );
+    assert_eq!(
+        engine.stats().hot_path_allocs - allocs_before,
+        0,
+        "steady-state batched deltas allocated"
+    );
+    assert_eq!(raw, 0, "the batch loop allocated {raw} times");
+}
+
+#[test]
 fn steady_state_recommend_allocates_only_the_result() {
     // The pruned serve path works entirely out of engine-owned scratch:
     // once cursor/seen/top-k capacities have warmed up, the only heap

@@ -83,11 +83,10 @@ pub fn crc32(data: &[u8]) -> u32 {
 /// `crc32(a)`.
 pub fn crc32_update(crc: u32, data: &[u8]) -> u32 {
     #[cfg(target_arch = "x86_64")]
-    if data.len() >= clmul::MIN_LEN && clmul::available() {
-        // SAFETY: `available` has just confirmed that this CPU supports
-        // `pclmulqdq`, the one target feature `update` enables beyond the
-        // x86_64 baseline.
-        return unsafe { clmul::update(crc, data) };
+    if data.len() >= clmul::MIN_LEN {
+        if let Some(crc) = clmul::update(crc, data) {
+            return crc;
+        }
     }
     slice16(crc, data)
 }
@@ -135,6 +134,10 @@ fn slice16(crc: u32, data: &[u8]) -> u32 {
 
 /// The carry-less-multiply kernel (x86_64 with `pclmulqdq`).
 #[cfg(target_arch = "x86_64")]
+#[expect(
+    unsafe_code,
+    reason = "SIMD loads and the call into the `pclmulqdq` fold after its run-time check"
+)]
 mod clmul {
     use std::arch::x86_64::{
         __m128i, _mm_and_si128, _mm_clmulepi64_si128, _mm_cvtsi128_si32, _mm_cvtsi32_si128,
@@ -182,10 +185,23 @@ mod clmul {
         _mm_xor_si128(_mm_xor_si128(next, lo), hi)
     }
 
-    /// Continue the finished CRC `crc` over `data` (at least
-    /// [`MIN_LEN`] bytes; shorter input goes to slice-by-16 whole).
+    /// Continue the finished CRC `crc` over `data` by the fold, or
+    /// `None` when this CPU lacks `pclmulqdq`. Input under 64 bytes goes
+    /// to slice-by-16 whole; [`crc32_update`](super::crc32_update) sends
+    /// only [`MIN_LEN`] bytes or more.
+    pub(super) fn update(crc: u32, data: &[u8]) -> Option<u32> {
+        if !available() {
+            return None;
+        }
+        // SAFETY: `available` has just confirmed that this CPU supports
+        // `pclmulqdq`, the one target feature `fold_all` enables beyond
+        // the x86_64 baseline.
+        Some(unsafe { fold_all(crc, data) })
+    }
+
+    /// [`update`]'s body, compiled with `pclmulqdq` enabled.
     #[target_feature(enable = "pclmulqdq")]
-    pub(super) fn update(crc: u32, data: &[u8]) -> u32 {
+    fn fold_all(crc: u32, data: &[u8]) -> u32 {
         let (blocks, tail) = data.as_chunks::<16>();
         let [b0, b1, b2, b3, rest @ ..] = blocks else {
             return super::slice16(crc, data);
@@ -281,8 +297,9 @@ mod tests {
             vec![("dispatched", crc32_update), ("slice-by-16", slice16)];
         #[cfg(target_arch = "x86_64")]
         if clmul::available() {
-            // SAFETY: `available` confirmed `pclmulqdq` on this CPU.
-            kernels.push(("pclmulqdq", |crc, data| unsafe { clmul::update(crc, data) }));
+            kernels.push(("pclmulqdq", |crc, data| {
+                clmul::update(crc, data).expect("pclmulqdq is available")
+            }));
         }
         kernels
     }

@@ -74,6 +74,10 @@ pub struct FileAnalysis {
     /// included): rustc's and clippy's suppressions, counted beside the
     /// pragmas so one ratchet covers both mechanisms.
     pub lint_attrs: usize,
+    /// `#[expect(unsafe_code, reason = ...)]` attributes: not counted in
+    /// `lint_attrs`, because each marks a site where `unsafe` is allowed
+    /// to live, an inventory pinned against DESIGN §10 instead.
+    pub unsafe_sites: usize,
 }
 
 impl FileAnalysis {
@@ -83,7 +87,7 @@ impl FileAnalysis {
         let fns = find_fns(&tokens);
         let blocks = find_blocks(&tokens);
         let (pragmas, bad_pragmas) = parse_pragmas(&comments);
-        let lint_attrs = count_lint_attrs(&tokens);
+        let (lint_attrs, unsafe_sites) = count_lint_attrs(&tokens);
         FileAnalysis {
             rel_path: rel_path.to_string(),
             tokens,
@@ -93,6 +97,7 @@ impl FileAnalysis {
             pragmas,
             bad_pragmas,
             lint_attrs,
+            unsafe_sites,
         }
     }
 
@@ -243,20 +248,33 @@ fn find_blocks(tokens: &[Tok]) -> Vec<Block> {
     blocks
 }
 
-/// Count `#[allow(` / `#[expect(` (and `#![...]`) attribute openings.
-fn count_lint_attrs(tokens: &[Tok]) -> usize {
-    tokens
-        .iter()
-        .enumerate()
-        .filter(|&(i, t)| {
-            let at = |k: usize| tokens.get(i + k);
-            let bang = usize::from(at(1).is_some_and(|b| b.is_punct('!')));
-            t.is_punct('#')
-                && at(1 + bang).is_some_and(|b| b.is_punct('['))
-                && at(2 + bang).is_some_and(|n| n.is_ident("allow") || n.is_ident("expect"))
-                && at(3 + bang).is_some_and(|p| p.is_punct('('))
-        })
-        .count()
+/// Count `#[allow(` / `#[expect(` (and `#![...]`) attribute openings:
+/// `(suppressions, unsafe sites)`, where an unsafe site is an
+/// `#[expect(unsafe_code)]` naming no other lint.
+fn count_lint_attrs(tokens: &[Tok]) -> (usize, usize) {
+    let (mut suppressions, mut unsafe_sites) = (0, 0);
+    for (i, t) in tokens.iter().enumerate() {
+        let at = |k: usize| tokens.get(i + k);
+        let bang = usize::from(at(1).is_some_and(|b| b.is_punct('!')));
+        let is_lint_attr = t.is_punct('#')
+            && at(1 + bang).is_some_and(|b| b.is_punct('['))
+            && at(2 + bang).is_some_and(|n| n.is_ident("allow") || n.is_ident("expect"))
+            && at(3 + bang).is_some_and(|p| p.is_punct('('));
+        if !is_lint_attr {
+            continue;
+        }
+        let unsafe_site = at(2 + bang).is_some_and(|n| n.is_ident("expect"))
+            && at(4 + bang).is_some_and(|l| l.is_ident("unsafe_code"))
+            && (at(5 + bang).is_some_and(|p| p.is_punct(')'))
+                || (at(5 + bang).is_some_and(|p| p.is_punct(','))
+                    && at(6 + bang).is_some_and(|r| r.is_ident("reason"))));
+        if unsafe_site {
+            unsafe_sites += 1;
+        } else {
+            suppressions += 1;
+        }
+    }
+    (suppressions, unsafe_sites)
 }
 
 /// Discover every `fn` with its visibility, body extent and return type.
@@ -506,6 +524,16 @@ mod tests {
         let src = "#![allow(dead_code)]\n#[expect(clippy::expect_used, reason = \"x\")]\n\
                    #[derive(Debug)]\nfn f() { let s = \"#[allow(x)]\"; }\n";
         assert_eq!(FileAnalysis::new("x.rs", src).lint_attrs, 2);
+    }
+
+    #[test]
+    fn unsafe_expectations_are_sites_not_suppressions() {
+        let src = "#[expect(unsafe_code, reason = \"x\")]\nunsafe impl Send for P {}\n\
+                   #[expect(unsafe_code)]\nfn f() {}\n\
+                   #[expect(unsafe_code, dead_code)]\nfn g() {}\n\
+                   #[allow(unsafe_code, reason = \"x\")]\nfn h() {}\n";
+        let fa = FileAnalysis::new("x.rs", src);
+        assert_eq!((fa.lint_attrs, fa.unsafe_sites), (2, 2));
     }
 
     #[test]

@@ -75,6 +75,10 @@ pub struct LintReport {
     /// `#[allow]`/`#[expect]` lint attributes: every suppression in the
     /// scanned files, whichever tool it silences.
     pub suppressions: usize,
+    /// The file of every `#[expect(unsafe_code)]` attribute, once per
+    /// attribute: where the workspace's `unsafe_code = "deny"` lets
+    /// `unsafe` live.
+    pub unsafe_sites: Vec<String>,
 }
 
 impl LintReport {
@@ -178,6 +182,9 @@ pub fn lint_sources(files: &[(String, String)], only_rule: Option<&str>) -> Lint
         let (survivors, pragmas) = apply_suppressions(&fa, raw, only_rule);
         report.diagnostics.extend(survivors);
         report.suppressions += pragmas + fa.lint_attrs;
+        report
+            .unsafe_sites
+            .extend(std::iter::repeat_n(fa.rel_path.clone(), fa.unsafe_sites));
     }
     report
         .diagnostics

@@ -41,6 +41,38 @@ fn workspace_is_lint_clean() {
     );
 }
 
+/// `unsafe_code = "deny"` lets `unsafe` compile only under an
+/// `#[expect(unsafe_code)]`; DESIGN §10 lists one bullet per such
+/// attribute, and the two lists must match (as multisets of files).
+#[test]
+fn unsafe_sites_match_design() {
+    let design = include_str!("../../../DESIGN.md");
+    let section = design
+        .split("**Where `unsafe` lives.**")
+        .nth(1)
+        .and_then(|rest| rest.split("**Marking a new hot-path file.**").next())
+        .expect("DESIGN §10 has a \"Where `unsafe` lives\" paragraph");
+    let mut documented: Vec<String> = section
+        .lines()
+        .filter_map(|l| l.strip_prefix("- `"))
+        .filter_map(|rest| rest.split('`').next())
+        .map(str::to_string)
+        .collect();
+    let report = adcast_lint::lint_workspace(&workspace_root(), None).expect("workspace walk");
+    let mut found = report.unsafe_sites;
+    documented.sort();
+    found.sort();
+    assert!(
+        !found.is_empty(),
+        "no `#[expect(unsafe_code)]` found — wrong root?"
+    );
+    assert_eq!(
+        documented, found,
+        "DESIGN §10's unsafe sites (left) differ from the `#[expect(unsafe_code)]` \
+         attributes in the tree (right)"
+    );
+}
+
 /// The root package and every member opt into the workspace `[lints]`
 /// table, so no crate escapes the `unsafe` and `#[allow]` reason lints.
 #[test]

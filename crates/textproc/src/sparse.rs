@@ -9,10 +9,11 @@
 //!
 //! All kernel operations used by the scoring engines live here: dot
 //! products (branch-light merge-join with a galloping path for skewed
-//! operand lengths), cosine similarity, scaled accumulation (`axpy`),
-//! deltas, and top-component extraction. Kernels that need temporary
-//! buffers take a caller-owned [`ScratchSpace`] so steady-state callers
-//! (the incremental engine's delta path) never touch the allocator.
+//! operand lengths), cosine similarity, scaled accumulation (`axpy`, with
+//! the same skew dispatch), deltas, and top-component extraction.
+//! Kernels that need temporary buffers take a caller-owned
+//! [`ScratchSpace`] so steady-state callers (the incremental engine's
+//! delta path) never touch the allocator.
 //!
 //! Invariants (checked by `debug_assert!` and enforced by every
 //! constructor):
@@ -57,6 +58,35 @@ impl ScratchSpace {
         std::mem::size_of::<Self>()
             + self.terms.capacity() * std::mem::size_of::<TermId>()
             + self.weights.capacity() * std::mem::size_of::<f32>()
+    }
+
+    /// Empty both lanes and make room for `need` entries.
+    fn begin(&mut self, need: usize) {
+        self.terms.clear();
+        self.weights.clear();
+        if self.terms.capacity() < need {
+            self.terms.reserve(need);
+            self.weights.reserve(need);
+        }
+    }
+
+    /// Push the sum `a + alpha·b` of a term both operands hold. Tiny
+    /// residues collapse to exact zero so repeated add/remove cycles
+    /// cannot leak entries; `alpha·b` can also be non-finite for extreme
+    /// scales.
+    fn push_sum(&mut self, term: TermId, w: f32) {
+        if w.abs() >= 1e-12 && w.is_finite() {
+            self.terms.push(term);
+            self.weights.push(w);
+        }
+    }
+
+    /// Push `alpha·b` for a term only the added operand holds.
+    fn push_new(&mut self, term: TermId, w: f32) {
+        if w != 0.0 && w.is_finite() {
+            self.terms.push(term);
+            self.weights.push(w);
+        }
     }
 }
 
@@ -247,31 +277,38 @@ impl SparseVector {
     /// becomes the scratch for the next call, so a caller that reuses one
     /// `ScratchSpace` across calls stops allocating once capacities have
     /// warmed up.
+    ///
+    /// Dispatches on skew like [`dot`](Self::dot): when `self` has at
+    /// least [`GALLOP_MIN_LEN`] entries and `other` is
+    /// [`GALLOP_RATIO`]× shorter (a message's or a delta's ~15 terms
+    /// into a context's hundreds), it gallops to each of `other`'s terms
+    /// and bulk-copies the untouched runs of `self`; otherwise it runs the
+    /// linear merge. Both kernels compute every entry as `a + alpha·b` (or
+    /// `alpha·b` for a new term) and apply the same residue and
+    /// non-finite rule, so the result is bit-identical either way.
     pub fn axpy_in(&mut self, alpha: f32, other: &SparseVector, scratch: &mut ScratchSpace) {
+        if self.len() >= GALLOP_MIN_LEN && other.len() * GALLOP_RATIO <= self.len() {
+            self.axpy_gallop_in(alpha, other, scratch);
+        } else {
+            self.axpy_merge_in(alpha, other, scratch);
+        }
+    }
+
+    /// [`axpy_in`](Self::axpy_in) by a linear merge of both operands,
+    /// O(|self| + |other|). Exposed so tests and the benchmark suite can
+    /// hold it against [`axpy_gallop_in`](Self::axpy_gallop_in).
+    pub fn axpy_merge_in(&mut self, alpha: f32, other: &SparseVector, scratch: &mut ScratchSpace) {
         if alpha == 0.0 || other.is_empty() {
             return;
         }
-        scratch.terms.clear();
-        scratch.weights.clear();
-        let need = self.len() + other.len();
-        if scratch.terms.capacity() < need {
-            scratch.terms.reserve(need - scratch.terms.len());
-            scratch.weights.reserve(need - scratch.weights.len());
-        }
+        scratch.begin(self.len() + other.len());
         let (at, aw) = (&self.terms, &self.weights);
         let (bt, bw) = (&other.terms, &other.weights);
         let (mut i, mut j) = (0usize, 0usize);
         while i < at.len() && j < bt.len() {
             let (ta, tb) = (at[i], bt[j]);
             if ta == tb {
-                let w = aw[i] + alpha * bw[j];
-                // Tiny residues collapse to exact zero so repeated
-                // add/remove cycles cannot leak entries; `alpha * w` can
-                // also produce non-finite values for extreme scales.
-                if w.abs() >= 1e-12 && w.is_finite() {
-                    scratch.terms.push(ta);
-                    scratch.weights.push(w);
-                }
+                scratch.push_sum(ta, aw[i] + alpha * bw[j]);
                 i += 1;
                 j += 1;
             } else if ta < tb {
@@ -279,23 +316,51 @@ impl SparseVector {
                 scratch.weights.push(aw[i]);
                 i += 1;
             } else {
-                let w = alpha * bw[j];
-                if w != 0.0 && w.is_finite() {
-                    scratch.terms.push(tb);
-                    scratch.weights.push(w);
-                }
+                scratch.push_new(tb, alpha * bw[j]);
                 j += 1;
             }
         }
         scratch.terms.extend_from_slice(&at[i..]);
         scratch.weights.extend_from_slice(&aw[i..]);
         for k in j..bt.len() {
-            let w = alpha * bw[k];
-            if w != 0.0 && w.is_finite() {
-                scratch.terms.push(bt[k]);
-                scratch.weights.push(w);
+            scratch.push_new(bt[k], alpha * bw[k]);
+        }
+        self.swap_in(scratch);
+    }
+
+    /// [`axpy_in`](Self::axpy_in) by galloping: for each of `other`'s
+    /// terms, exponential-search `self` from a monotone cursor and copy
+    /// the run of `self` it skipped in one `extend_from_slice`,
+    /// O(|other| · log |self|) probes plus one copy of `self`. Exposed
+    /// like [`axpy_merge_in`](Self::axpy_merge_in); any operand lengths
+    /// are accepted.
+    pub fn axpy_gallop_in(&mut self, alpha: f32, other: &SparseVector, scratch: &mut ScratchSpace) {
+        if alpha == 0.0 || other.is_empty() {
+            return;
+        }
+        scratch.begin(self.len() + other.len());
+        let (at, aw) = (&self.terms[..], &self.weights[..]);
+        let mut i = 0usize;
+        for (&tb, &wb) in other.terms.iter().zip(&other.weights) {
+            let run_end = gallop_to(at, i, tb);
+            scratch.terms.extend_from_slice(&at[i..run_end]);
+            scratch.weights.extend_from_slice(&aw[i..run_end]);
+            i = run_end;
+            if at.get(i) == Some(&tb) {
+                scratch.push_sum(tb, aw[i] + alpha * wb);
+                i += 1;
+            } else {
+                scratch.push_new(tb, alpha * wb);
             }
         }
+        scratch.terms.extend_from_slice(&at[i..]);
+        scratch.weights.extend_from_slice(&aw[i..]);
+        self.swap_in(scratch);
+    }
+
+    /// Move the merged lanes built in `scratch` into place; the old
+    /// lanes become the scratch.
+    fn swap_in(&mut self, scratch: &mut ScratchSpace) {
         std::mem::swap(&mut self.terms, &mut scratch.terms);
         std::mem::swap(&mut self.weights, &mut scratch.weights);
         self.debug_check();

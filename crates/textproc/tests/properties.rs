@@ -8,7 +8,7 @@
 use adcast_text::dictionary::TermId;
 use adcast_text::normalize::normalize;
 use adcast_text::pipeline::TextPipeline;
-use adcast_text::sparse::SparseVector;
+use adcast_text::sparse::{ScratchSpace, SparseVector, GALLOP_MIN_LEN, GALLOP_RATIO};
 use adcast_text::stemmer::stem;
 use adcast_text::tokenizer::{Tokenizer, TokenizerConfig};
 use rand::rngs::SmallRng;
@@ -131,6 +131,89 @@ fn axpy_matches_pointwise() {
             );
         }
     }
+}
+
+/// One operand pair for the axpy kernels: `base` long enough to sit on
+/// either side of `GALLOP_MIN_LEN`, `added` on either side of
+/// `GALLOP_RATIO`, with some of `added`'s terms chosen to cancel `base`'s
+/// entry below the 1e-12 residue, and `alpha` sometimes large enough that
+/// `alpha·b` overflows to infinity.
+fn axpy_operands(rng: &mut SmallRng) -> (SparseVector, SparseVector, f32) {
+    let base_n = rng.gen_range(0..320usize);
+    let base_pairs: Vec<(u32, f32)> = (0..base_n)
+        .map(|_| {
+            let w = match rng.gen_range(0..8u32) {
+                0 => rng.gen_range(-1e-12f32..1e-12),
+                1 => rng.gen_range(-3e38f32..3e38),
+                _ => rng.gen_range(-4.0f32..4.0),
+            };
+            (rng.gen_range(0..1_024u32), w)
+        })
+        .collect();
+    let base = sv(&base_pairs);
+    let alpha = match rng.gen_range(0..6u32) {
+        0 => 1.0,
+        1 => -1.0,
+        2 => rng.gen_range(1e30f32..3e38),
+        3 => rng.gen_range(-1e-20f32..1e-20),
+        _ => rng.gen_range(-4.0f32..4.0),
+    };
+    let added_n = rng.gen_range(1..=(base.len() / 4).max(2));
+    let added = sv(&(0..added_n)
+        .map(|_| {
+            // A third of the added terms hit a base term and try to
+            // cancel it; the rest land anywhere.
+            match base.terms().get(rng.gen_range(0..base.len().max(1))) {
+                Some(&t) if rng.gen_range(0..3u32) == 0 => (t.0, -base.get(t) / alpha),
+                _ => (rng.gen_range(0..1_024u32), rng.gen_range(-4.0f32..4.0)),
+            }
+        })
+        .collect::<Vec<_>>());
+    (base, added, alpha)
+}
+
+#[test]
+fn galloping_axpy_is_bit_identical_to_the_linear_merge() {
+    let mut rng = SmallRng::seed_from_u64(0x5EED_0014);
+    let mut scratch = ScratchSpace::new();
+    let (mut galloped, mut collapsed, mut overflowed) = (0usize, 0usize, 0usize);
+    for _ in 0..CASES * 10 {
+        let (base, added, alpha) = axpy_operands(&mut rng);
+        let mut merged = base.clone();
+        merged.axpy_merge_in(alpha, &added, &mut scratch);
+        let mut gallop = base.clone();
+        gallop.axpy_gallop_in(alpha, &added, &mut scratch);
+        let mut dispatched = base.clone();
+        dispatched.axpy_in(alpha, &added, &mut scratch);
+        let bits = |v: &SparseVector| v.weights().iter().map(|w| w.to_bits()).collect::<Vec<_>>();
+        for (name, got) in [("gallop", &gallop), ("dispatched", &dispatched)] {
+            assert_eq!(got.terms(), merged.terms(), "{name}: terms");
+            assert_eq!(bits(got), bits(&merged), "{name}: weight bits");
+        }
+        if base.len() >= GALLOP_MIN_LEN && added.len() * GALLOP_RATIO <= base.len() {
+            galloped += 1;
+        }
+        let union = base
+            .terms()
+            .iter()
+            .chain(added.terms())
+            .collect::<std::collections::BTreeSet<_>>()
+            .len();
+        let dropped = union - merged.len();
+        let products_overflow = added.weights().iter().any(|&w| !(alpha * w).is_finite());
+        if products_overflow {
+            overflowed += 1;
+        } else if dropped > 0 {
+            collapsed += 1;
+        }
+    }
+    // Both sides of the dispatch, and both drop rules, were exercised.
+    assert!(
+        galloped > CASES / 2 && galloped < CASES * 9,
+        "galloped {galloped}"
+    );
+    assert!(collapsed > CASES / 10, "collapsed {collapsed}");
+    assert!(overflowed > CASES / 10, "overflowed {overflowed}");
 }
 
 #[test]
