@@ -248,43 +248,6 @@ fn main() {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    // --- Static analysis: rule and suppression counts (pragmas plus
-    // `#[allow]`/`#[expect]` attributes), so suppression creep shows up in
-    // the same trajectory as the perf numbers. ---
-    {
-        let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
-        let report = adcast_lint::lint_workspace(&root, None).expect("lint walk");
-        summary.metric("lint", "rules", report.rule_count() as f64);
-        summary.metric("lint", "suppressions", report.suppressions as f64);
-        summary.metric("lint", "diagnostics", report.diagnostics.len() as f64);
-        summary.metric("lint", "files_scanned", report.files_scanned as f64);
-        println!(
-            "lint: {} rule(s), {} suppression(s), {} diagnostic(s) over {} file(s)",
-            report.rule_count(),
-            report.suppressions,
-            report.diagnostics.len(),
-            report.files_scanned
-        );
-        // Acceptance gates: the engine registers its 6 rules plus the
-        // `suppression` meta-rule, and every pragma carries a non-empty
-        // reason (a reasonless allow() is a `suppression` diagnostic, so
-        // any such diagnostic fails here).
-        assert!(
-            report.rule_count() >= 7,
-            "lint engine regressed to {} rule(s); expected at least 7",
-            report.rule_count()
-        );
-        let pragma_rot: Vec<_> = report
-            .diagnostics
-            .iter()
-            .filter(|d| d.rule == adcast_lint::SUPPRESSION_RULE)
-            .collect();
-        assert!(
-            pragma_rot.is_empty(),
-            "suppression pragmas without a reason (or suppressing nothing): {pragma_rot:?}"
-        );
-    }
-
     // --- Deterministic simulation: the smoke scenario (virtual time,
     // crash + twin check, WAL-logged maintenance) as a trajectory point,
     // so harness throughput and lifecycle counters travel with the perf

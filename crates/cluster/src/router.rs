@@ -181,6 +181,10 @@ struct Forwarder {
 }
 
 impl Forwarder {
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the partition lock guards three field reads and nothing that blocks"
+    )]
     fn view(&self) -> (u64, String, u64) {
         // A poisoned partition lock means a failover panicked; read the
         // view it left rather than propagating.
@@ -258,10 +262,12 @@ impl Forwarder {
     /// Promote this partition's follower under a bumped epoch. Returns
     /// whether the caller should retry — true when the view changed,
     /// whether we moved it or a racing connection did.
-    // adcast-lint: allow(lock-discipline) -- the promotion RPC runs under
-    // the partition lock on purpose: the partition is down (nothing else
-    // can make progress on it) and racing failovers must serialize on
-    // exactly this lock so only one epoch bump wins.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the promotion RPC runs under the partition lock on purpose: the partition is down \
+                  (nothing else can make progress on it) and racing failovers must serialize on \
+                  exactly this lock so only one epoch bump wins"
+    )]
     fn failover(&mut self, observed_generation: u64) -> bool {
         let mut rt = self.shared.partitions[usize::from(self.partition)]
             .lock()
@@ -506,6 +512,12 @@ fn route_one(shared: &Arc<RouterShared>, pool: &Pool, req: Request) -> Response 
     // A broadcast runs under the global broadcast lock: identical
     // delivery order on every partition, so replayed campaign ids match.
     let started = now_ns();
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the broadcast guard is held across `pool.run`, whose `recv`s block until every \
+                  partition replies; it nests the partition locks a failover takes (broadcast, \
+                  then partition, never the reverse)"
+    )]
     let guard = shared.broadcast.lock();
     let replies = pool.run(plan.legs, trace);
     drop(guard);

@@ -245,6 +245,11 @@ impl ShardedDriver {
         UserId((user.index() / self.engines.len()) as u32)
     }
 
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the caller holds the guard for one engine call and nothing that blocks; \
+                  the shard's worker takes the same lock only inside a batch the driver waits on"
+    )]
     fn lock_engine(&self, shard: usize) -> MutexGuard<'_, IncrementalEngine> {
         // Poison-tolerant: a worker that panicked mid-batch poisons its
         // engine mutex, but read paths (stats, memory) must still work so
@@ -499,6 +504,11 @@ fn worker_loop(
                 // `process_batch` returns, so the caller's `&AdStore`
                 // borrow is still live for every dereference here.
                 let store: &AdStore = unsafe { &*store.0 };
+                #[expect(
+                    clippy::disallowed_methods,
+                    reason = "the guard covers one `apply_batch` and nothing that blocks; \
+                              the ack is sent after it drops"
+                )]
                 engine
                     .lock()
                     .expect("engine mutex poisoned")

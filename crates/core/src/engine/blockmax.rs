@@ -245,7 +245,7 @@ impl BlockMaxScorer {
     /// Evaluate the top `k` eligible ads for `ctx`, leaving the result in
     /// [`BlockMaxScorer::hits`]. `min_fwd` is the forward-scale serving
     /// threshold (candidates must score strictly above it).
-    #[allow(
+    #[expect(
         clippy::too_many_arguments,
         reason = "one caller (`IndexScanEngine::recommend_pruned`) passes a serving request's inputs unbundled"
     )]

@@ -932,10 +932,9 @@ impl IncrementalEngine {
     /// allocations**: every temporary lives in [`HotScratch`], the gain
     /// accumulator or the context scatter, all of which retain their
     /// capacity across calls, and an exact lane keeps its length. The
-    /// `zero_alloc` integration test pins this down with a counting global
-    /// allocator; the `adcast-lint` markers below make it a static check
-    /// too.
-    // adcast-lint: zero-alloc
+    /// `debug-stats` tests in `tests/zero_alloc.rs` pin this down with a
+    /// counting global allocator, for both regimes (the bounded path below
+    /// and an exact lane) and through [`IncrementalEngine::apply_batch`].
     fn apply_feed_delta(&mut self, store: &AdStore, user: UserId, delta: &FeedDelta) {
         self.stats.deltas += 1;
 
@@ -962,7 +961,6 @@ impl IncrementalEngine {
 
     /// The bounded regime's delta path: steps 1–5 of the module docs,
     /// after the context update.
-    // adcast-lint: zero-alloc
     fn apply_bounded(&mut self, store: &AdStore, user: UserId, update: &ContextUpdate) {
         let index = store.index();
         if let Some(factor) = update.rescale {
@@ -1215,7 +1213,6 @@ impl IncrementalEngine {
     /// [`STATE_AHEAD`] (whose slot is cached by now) are prefetched. Users
     /// are engine-local ids; an out-of-range id panics when its delta
     /// applies, as `on_feed_delta` does.
-    // adcast-lint: zero-alloc
     pub fn apply_batch(&mut self, store: &AdStore, batch: &[(UserId, FeedDelta)]) {
         for (user, _) in batch.iter().take(SLOT_AHEAD) {
             self.prefetch_slot(*user);

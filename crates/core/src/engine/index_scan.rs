@@ -93,7 +93,6 @@ impl IndexScanEngine {
     /// unavoidable allocation of the request, asserted by the
     /// `zero_alloc` integration test). Every temporary lives in
     /// [`ScanScratch`], which retains capacity across requests.
-    // adcast-lint: zero-alloc
     fn recommend_pruned(
         &mut self,
         store: &AdStore,

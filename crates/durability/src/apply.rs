@@ -28,6 +28,10 @@ use adcast_stream::clock::now_ns;
 use crate::record::WalRecord;
 
 /// What applying one record did (mirrors what the server acks).
+#[expect(
+    clippy::exhaustive_enums,
+    reason = "one variant per `WalRecord` kind, growing only with it; callers destructure the effect their record produces"
+)]
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ApplyEffect {
     /// A feed batch went through the sharded driver.

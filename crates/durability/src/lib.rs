@@ -23,6 +23,12 @@
 //!
 //! Everything is std-only and hand-rolled on the `bytes` crate, like the
 //! rest of the workspace; no serde formats are available offline.
+//!
+//! Every public enum is `#[non_exhaustive]` unless its variants are a
+//! closed set on purpose; each such enum carries an `#[expect]` saying
+//! why.
+
+#![warn(clippy::exhaustive_enums)]
 
 pub mod apply;
 pub mod backend;

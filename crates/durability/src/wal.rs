@@ -63,6 +63,10 @@ const RECORD_PREFIX: usize = 8;
 const BODY_OFFSET: usize = RECORD_PREFIX + 8;
 
 /// When to fsync committed records.
+#[expect(
+    clippy::exhaustive_enums,
+    reason = "the three settings `FsyncPolicy::parse` accepts; a new one changes what an ack promises and is made here"
+)]
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FsyncPolicy {
     /// fsync on every commit: an acked write survives `kill -9`.

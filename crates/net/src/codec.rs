@@ -134,6 +134,10 @@ macro_rules! kind_table {
         }
     ) => {
         $(#[$meta])*
+        #[expect(
+            clippy::exhaustive_enums,
+            reason = "a kind table mirrors its message enum one to one, and the decoders match it without a wildcard"
+        )]
         #[derive(Debug, Clone, Copy, PartialEq, Eq)]
         #[repr(u8)]
         pub enum $name {

@@ -13,6 +13,12 @@
 //! See `DESIGN.md` § "Serving layer" for the wire format and threading
 //! diagram, § 14 for the cluster protocol, and experiment E13 for the
 //! offered-load sweep this powers.
+//!
+//! Every public enum is `#[non_exhaustive]` unless its variants are a
+//! closed set on purpose; each such enum carries an `#[expect]` saying
+//! why.
+
+#![warn(clippy::exhaustive_enums)]
 
 pub mod client;
 pub mod codec;

@@ -88,6 +88,10 @@ pub fn readiness() -> &'static Readiness {
 /// Serializes tests that flip the process-wide mask (they run in one
 /// process and would otherwise race each other's assertions).
 #[cfg(test)]
+#[expect(
+    clippy::disallowed_types,
+    reason = "test-only: serializes tests over the process-wide mask"
+)]
 pub(crate) fn test_lock() -> std::sync::MutexGuard<'static, ()> {
     static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
     LOCK.lock().unwrap_or_else(|e| e.into_inner())

@@ -7,6 +7,11 @@
 //! because `cargo test` runs many servers inside one process and all of
 //! them share the global registry.
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "registration and exposition lock the family list; they run at startup and on scrape, never in `record()`"
+)]
+
 use std::sync::{Mutex, OnceLock};
 
 use crate::metrics::{Counter, Gauge, Hist};

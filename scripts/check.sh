@@ -30,8 +30,12 @@ cargo fmt --check
 
 # --all-features: `debug-stats` gates the counting allocator, the only
 # `unsafe impl`; without it clippy never sees that code. The workspace
-# `[lints]` table, the hot-path files' panic-freedom headers and the
-# per-crate clippy.toml bans all ride on this step.
+# `[lints]` table (`unsafe_code`, documented `unsafe`, `#[expect]` only,
+# never `#[allow]`), the hot-path files' panic-freedom headers,
+# `exhaustive_enums` in net and durability, and the per-crate clippy.toml
+# bans all ride on this step: wall-clock reads (core, durability, net,
+# cluster), unbounded channels and undeclared `Mutex::lock` (core, net,
+# cluster), and `Mutex`/`RwLock` on obs's record path (obs).
 echo "== cargo clippy (deny warnings, all features) =="
 cargo clippy --workspace --all-targets --all-features -- -D warnings
 
@@ -40,9 +44,6 @@ cargo clippy --workspace --all-targets --all-features -- -D warnings
 echo "== cargo clippy (adbench: documented unsafe) =="
 cargo clippy -q --manifest-path adbench/Cargo.toml --all-targets -- -A warnings \
   -D clippy::undocumented_unsafe_blocks
-
-echo "== adcast-lint (workspace invariants) =="
-cargo run -q -p adcast-lint -- --workspace-root .
 
 # --workspace: the smokes below run binaries of other packages
 # (e15_ad_scaling, e16_sim_day, e17_cluster), which a root-package build

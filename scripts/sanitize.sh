@@ -9,10 +9,11 @@
 # Every mode needs a nightly toolchain (Miri additionally needs the miri
 # component; the sanitizers need rust-src for -Zbuild-std). None of that is
 # guaranteed in the offline container, so ABSENCE IS NOT FAILURE: each mode
-# prints why it is skipped and the script exits 0. adcast-lint's static
-# `no-alloc-steady-state` / `unsafe-needs-safety` rules (scripts/check.sh)
-# remain the always-on line of defense; this script is the dynamic
-# counterpart for machines that have the tooling.
+# prints why it is skipped and the script exits 0. scripts/check.sh's
+# always-on checks (clippy's documented-`unsafe` lints, the `debug-stats`
+# zero-alloc tests, the ack-ladder tests) remain the line of defense; this
+# script runs the same tests under Miri and the sanitizers on machines that
+# have the tooling.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -20,9 +21,9 @@ cd "$(dirname "$0")/.."
 # equivalence-vs-sequential property, the steady-state allocation gauge
 # (needs debug-stats for the counting global allocator), the cluster
 # partition-map unit tests, and the replication apply-path unit tests
-# (`replica_append` ordering, fencing, LSN gaps — the code the
-# `ack-ladder` lint pins statically). Each entry is a full flag group
-# including its package.
+# (`replica_append` ordering, fencing, LSN gaps; `crates/net/tests/
+# ack_ladder.rs` pins the same ladder end to end). Each entry is a full
+# flag group including its package.
 TARGETS=(
   "-p adcast-core --test pool_equivalence"
   "-p adcast-core --features debug-stats --test zero_alloc"
