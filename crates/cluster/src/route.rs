@@ -44,7 +44,8 @@ pub enum Merge {
     /// A control kind sent to every partition, which the router
     /// serializes across connections so that every partition sees one
     /// order; merged per kind against the request kept here: `Submit`
-    /// needs one campaign id from every partition, `Impression` ORs
+    /// needs one campaign id from every partition, `Pause` and
+    /// `SetPacing` answer for their campaign, `Impression` ORs
     /// `exhausted`, `Maintain` and `ObsDump` sum, `Checkpoint` takes the
     /// max LSN, `Stats` sums traffic and maxes percentiles, and any error
     /// wins.
@@ -109,6 +110,7 @@ pub fn plan(req: Request, partitions: usize) -> Result<Plan, WireError> {
         }),
         Request::SubmitCampaign(_)
         | Request::PauseCampaign { .. }
+        | Request::SetPacing { .. }
         | Request::Impression { .. }
         | Request::Maintain { .. }
         | Request::Checkpoint
@@ -234,6 +236,7 @@ fn merge_broadcast(req: &Request, replies: Vec<Response>) -> Response {
             _ => Response::Error(WireError::Unavailable),
         },
         Request::PauseCampaign { ad } => Response::CampaignPaused { ad: *ad },
+        Request::SetPacing { ad, .. } => Response::PacingSet { ad: *ad },
         Request::Impression { ad, .. } => Response::ImpressionRecorded { ad: *ad, exhausted },
         Request::Maintain { .. } => Response::Maintained {
             scanned,
@@ -355,6 +358,12 @@ mod tests {
             }
             RequestKind::SubmitCampaign => control(submit()),
             RequestKind::PauseCampaign => control(Request::PauseCampaign { ad: AdId(7) }),
+            RequestKind::SetPacing => control(Request::SetPacing {
+                ad: AdId(7),
+                start: now,
+                end: Timestamp::from_secs(3600),
+                budget: 12.0,
+            }),
             RequestKind::Impression => control(Request::Impression {
                 ad: AdId(7),
                 cost: 0.5,
@@ -541,6 +550,16 @@ mod tests {
                 Response::CampaignPaused { ad },
             ),
             (
+                Request::SetPacing {
+                    ad,
+                    start: now,
+                    end: Timestamp::from_secs(3600),
+                    budget: 12.0,
+                },
+                vec![Response::PacingSet { ad }, Response::PacingSet { ad }],
+                Response::PacingSet { ad },
+            ),
+            (
                 Request::Impression {
                     ad,
                     cost: 0.5,
@@ -632,6 +651,25 @@ mod tests {
         assert_eq!(
             merge_broadcast(&Request::Checkpoint, replies),
             Response::Error(WireError::ShuttingDown)
+        );
+    }
+
+    #[test]
+    fn an_unknown_campaign_on_any_partition_wins() {
+        let ad = AdId(9);
+        let pace = Request::SetPacing {
+            ad,
+            start: Timestamp::from_secs(0),
+            end: Timestamp::from_secs(60),
+            budget: 1.0,
+        };
+        let replies = vec![
+            Response::PacingSet { ad },
+            Response::Error(WireError::UnknownCampaign(ad)),
+        ];
+        assert_eq!(
+            merge_broadcast(&pace, replies),
+            Response::Error(WireError::UnknownCampaign(ad))
         );
     }
 

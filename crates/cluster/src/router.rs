@@ -22,8 +22,8 @@
 //! ## Broadcast ordering
 //!
 //! Campaign state is replicated to every partition (only users are
-//! sharded), so control-plane mutations (submit/pause/impression/
-//! maintain) broadcast to all partitions. Broadcasts across *all* router
+//! sharded), so control-plane mutations (submit/pause/pacing/
+//! impression/maintain) broadcast to all partitions. Broadcasts across *all* router
 //! connections are serialized by one mutex, giving every partition the
 //! identical submission order — campaign ids assigned by replay are
 //! identical on every node, which the consistency tests assert.

@@ -46,26 +46,22 @@ pub enum ApplyEffect {
     },
     /// A pause was applied (`changed` is false for no-op pauses).
     Paused {
+        /// The campaign paused.
+        ad: AdId,
         /// Did the state actually change?
-        changed: bool,
-    },
-    /// A resume was applied.
-    Resumed {
-        /// Did the state actually change?
-        changed: bool,
-    },
-    /// A removal was applied.
-    Removed {
-        /// Did the campaign exist?
         changed: bool,
     },
     /// A pacing controller was attached.
     PacingSet {
+        /// The campaign paced.
+        ad: AdId,
         /// Did the campaign exist?
         known: bool,
     },
     /// An impression was recorded.
     Impression {
+        /// The campaign charged.
+        ad: AdId,
         /// The campaign's state after the charge (`None` for an unknown
         /// campaign).
         state: Option<CampaignState>,
@@ -121,17 +117,7 @@ pub fn apply_record(
             if changed {
                 driver.on_campaign_removed(ad);
             }
-            Ok(ApplyEffect::Paused { changed })
-        }
-        WalRecord::Resume(ad) => Ok(ApplyEffect::Resumed {
-            changed: store.resume(ad),
-        }),
-        WalRecord::Remove(ad) => {
-            let changed = store.remove(ad);
-            if changed {
-                driver.on_campaign_removed(ad);
-            }
-            Ok(ApplyEffect::Removed { changed })
+            Ok(ApplyEffect::Paused { ad, changed })
         }
         WalRecord::SetPacing {
             ad,
@@ -139,10 +125,13 @@ pub fn apply_record(
             end,
             budget,
         } => {
-            // Decode already validated end > start and budget finite > 0,
-            // so the constructor's asserts cannot fire.
+            // `codec::check_flight` passed this flight before it got here
+            // (in the record or wire decoder, or in the node's admission
+            // of an in-process request), so the constructor's asserts
+            // cannot fire.
             let pacing = PacingController::new(start, end, budget);
             Ok(ApplyEffect::PacingSet {
+                ad,
                 known: store.set_pacing(ad, pacing),
             })
         }
@@ -156,7 +145,7 @@ pub fn apply_record(
             if state == Some(CampaignState::Exhausted) {
                 driver.on_campaign_removed(ad);
             }
-            Ok(ApplyEffect::Impression { state })
+            Ok(ApplyEffect::Impression { ad, state })
         }
         WalRecord::Maintenance { now, idle_for } => {
             let pass_started = now_ns();
@@ -282,13 +271,6 @@ mod tests {
         assert_eq!(effect, ApplyEffect::Ingested { accepted: 1 });
         assert_eq!(driver.stats().deltas, 1);
 
-        let effect = apply_record(&mut store, &mut driver, WalRecord::Pause(ad)).unwrap();
-        assert_eq!(effect, ApplyEffect::Paused { changed: true });
-        let effect = apply_record(&mut store, &mut driver, WalRecord::Pause(ad)).unwrap();
-        assert_eq!(effect, ApplyEffect::Paused { changed: false });
-        let effect = apply_record(&mut store, &mut driver, WalRecord::Resume(ad)).unwrap();
-        assert_eq!(effect, ApplyEffect::Resumed { changed: true });
-
         let effect = apply_record(
             &mut store,
             &mut driver,
@@ -300,28 +282,30 @@ mod tests {
             },
         )
         .unwrap();
-        assert_eq!(effect, ApplyEffect::PacingSet { known: true });
+        assert_eq!(effect, ApplyEffect::PacingSet { ad, known: true });
 
-        let effect = apply_record(
-            &mut store,
-            &mut driver,
-            WalRecord::Impression {
-                ad,
-                cost: 0.5,
-                clicked: true,
-                now: Timestamp::from_secs(10),
-            },
-        )
-        .unwrap();
+        let impression = WalRecord::Impression {
+            ad,
+            cost: 0.5,
+            clicked: true,
+            now: Timestamp::from_secs(10),
+        };
+        let effect = apply_record(&mut store, &mut driver, impression.clone()).unwrap();
         assert_eq!(
             effect,
             ApplyEffect::Impression {
+                ad,
                 state: Some(CampaignState::Active)
             }
         );
 
-        let effect = apply_record(&mut store, &mut driver, WalRecord::Remove(ad)).unwrap();
-        assert_eq!(effect, ApplyEffect::Removed { changed: true });
+        let effect = apply_record(&mut store, &mut driver, WalRecord::Pause(ad)).unwrap();
+        assert_eq!(effect, ApplyEffect::Paused { ad, changed: true });
+        let effect = apply_record(&mut store, &mut driver, WalRecord::Pause(ad)).unwrap();
+        assert_eq!(effect, ApplyEffect::Paused { ad, changed: false });
+        // A paused campaign is not charged.
+        let effect = apply_record(&mut store, &mut driver, impression).unwrap();
+        assert_eq!(effect, ApplyEffect::Impression { ad, state: None });
     }
 
     #[test]
@@ -347,6 +331,7 @@ mod tests {
         assert_eq!(
             effect,
             ApplyEffect::Impression {
+                ad: AdId(0),
                 state: Some(CampaignState::Exhausted)
             }
         );
@@ -447,7 +432,10 @@ mod tests {
         let (mut store, mut driver) = pair();
         assert_eq!(
             apply_record(&mut store, &mut driver, WalRecord::Pause(AdId(9))).unwrap(),
-            ApplyEffect::Paused { changed: false }
+            ApplyEffect::Paused {
+                ad: AdId(9),
+                changed: false
+            }
         );
         assert_eq!(
             apply_record(
@@ -461,7 +449,10 @@ mod tests {
                 },
             )
             .unwrap(),
-            ApplyEffect::Impression { state: None }
+            ApplyEffect::Impression {
+                ad: AdId(9),
+                state: None
+            }
         );
     }
 }

@@ -2,7 +2,7 @@
 //!
 //! These encode the payloads that both durable storage (WAL + snapshots)
 //! and the `adcast-net` wire codec carry: sparse vectors, feed deltas and
-//! delta batches, targeting. One helper per shape keeps the surfaces from
+//! delta batches, targeting, pacing flights. One helper per shape keeps the surfaces from
 //! drifting apart. Reads go through [`adcast_stream::cursor`], which owns
 //! the layout primitives and the malformed-input policy: decoding never
 //! panics, whatever bytes arrive — every malformation is a typed
@@ -20,8 +20,10 @@
     )
 )]
 
+use adcast_ads::AdId;
 use adcast_feed::FeedDelta;
 use adcast_graph::UserId;
+use adcast_stream::clock::Timestamp;
 use adcast_stream::cursor::{put_len16, put_len32, put_len8, put_opt, Cursor, TraceError};
 use adcast_stream::event::{LocationId, TimeSlot};
 use adcast_stream::trace::{get_message, get_terms, nonzero_finite, put_message, put_terms};
@@ -168,6 +170,47 @@ pub fn get_targeting(cur: &mut Cursor) -> Result<(Vec<LocationId>, Vec<TimeSlot>
     Ok((locations, slots))
 }
 
+/// Check a pacing flight `[start, end]` with `budget` to spend: the
+/// flight must be non-empty and the budget finite and positive, or
+/// `PacingController::new` would panic on it. Both decoders of a flight
+/// and a node admitting an in-process one call this.
+///
+/// # Errors
+///
+/// [`TraceError::Corrupt`] naming what is wrong.
+pub fn check_flight(start: Timestamp, end: Timestamp, budget: f64) -> Result<(), TraceError> {
+    if end <= start {
+        return Err(TraceError::Corrupt("empty pacing flight"));
+    }
+    if !(budget.is_finite() && budget > 0.0) {
+        return Err(TraceError::Corrupt("invalid pacing budget"));
+    }
+    Ok(())
+}
+
+/// Encode a pacing flight: `ad u32 | start u64 | end u64 | budget f64`
+/// (the wire `SetPacing` body and the WAL `SetPacing` record).
+pub fn put_flight(buf: &mut BytesMut, ad: AdId, start: Timestamp, end: Timestamp, budget: f64) {
+    buf.put_u32_le(ad.0);
+    buf.put_u64_le(start.micros());
+    buf.put_u64_le(end.micros());
+    buf.put_f64_le(budget);
+}
+
+/// Decode a flight written by [`put_flight`] and [`check_flight`] it.
+///
+/// # Errors
+///
+/// Typed [`TraceError`] on truncation or an invalid flight; never panics.
+pub fn get_flight(cur: &mut Cursor) -> Result<(AdId, Timestamp, Timestamp, f64), TraceError> {
+    let ad = AdId(cur.u32()?);
+    let start = Timestamp(cur.u64()?);
+    let end = Timestamp(cur.u64()?);
+    let budget = cur.f64()?;
+    check_flight(start, end, budget)?;
+    Ok((ad, start, end, budget))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -234,6 +277,44 @@ mod tests {
             get_context_vector(&mut Cursor::new(buf.freeze())),
             Err(TraceError::Corrupt(_))
         ));
+    }
+
+    #[test]
+    fn flights_roundtrip_and_hostile_ones_are_refused() {
+        let flight = |start: u64, end: u64, budget: f64| {
+            let mut buf = BytesMut::new();
+            put_flight(
+                &mut buf,
+                AdId(7),
+                Timestamp::from_secs(start),
+                Timestamp::from_secs(end),
+                budget,
+            );
+            get_flight(&mut Cursor::new(buf.freeze()))
+        };
+        assert_eq!(
+            flight(10, 70, 5.5),
+            Ok((
+                AdId(7),
+                Timestamp::from_secs(10),
+                Timestamp::from_secs(70),
+                5.5
+            ))
+        );
+        for (start, end, budget, why) in [
+            (5, 5, 1.0, "empty pacing flight"),
+            (9, 5, 1.0, "empty pacing flight"),
+            (0, 5, f64::NAN, "invalid pacing budget"),
+            (0, 5, f64::INFINITY, "invalid pacing budget"),
+            (0, 5, 0.0, "invalid pacing budget"),
+            (0, 5, -2.0, "invalid pacing budget"),
+        ] {
+            assert_eq!(
+                flight(start, end, budget),
+                Err(TraceError::Corrupt(why)),
+                "[{start}, {end}] budget {budget}"
+            );
+        }
     }
 
     #[test]

@@ -7,15 +7,21 @@
 //! ```
 //!
 //! `commit` failing means the records are **not durable** and the caller
-//! must refuse the ack (and not apply). Snapshots are taken at batch
-//! boundaries: the engine thread captures a consistent cut (a copy of
-//! the state, timed by `adcast_durability_snapshot_capture_ns`) and a
-//! background persister thread does the slow part: encoding, atomic
-//! file write, fsync, read-back, pruning. Each cut also starts a
-//! new WAL segment, so the segment the snapshot covers can be pruned
-//! instead of being read again at every restart. [`Durability::checkpoint`]
-//! is the synchronous variant behind the `Checkpoint` RPC; periodic
-//! snapshots via [`Durability::maybe_snapshot`] are fire-and-forget.
+//! must refuse the ack (and not apply). The failure is also a fence: the
+//! writer may already hold the refused record, and a later commit would
+//! make it durable, so after the first WAL fault every `log` and `commit`
+//! fails with it until the process restarts and recovery reads what the
+//! disk really holds.
+//!
+//! Snapshots are taken at batch boundaries: the engine thread captures a
+//! consistent cut (a copy of the state, timed by
+//! `adcast_durability_snapshot_capture_ns`) and a background persister
+//! thread does the slow part: encoding, atomic file write, fsync,
+//! read-back, pruning. Each cut also starts a new WAL segment, so the
+//! segment the snapshot covers can be pruned instead of being read again
+//! at every restart. [`Durability::checkpoint`] is the synchronous
+//! variant behind the `Checkpoint` RPC; periodic snapshots via
+//! [`Durability::maybe_snapshot`] are fire-and-forget.
 
 #![cfg_attr(
     not(test),
@@ -30,6 +36,7 @@
     )
 )]
 
+use std::io;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{self, Sender};
@@ -140,9 +147,10 @@ pub struct Durability {
     wal: WalWriter,
     options: DurabilityOptions,
     records_since_snapshot: u64,
-    /// A WAL fault met by a caller that cannot fail (a periodic cut's
-    /// rotation), held for the next [`Durability::commit`] to return.
-    wal_fault: Option<WalError>,
+    /// The first WAL I/O fault (a failed append, commit or cut rotation).
+    /// Once set, the writer may hold a record that was never applied, so
+    /// every later log and commit fails with it until restart.
+    wal_fault: Option<io::Error>,
     snapshots_written: Arc<AtomicU64>,
     report: RecoveryReport,
     /// Span timing: the engine thread's stall per snapshot cut.
@@ -244,9 +252,11 @@ impl Durability {
     /// # Errors
     ///
     /// [`DurabilityError::Wal`] on append failures (oversized record or
-    /// filesystem trouble).
+    /// filesystem trouble), and after any earlier WAL fault.
     pub fn log(&mut self, record: &WalRecord) -> Result<u64, DurabilityError> {
-        let lsn = self.wal.append(record)?;
+        self.fenced()?;
+        let appended = self.wal.append(record);
+        let lsn = self.fence(appended)?;
         self.records_since_snapshot += 1;
         Ok(lsn)
     }
@@ -259,7 +269,9 @@ impl Durability {
     ///
     /// As [`Self::log`].
     pub fn log_encoded(&mut self, body: &[u8]) -> Result<u64, DurabilityError> {
-        let lsn = self.wal.append_encoded(body)?;
+        self.fenced()?;
+        let appended = self.wal.append_encoded(body);
+        let lsn = self.fence(appended)?;
         self.records_since_snapshot += 1;
         Ok(lsn)
     }
@@ -275,34 +287,58 @@ impl Durability {
     ///
     /// # Errors
     ///
-    /// [`DurabilityError::Wal`] on commit failures, or on a fault a
-    /// snapshot cut's rotation met since the last commit — the caller
+    /// [`DurabilityError::Wal`] on commit failures, and after any earlier
+    /// WAL fault (a snapshot cut's failed rotation included) — the caller
     /// must treat the logged records as not durable and refuse the ack.
+    /// A retried fsync cannot be trusted, so the fault stands until
+    /// restart.
     pub fn commit(&mut self) -> Result<(), DurabilityError> {
-        if let Some(fault) = self.wal_fault.take() {
-            return Err(DurabilityError::Wal(fault));
+        self.fenced()?;
+        let committed = self.wal.commit();
+        self.fence(committed)
+    }
+
+    /// The fence: the stored fault, once one was met.
+    fn fenced(&self) -> Result<(), DurabilityError> {
+        match &self.wal_fault {
+            None => Ok(()),
+            Some(fault) => Err(DurabilityError::Wal(WalError::Io(io::Error::new(
+                fault.kind(),
+                fault.to_string(),
+            )))),
         }
-        self.wal.commit().map_err(DurabilityError::Wal)
+    }
+
+    /// Pass `outcome` on, storing its I/O fault as the fence. An
+    /// oversized record is refused before it reaches the writer's
+    /// buffer, so it fences nothing.
+    fn fence<T>(&mut self, outcome: Result<T, WalError>) -> Result<T, DurabilityError> {
+        if let Err(WalError::Io(fault)) = &outcome {
+            self.wal_fault = Some(io::Error::new(fault.kind(), fault.to_string()));
+        }
+        outcome.map_err(DurabilityError::Wal)
     }
 
     /// Fire-and-forget a periodic snapshot when `snapshot_every` records
     /// have accumulated since the last one, starting a new WAL segment at
     /// the cut. Returns whether a snapshot was enqueued. Call between
-    /// batches — the capture walks live engine state.
+    /// batches — the capture walks live engine state. Once a WAL fault
+    /// stands, no snapshot is taken: the writer's next LSN may count a
+    /// record the state never applied.
     pub fn maybe_snapshot(&mut self, store: &AdStore, driver: &ShardedDriver) -> bool {
         if self.options.snapshot_every == 0
             || self.records_since_snapshot < self.options.snapshot_every
+            || self.wal_fault.is_some()
         {
             return false;
         }
         // A failed rotation keeps the covered records in the live
         // segment, which pruning then keeps too, so the snapshot still
         // lands. The fault itself (a failed fsync of the outgoing
-        // segment, say) is not dropped: the next commit returns it, and
-        // the write it would have acked is refused.
-        if let Err(fault) = self.wal.rotate_if_nonempty() {
-            self.wal_fault = Some(fault);
-        }
+        // segment, say) is not dropped: it fences the log, and the next
+        // write is refused.
+        let rotated = self.wal.rotate_if_nonempty();
+        let _ = self.fence(rotated);
         self.enqueue(store, driver, None);
         true
     }
@@ -322,7 +358,8 @@ impl Durability {
         driver: &ShardedDriver,
     ) -> Result<u64, DurabilityError> {
         self.commit()?;
-        self.wal.rotate_if_nonempty()?;
+        let rotated = self.wal.rotate_if_nonempty();
+        self.fence(rotated)?;
         let (ack_tx, ack_rx) = mpsc::channel();
         let next_lsn = self.enqueue(store, driver, Some(ack_tx));
         match ack_rx.recv() {
@@ -807,13 +844,21 @@ mod tests {
         armed.store(true, Ordering::Relaxed);
         assert!(durability.maybe_snapshot(&store, &driver));
         assert!(!armed.load(Ordering::Relaxed), "the rotation synced");
+        // The fault fences the log until restart: nothing more is
+        // logged, and every commit fails.
+        let next_lsn = durability.next_lsn();
         let record = WalRecord::IngestBatch(vec![(UserId(0), delta(0, 9))]);
-        durability.log(&record).unwrap();
         assert!(
-            matches!(durability.commit(), Err(DurabilityError::Wal(_))),
-            "the cut's fsync failure reaches the next commit"
+            matches!(durability.log(&record), Err(DurabilityError::Wal(_))),
+            "the cut's fsync failure refuses the next log"
         );
-        durability.commit().unwrap();
+        for _ in 0..2 {
+            assert!(
+                matches!(durability.commit(), Err(DurabilityError::Wal(_))),
+                "the cut's fsync failure fails every later commit"
+            );
+        }
+        assert_eq!(durability.next_lsn(), next_lsn);
         drop(durability);
         fs::remove_dir_all(&dir).ok();
     }

@@ -1,8 +1,10 @@
 //! The WAL record vocabulary.
 //!
 //! One [`WalRecord`] per externally-visible mutation of the serving
-//! state: feed ingestion, campaign lifecycle, budget debits, pacing
-//! attachment. Recommends are deliberately *not* logged — a recommend
+//! state: feed ingestion, campaign submission and pause, budget debits,
+//! pacing flights, maintenance passes. Each kind is logged by exactly one
+//! wire request (`adcast_net::protocol::wal_record` is that mapping), so
+//! every kind a log can hold is one a served node produces. Recommends are deliberately *not* logged — a recommend
 //! changes no engine state, so the state, and with it every answer, is
 //! a pure function of the mutation history, and replaying mutations
 //! alone reproduces bit-identical answers.
@@ -16,12 +18,14 @@
 //! 2 Submit:      vector | bid f32 | budget 2×u64 | nloc u16 | locs
 //!              | nslots u8 | slots | topic u8 [u64]
 //! 3 Pause:       ad u32
-//! 4 Resume:      ad u32
-//! 5 Remove:      ad u32
-//! 6 SetPacing:   ad u32 | start u64 | end u64 | budget f64
+//! 6 SetPacing:   ad u32 | start u64 | end u64 | budget f64 (shared flight codec)
 //! 7 Impression:  ad u32 | cost f64 | clicked u8 | now u64
 //! 8 Maintenance: now u64 | idle_for u64
 //! ```
+//!
+//! Tags 4 and 5 were `Resume` and `Remove`, which no served request ever
+//! logged. They decode as unknown tags, and they are never reused, so a
+//! log written before their retirement cannot be misread.
 
 #![cfg_attr(
     not(test),
@@ -42,13 +46,14 @@ use adcast_stream::clock::{Duration, Timestamp};
 use adcast_stream::cursor::{put_opt, Cursor, TraceError};
 use bytes::{BufMut, Bytes, BytesMut};
 
-use crate::codec::{get_batch, get_targeting, get_vector, put_batch, put_targeting, put_vector};
+use crate::codec::{
+    get_batch, get_flight, get_targeting, get_vector, put_batch, put_flight, put_targeting,
+    put_vector,
+};
 
 const T_INGEST: u8 = 1;
 const T_SUBMIT: u8 = 2;
 const T_PAUSE: u8 = 3;
-const T_RESUME: u8 = 4;
-const T_REMOVE: u8 = 5;
 const T_SET_PACING: u8 = 6;
 const T_IMPRESSION: u8 = 7;
 const T_MAINTENANCE: u8 = 8;
@@ -69,10 +74,6 @@ pub enum WalRecord {
     Submit(AdSubmission),
     /// Pause a campaign.
     Pause(AdId),
-    /// Resume a paused campaign.
-    Resume(AdId),
-    /// Remove a campaign permanently.
-    Remove(AdId),
     /// Attach a pacing controller for a flight `[start, end]`.
     SetPacing {
         /// Campaign to pace.
@@ -108,6 +109,28 @@ pub enum WalRecord {
 }
 
 impl WalRecord {
+    /// Every tag a record can carry, in tag order.
+    pub const TAGS: &'static [u8] = &[
+        T_INGEST,
+        T_SUBMIT,
+        T_PAUSE,
+        T_SET_PACING,
+        T_IMPRESSION,
+        T_MAINTENANCE,
+    ];
+
+    /// This record's tag: the first byte of its payload.
+    pub fn tag(&self) -> u8 {
+        match self {
+            WalRecord::IngestBatch(_) => T_INGEST,
+            WalRecord::Submit(_) => T_SUBMIT,
+            WalRecord::Pause(_) => T_PAUSE,
+            WalRecord::SetPacing { .. } => T_SET_PACING,
+            WalRecord::Impression { .. } => T_IMPRESSION,
+            WalRecord::Maintenance { .. } => T_MAINTENANCE,
+        }
+    }
+
     /// Encode the record payload (no WAL framing).
     pub fn encode(&self) -> Bytes {
         let mut buf = BytesMut::with_capacity(64);
@@ -117,13 +140,10 @@ impl WalRecord {
 
     /// Append the record payload (no WAL framing) to `buf`.
     pub fn encode_into(&self, buf: &mut BytesMut) {
+        buf.put_u8(self.tag());
         match self {
-            WalRecord::IngestBatch(deltas) => {
-                buf.put_u8(T_INGEST);
-                put_batch(buf, deltas);
-            }
+            WalRecord::IngestBatch(deltas) => put_batch(buf, deltas),
             WalRecord::Submit(sub) => {
-                buf.put_u8(T_SUBMIT);
                 put_vector(buf, &sub.vector);
                 buf.put_f32_le(sub.bid);
                 let (total, spent) = sub.budget.to_micros();
@@ -132,44 +152,25 @@ impl WalRecord {
                 put_targeting(buf, sub.targeting.locations(), sub.targeting.slots());
                 put_opt(buf, sub.topic_hint, |b, t| b.put_u64_le(t as u64));
             }
-            WalRecord::Pause(ad) => {
-                buf.put_u8(T_PAUSE);
-                buf.put_u32_le(ad.0);
-            }
-            WalRecord::Resume(ad) => {
-                buf.put_u8(T_RESUME);
-                buf.put_u32_le(ad.0);
-            }
-            WalRecord::Remove(ad) => {
-                buf.put_u8(T_REMOVE);
-                buf.put_u32_le(ad.0);
-            }
+            WalRecord::Pause(ad) => buf.put_u32_le(ad.0),
             WalRecord::SetPacing {
                 ad,
                 start,
                 end,
                 budget,
-            } => {
-                buf.put_u8(T_SET_PACING);
-                buf.put_u32_le(ad.0);
-                buf.put_u64_le(start.micros());
-                buf.put_u64_le(end.micros());
-                buf.put_f64_le(*budget);
-            }
+            } => put_flight(buf, *ad, *start, *end, *budget),
             WalRecord::Impression {
                 ad,
                 cost,
                 clicked,
                 now,
             } => {
-                buf.put_u8(T_IMPRESSION);
                 buf.put_u32_le(ad.0);
                 buf.put_f64_le(*cost);
                 buf.put_u8(u8::from(*clicked));
                 buf.put_u64_le(now.micros());
             }
             WalRecord::Maintenance { now, idle_for } => {
-                buf.put_u8(T_MAINTENANCE);
                 buf.put_u64_le(now.micros());
                 buf.put_u64_le(idle_for.micros());
             }
@@ -209,19 +210,8 @@ impl WalRecord {
                 })
             }
             T_PAUSE => WalRecord::Pause(AdId(cur.u32()?)),
-            T_RESUME => WalRecord::Resume(AdId(cur.u32()?)),
-            T_REMOVE => WalRecord::Remove(AdId(cur.u32()?)),
             T_SET_PACING => {
-                let ad = AdId(cur.u32()?);
-                let start = Timestamp(cur.u64()?);
-                let end = Timestamp(cur.u64()?);
-                let budget = cur.f64()?;
-                if end <= start {
-                    return Err(TraceError::Corrupt("empty pacing flight"));
-                }
-                if !(budget.is_finite() && budget > 0.0) {
-                    return Err(TraceError::Corrupt("invalid pacing budget"));
-                }
+                let (ad, start, end, budget) = get_flight(&mut cur)?;
                 WalRecord::SetPacing {
                     ad,
                     start,
@@ -311,8 +301,6 @@ pub(crate) mod tests {
                 topic_hint: None,
             }),
             WalRecord::Pause(AdId(12)),
-            WalRecord::Resume(AdId(12)),
-            WalRecord::Remove(AdId(4)),
             WalRecord::SetPacing {
                 ad: AdId(7),
                 start: Timestamp::from_secs(0),
@@ -361,8 +349,6 @@ pub(crate) mod tests {
                 0x02e3_1042_1dc6_ac01,
                 0x8d87_4d53_27d0_57e7,
                 0x712b_4367_ad00_2a7e,
-                0x31c0_d393_3a73_168f,
-                0x253c_9026_0b75_c7a4,
                 0x7a0a_c880_fdb0_a6c6,
                 0x9cdd_e933_804f_9083,
                 0x4f4d_1426_7915_3564,
@@ -430,5 +416,28 @@ pub(crate) mod tests {
         assert!(WalRecord::decode(buf.freeze()).is_err());
         // Unknown tag.
         assert!(WalRecord::decode(Bytes::from_static(&[99])).is_err());
+    }
+
+    #[test]
+    fn tags_are_exactly_the_decodable_kinds() {
+        // Every sample leads with its tag, and the samples cover `TAGS`.
+        let mut seen: Vec<u8> = sample_records()
+            .iter()
+            .map(|r| {
+                assert_eq!(r.encode()[0], r.tag());
+                r.tag()
+            })
+            .collect();
+        seen.dedup();
+        assert_eq!(seen, WalRecord::TAGS);
+        // A byte outside `TAGS` is an unknown tag, whatever follows it:
+        // the retired `Resume` (4) and `Remove` (5) tags among them.
+        for tag in 0..=u8::MAX {
+            let mut body = vec![tag];
+            body.extend_from_slice(&[0; 32]);
+            let unknown = WalRecord::decode(Bytes::from(body)).err()
+                == Some(TraceError::Corrupt("unknown wal record tag"));
+            assert_eq!(unknown, !WalRecord::TAGS.contains(&tag), "tag {tag}");
+        }
     }
 }

@@ -702,7 +702,7 @@ mod tests {
             segment_bytes: 128,
         };
         let samples = sample_records();
-        let sequence = [&samples[2], &samples[0], &samples[4], &samples[8]];
+        let sequence = [&samples[2], &samples[0], &samples[4], &samples[6]];
         let mut w = WalWriter::create(&dir, options, 7).unwrap();
         for record in sequence {
             w.append(record).unwrap();

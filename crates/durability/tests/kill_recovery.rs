@@ -128,10 +128,15 @@ fn workload() -> Vec<WalRecord> {
             records.push(WalRecord::Pause(AdId(2)));
         }
         if step == 6 {
-            records.push(WalRecord::Resume(AdId(2)));
+            records.push(WalRecord::SetPacing {
+                ad: AdId(2),
+                start: Timestamp::from_secs(step * 10),
+                end: Timestamp::from_secs(5_000),
+                budget: 20.0,
+            });
         }
         if step == 8 {
-            records.push(WalRecord::Remove(AdId(3)));
+            records.push(WalRecord::Pause(AdId(3)));
         }
         records.push(WalRecord::Impression {
             ad: AdId((step % 5) as u32),

@@ -433,6 +433,7 @@ fn unexpected(resp: Response) -> NetError {
             Response::Recommendations(_) => "unexpected Recommendations reply",
             Response::CampaignAccepted { .. } => "unexpected CampaignAccepted reply",
             Response::CampaignPaused { .. } => "unexpected CampaignPaused reply",
+            Response::PacingSet { .. } => "unexpected PacingSet reply",
             Response::ImpressionRecorded { .. } => "unexpected ImpressionRecorded reply",
             Response::Maintained { .. } => "unexpected Maintained reply",
             Response::Checkpointed { .. } => "unexpected Checkpointed reply",

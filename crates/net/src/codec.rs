@@ -33,7 +33,8 @@ use std::io::{self, Read, Write};
 use adcast_ads::AdId;
 use adcast_core::Recommendation;
 use adcast_durability::codec::{
-    get_batch, get_targeting, get_vector, put_batch, put_targeting, put_vector,
+    get_batch, get_flight, get_targeting, get_vector, put_batch, put_flight, put_targeting,
+    put_vector,
 };
 use adcast_graph::UserId;
 use adcast_stream::clock::{Duration, Timestamp};
@@ -55,7 +56,10 @@ pub const MAGIC: &[u8; 4] = b"ADCN";
 /// `ClusterStatus`, and the stale-epoch/wrong-partition/LSN-gap error
 /// codes; v6 added the 16-byte distributed-tracing context
 /// (`trace_id` + `parent_span_id`, all-zero when unsampled) after the
-/// epoch in `Routed` and `ReplAppend`.
+/// epoch in `Routed` and `ReplAppend`. `SetPacing` (kind 16) and its
+/// `PacingSet` reply (0x8F) joined v6 without a bump: only new kind bytes
+/// were added, and a peer that predates them refuses an unknown kind
+/// with a typed error.
 pub const VERSION: u16 = 6;
 /// Upper bound on a frame body; larger declared lengths are rejected
 /// before any allocation, so a malformed peer cannot OOM the server.
@@ -120,7 +124,7 @@ impl From<TraceError> for NetError {
 }
 
 /// Declare one wire kind table: a `#[repr(u8)]` enum whose discriminants
-/// are the wire bytes, its `ALL` list in declaration order, the
+/// are the wire bytes, its `ALL` list in table order, the
 /// `TryFrom<u8>` that is the only way a byte off the wire becomes a kind
 /// (an unknown byte comes back as `Err(byte)`), and the message type's
 /// `kind()`. Each row names a message variant with its shape, so `kind()`
@@ -148,7 +152,7 @@ macro_rules! kind_table {
         }
 
         impl $name {
-            /// Every kind, in the message enum's declaration order.
+            /// Every kind, in table order (new kinds are appended).
             pub const ALL: &'static [$name] = &[$($name::$variant),+];
         }
 
@@ -193,6 +197,7 @@ kind_table! {
         InstallSnapshot { .. } = 14,
         Promote { .. } = 13,
         ClusterStatus = 15,
+        SetPacing { .. } = 16,
     }
 }
 
@@ -214,6 +219,7 @@ kind_table! {
         Promoted { .. } = 0x8C,
         ClusterStatusReply { .. } = 0x8E,
         Error(_) = 0xFF,
+        PacingSet { .. } = 0x8F,
     }
 }
 
@@ -284,6 +290,12 @@ fn put_request(body: &mut BytesMut, id: u64, req: &Request) {
             put_opt(body, spec.topic_hint, BytesMut::put_u32_le);
         }
         Request::PauseCampaign { ad } => body.put_u32_le(ad.0),
+        Request::SetPacing {
+            ad,
+            start,
+            end,
+            budget,
+        } => put_flight(body, *ad, *start, *end, *budget),
         Request::Impression {
             ad,
             cost,
@@ -364,7 +376,7 @@ pub fn encode_response(id: u64, resp: &Response) -> Bytes {
             }
         }
         Response::CampaignAccepted { ad } => body.put_u32_le(ad.0),
-        Response::CampaignPaused { ad } => body.put_u32_le(ad.0),
+        Response::CampaignPaused { ad } | Response::PacingSet { ad } => body.put_u32_le(ad.0),
         Response::ImpressionRecorded { ad, exhausted } => {
             body.put_u32_le(ad.0);
             body.put_u8(u8::from(*exhausted));
@@ -506,6 +518,15 @@ fn take_request(cur: &mut Cursor, allow_routed: bool) -> Result<(u64, Request), 
         RequestKind::PauseCampaign => Request::PauseCampaign {
             ad: AdId(cur.u32()?),
         },
+        RequestKind::SetPacing => {
+            let (ad, start, end, budget) = get_flight(cur)?;
+            Request::SetPacing {
+                ad,
+                start,
+                end,
+                budget,
+            }
+        }
         RequestKind::Impression => {
             let ad = AdId(cur.u32()?);
             let cost = cur.f64()?;
@@ -617,6 +638,9 @@ pub fn decode_response(data: Bytes) -> Result<(u64, Response), NetError> {
             ad: AdId(cur.u32()?),
         },
         ResponseKind::CampaignPaused => Response::CampaignPaused {
+            ad: AdId(cur.u32()?),
+        },
+        ResponseKind::PacingSet => Response::PacingSet {
             ad: AdId(cur.u32()?),
         },
         ResponseKind::ImpressionRecorded => Response::ImpressionRecorded {
@@ -771,7 +795,7 @@ pub fn read_frame(r: &mut impl Read) -> Result<Option<Bytes>, NetError> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use adcast_feed::FeedDelta;
     use adcast_stream::event::{Message, MessageId, TimeSlot};
@@ -793,7 +817,7 @@ mod tests {
         })
     }
 
-    fn sample_requests() -> Vec<Request> {
+    pub(crate) fn sample_requests() -> Vec<Request> {
         vec![
             Request::Ingest {
                 deltas: vec![
@@ -829,6 +853,12 @@ mod tests {
             }),
             Request::SubmitCampaign(CampaignSpec::unrestricted(v(&[(2, 0.7)]), 1.0)),
             Request::PauseCampaign { ad: AdId(12) },
+            Request::SetPacing {
+                ad: AdId(12),
+                start: Timestamp::from_secs(60),
+                end: Timestamp::from_secs(3660),
+                budget: 40.5,
+            },
             Request::Impression {
                 ad: AdId(4),
                 cost: 0.25,
@@ -926,6 +956,7 @@ mod tests {
             Response::Recommendations(vec![]),
             Response::CampaignAccepted { ad: AdId(3) },
             Response::CampaignPaused { ad: AdId(3) },
+            Response::PacingSet { ad: AdId(3) },
             Response::ImpressionRecorded {
                 ad: AdId(6),
                 exhausted: true,
@@ -1189,6 +1220,34 @@ mod tests {
             assert!(
                 matches!(err, NetError::Decode(TraceError::Corrupt(_))),
                 "cost {bad}: {err}"
+            );
+        }
+    }
+
+    #[test]
+    fn hostile_pacing_flights_rejected() {
+        // The wire body shares the WAL record's flight check, so a flight
+        // that would panic `PacingController::new` never decodes.
+        for (start, end, budget) in [
+            (5, 5, 1.0),
+            (9, 5, 1.0),
+            (0, 5, f64::NAN),
+            (0, 5, f64::NEG_INFINITY),
+            (0, 5, 0.0),
+            (0, 5, -1.0),
+        ] {
+            let mut body = BytesMut::new();
+            put_stream_header(&mut body, MAGIC, VERSION);
+            body.put_u8(RequestKind::SetPacing as u8);
+            body.put_u64_le(1);
+            body.put_u32_le(3);
+            body.put_u64_le(start);
+            body.put_u64_le(end);
+            body.put_f64_le(budget);
+            let err = decode_request(body.freeze()).unwrap_err();
+            assert!(
+                matches!(err, NetError::Decode(TraceError::Corrupt(_))),
+                "[{start}, {end}] budget {budget}: {err}"
             );
         }
     }

@@ -34,7 +34,8 @@ pub use codec::NetError;
 pub use loadgen::{scrape_obs, LoadgenConfig, LoadgenReport, ObsScrape, STAGE_FAMILIES};
 pub use node::{ClusterConfig, Node};
 pub use protocol::{
-    CampaignSpec, NodeRole, NodeStatus, Request, Response, ServerStats, TraceContext, WireError,
+    wal_record, write_reply, CampaignSpec, Logged, NodeRole, NodeStatus, Request, Response,
+    ServerStats, TraceContext, WireError,
 };
 pub use replication::{
     install_snapshot_on, promote, replica_append, ClusterState, ReplObs, ReplicaError,

@@ -7,15 +7,17 @@
 //! simulation harness calls the same `handle` under virtual time, so the
 //! ack ladder the simulator proves is the one that serves traffic.
 //!
-//! Every mutating RPC climbs the ack ladder in [`Node::log_apply`]:
-//! validated, WAL-logged and group-committed **before** it is applied
-//! through the shared [`apply_record`] path, then — on a cluster primary
-//! — shipped through the node's [`ReplicationSink`], with the reply
-//! waiting for the follower's durable ack ([`crate::replication`],
-//! DESIGN § 14). Every layer is timed into the process-wide
-//! [`adcast_obs::registry`], sampled requests leave spans in the
-//! [`tracestore`], and admissions, checkpoints and slow ingests land in
-//! the [`flightrec`] ring.
+//! Every client write becomes its one [`WalRecord`] through
+//! [`wal_record`], the write vocabulary's only mapping, and climbs the
+//! ack ladder: validated, WAL-logged and group-committed **before** it is
+//! applied through the shared [`apply_record`] path, then — on a cluster
+//! primary — shipped through the node's [`ReplicationSink`], with the
+//! reply ([`write_reply`]) waiting for the follower's durable ack
+//! ([`crate::replication`], DESIGN § 14). [`Node::handle`] is the only
+//! way in: nothing writes the log around it. Every layer is timed into
+//! the process-wide [`adcast_obs::registry`], sampled requests leave
+//! spans in the [`tracestore`], and admissions, checkpoints and slow
+//! ingests land in the [`flightrec`] ring.
 
 #![cfg_attr(
     not(test),
@@ -35,8 +37,9 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use adcast_ads::{AdStore, CampaignState};
+use adcast_ads::{AdId, AdStore};
 use adcast_core::ShardedDriver;
+use adcast_durability::codec::check_flight;
 use adcast_durability::{apply_record, ApplyEffect, Durability, EngineSetSnapshot, WalRecord};
 use adcast_graph::UserId;
 use adcast_metrics::LatencyHistogram;
@@ -46,7 +49,9 @@ use adcast_obs::{UNREADY_CATCHING_UP, UNREADY_DEGRADED};
 use adcast_stream::clock::now_ns;
 use bytes::Bytes;
 
-use crate::protocol::{NodeRole, Request, Response, ServerStats, WireError};
+use crate::protocol::{
+    wal_record, write_reply, Logged, NodeRole, Request, Response, ServerStats, WireError,
+};
 use crate::replication::{
     install_snapshot_on, promote, replica_append, ClusterState, ReplObs, ReplicaSetup,
     ReplicateError, ReplicationSink,
@@ -306,15 +311,18 @@ impl Node {
     /// primary — ship it to the follower and wait for the durable ack
     /// (the replication ack ladder; see DESIGN § 14). A commit failure
     /// means the mutation is **not durable**: it is refused without being
-    /// applied, so memory and log can never diverge. Mutations without a
-    /// [`Request`] of their own (pacing attachments) enter here directly.
+    /// applied, and the failure fences the log ([`Durability::commit`]),
+    /// so every later write is refused too and nothing more is shipped
+    /// until restart. The refused write's outcome is unknown until then:
+    /// its record may already be on disk, and recovery replays it if so.
     ///
     /// # Errors
     ///
     /// [`WireError::StaleEpoch`] on a fenced or freshly deposed node,
-    /// [`WireError::Unavailable`] when the commit fails or the engine is
-    /// dead, [`WireError::BadRequest`] when the record does not apply.
-    pub fn log_apply(&mut self, record: WalRecord) -> Result<ApplyEffect, WireError> {
+    /// [`WireError::Unavailable`] when the log is fenced, the commit
+    /// fails or the engine is dead, [`WireError::BadRequest`] when the
+    /// record does not apply.
+    fn log_apply(&mut self, record: WalRecord) -> Result<ApplyEffect, WireError> {
         if self.cluster.fenced {
             // A deposed primary must not accept writes the promoted
             // follower will never see.
@@ -478,42 +486,80 @@ impl Node {
             req => req,
         };
         // Followers mirror the primary and serve only replication and
-        // control RPCs; client traffic is refused with a typed error so
-        // the router (or a misdirected client) knows to go to the
-        // primary rather than seeing timeouts or wrong answers.
-        if self.cluster.role == NodeRole::Follower
-            && matches!(
-                req,
-                Request::Ingest { .. }
-                    | Request::Recommend { .. }
-                    | Request::SubmitCampaign(_)
-                    | Request::PauseCampaign { .. }
-                    | Request::Impression { .. }
-                    | Request::Maintain { .. }
-            )
-        {
-            return Err(WireError::NotPrimary);
+        // control RPCs; client traffic (every write, and reads) is
+        // refused with a typed error so the router (or a misdirected
+        // client) knows to go to the primary rather than seeing timeouts
+        // or wrong answers.
+        let follower = self.cluster.role == NodeRole::Follower;
+        match wal_record(req) {
+            Logged::Write(_) | Logged::Other(Request::Recommend { .. }) if follower => {
+                Err(WireError::NotPrimary)
+            }
+            Logged::Write(record) => {
+                let record = record?;
+                self.admit_write(&record)?;
+                write_reply(self.log_apply(record)?)
+            }
+            Logged::Other(req) => self.serve_other(req),
         }
-        let unavailable = Err(WireError::Unavailable);
-        Ok(match req {
-            Request::Ingest { deltas } => {
+    }
+
+    /// Per-kind validation before logging: a record that cannot apply
+    /// must never reach the WAL (replay aborts on apply failures), and
+    /// neither may one that names no campaign. Requests built in process
+    /// skip the wire decoder, so its value checks are repeated here.
+    fn admit_write(&self, record: &WalRecord) -> Result<(), WireError> {
+        match record {
+            WalRecord::IngestBatch(deltas) => {
                 if self.driver.is_dead() {
-                    return unavailable;
+                    return Err(WireError::Unavailable);
                 }
-                // Validate ids *before* logging or dispatch: an
-                // out-of-range user would panic a shard worker, and a
-                // record that cannot apply must never reach the WAL
-                // (replay aborts on apply failures).
-                for (user, _) in &deltas {
+                // An out-of-range user would panic a shard worker.
+                for (user, _) in deltas {
                     self.check_user(*user)?;
                 }
-                let ApplyEffect::Ingested { accepted } =
-                    self.log_apply(WalRecord::IngestBatch(deltas))?
-                else {
-                    return unavailable;
-                };
-                Response::Ingested { accepted }
             }
+            WalRecord::Submit(sub) => {
+                if sub.vector.is_empty() || !(sub.bid.is_finite() && sub.bid > 0.0) {
+                    // The store would reject this submission.
+                    return Err(WireError::BadRequest(format!(
+                        "empty keyword vector or invalid bid {}",
+                        sub.bid
+                    )));
+                }
+            }
+            WalRecord::Pause(_) => {}
+            WalRecord::SetPacing {
+                ad,
+                start,
+                end,
+                budget,
+            } => {
+                check_flight(*start, *end, *budget)
+                    .map_err(|why| WireError::BadRequest(why.to_string()))?;
+                self.check_campaign(*ad)?;
+            }
+            WalRecord::Impression { ad, cost, .. } => {
+                if !(cost.is_finite() && *cost >= 0.0) {
+                    return Err(WireError::BadRequest(format!(
+                        "invalid impression cost {cost}"
+                    )));
+                }
+                self.check_campaign(*ad)?;
+            }
+            WalRecord::Maintenance { .. } => {
+                if self.driver.is_dead() {
+                    return Err(WireError::Unavailable);
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Serve a request that logs nothing: reads, control and cluster
+    /// RPCs.
+    fn serve_other(&mut self, req: Request) -> Result<Response, WireError> {
+        Ok(match req {
             Request::Recommend {
                 user,
                 now,
@@ -531,69 +577,6 @@ impl Node {
                     location,
                     k as usize,
                 ))
-            }
-            Request::SubmitCampaign(spec) => {
-                let sub = spec.try_into_submission().map_err(WireError::BadRequest)?;
-                if sub.vector.is_empty() || !(sub.bid.is_finite() && sub.bid > 0.0) {
-                    // The store would reject this submission; catch it
-                    // before it can reach the WAL.
-                    return Err(WireError::BadRequest(format!(
-                        "empty keyword vector or invalid bid {}",
-                        sub.bid
-                    )));
-                }
-                let ApplyEffect::Submitted { ad } = self.log_apply(WalRecord::Submit(sub))? else {
-                    return unavailable;
-                };
-                Response::CampaignAccepted { ad }
-            }
-            Request::PauseCampaign { ad } => match self.log_apply(WalRecord::Pause(ad))? {
-                ApplyEffect::Paused { changed: true } => Response::CampaignPaused { ad },
-                ApplyEffect::Paused { changed: false } => {
-                    return Err(WireError::UnknownCampaign(ad))
-                }
-                _ => return unavailable,
-            },
-            Request::Impression {
-                ad,
-                cost,
-                clicked,
-                now,
-            } => {
-                if self.store.campaign(ad).is_none() {
-                    return Err(WireError::UnknownCampaign(ad));
-                }
-                let record = WalRecord::Impression {
-                    ad,
-                    cost,
-                    clicked,
-                    now,
-                };
-                let ApplyEffect::Impression { state } = self.log_apply(record)? else {
-                    return unavailable;
-                };
-                Response::ImpressionRecorded {
-                    ad,
-                    exhausted: state == Some(CampaignState::Exhausted),
-                }
-            }
-            Request::Maintain { now, idle_for } => {
-                if self.driver.is_dead() {
-                    return unavailable;
-                }
-                let ApplyEffect::Maintained {
-                    scanned,
-                    decayed,
-                    pruned,
-                } = self.log_apply(WalRecord::Maintenance { now, idle_for })?
-                else {
-                    return unavailable;
-                };
-                Response::Maintained {
-                    scanned,
-                    decayed,
-                    pruned,
-                }
             }
             Request::Checkpoint => {
                 let d = self.durability.as_mut().ok_or_else(no_data_dir)?;
@@ -709,12 +692,23 @@ impl Node {
                 fenced: self.cluster.fenced,
                 degraded: self.cluster.degraded,
             },
-            // Unreachable: the envelope was unwrapped above and the
-            // decoder refuses nesting, but the match must stay total.
+            Request::Shutdown => Response::ShutdownAck,
+            // Unreachable: the envelope was unwrapped and the writes were
+            // logged in `serve_one`, and the decoder refuses nesting, but
+            // the match must stay total.
             Request::Routed { .. } => {
                 return Err(WireError::BadRequest("nested routed envelope".into()))
             }
-            Request::Shutdown => Response::ShutdownAck,
+            Request::Ingest { .. }
+            | Request::SubmitCampaign(_)
+            | Request::PauseCampaign { .. }
+            | Request::SetPacing { .. }
+            | Request::Impression { .. }
+            | Request::Maintain { .. } => {
+                return Err(WireError::BadRequest(
+                    "a write reached the read path".into(),
+                ))
+            }
         })
     }
 
@@ -728,6 +722,14 @@ impl Node {
             user.0,
             self.driver.num_users()
         )))
+    }
+
+    /// Refuse a campaign id the store does not hold.
+    fn check_campaign(&self, ad: AdId) -> Result<(), WireError> {
+        match self.store.campaign(ad) {
+            Some(_) => Ok(()),
+            None => Err(WireError::UnknownCampaign(ad)),
+        }
     }
 
     /// Admission for a replication RPC: current partition and epoch, and

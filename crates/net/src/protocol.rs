@@ -6,8 +6,9 @@
 //! connection, so clients can distinguish "retry later" ([`WireError::
 //! Overloaded`]) from "give up" ([`WireError::Unavailable`]).
 
-use adcast_ads::{AdId, AdSubmission, Budget, Targeting};
+use adcast_ads::{AdId, AdSubmission, Budget, CampaignState, Targeting};
 use adcast_core::Recommendation;
+use adcast_durability::{ApplyEffect, WalRecord};
 use adcast_feed::FeedDelta;
 use adcast_graph::UserId;
 use adcast_stream::clock::Timestamp;
@@ -47,6 +48,20 @@ pub enum Request {
     PauseCampaign {
         /// The campaign to pause.
         ad: AdId,
+    },
+    /// Attach a pacing controller to a campaign: spread the spend of
+    /// `budget` over the flight `[start, end]`, replacing any earlier
+    /// flight.
+    SetPacing {
+        /// The campaign to pace.
+        ad: AdId,
+        /// Flight start.
+        start: Timestamp,
+        /// Flight end (after `start`; the codec and the node enforce
+        /// this).
+        end: Timestamp,
+        /// Flight budget (finite and positive; enforced likewise).
+        budget: f64,
     },
     /// Charge a served impression against a campaign's budget and CTR
     /// prior (and its pacing controller when one is attached).
@@ -261,6 +276,11 @@ pub enum Response {
         /// The paused campaign.
         ad: AdId,
     },
+    /// The campaign's pacing flight is attached.
+    PacingSet {
+        /// The paced campaign.
+        ad: AdId,
+    },
     /// The impression was charged.
     ImpressionRecorded {
         /// The charged campaign.
@@ -331,6 +351,106 @@ pub enum Response {
     },
     /// The request failed.
     Error(WireError),
+}
+
+/// A request split by whether a node logs it.
+#[expect(
+    clippy::exhaustive_enums,
+    reason = "a request logs one record or none; the node and the simulator branch on both"
+)]
+#[derive(Debug)]
+pub enum Logged {
+    /// A write: the one [`WalRecord`] it logs, or why its body cannot
+    /// be one.
+    Write(Result<WalRecord, WireError>),
+    /// Every other request, unchanged: reads, control and cluster RPCs.
+    Other(Request),
+}
+
+/// The write vocabulary, declared once: the [`WalRecord`] each client
+/// write logs when a node acks it. Every record kind has exactly one
+/// request here and every other request logs nothing, so a log holds
+/// only what a served node can be asked to write. [`Node`] logs what
+/// this returns; the simulator's replay oracles replay it.
+///
+/// [`Node`]: crate::Node
+pub fn wal_record(req: Request) -> Logged {
+    Logged::Write(Ok(match req {
+        Request::Ingest { deltas } => WalRecord::IngestBatch(deltas),
+        Request::SubmitCampaign(spec) => match spec.try_into_submission() {
+            Ok(sub) => WalRecord::Submit(sub),
+            Err(why) => return Logged::Write(Err(WireError::BadRequest(why))),
+        },
+        Request::PauseCampaign { ad } => WalRecord::Pause(ad),
+        Request::SetPacing {
+            ad,
+            start,
+            end,
+            budget,
+        } => WalRecord::SetPacing {
+            ad,
+            start,
+            end,
+            budget,
+        },
+        Request::Impression {
+            ad,
+            cost,
+            clicked,
+            now,
+        } => WalRecord::Impression {
+            ad,
+            cost,
+            clicked,
+            now,
+        },
+        Request::Maintain { now, idle_for } => WalRecord::Maintenance { now, idle_for },
+        other @ (Request::Recommend { .. }
+        | Request::Checkpoint
+        | Request::ObsDump
+        | Request::Stats
+        | Request::Shutdown
+        | Request::Routed { .. }
+        | Request::ReplAppend { .. }
+        | Request::InstallSnapshot { .. }
+        | Request::Promote { .. }
+        | Request::ClusterStatus) => return Logged::Other(other),
+    }))
+}
+
+/// The reply a node acks a write with, from what applying its record
+/// did: the other half of [`wal_record`]'s pairing.
+///
+/// # Errors
+///
+/// [`WireError::UnknownCampaign`] when a pause found no active campaign
+/// or a flight found no campaign.
+pub fn write_reply(effect: ApplyEffect) -> Result<Response, WireError> {
+    Ok(match effect {
+        ApplyEffect::Ingested { accepted } => Response::Ingested { accepted },
+        ApplyEffect::Submitted { ad } => Response::CampaignAccepted { ad },
+        ApplyEffect::Paused { ad, changed: true } => Response::CampaignPaused { ad },
+        ApplyEffect::PacingSet { ad, known: true } => Response::PacingSet { ad },
+        ApplyEffect::Paused { ad, changed: false }
+        | ApplyEffect::PacingSet { ad, known: false } => {
+            return Err(WireError::UnknownCampaign(ad))
+        }
+        // An inactive campaign is charged nothing (`state` is `None`):
+        // still an acked impression, one that exhausted nothing.
+        ApplyEffect::Impression { ad, state } => Response::ImpressionRecorded {
+            ad,
+            exhausted: state == Some(CampaignState::Exhausted),
+        },
+        ApplyEffect::Maintained {
+            scanned,
+            decayed,
+            pruned,
+        } => Response::Maintained {
+            scanned,
+            decayed,
+            pruned,
+        },
+    })
 }
 
 /// Typed RPC failure.
@@ -472,6 +592,77 @@ mod tests {
             };
             assert!(spec.try_into_submission().is_err(), "budget {bad}");
         }
+    }
+
+    #[test]
+    fn every_record_kind_pairs_with_exactly_one_request_kind() {
+        use crate::codec::tests::sample_requests;
+        use crate::codec::RequestKind;
+        use std::collections::{BTreeMap, BTreeSet};
+
+        let mut sampled = BTreeSet::new();
+        // Record tag → the request kind byte that logs it.
+        let mut pairs: BTreeMap<u8, u8> = BTreeMap::new();
+        for req in sample_requests() {
+            let kind = req.kind() as u8;
+            sampled.insert(kind);
+            match wal_record(req) {
+                Logged::Write(record) => {
+                    let tag = record.unwrap().tag();
+                    let first = *pairs.entry(tag).or_insert(kind);
+                    assert_eq!(first, kind, "record tag {tag} has two requests");
+                }
+                Logged::Other(back) => assert_eq!(back.kind() as u8, kind),
+            }
+        }
+        let all: BTreeSet<u8> = RequestKind::ALL.iter().map(|&k| k as u8).collect();
+        assert_eq!(sampled, all, "a request kind has no sample");
+        let tags: Vec<u8> = pairs.keys().copied().collect();
+        assert_eq!(tags, WalRecord::TAGS, "a record kind has no request");
+        let writers: BTreeSet<u8> = pairs.values().copied().collect();
+        assert_eq!(
+            writers.len(),
+            pairs.len(),
+            "a request logs two record kinds"
+        );
+    }
+
+    #[test]
+    fn write_replies_refuse_a_missing_campaign() {
+        let ad = AdId(3);
+        assert_eq!(
+            write_reply(ApplyEffect::Paused { ad, changed: false }),
+            Err(WireError::UnknownCampaign(ad))
+        );
+        assert_eq!(
+            write_reply(ApplyEffect::PacingSet { ad, known: false }),
+            Err(WireError::UnknownCampaign(ad))
+        );
+        assert_eq!(
+            write_reply(ApplyEffect::PacingSet { ad, known: true }),
+            Ok(Response::PacingSet { ad })
+        );
+        // An inactive campaign's impression is acked and charges nothing.
+        assert_eq!(
+            write_reply(ApplyEffect::Impression { ad, state: None }),
+            Ok(Response::ImpressionRecorded {
+                ad,
+                exhausted: false
+            })
+        );
+    }
+
+    #[test]
+    fn an_invalid_submission_is_a_bad_write() {
+        let spec = CampaignSpec {
+            budget: Some(f64::NAN),
+            ..CampaignSpec::unrestricted(SparseVector::from_pairs([(TermId(0), 1.0)]), 1.0)
+        };
+        let Logged::Write(Err(WireError::BadRequest(_))) =
+            wal_record(Request::SubmitCampaign(spec))
+        else {
+            panic!("an unconvertible submission must be a refused write");
+        };
     }
 
     #[test]

@@ -333,3 +333,53 @@ fn a_follower_whose_commit_fails_neither_acks_nor_applies() {
         "a follower applied what it could not commit"
     );
 }
+
+#[test]
+fn a_failed_commit_fences_every_later_write_until_restart() {
+    let mut h = harness("primary-fence", ClusterState::primary(0, 1));
+    h.state.fail_next_sync.store(true, Ordering::SeqCst);
+    let reply = h.node.handle(routed_ingest(deltas(1, 10), 200), now_ns());
+    assert_eq!(reply, Response::Error(WireError::Unavailable));
+    // The refused record may sit in the WAL writer: a later commit would
+    // make it durable, so the disk working again must not matter.
+    let next_lsn = h.node.durability().map(Durability::next_lsn);
+    let before = state_of(&h.node);
+    let reply = h.node.handle(routed_ingest(deltas(2, 11), 201), now_ns());
+    assert_eq!(
+        reply,
+        Response::Error(WireError::Unavailable),
+        "a write after a failed commit was acked"
+    );
+    assert_eq!(
+        h.node.durability().map(Durability::next_lsn),
+        next_lsn,
+        "a write after a failed commit was logged"
+    );
+    assert_eq!(
+        state_of(&h.node),
+        before,
+        "a write after a failed commit was applied"
+    );
+    assert_eq!(
+        h.shipped.load(Ordering::SeqCst),
+        0,
+        "a refused write was shipped"
+    );
+    // Reads are still served.
+    let read = Request::Routed {
+        partition: 0,
+        epoch: 1,
+        trace: TraceContext::NONE,
+        inner: Box::new(Request::Recommend {
+            user: UserId(1),
+            now: Timestamp::from_secs(12),
+            location: LocationId(0),
+            k: 5,
+        }),
+    };
+    let reply = h.node.handle(read, now_ns());
+    assert!(
+        matches!(reply, Response::Recommendations(_)),
+        "a fenced node stopped serving reads: {reply:?}"
+    );
+}

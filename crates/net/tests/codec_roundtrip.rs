@@ -71,6 +71,12 @@ fn request_sample(kind: RequestKind) -> Request {
             topic_hint: Some(3),
         }),
         RequestKind::PauseCampaign => Request::PauseCampaign { ad: AdId(12) },
+        RequestKind::SetPacing => Request::SetPacing {
+            ad: AdId(12),
+            start: Timestamp::from_secs(60),
+            end: Timestamp::from_secs(3660),
+            budget: 40.5,
+        },
         RequestKind::Impression => Request::Impression {
             ad: AdId(4),
             cost: 0.25,
@@ -139,6 +145,7 @@ fn response_sample(kind: ResponseKind) -> Response {
         }]),
         ResponseKind::CampaignAccepted => Response::CampaignAccepted { ad: AdId(3) },
         ResponseKind::CampaignPaused => Response::CampaignPaused { ad: AdId(3) },
+        ResponseKind::PacingSet => Response::PacingSet { ad: AdId(3) },
         ResponseKind::ImpressionRecorded => Response::ImpressionRecorded {
             ad: AdId(5),
             exhausted: true,
@@ -318,6 +325,7 @@ const GOLDEN: &[(&str, u64)] = &[
     ("Request::InstallSnapshot", 0x7e95d171cceb6db6),
     ("Request::Promote", 0x2d2fc9bb19ea75d1),
     ("Request::ClusterStatus", 0x50f47a8f99ad46d4),
+    ("Request::SetPacing", 0x601a194de8a6f43b),
     ("Request::SubmitCampaign/none", 0x3085bdc40dec317d),
     ("Response::Ingested", 0x45dfa83fcf2452a3),
     ("Response::Recommendations", 0x63528484a3afacf3),
@@ -334,6 +342,7 @@ const GOLDEN: &[(&str, u64)] = &[
     ("Response::Promoted", 0xdb671f1b076d788a),
     ("Response::ClusterStatusReply", 0x33979f3ecb03c37c),
     ("Response::Error", 0xd9a1154a10905208),
+    ("Response::PacingSet", 0x3ede58889982e056),
     ("WireError::Overloaded", 0x17ed4e89d233794a),
     ("WireError::Unavailable", 0xf9a0c068cdb85fdc),
     ("WireError::ShuttingDown", 0x6d03c1f2d4bab90e),

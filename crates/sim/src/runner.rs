@@ -9,9 +9,10 @@
 //! request is planned into legs, the legs run one after another in
 //! partition order in the router's envelopes, and their replies merge as
 //! the router merges them; a failover asks for and adopts the router's
-//! epoch. Pacing is the exception: it has no RPC, so the runner hands it
-//! to every primary's ack ladder directly. Followers replicate through
-//! the in-process `link`.
+//! epoch. Every write, pacing flights included, is a client request on
+//! that path, and the record the oracles replay for it is the one
+//! [`wal_record`] maps it to, the mapping the node logs by. Followers
+//! replicate through the in-process `link`.
 //!
 //! Determinism: the transcript and summary derive only from the seeded
 //! workload, the runner's seeded RNG, and counters kept on this thread.
@@ -34,7 +35,7 @@ use adcast_durability::wal::{list_segment_lsns_on, read_segment_on};
 use adcast_durability::{apply_record, Durability, DurabilityOptions, StorageBackend, WalRecord};
 use adcast_feed::FeedDelta;
 use adcast_graph::UserId;
-use adcast_net::protocol::{CampaignSpec, Request, Response, WireError};
+use adcast_net::protocol::{wal_record, CampaignSpec, Logged, Request, Response, WireError};
 use adcast_net::replication::{ClusterState, ReplicaSetup};
 use adcast_net::synth::{self, SynthWorkload};
 use adcast_net::{ClusterConfig, Node};
@@ -393,7 +394,7 @@ impl Runner {
 
     /// Campaigns go to every partition in one global order, so replayed
     /// campaign ids agree across the cluster (DESIGN §14); so does every
-    /// pacing flight.
+    /// pacing flight, which the router broadcasts like a submission.
     fn submit_campaigns(&mut self, campaigns: Vec<CampaignSpec>) -> Result<(), String> {
         let total = campaigns.len();
         for (i, spec) in campaigns.into_iter().enumerate() {
@@ -403,20 +404,14 @@ impl Runner {
             };
             self.c.campaigns += 1;
             if self.config.paced_every > 0 && i % self.config.paced_every == 0 {
-                let record = WalRecord::SetPacing {
+                let reply = self.serve(Request::SetPacing {
                     ad,
                     start: Timestamp::EPOCH,
                     end: Timestamp::from_secs(self.config.flight_secs),
                     budget: self.config.flight_budget,
-                };
-                for p in 0..self.parts.len() {
-                    // Pacing has no RPC of its own: it enters the
-                    // primary's ack ladder directly.
-                    let n = self.parts[p].serving;
-                    self.deliver(p, n, |node| node.log_apply(record.clone()))?
-                        .map_err(|e| format!("partition {p}: pacing refused: {e}"))?;
-                    self.parts[p].acked_log.push(record.clone());
-                    self.c.acked_records += 1;
+                })?;
+                if reply != (Response::PacingSet { ad }) {
+                    return Err(format!("campaign {i}: pacing answered {reply:?}"));
                 }
             }
         }
@@ -552,7 +547,7 @@ impl Runner {
     /// which runs the whole ack ladder; a non-error reply is the ack and
     /// the record the node logged joins the loss oracle.
     fn write(&mut self, p: usize, req: Request) -> Result<Response, String> {
-        let record = logged_record(&req)?;
+        let record = record_of(&req)?;
         // An isolated link stays down for its partition's next ingests.
         let ingest = matches!(record, WalRecord::IngestBatch(_));
         // Head sampling exactly like the live router's: the id is a pure
@@ -714,7 +709,7 @@ impl Runner {
         let lost = leg.is_some();
         if let Some(leg) = leg {
             durability
-                .log(&logged_record(&leg)?)
+                .log(&record_of(&leg)?)
                 .map_err(|e| e.to_string())?;
         }
         // Dropping flushes the writer's buffer (unsynced bytes) and joins
@@ -948,26 +943,13 @@ fn wal_records(backend: &dyn StorageBackend) -> Result<Vec<(u64, Bytes)>, String
     Ok(records)
 }
 
-/// The WAL record a node logs when it acks `request` — what the twin
-/// oracles replay.
-fn logged_record(request: &Request) -> Result<WalRecord, String> {
-    Ok(match request {
-        Request::Ingest { deltas } => WalRecord::IngestBatch(deltas.clone()),
-        Request::SubmitCampaign(spec) => WalRecord::Submit(spec.clone().try_into_submission()?),
-        &Request::Impression {
-            ad,
-            cost,
-            clicked,
-            now,
-        } => WalRecord::Impression {
-            ad,
-            cost,
-            clicked,
-            now,
-        },
-        &Request::Maintain { now, idle_for } => WalRecord::Maintenance { now, idle_for },
-        other => return Err(format!("{other:?} is not a logged mutation")),
-    })
+/// The WAL record a node logs when it acks `request`, by the node's own
+/// mapping — what the twin oracles replay.
+fn record_of(request: &Request) -> Result<WalRecord, String> {
+    match wal_record(request.clone()) {
+        Logged::Write(record) => record.map_err(|e| e.to_string()),
+        Logged::Other(other) => Err(format!("{other:?} is not a logged mutation")),
+    }
 }
 
 #[cfg(test)]

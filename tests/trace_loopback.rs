@@ -11,69 +11,18 @@
 //! second concurrent cluster in this binary would interleave spans and
 //! break the exact-chain assertions below.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
-
-use adcast::ads::AdStore;
 use adcast::cluster::{PartitionMap, Router, RouterConfig, TcpSink};
-use adcast::core::{EngineConfig, ShardedDriver};
-use adcast::durability::{
-    fs_backend, Durability, DurabilityOptions, RecoveryReport, StorageBackend, WalOptions,
-    WalWriter,
-};
 use adcast::graph::UserId;
 use adcast::net::client::{Client, ClientConfig};
-use adcast::net::server::{Server, ServerConfig};
 use adcast::net::synth::{self, SynthConfig};
-use adcast::net::{ClusterConfig, ClusterState, Node, ReplicaSetup, ReplicationSink};
+use adcast::net::{ClusterState, ReplicationSink};
 use adcast::obs::tracestore::{trace_id_for, tracestore, Span, SpanKind};
 use adcast::obs::{http_get, ObsServer};
 
+mod common;
+use common::{cluster_node, temp_backend};
+
 const TRACE_SEED: u64 = 0x51EED;
-
-fn temp_backend(tag: &str) -> Arc<dyn StorageBackend> {
-    static SEQ: AtomicU64 = AtomicU64::new(0);
-    let dir = std::env::temp_dir().join(format!(
-        "adcast-trace-loop-{tag}-{}-{}",
-        std::process::id(),
-        SEQ.fetch_add(1, Ordering::Relaxed)
-    ));
-    std::fs::create_dir_all(&dir).unwrap();
-    fs_backend(&dir)
-}
-
-fn fresh_durability(backend: &Arc<dyn StorageBackend>) -> Durability {
-    let wal = WalWriter::create_on(Arc::clone(backend), WalOptions::default(), 0).unwrap();
-    Durability::new_on(
-        Arc::clone(backend),
-        wal,
-        DurabilityOptions::default(),
-        RecoveryReport::default(),
-    )
-}
-
-fn cluster_node(
-    state: ClusterState,
-    sink: Option<Box<dyn ReplicationSink>>,
-    backend: &Arc<dyn StorageBackend>,
-    num_users: u32,
-) -> Server {
-    let node = Node::new(
-        AdStore::new(),
-        ShardedDriver::new(num_users, 1, EngineConfig::default()),
-        Some(fresh_durability(backend)),
-        ClusterConfig {
-            state,
-            sink,
-            replica: Some(ReplicaSetup {
-                backend: Arc::clone(backend),
-                options: DurabilityOptions::default(),
-                engine: EngineConfig::default(),
-            }),
-        },
-    );
-    Server::start("127.0.0.1:0", ServerConfig::default(), node).expect("bind cluster node")
-}
 
 /// Follow the parent chain of one trace from its root (parent 0) and
 /// return the span kinds in chain order. Panics if the trace is not one
